@@ -1,11 +1,17 @@
 """Hot numeric kernels with a numba fast path and a numpy fallback.
 
 Three loops dominate the cost of optimal approximation at contour scale:
-the O(n^2) squared-error table, the O(n^3) max-error table, and the
+the O(n^2) squared-error table, the max-error table, and the
 O(m_max * n^2) dynamic program.  Each has a plain-numpy implementation
-(`*_numpy`) and, when numba is importable and POLYAPPROX_NO_NUMBA is not
-set, a compiled twin (`*_jit`).  The module-level aliases without suffix
-point at the selected path; benchmarks/bench_kernels.py times both.
+(`*_numpy`) and, when numba (an optional dependency) is importable and
+POLYAPPROX_NO_NUMBA is not set, a compiled twin (`*_jit`).  The
+module-level aliases without suffix point at the selected path;
+benchmarks/bench_kernels.py times both.
+
+The numpy max-error table costs O(n^2 h) on a simple ring with integer
+coordinates spanning less than EXACT_SPAN, where h is the largest convex
+hull of an arc (a few dozen points on lattice contours), and O(n^3) on
+any other ring; the jitted twin always scans, O(n^3).
 
 Both paths evaluate the same arithmetic expressions so their outputs
 agree to the last few bits; tests/test_kernels.py pins that down.
@@ -76,8 +82,29 @@ def e2_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
+# Coordinates spanning less than this keep every cross product of two
+# coordinate differences, and the difference of two such products, below
+# 2**53, so float64 evaluates them exactly.
+EXACT_SPAN = 2**26
+
+# Deque slots per start before the first growth, and the growth step.
+_HULL_SLOTS = 16
+_HULL_GROW = 8
+
+
 def emax_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Largest deviation of every forward arc u -> v from its chord."""
+    """Largest deviation of every forward arc u -> v from its chord.
+
+    Simple rings with exact cross products take the hull sweep, every
+    other ring the full scan; both give the same table, bit for bit.
+    """
+    if _hull_sweep_is_exact(xs, ys):
+        return _emax_cost_table_hull(xs, ys)
+    return _emax_cost_table_scan(xs, ys)
+
+
+def _emax_cost_table_scan(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """emax_cost_table_numpy by scanning every arc point: O(n^3)."""
     n = xs.shape[0]
     x2 = np.concatenate((xs, xs))
     y2 = np.concatenate((ys, ys))
@@ -95,6 +122,179 @@ def emax_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         valid = offs[:, None] < lengths[None, :]
         cross[~valid] = -1.0
         out[u, vs] = cross.max(axis=0) / np.sqrt(dx * dx + dy * dy)
+    return out
+
+
+def _hull_sweep_is_exact(xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Whether the hull sweep gives the scan's table: integer coordinates
+    spanning less than EXACT_SPAN on a simple ring."""
+    for c in (xs, ys):
+        if not (np.array_equal(np.rint(c), c) and np.ptp(c) < EXACT_SPAN):
+            return False
+    return ring_is_simple(xs.astype(np.int64), ys.astype(np.int64))
+
+
+def _orient(ax, ay, bx, by, cx, cy):
+    # twice the signed area of triangle a, b, c: > 0 when c is left of a -> b
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def ring_is_simple(xs: np.ndarray, ys: np.ndarray, block: int = 1 << 18) -> bool:
+    """Whether the closed ring through integer points xs, ys has no
+    self-contact: adjacent sides meet only at their shared vertex and no
+    other two sides touch.
+
+    Exact in int64 for coordinate spans below 2**31.  O(n^2) side pairs,
+    taken about `block` at a time; only pairs whose bounding boxes meet
+    get the orientation tests.
+    """
+    n = xs.shape[0]
+    ax, ay = xs, ys
+    bx, by = np.roll(xs, -1), np.roll(ys, -1)
+    cx, cy = np.roll(xs, -2), np.roll(ys, -2)
+    if np.any((ax == bx) & (ay == by)):
+        return False
+    # side a -> b doubling back along b -> c
+    turn = _orient(ax, ay, bx, by, cx, cy)
+    back = (ax - bx) * (cx - bx) + (ay - by) * (cy - by)
+    if np.any((turn == 0) & (back > 0)):
+        return False
+    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
+    k = np.arange(n)
+    step = max(1, block // n)
+    for i0 in range(0, n, step):
+        i = k[i0:i0 + step, None]
+        # side pairs i < k sharing no vertex whose boxes meet
+        near = (
+            (k > i + 1) & (k - i < n - 1)
+            & (xlo[i] <= xhi) & (xlo <= xhi[i])
+            & (ylo[i] <= yhi) & (ylo <= yhi[i])
+        )
+        ii, kk = np.nonzero(near)
+        ii += i0
+        s1 = np.sign(_orient(ax[ii], ay[ii], bx[ii], by[ii], ax[kk], ay[kk]))
+        s2 = np.sign(_orient(ax[ii], ay[ii], bx[ii], by[ii], bx[kk], by[kk]))
+        s3 = np.sign(_orient(ax[kk], ay[kk], bx[kk], by[kk], ax[ii], ay[ii]))
+        s4 = np.sign(_orient(ax[kk], ay[kk], bx[kk], by[kk], bx[ii], by[ii]))
+        # with the boxes meeting, closed segments touch iff each one's
+        # endpoints are not strictly on one side of the other's line
+        if np.any((s1 * s2 <= 0) & (s3 * s4 <= 0)):
+            return False
+    return True
+
+
+def _cross(e, f):
+    # cross product of vectors stored as complex numbers x + iy
+    return (e.conj() * f).imag
+
+
+def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """emax_cost_table_numpy for a ring that passes _hull_sweep_is_exact.
+
+    The largest |cross| over an arc is reached at a vertex of the arc's
+    convex hull.  All n starts advance in lockstep: at step j, start u
+    adds p[u+j] to a Melkman deque holding the hull of p[u..u+j] (exact
+    for a simple polyline), in coordinates relative to p[u], and column
+    v = u+j+1 scans the deque instead of the arc: O(n^2 h) for hulls of
+    at most h points, against the scan's O(n^3).  Points are complex
+    numbers x + iy; every product is an integer below 2**53, so each
+    entry takes the scan's bits.
+
+    Deque slots are circular along axis 0 of `hull`, which grows by
+    _HULL_GROW slots when a deque would fill it.  Popped and unwritten
+    slots still hold points of the prefix (0 is p[u] itself), which never
+    exceed the maximum, so a column scans every slot without a mask.
+    """
+    n = xs.shape[0]
+    z = xs + 1j * ys
+    z2 = np.concatenate((z, z))
+    out = np.zeros((n, n))
+    out_f = out.reshape(-1)
+    rows = np.arange(n)
+    cap = _HULL_SLOTS
+    hull = np.zeros((cap, n), dtype=np.complex128)
+    hull_f = hull.reshape(-1)
+    # flat slot index (slot * n + start) of each deque's top and bottom
+    # end, which both hold its last point; nbr holds the entry inside each
+    ends = np.stack((rows + 2 * n, rows))
+    ends_f = ends.reshape(-1)
+    nbr = np.zeros((2, n), dtype=np.complex128)
+    nbr_f = nbr.reshape(-1)
+    # pop direction of each end, as a flat slot step; its sign also makes
+    # "q strictly inside the edge at this end" a positive cross product
+    inward = np.array([[-n], [n]])
+    # a start whose prefix is one straight run keeps [last, p[u], last]
+    # until the first turn, where its deque becomes Melkman's triangle
+    last = z2[1:n + 1] - z
+    hull[0] = hull[2] = last
+    straight = rows
+    prod = np.empty(hull.shape, dtype=np.complex128)
+    dev = np.empty(hull.shape)
+    for j in range(1, n - 1):
+        if j > 1:
+            q = z2[j:j + n] - z
+            # an end pops while q is not strictly inside its edge
+            need = _cross(nbr - last, q - last) * inward <= 0.0
+            if straight.size:
+                need[:, straight] = False
+                turn = _cross(last[straight], q[straight])
+                on = straight[turn == 0.0]
+                hull[0, on] = hull[2, on] = last[on] = q[on]
+                bent = turn != 0.0
+                c = straight[bent]
+                left = turn[bent] > 0.0
+                # left turn: [q, p[u], last, q]; right turn: [q, last, p[u], q]
+                lo = np.where(left, 0.0, last[c])
+                hi = np.where(left, last[c], 0.0)
+                hull[1, c] = nbr[1, c] = lo
+                hull[2, c] = nbr[0, c] = hi
+                hull[0, c] = hull[3, c] = last[c] = q[c]
+                ends[0, c] += n
+                straight = on
+            keys = np.flatnonzero(need)  # end * n + start
+            if keys.size:
+                moved = np.flatnonzero(need.any(axis=0))
+                end = keys // n
+                step = inward[end, 0]
+                pos = ends_f[keys]
+                cur = nbr_f[keys]
+                qk = q[keys - end * n]
+                while keys.size:
+                    pos = (pos + step) % hull_f.size
+                    ends_f[keys] = pos
+                    deeper = hull_f[(pos + step) % hull_f.size]
+                    keep = _cross(deeper - cur, qk - cur) * step <= 0.0
+                    keys, pos, cur, qk, step = (
+                        a[keep] for a in (keys, pos, deeper, qk, step)
+                    )
+                e = ends[:, moved]
+                nbr[:, moved] = hull_f[e]
+                e = (e - inward) % hull_f.size
+                ends[:, moved] = e
+                hull_f[e[0]] = hull_f[e[1]] = last[moved] = q[moved]
+                # each step adds at most one entry; keep room for it
+                if ((e[0] - e[1]) % hull_f.size).max() // n + 1 >= cap:
+                    slots = (ends[1] // n + np.arange(cap)[:, None]) % cap
+                    ends[0] = (ends[0] - ends[1]) % hull_f.size + rows
+                    ends[1] = rows
+                    cap += _HULL_GROW
+                    hull = np.concatenate((
+                        np.take_along_axis(hull, slots, axis=0),
+                        np.zeros((_HULL_GROW, n), dtype=np.complex128),
+                    ))
+                    hull_f = hull.reshape(-1)
+                    prod = np.empty(hull.shape, dtype=np.complex128)
+                    dev = np.empty(hull.shape)
+        d = z2[j + 1:j + 1 + n] - z
+        np.multiply(hull, d.conj(), out=prod)
+        np.abs(prod.imag, out=dev)
+        dx, dy = d.real, d.imag
+        val = dev.max(axis=0) / np.sqrt(dx * dx + dy * dy)
+        # out[u, (u + j + 1) % n] lies on two diagonals of the flat table
+        m = n - j - 1
+        out_f[j + 1:m * (n + 1):n + 1] = val[:m]
+        out_f[m * (n + 1) + j + 1 - n::n + 1] = val[m:]
     return out
 
 

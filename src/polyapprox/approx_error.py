@@ -10,8 +10,8 @@ implementation for tests.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,10 +74,17 @@ class MomentTables:
         )
 
 
-@lru_cache(maxsize=None)
+# weak keys: a cached curve is freed, with its tables, once unreferenced
+_MOMENT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def moment_tables(curve: DigitalCurve) -> MomentTables:
     """Per-curve cached moment tables (curves are immutable)."""
-    return MomentTables.build(curve.points)
+    tables = _MOMENT_CACHE.get(curve)
+    if tables is None:
+        # setdefault keeps the first build when two threads race
+        tables = _MOMENT_CACHE.setdefault(curve, MomentTables.build(curve.points))
+    return tables
 
 
 class PolygonApprox:

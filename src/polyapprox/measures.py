@@ -27,7 +27,7 @@ __all__ = [
     "figure_of_merit",
     "weighted_foms",
     "rosin_merit",
-    "merit_emax",
+    "rosin_merit_emax",
     "fg_measure",
     "build_record",
     "theorem_identity_check",

@@ -95,14 +95,15 @@ class SegmentCosts:
     """
 
     def __init__(self, curve: DigitalCurve):
-        uniq, first = np.unique(curve.points, axis=0, return_index=True)
-        if uniq.shape[0] != curve.n:
-            flat = curve.points[:, 0] * (2**32) + curve.points[:, 1]
-            order = np.argsort(flat, kind="stable")
-            dup = np.nonzero(flat[order][1:] == flat[order][:-1])[0][0]
+        pts = curve.points
+        order = np.lexsort((pts[:, 1], pts[:, 0]))  # stable: by x, then y
+        ranked = pts[order]
+        same = np.all(ranked[1:] == ranked[:-1], axis=1)
+        if same.any():
+            dup = int(np.argmax(same))
             i, j = sorted((int(order[dup]), int(order[dup + 1])))
             raise DegenerateSegment(
-                f"points {i} and {j} coincide at {tuple(curve.points[i])}"
+                f"points {i} and {j} coincide at ({pts[i, 0]}, {pts[i, 1]})"
             )
         self.curve = curve
         self._tables: dict[CostKind, np.ndarray] = {}

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -97,6 +99,15 @@ def test_moment_tables_cached_per_curve(square8):
     assert moment_tables(square8) is moment_tables(square8)
     other = DigitalCurve(square8.points.copy())
     assert moment_tables(other) is not moment_tables(square8)
+
+
+def test_moment_tables_do_not_keep_curves_alive(square8):
+    curve = DigitalCurve(square8.points.copy())
+    moment_tables(curve)
+    ref = weakref.ref(curve)
+    del curve
+    gc.collect()
+    assert ref() is None
 
 
 def test_moment_tables_build_accepts_floats():

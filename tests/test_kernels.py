@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from polyapprox import _kernels
-from conftest import lattice_ring
+from conftest import _fourier_blob, lattice_ring
 
 
 def _random_tables(seed):
@@ -37,6 +37,152 @@ def test_emax_table_numpy_vs_loops(seed):
     a = _kernels.emax_cost_table_numpy(xs, ys)
     b = _kernels._emax_cost_table_loops(xs, ys)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def _walk(corners):
+    """Closed ring through every lattice point on the straight sides
+    between consecutive corners (each side horizontal, vertical or 45
+    degrees)."""
+    pts = []
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        steps = max(abs(x1 - x0), abs(y1 - y0))
+        sx, sy = (x1 - x0) // steps, (y1 - y0) // steps
+        pts += [(x0 + k * sx, y0 + k * sy) for k in range(steps)]
+    return np.array(pts, dtype=np.int64)
+
+
+def _is_simple(pts):
+    return _kernels.ring_is_simple(pts[:, 0], pts[:, 1])
+
+
+@pytest.fixture
+def emax_path(monkeypatch):
+    """Names of the table implementations emax_cost_table_numpy ran."""
+    taken = []
+    for name in ("_emax_cost_table_hull", "_emax_cost_table_scan"):
+        def traced(xs, ys, fn=getattr(_kernels, name), name=name):
+            taken.append(name)
+            return fn(xs, ys)
+        monkeypatch.setattr(_kernels, name, traced)
+    return taken
+
+
+def _check_emax_exact(pts, emax_path, path):
+    xs = pts[:, 0].astype(np.float64)
+    ys = pts[:, 1].astype(np.float64)
+    # a revisited point makes 0/0 chords: NaN on both paths
+    with np.errstate(invalid="ignore"):
+        table = _kernels.emax_cost_table_numpy(xs, ys)
+        want = _kernels._emax_cost_table_loops(xs, ys)
+    assert emax_path == ["_emax_cost_table_" + path]
+    assert np.array_equal(table, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_emax_table_exact_on_lattice_rings(seed, emax_path):
+    # angular-order rings up to n=60; rounding makes some self-touching
+    pts = lattice_ring(seed, n_lo=4, n_hi=60).points
+    _check_emax_exact(pts, emax_path, "hull" if _is_simple(pts) else "scan")
+
+
+RUN_RINGS = {
+    "rectangle": _walk([(0, 0), (9, 0), (9, 4), (0, 4)]),
+    "thin_rectangle": _walk([(0, 0), (12, 0), (12, 1), (0, 1)]),
+    "l_shape": _walk([(0, 0), (8, 0), (8, 3), (3, 3), (3, 9), (0, 9)]),
+    "u_shape": _walk([(0, 0), (9, 0), (9, 7), (6, 7), (6, 2), (3, 2), (3, 7), (0, 7)]),
+    "diagonal_l": _walk([(0, 0), (6, 6), (3, 9), (-3, 3), (-1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_RINGS))
+def test_emax_table_exact_on_collinear_runs(name, emax_path):
+    ring = RUN_RINGS[name]
+    assert _is_simple(ring)
+    # every start: inside a run, at a corner, just before one
+    for shift in range(ring.shape[0]):
+        emax_path.clear()
+        _check_emax_exact(np.roll(ring, shift, axis=0), emax_path, "hull")
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_emax_table_exact_on_corpus_blobs(seed, emax_path):
+    # the corpus generator's 600-sample blobs, n near 300
+    pts = _fourier_blob(seed, 40.0, 600).points
+    _check_emax_exact(pts, emax_path, "hull")
+
+
+def test_emax_table_exact_when_hulls_outgrow_the_deque(emax_path):
+    # strictly convex 40-gon: each arc is its own hull, so the deques
+    # outgrow their first _HULL_SLOTS slots several times
+    quarter = [(1, 0), (4, 1), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (1, 4)]
+    sides = []
+    for _ in range(4):
+        sides += quarter
+        quarter = [(-y, x) for x, y in quarter]
+    ring = np.cumsum(sides, axis=0)
+    assert ring.shape[0] > 2 * _kernels._HULL_SLOTS
+    _check_emax_exact(ring, emax_path, "hull")
+
+
+NON_SIMPLE_RINGS = {
+    "figure_eight": _walk([(0, 0), (3, 3), (3, 0), (0, 3)]),
+    "fold_back": np.array([[0, 0], [4, 0], [2, 0], [2, 3]]),
+    "vertex_on_side": np.array([[0, 0], [4, 0], [4, 4], [3, 4], [2, 0], [1, 4], [0, 4]]),
+    "pinched_squares": _walk([(0, 0), (2, 0), (2, 2), (4, 2), (4, 4), (2, 4), (2, 2), (0, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLE_RINGS))
+def test_emax_table_scans_non_simple_rings(name, emax_path):
+    ring = NON_SIMPLE_RINGS[name]
+    assert not _is_simple(ring)
+    _check_emax_exact(ring, emax_path, "scan")
+
+
+@pytest.mark.parametrize("offset, path", [(0, "hull"), (1, "scan")])
+def test_emax_table_span_bound(offset, path, emax_path):
+    # a simple ring whose x span is EXACT_SPAN - 1 + offset
+    w = _kernels.EXACT_SPAN - 1 + offset
+    ring = np.array([[0, 0], [w, 1], [w, 3], [w // 2, 2], [1, 5], [0, 3]])
+    assert _is_simple(ring)
+    _check_emax_exact(ring, emax_path, path)
+
+
+def test_emax_table_scans_non_integer_points(emax_path):
+    xs = np.array([0.0, 4.0, 4.5, 0.0])
+    ys = np.array([0.0, 0.0, 3.0, 3.0])
+    table = _kernels.emax_cost_table_numpy(xs, ys)
+    assert emax_path == ["_emax_cost_table_scan"]
+    assert np.array_equal(table, _kernels._emax_cost_table_loops(xs, ys))
+
+
+@pytest.mark.parametrize("name, pts, simple", [
+    ("triangle", [(0, 0), (3, 0), (0, 2)], True),
+    ("collinear_triangle", [(0, 0), (1, 0), (2, 0)], False),
+    ("square8", [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1)], True),
+    ("figure_eight", [(0, 0), (2, 2), (2, 0), (0, 2)], False),
+    ("fold_back", [(0, 0), (4, 0), (2, 0), (2, 3)], False),
+    ("overlapping_sides", [(0, 0), (4, 0), (4, 2), (3, 0), (1, 0), (0, 2)], False),
+    ("vertex_on_side", [(0, 0), (4, 0), (4, 4), (3, 4), (2, 0), (1, 4), (0, 4)], False),
+    ("vertex_near_side", [(0, 0), (4, 0), (4, 4), (3, 4), (2, 1), (1, 4), (0, 4)], True),
+    ("revisited_point", [(0, 0), (2, 0), (2, 2), (0, 0), (-2, 0), (-2, -2)], False),
+    ("zero_length_side", [(0, 0), (2, 0), (2, 0), (0, 2)], False),
+    ("concave_comb", [(0, 0), (6, 0), (6, 3), (5, 1), (4, 3), (3, 1), (2, 3), (1, 1), (0, 3)], True),
+    ("large_coordinates", [(0, 0), (2**30, 0), (2**30, 2**30), (1, 1)], True),
+])
+def test_ring_is_simple(name, pts, simple):
+    pts = np.array(pts, dtype=np.int64)
+    assert _is_simple(pts) is simple
+    assert _kernels.ring_is_simple(pts[::-1, 0], pts[::-1, 1]) is simple
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ring_is_simple_blocks_agree(seed):
+    pts = lattice_ring(seed, n_lo=20, n_hi=60).points
+    xs, ys = pts[:, 0], pts[:, 1]
+    want = _kernels.ring_is_simple(xs, ys)
+    for block in (1, 7, 100):
+        assert _kernels.ring_is_simple(xs, ys, block=block) is want
 
 
 def _random_rcost(seed, n):

@@ -136,6 +136,15 @@ def test_segment_costs_rejects_coincident_points():
         SegmentCosts(c)
 
 
+def test_segment_costs_reports_coincident_points_at_large_x():
+    # x = 2**31 overflows a packed x * 2**32 + y key onto (-2**31, 0)
+    x = 2**31
+    c = DigitalCurve(np.array([[x, 0], [x, 1], [-x, 0], [x, 1], [x, 5]]))
+    with pytest.raises(DegenerateSegment) as err:
+        SegmentCosts(c)
+    assert str(err.value) == f"points 1 and 3 coincide at ({x}, 1)"
+
+
 def test_solve_range_checks():
     c = lattice_ring(1)
     costs = SegmentCosts(c)
