@@ -11,7 +11,7 @@ benchmarks/bench_kernels.py times both.
 The numpy max-error table costs O(n^2 h) on a simple ring with integer
 coordinates spanning less than EXACT_SPAN, where h is the largest convex
 hull of an arc (a few dozen points on lattice contours), and O(n^3) on
-any other ring; the jitted twin always scans, O(n^3).
+any other ring or when h exceeds n/3; the jitted twin always scans, O(n^3).
 
 Both paths evaluate the same arithmetic expressions so their outputs
 agree to the last few bits; tests/test_kernels.py pins that down.
@@ -91,6 +91,9 @@ EXACT_SPAN = 2**26
 _HULL_SLOTS = 16
 _HULL_GROW = 8
 
+# Side pairs ring_is_simple tests per vectorised block.
+_SIMPLE_BLOCK = 1 << 18
+
 
 def emax_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Largest deviation of every forward arc u -> v from its chord.
@@ -99,7 +102,9 @@ def emax_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     other ring the full scan; both give the same table, bit for bit.
     """
     if _hull_sweep_is_exact(xs, ys):
-        return _emax_cost_table_hull(xs, ys)
+        out = _emax_cost_table_hull(xs, ys)
+        if out is not None:
+            return out
     return _emax_cost_table_scan(xs, ys)
 
 
@@ -139,14 +144,14 @@ def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def ring_is_simple(xs: np.ndarray, ys: np.ndarray, block: int = 1 << 18) -> bool:
+def ring_is_simple(xs: np.ndarray, ys: np.ndarray) -> bool:
     """Whether the closed ring through integer points xs, ys has no
     self-contact: adjacent sides meet only at their shared vertex and no
     other two sides touch.
 
     Exact in int64 for coordinate spans below 2**31.  O(n^2) side pairs,
-    taken about `block` at a time; only pairs whose bounding boxes meet
-    get the orientation tests.
+    taken about _SIMPLE_BLOCK at a time; only pairs whose bounding boxes
+    meet get the orientation tests.
     """
     n = xs.shape[0]
     ax, ay = xs, ys
@@ -162,7 +167,7 @@ def ring_is_simple(xs: np.ndarray, ys: np.ndarray, block: int = 1 << 18) -> bool
     xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
     ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
     k = np.arange(n)
-    step = max(1, block // n)
+    step = max(1, _SIMPLE_BLOCK // n)
     for i0 in range(0, n, step):
         i = k[i0:i0 + step, None]
         # side pairs i < k sharing no vertex whose boxes meet
@@ -189,7 +194,7 @@ def _cross(e, f):
     return (e.conj() * f).imag
 
 
-def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
     """emax_cost_table_numpy for a ring that passes _hull_sweep_is_exact.
 
     The largest |cross| over an arc is reached at a vertex of the arc's
@@ -205,6 +210,11 @@ def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     _HULL_GROW slots when a deque would fill it.  Popped and unwritten
     slots still hold points of the prefix (0 is p[u] itself), which never
     exceed the maximum, so a column scans every slot without a mask.
+
+    Past n/3 slots (arcs of a nearly convex ring) the sweep would need
+    more memory than the scan and save little or no time, so it stops
+    and returns None, leaving the ring to the scan; the steps already
+    taken cost at most a ninth of the scan.
     """
     n = xs.shape[0]
     z = xs + 1j * ys
@@ -275,6 +285,8 @@ def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
                 hull_f[e[0]] = hull_f[e[1]] = last[moved] = q[moved]
                 # each step adds at most one entry; keep room for it
                 if ((e[0] - e[1]) % hull_f.size).max() // n + 1 >= cap:
+                    if 3 * (cap + _HULL_GROW) > n:
+                        return None
                     slots = (ends[1] // n + np.arange(cap)[:, None]) % cap
                     ends[0] = (ends[0] - ends[1]) % hull_f.size + rows
                     ends[1] = rows

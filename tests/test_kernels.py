@@ -67,14 +67,14 @@ def emax_path(monkeypatch):
     return taken
 
 
-def _check_emax_exact(pts, emax_path, path):
+def _check_emax_exact(pts, emax_path, *path):
     xs = pts[:, 0].astype(np.float64)
     ys = pts[:, 1].astype(np.float64)
     # a revisited point makes 0/0 chords: NaN on both paths
     with np.errstate(invalid="ignore"):
         table = _kernels.emax_cost_table_numpy(xs, ys)
         want = _kernels._emax_cost_table_loops(xs, ys)
-    assert emax_path == ["_emax_cost_table_" + path]
+    assert emax_path == ["_emax_cost_table_" + p for p in path]
     assert np.array_equal(table, want, equal_nan=True)
 
 
@@ -111,17 +111,27 @@ def test_emax_table_exact_on_corpus_blobs(seed, emax_path):
     _check_emax_exact(pts, emax_path, "hull")
 
 
-def test_emax_table_exact_when_hulls_outgrow_the_deque(emax_path):
-    # strictly convex 40-gon: each arc is its own hull, so the deques
-    # outgrow their first _HULL_SLOTS slots several times
+def _convex_polygon(run):
+    """Strictly convex 40-gon with `run` lattice points on each side."""
     quarter = [(1, 0), (4, 1), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (1, 4)]
     sides = []
     for _ in range(4):
         sides += quarter
         quarter = [(-y, x) for x, y in quarter]
-    ring = np.cumsum(sides, axis=0)
-    assert ring.shape[0] > 2 * _kernels._HULL_SLOTS
+    return np.cumsum(np.repeat(sides, run, axis=0), axis=0)
+
+
+def test_emax_table_exact_when_hulls_outgrow_the_deque(emax_path):
+    # n = 160 with arc hulls of up to 40 vertices: the deques outgrow
+    # their first _HULL_SLOTS slots several times but stay below n/3
+    ring = _convex_polygon(4)
+    assert 40 > 2 * _kernels._HULL_SLOTS and 3 * 48 <= ring.shape[0]
     _check_emax_exact(ring, emax_path, "hull")
+
+
+def test_emax_table_scans_when_hulls_pass_a_third_of_n(emax_path):
+    # n = 40: each arc is its own hull, so the sweep gives up to the scan
+    _check_emax_exact(_convex_polygon(1), emax_path, "hull", "scan")
 
 
 NON_SIMPLE_RINGS = {
@@ -176,13 +186,28 @@ def test_ring_is_simple(name, pts, simple):
     assert _kernels.ring_is_simple(pts[::-1, 0], pts[::-1, 1]) is simple
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_ring_is_simple_blocks_agree(seed):
-    pts = lattice_ring(seed, n_lo=20, n_hi=60).points
-    xs, ys = pts[:, 0], pts[:, 1]
-    want = _kernels.ring_is_simple(xs, ys)
-    for block in (1, 7, 100):
-        assert _kernels.ring_is_simple(xs, ys, block=block) is want
+# 600-point rectangle 200 x 100: bottom side indices 0-199, right
+# 200-299, top 300-499, left 500-599
+BIG_RECTANGLE = _walk([(0, 0), (200, 0), (200, 100), (0, 100)])
+
+
+@pytest.mark.parametrize("moved, to, simple", [
+    (None, None, True),
+    (50, (50, 100), False),  # onto the top side: found in the first block
+    (450, (0, 50), False),  # onto the left side: found in the second block
+    (450, (1, 50), True),  # next to the left side
+])
+def test_ring_is_simple_across_blocks(moved, to, simple):
+    pts = BIG_RECTANGLE.copy()
+    n = pts.shape[0]
+    # the first block of side pairs holds rows 0..step-1, so the two
+    # moves of vertex 50 and 450 are found in different blocks
+    step = _kernels._SIMPLE_BLOCK // n
+    assert 50 < step <= 449
+    if moved is not None:
+        pts[moved] = to
+    assert _is_simple(pts) is simple
+    assert _kernels.ring_is_simple(pts[::-1, 0], pts[::-1, 1]) is simple
 
 
 def _random_rcost(seed, n):
