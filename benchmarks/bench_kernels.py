@@ -61,14 +61,7 @@ def main() -> int:
     if not _kernels.HAS_NUMBA:
         print("numba not importable; only the numpy path is available")
 
-    # dp_solve wants the start-rotated table with the lower triangle and
-    # the ring-closing chord masked off
-    tab = _kernels.e2_cost_table_numpy(xs, ys)
-    ridx = np.arange(n + 1) % n
-    rcost = tab[np.ix_(ridx, ridx)].copy()
-    rows = np.arange(n + 1)
-    rcost[rows[:, None] >= rows[None, :]] = np.inf
-    rcost[0, n] = np.inf
+    rcost = _kernels.dp_cost_matrix(_kernels.e2_cost_table_numpy(xs, ys), 0)
     cases = [
         ("e2 cost table", _kernels.e2_cost_table_numpy,
          _kernels.e2_cost_table_jit, (xs, ys)),

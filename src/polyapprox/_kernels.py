@@ -8,10 +8,16 @@ POLYAPPROX_NO_NUMBA is not set, a compiled twin (`*_jit`).  The
 module-level aliases without suffix point at the selected path;
 benchmarks/bench_kernels.py times both.
 
-The numpy max-error table costs O(n^2 h) on a simple ring with integer
-coordinates spanning less than EXACT_SPAN, where h is the largest convex
-hull of an arc (a few dozen points on lattice contours), and O(n^3) on
-any other ring or when h exceeds n/3; the jitted twin always scans, O(n^3).
+The numpy squared-error table evaluates the closed form of
+e2_arc_costs on blocks of about _E2_BLOCK entries, a few dozen rows at
+contour scale.  The numpy max-error table costs O(n^2 h) on a simple
+ring with integer coordinates spanning less than EXACT_SPAN, where h is
+the largest convex hull of an arc (a few dozen points on lattice
+contours), and O(n^3) on any other ring or when h exceeds n/3; the
+jitted twin always scans, O(n^3).  The DP reads its cost matrix with
+the arc end as the row and the arc start as the column (dp_cost_matrix
+builds it), so each of its m_max layers is one pass of row reductions
+over contiguous memory.
 
 Both paths evaluate the same arithmetic expressions so their outputs
 agree to the last few bits; tests/test_kernels.py pins that down.
@@ -28,9 +34,13 @@ def numba_disabled_by_env() -> bool:
     return os.environ.get("POLYAPPROX_NO_NUMBA", "").strip() not in ("", "0")
 
 
-def _doubled_prefixes(xs, ys):
-    # prefix[k] = sum over doubled index < k, so circular-arc sums are
-    # plain differences for any wrap
+def doubled_prefixes(xs, ys):
+    """Prefix sums of x, y, x^2, y^2, xy over the doubled ring.
+
+    Each array has length 2n + 1 with a leading zero: prefix[k] sums the
+    doubled indices below k, so a circular-arc sum is a plain difference
+    for any wrap.
+    """
     x2 = np.concatenate((xs, xs))
     y2 = np.concatenate((ys, ys))
     zero = np.zeros(1)
@@ -39,46 +49,70 @@ def _doubled_prefixes(xs, ys):
     pxx = np.concatenate((zero, np.cumsum(x2 * x2)))
     pyy = np.concatenate((zero, np.cumsum(y2 * y2)))
     pxy = np.concatenate((zero, np.cumsum(x2 * y2)))
-    return x2, y2, px, py, pxx, pyy, pxy
+    return px, py, pxx, pyy, pxy
+
+
+def e2_arc_costs(xs, ys, prefixes, u, v):
+    """Summed squared deviation over the forward arcs u -> v.
+
+    u and v are broadcastable arrays of curve indices; prefixes come from
+    doubled_prefixes(xs, ys).  The interior of each arc (the points
+    strictly between u and v walking forward) is summed in O(1) by
+    expanding the squared cross product against the chord into
+    prefix-sum differences.  Adjacent pairs cost 0.  The expression and
+    its order of operations are those of approx_error.arc_sum_sq, so
+    each entry equals arc_sum_sq's value bit for bit.
+    """
+    px, py, pxx, pyy, pxy = prefixes
+    n = xs.shape[0]
+    xu = xs[u]
+    yu = ys[u]
+    dx = xs[v] - xu
+    dy = ys[v] - yu
+    l2 = dx * dx + dy * dy
+    length = (v - u) % n
+    a = u + 1
+    b = u + length
+    sx = px[b] - px[a]
+    sy = py[b] - py[a]
+    sxx = pxx[b] - pxx[a]
+    syy = pyy[b] - pyy[a]
+    sxy = pxy[b] - pxy[a]
+    k = yu * dx - xu * dy
+    cnt = length - 1.0
+    num = (
+        dy * dy * sxx
+        + dx * dx * syy
+        - 2.0 * dx * dy * sxy
+        + 2.0 * k * dy * sx
+        - 2.0 * k * dx * sy
+        + cnt * k * k
+    )
+    # cancellation can leave tiny negatives on collinear arcs
+    return np.maximum(num, 0.0) / l2
+
+
+# Entries of the squared-error table evaluated per block of rows: small
+# enough that the block's temporaries stay in cache.
+_E2_BLOCK = 1 << 13
 
 
 def e2_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Summed squared deviation of every forward arc u -> v.
 
     Entry [u, v] covers the points strictly between u and v walking
-    forward; adjacent pairs cost 0.  Expansion of the squared cross
-    product against the chord turns the interior sum into prefix-sum
-    differences, one O(1) expression per entry.
+    forward; adjacent pairs cost 0.  Rows are evaluated by e2_arc_costs
+    in blocks of about _E2_BLOCK entries.
     """
     n = xs.shape[0]
-    _, _, px, py, pxx, pyy, pxy = _doubled_prefixes(xs, ys)
+    prefixes = doubled_prefixes(xs, ys)
     out = np.zeros((n, n))
-    arange = np.arange(2, n)
-    for u in range(n):
-        xu, yu = xs[u], ys[u]
-        vs = (u + arange) % n
-        dx = xs[vs] - xu
-        dy = ys[vs] - yu
-        l2 = dx * dx + dy * dy
-        k = yu * dx - xu * dy
-        a = u + 1
-        b = u + arange
-        sx = px[b] - px[a]
-        sy = py[b] - py[a]
-        sxx = pxx[b] - pxx[a]
-        syy = pyy[b] - pyy[a]
-        sxy = pxy[b] - pxy[a]
-        cnt = arange - 1.0
-        num = (
-            dy * dy * sxx
-            + dx * dx * syy
-            - 2.0 * dx * dy * sxy
-            + 2.0 * k * dy * sx
-            - 2.0 * k * dx * sy
-            + cnt * k * k
-        )
-        # cancellation can leave tiny negatives on collinear arcs
-        out[u, vs] = np.maximum(num, 0.0) / l2
+    lengths = np.arange(2, n)
+    step = max(1, _E2_BLOCK // n)
+    for u0 in range(0, n, step):
+        u = np.arange(u0, min(u0 + step, n))[:, None]
+        v = (u + lengths) % n
+        out[u, v] = e2_arc_costs(xs, ys, prefixes, u, v)
     return out
 
 
@@ -310,27 +344,45 @@ def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def dp_solve_numpy(rcost: np.ndarray, m_max: int, use_max: bool):
-    """Optimal chain costs over a rotated cost matrix.
+def dp_cost_matrix(tab: np.ndarray, start: int) -> np.ndarray:
+    """The DP's (n+1, n+1) cost matrix for one start vertex.
 
-    rcost is (n+1, n+1) with +inf below and on the diagonal; position n
-    is the start vertex again, closing the ring.  dp[j, v] is the best
-    cost of reaching v from 0 with exactly j segments; parents record
-    the first (smallest) predecessor attaining each optimum.
+    Rotated position r is curve index (start + r) % n, so position n is
+    the start again, closing the ring.  Entry [v, u] is tab's cost of the
+    forward arc from position u to position v; arcs that do not run
+    forward (u >= v) and the single side from 0 around to n are +inf.
+    """
+    n = tab.shape[0]
+    ridx = (start + np.arange(n + 1)) % n
+    rcost = tab.T[np.ix_(ridx, ridx)]
+    rows = np.arange(n + 1)
+    rcost[rows[None, :] >= rows[:, None]] = np.inf
+    rcost[n, 0] = np.inf
+    return rcost
+
+
+def dp_solve_numpy(rcost: np.ndarray, m_max: int, use_max: bool):
+    """Optimal chain costs over a dp_cost_matrix.
+
+    rcost[v, u] is the cost of the side from rotated position u to v.
+    dp[j, v] is the best cost of reaching v from 0 with exactly j
+    segments; parents record the first (smallest) predecessor attaining
+    each optimum.  Each layer combines the previous one with the whole
+    matrix and reduces its rows, which are contiguous: O(m_max n^2) time,
+    one (n+1, n+1) buffer.
     """
     n1 = rcost.shape[0]
     dp = np.full((m_max + 1, n1), np.inf)
     parent = np.full((m_max + 1, n1), -1, dtype=np.int64)
-    dp[1, 1:] = rcost[0, 1:]
+    dp[1, 1:] = rcost[1:, 0]
     parent[1, 1:] = 0
     buf = np.empty_like(rcost)
+    rows = np.arange(n1)
+    combine = np.maximum if use_max else np.add
     for j in range(2, m_max + 1):
-        if use_max:
-            np.maximum(dp[j - 1][:, None], rcost, out=buf)
-        else:
-            np.add(dp[j - 1][:, None], rcost, out=buf)
-        dp[j] = buf.min(axis=0)
-        parent[j] = buf.argmin(axis=0)
+        combine(dp[j - 1][None, :], rcost, out=buf)
+        parent[j] = buf.argmin(axis=1)
+        dp[j] = buf[rows, parent[j]]
     return dp, parent
 
 
@@ -396,7 +448,7 @@ def _dp_solve_loops(rcost, m_max, use_max):
     dp = np.full((m_max + 1, n1), np.inf)
     parent = np.full((m_max + 1, n1), -1, dtype=np.int64)
     for v in range(1, n1):
-        dp[1, v] = rcost[0, v]
+        dp[1, v] = rcost[v, 0]
         parent[1, v] = 0
     for j in range(2, m_max + 1):
         for v in range(j, n1):
@@ -404,7 +456,7 @@ def _dp_solve_loops(rcost, m_max, use_max):
             arg = -1
             for u in range(j - 1, v):
                 prev = dp[j - 1, u]
-                c = rcost[u, v]
+                c = rcost[v, u]
                 if use_max:
                     val = prev if prev >= c else c
                 else:
@@ -432,8 +484,7 @@ try:
     dp_solve_jit = njit(cache=True, nogil=True)(_dp_solve_loops)
 
     def e2_cost_table_jit(xs, ys):
-        _, _, px, py, pxx, pyy, pxy = _doubled_prefixes(xs, ys)
-        return _e2_jit_inner(xs, ys, px, py, pxx, pyy, pxy)
+        return _e2_jit_inner(xs, ys, *doubled_prefixes(xs, ys))
 
 except ImportError:
     pass

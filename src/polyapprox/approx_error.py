@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .curve import DigitalCurve
 from .exceptions import DegenerateSegment, InvalidCounts
 
@@ -61,17 +62,7 @@ class MomentTables:
     @classmethod
     def build(cls, points: np.ndarray) -> "MomentTables":
         pts = np.asarray(points, dtype=np.float64)
-        x2 = np.concatenate((pts[:, 0], pts[:, 0]))
-        y2 = np.concatenate((pts[:, 1], pts[:, 1]))
-        zero = np.zeros(1)
-        return cls(
-            n=pts.shape[0],
-            px=np.concatenate((zero, np.cumsum(x2))),
-            py=np.concatenate((zero, np.cumsum(y2))),
-            pxx=np.concatenate((zero, np.cumsum(x2 * x2))),
-            pyy=np.concatenate((zero, np.cumsum(y2 * y2))),
-            pxy=np.concatenate((zero, np.cumsum(x2 * y2))),
-        )
+        return cls(pts.shape[0], *_kernels.doubled_prefixes(pts[:, 0], pts[:, 1]))
 
 
 # weak keys: a cached curve is freed, with its tables, once unreferenced

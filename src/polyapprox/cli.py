@@ -35,8 +35,6 @@ from .study import (
     study_series,
 )
 
-logger = logging.getLogger("polyapprox")
-
 _SCHEMES = {s.value: s for s in SchemeId}
 _COSTS = {"e2": CostKind.SUM_SQUARED, "emax": CostKind.MAX_ERROR}
 
@@ -214,10 +212,10 @@ def _cmd_study(parser, args) -> int:
                 report.agreement[key],
             )
             _write_atomic(out / f"{report.scheme.value}_{pairing_slug(key)}.svg", svg)
-        for cid, reason in report.skipped_curves:
-            logger.warning("curve %s skipped: %s", cid, reason)
+    # run_study has logged each skipped curve once
     kept = len(reports[0].records) if reports else 0
-    print(f"curves={kept} schemes={len(reports)} out={out}")
+    skipped = len(reports[0].skipped_curves) if reports else 0
+    print(f"curves={kept} skipped={skipped} schemes={len(reports)} out={out}")
     return 0
 
 

@@ -126,14 +126,8 @@ class SegmentCosts:
             raise InvalidCounts(f"start={start} outside [0, {n})")
         if not (3 <= m_max <= n):
             raise InvalidCounts(f"need 3 <= m_max <= n, got m_max={m_max}, n={n}")
-        tab = self.table(kind)
-        ridx = (start + np.arange(n + 1)) % n
-        rcost = tab[np.ix_(ridx, ridx)].copy()
-        rows = np.arange(n + 1)
-        rcost[rows[:, None] >= rows[None, :]] = np.inf
-        rcost[0, n] = np.inf  # a single side cannot close the ring
-        dp, parent = _kernels.dp_solve(rcost, m_max, kind is CostKind.MAX_ERROR)
-        return dp, parent
+        rcost = _kernels.dp_cost_matrix(self.table(kind), start)
+        return _kernels.dp_solve(rcost, m_max, kind is CostKind.MAX_ERROR)
 
     def profile(self, start: int, m_max: int, kind: CostKind) -> ErrorProfile:
         dp, _ = self._solve(start, m_max, kind)

@@ -10,9 +10,10 @@ import enum
 
 import numpy as np
 
+from . import _kernels
 from .approx_error import PolygonApprox, arc_sum_sq, moment_tables, perpendicular_distance
 from .curve import DigitalCurve
-from .exceptions import InvalidCounts
+from .exceptions import DegenerateSegment, InvalidCounts
 from .optimal import provisional_start_vertex
 
 __all__ = [
@@ -139,38 +140,45 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
 
     Round-robin over vertex slots: each vertex may move anywhere
     strictly between its neighbours if that lowers the combined error of
-    its two sides.  A vertex already at a minimum stays put.  Stops on
-    the first pass with no movement.
+    its two sides; one e2_arc_costs call scores all its positions.  A
+    vertex moves only to a strictly cheaper position, the lowest curve
+    index among equal minima, so a vertex already at a minimum stays
+    put.  Stops on the first pass with no movement.
     """
     if poly.curve is not curve:
         raise InvalidCounts("polygon does not belong to this curve")
     n = curve.n
     pts = curve.points
-    tables = moment_tables(curve)
+    xs = pts[:, 0].astype(np.float64)
+    ys = pts[:, 1].astype(np.float64)
+    t = moment_tables(curve)
+    prefixes = (t.px, t.py, t.pxx, t.pyy, t.pxy)
     verts = [int(v) for v in poly.indices]
     m = len(verts)
-    for _ in range(_MAX_STABILIZE_PASSES):
-        moved = False
-        for i in range(m):
-            p = verts[(i - 1) % m]
-            cur = verts[i]
-            q = verts[(i + 1) % m]
-            # the current position competes on its own cost, so an equal
-            # candidate elsewhere never displaces it
-            best_j = cur
-            best_cost = arc_sum_sq(pts, tables, p, cur) + arc_sum_sq(pts, tables, cur, q)
-            for j in _arc_points(n, p, q):
-                if j == cur:
-                    continue
-                c = arc_sum_sq(pts, tables, p, j) + arc_sum_sq(pts, tables, j, q)
-                if c < best_cost or (c == best_cost and best_j != cur and j < best_j):
-                    best_cost = c
-                    best_j = j
-            if best_j != cur:
-                verts[i] = best_j
-                moved = True
-        if not moved:
-            break
+    # a coincident pair divides by zero; it raises DegenerateSegment below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_STABILIZE_PASSES):
+            moved = False
+            for i in range(m):
+                p = verts[(i - 1) % m]
+                q = verts[(i + 1) % m]
+                # every position strictly between the neighbours, the
+                # current one at (verts[i] - p) % n - 1
+                js = (p + np.arange(1, (q - p) % n)) % n
+                # rows [p, j, q]: one call scores the sides p -> j and j -> q
+                ends = np.stack((np.full_like(js, p), js, np.full_like(js, q)))
+                two = _kernels.e2_arc_costs(xs, ys, prefixes, ends[:2], ends[1:])
+                cost = two[0] + two[1]
+                if not np.isfinite(cost).all():
+                    j = int(js[~np.isfinite(cost)][0])
+                    u, v = (p, j) if (pts[p] == pts[j]).all() else (j, q)
+                    raise DegenerateSegment(f"points {u} and {v} coincide")
+                best = cost.min()
+                if best < cost[(verts[i] - p) % n - 1]:
+                    verts[i] = int(js[cost == best].min())
+                    moved = True
+            if not moved:
+                break
     return PolygonApprox(curve, sorted(verts))
 
 

@@ -158,6 +158,19 @@ def test_study_rerun_is_byte_identical(corpus_dir, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_study_logs_a_skipped_curve_once(corpus_dir, tmp_path, capsys, caplog):
+    # a rectangle with a one-pixel spur: the schemes reject its revisited point
+    (corpus_dir / "spur.chn").write_text("0 0\n00002244264466")
+    rc = main(["study", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+               "--threads", "1"])
+    assert rc == 0
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "spur" in warnings[0].getMessage()
+    summary = capsys.readouterr().out.strip()
+    assert summary.startswith("curves=5 skipped=1 schemes=3 ")
+
+
 def test_study_missing_corpus_is_data_error(tmp_path, capsys):
     rc = main(["study", "--corpus", str(tmp_path / "void")])
     assert rc == 2

@@ -26,9 +26,25 @@ def _random_tables(seed):
 def test_e2_table_numpy_vs_loops(seed):
     xs, ys = _random_tables(seed)
     a = _kernels.e2_cost_table_numpy(xs, ys)
-    _, _, px, py, pxx, pyy, pxy = _kernels._doubled_prefixes(xs, ys)
-    b = _kernels._e2_cost_table_loops(xs, ys, px, py, pxx, pyy, pxy)
+    b = _kernels._e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys))
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks", ["several", "one"])
+def test_e2_table_blocks_match_loops_exactly(blocks):
+    if blocks == "several":
+        # n = 606: 13 rows a block, 46 full blocks and a ragged one of 8
+        pts = _fourier_blob(1, 80.0, 1200).points
+        step = _kernels._E2_BLOCK // pts.shape[0]
+        assert pts.shape[0] // step >= 2 and pts.shape[0] % step
+    else:
+        pts = lattice_ring(3, n_lo=40, n_hi=60).points
+        assert _kernels._E2_BLOCK // pts.shape[0] >= pts.shape[0]
+    xs = pts[:, 0].astype(np.float64)
+    ys = pts[:, 1].astype(np.float64)
+    table = _kernels.e2_cost_table_numpy(xs, ys)
+    want = _kernels._e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys))
+    assert table.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -210,13 +226,28 @@ def test_ring_is_simple_across_blocks(moved, to, simple):
     assert _kernels.ring_is_simple(pts[::-1, 0], pts[::-1, 1]) is simple
 
 
-def _random_rcost(seed, n):
+def _random_rcost(seed, n, costs=None):
+    """DP input from a random n x n table (uniform in [0, 10), or costs
+    drawn from the given values) and a random start."""
     rng = np.random.default_rng(seed)
-    rcost = rng.uniform(0.0, 10.0, size=(n + 1, n + 1))
-    rows = np.arange(n + 1)
-    rcost[rows[:, None] >= rows[None, :]] = np.inf
-    rcost[0, n] = np.inf
-    return rcost
+    if costs is None:
+        tab = rng.uniform(0.0, 10.0, size=(n, n))
+    else:
+        tab = rng.choice(np.asarray(costs, dtype=np.float64), size=(n, n))
+    return _kernels.dp_cost_matrix(tab, int(rng.integers(n)))
+
+
+def test_dp_cost_matrix_layout():
+    n, start = 5, 3
+    tab = np.arange(n * n, dtype=np.float64).reshape(n, n)
+    rcost = _kernels.dp_cost_matrix(tab, start)
+    assert rcost.shape == (n + 1, n + 1) and rcost.flags.c_contiguous
+    for v in range(n + 1):
+        for u in range(n + 1):
+            if u < v and (u, v) != (0, n):
+                assert rcost[v, u] == tab[(start + u) % n, (start + v) % n]
+            else:
+                assert rcost[v, u] == np.inf
 
 
 @pytest.mark.parametrize("use_max", [False, True])
@@ -225,19 +256,33 @@ def test_dp_numpy_vs_loops(use_max):
         rcost = _random_rcost(seed, 12)
         d1, p1 = _kernels.dp_solve_numpy(rcost, 6, use_max)
         d2, p2 = _kernels._dp_solve_loops(rcost, 6, use_max)
-        np.testing.assert_allclose(d1, d2, rtol=1e-12)
+        assert np.array_equal(d1, d2)
+        finite = np.isfinite(d1)
+        assert np.array_equal(p1[finite], p2[finite])
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_dp_numpy_vs_loops_on_tied_costs(use_max):
+    # integer costs 0..3 tie on most cells; both paths keep the first
+    # (smallest) predecessor
+    for seed in range(3):
+        rcost = _random_rcost(seed, 40, costs=range(4))
+        d1, p1 = _kernels.dp_solve_numpy(rcost, 15, use_max)
+        d2, p2 = _kernels._dp_solve_loops(rcost, 15, use_max)
+        assert np.array_equal(d1, d2)
         finite = np.isfinite(d1)
         assert np.array_equal(p1[finite], p2[finite])
 
 
 def test_dp_tie_breaks_to_smallest_predecessor():
     # two equal-cost paths into the last column; both paths must pick u=1
+    # (entry [v, u] is the side u -> v)
     n = 4
     rcost = np.full((n + 1, n + 1), np.inf)
-    rcost[0, 1] = rcost[0, 2] = 1.0
-    rcost[1, 4] = rcost[2, 4] = 1.0
-    rcost[1, 3] = rcost[2, 3] = 1.0
-    rcost[3, 4] = 0.0
+    rcost[1, 0] = rcost[2, 0] = 1.0
+    rcost[4, 1] = rcost[4, 2] = 1.0
+    rcost[3, 1] = rcost[3, 2] = 1.0
+    rcost[4, 3] = 0.0
     for solver in (_kernels.dp_solve_numpy, _kernels._dp_solve_loops):
         dp, parent = solver(rcost, 3, False)
         assert dp[2, 4] == 2.0

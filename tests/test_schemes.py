@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyapprox import (
+    DegenerateSegment,
     DigitalCurve,
     InvalidCounts,
     PolygonApprox,
@@ -14,9 +15,9 @@ from polyapprox import (
     split_to_m,
     stabilize,
 )
-from polyapprox.approx_error import segment_errors_naive
+from polyapprox.approx_error import arc_sum_sq, moment_tables, segment_errors_naive
 from polyapprox.optimal import provisional_start_vertex
-from conftest import lattice_ring
+from conftest import build_corpus, lattice_ring
 
 
 def eliminate_replay(curve, m):
@@ -39,6 +40,40 @@ def eliminate_replay(curve, m):
                 best_pos = pos
         del alive[best_pos]
     return alive
+
+
+def stabilize_reference(curve, poly):
+    """Scalar stabilize: every candidate position scored by two
+    arc_sum_sq calls, visited in arc order."""
+    n = curve.n
+    pts = curve.points
+    tables = moment_tables(curve)
+    verts = [int(v) for v in poly.indices]
+    m = len(verts)
+    for _ in range(50):
+        moved = False
+        for i in range(m):
+            p = verts[(i - 1) % m]
+            cur = verts[i]
+            q = verts[(i + 1) % m]
+            # the current position competes on its own cost, so an equal
+            # candidate elsewhere never displaces it
+            best_j = cur
+            best_cost = arc_sum_sq(pts, tables, p, cur) + arc_sum_sq(pts, tables, cur, q)
+            for t in range(1, (q - p) % n):
+                j = (p + t) % n
+                if j == cur:
+                    continue
+                c = arc_sum_sq(pts, tables, p, j) + arc_sum_sq(pts, tables, j, q)
+                if c < best_cost or (c == best_cost and best_j != cur and j < best_j):
+                    best_cost = c
+                    best_j = j
+            if best_j != cur:
+                verts[i] = best_j
+                moved = True
+        if not moved:
+            break
+    return PolygonApprox(curve, sorted(verts))
 
 
 def test_split_square_finds_corners(square8):
@@ -116,6 +151,53 @@ def test_stabilize_never_increases_e2_and_is_idempotent():
         after, _ = polygon_errors(c, q)
         assert after <= before + 1e-12
         assert stabilize(c, q) == q
+
+
+@pytest.mark.parametrize("cr", [8.0, 15.0, 30.0])
+def test_stabilize_matches_reference_on_corpus(cr):
+    moved = 0
+    for c in build_corpus():
+        p = eliminate_to_m(c, auto_target_m(c, cr))
+        q = stabilize(c, p)
+        assert q == stabilize_reference(c, p), c.name
+        moved += q != p
+    assert moved > 0
+
+
+def _rectangle(w, h):
+    # lattice boundary of a w x h rectangle: long collinear runs, so
+    # many positions of a vertex tie on cost (plateaus)
+    return DigitalCurve(np.array(
+        [(x, 0) for x in range(w)] + [(w, y) for y in range(h)]
+        + [(w - x, h) for x in range(w)] + [(0, h - y) for y in range(h)]
+    ))
+
+
+def test_stabilize_matches_reference_on_plateaus_and_ties(square8):
+    # every polygon on the 8-point square
+    for bits in range(1, 1 << 8):
+        idx = [i for i in range(8) if bits >> i & 1]
+        if len(idx) >= 3:
+            p = PolygonApprox(square8, idx)
+            assert stabilize(square8, p) == stabilize_reference(square8, p), idx
+    rng = np.random.default_rng(29)
+    curves = [_rectangle(6, 3), _rectangle(9, 5)] + [lattice_ring(s + 900) for s in range(20)]
+    for c in curves:
+        for _ in range(15):
+            m = int(rng.integers(3, c.n))
+            p = PolygonApprox(c, rng.choice(c.n, size=m, replace=False))
+            assert stabilize(c, p) == stabilize_reference(c, p), (c.name, list(p.indices))
+
+
+def test_stabilize_rejects_coincident_candidates():
+    # point 3 revisits point 1, so moving vertex 2 between 1 and 3 would
+    # give a side with no defining line
+    c = DigitalCurve(np.array([[0, 0], [2, 0], [3, 1], [2, 0], [0, 2]]))
+    p = PolygonApprox(c, [0, 1, 3])
+    with pytest.raises(DegenerateSegment):
+        stabilize_reference(c, p)
+    with pytest.raises(DegenerateSegment):
+        stabilize(c, p)
 
 
 def test_stabilize_rejects_foreign_polygon(square8):
