@@ -2,7 +2,8 @@
 
 Builds a noisy digitized ellipse, then times the three hot paths (the
 two cost tables and the DP solve) on both implementations and checks
-they agree.  Run from the repository root:
+they agree, and times the suboptimal schemes at m = --m-max.  Run from
+the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 """
@@ -12,7 +13,7 @@ import time
 
 import numpy as np
 
-from polyapprox import _kernels
+from polyapprox import DigitalCurve, _kernels, eliminate_to_m, split_to_m, stabilize
 
 
 def noisy_ellipse(n_target: int, seed: int = 0) -> np.ndarray:
@@ -99,6 +100,17 @@ def main() -> int:
         )
         if not ok:
             return 1
+
+    curve = DigitalCurve(pts)
+    m = min(args.m_max, n)
+    schemes = [
+        ("split_to_m", split_to_m, (curve, m)),
+        ("eliminate_to_m", eliminate_to_m, (curve, m)),
+        ("stabilize", stabilize, (curve, eliminate_to_m(curve, m))),
+    ]
+    print(f"{'scheme (m=' + str(m) + ')':<16} {'time':>10}")
+    for name, fn, call_args in schemes:
+        print(f"{name:<16} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
     return 0
 
 

@@ -60,8 +60,8 @@ def e2_arc_costs(xs, ys, prefixes, u, v):
     strictly between u and v walking forward) is summed in O(1) by
     expanding the squared cross product against the chord into
     prefix-sum differences.  Adjacent pairs cost 0.  The expression and
-    its order of operations are those of approx_error.arc_sum_sq, so
-    each entry equals arc_sum_sq's value bit for bit.
+    its order of operations are those of the scalar approx_error._arc_e2
+    (arc_sum_sq), so each entry equals its value bit for bit.
     """
     px, py, pxx, pyy, pxy = prefixes
     n = xs.shape[0]
@@ -353,10 +353,16 @@ def dp_cost_matrix(tab: np.ndarray, start: int) -> np.ndarray:
     forward (u >= v) and the single side from 0 around to n are +inf.
     """
     n = tab.shape[0]
-    ridx = (start + np.arange(n + 1)) % n
-    rcost = tab.T[np.ix_(ridx, ridx)]
+    # positions below s are curve indices start.., the rest 0..start
+    s = n - start
+    t = tab.T
+    rcost = np.empty((n + 1, n + 1))
+    rcost[:s, :s] = t[start:, start:]
+    rcost[:s, s:] = t[start:, :start + 1]
+    rcost[s:, :s] = t[:start + 1, start:]
+    rcost[s:, s:] = t[:start + 1, :start + 1]
     rows = np.arange(n + 1)
-    rcost[rows[None, :] >= rows[:, None]] = np.inf
+    np.copyto(rcost, np.inf, where=rows[None, :] >= rows[:, None])
     rcost[n, 0] = np.inf
     return rcost
 

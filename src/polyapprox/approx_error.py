@@ -64,6 +64,11 @@ class MomentTables:
         pts = np.asarray(points, dtype=np.float64)
         return cls(pts.shape[0], *_kernels.doubled_prefixes(pts[:, 0], pts[:, 1]))
 
+    @property
+    def prefixes(self) -> tuple:
+        """(px, py, pxx, pyy, pxy), the argument of _kernels.e2_arc_costs."""
+        return self.px, self.py, self.pxx, self.pyy, self.pxy
+
 
 # weak keys: a cached curve is freed, with its tables, once unreferenced
 _MOMENT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -143,26 +148,27 @@ def _arc_interior(n: int, u: int, v: int) -> range:
     return range(u + 1, u + length)
 
 
-def arc_sum_sq(points: np.ndarray, tables: MomentTables, u: int, v: int) -> float:
-    """O(1) sum of squared deviations over the forward arc u -> v."""
-    n = tables.n
-    xu = float(points[u, 0])
-    yu = float(points[u, 1])
-    dx = float(points[v, 0]) - xu
-    dy = float(points[v, 1]) - yu
+def _arc_e2(xs, ys, prefixes, n: int, u: int, v: int):
+    """arc_sum_sq on any indexable coordinates and doubled prefixes:
+    numpy arrays or Python lists, which give the same bits."""
+    xu = float(xs[u])
+    yu = float(ys[u])
+    dx = float(xs[v]) - xu
+    dy = float(ys[v]) - yu
     l2 = dx * dx + dy * dy
     if l2 == 0.0:
         raise DegenerateSegment(f"points {u} and {v} coincide")
     length = (v - u) % n
     if length <= 1:
         return 0.0
+    px, py, pxx, pyy, pxy = prefixes
     a = u + 1
     b = u + length
-    sx = tables.px[b] - tables.px[a]
-    sy = tables.py[b] - tables.py[a]
-    sxx = tables.pxx[b] - tables.pxx[a]
-    syy = tables.pyy[b] - tables.pyy[a]
-    sxy = tables.pxy[b] - tables.pxy[a]
+    sx = px[b] - px[a]
+    sy = py[b] - py[a]
+    sxx = pxx[b] - pxx[a]
+    syy = pyy[b] - pyy[a]
+    sxy = pxy[b] - pxy[a]
     k = yu * dx - xu * dy
     cnt = float(length - 1)
     num = (
@@ -176,21 +182,36 @@ def arc_sum_sq(points: np.ndarray, tables: MomentTables, u: int, v: int) -> floa
     return max(num, 0.0) / l2
 
 
-def _arc_max_e(points: np.ndarray, n: int, u: int, v: int) -> float:
-    xu = float(points[u, 0])
-    yu = float(points[u, 1])
-    dx = float(points[v, 0]) - xu
-    dy = float(points[v, 1]) - yu
+def arc_sum_sq(points: np.ndarray, tables: MomentTables, u: int, v: int) -> float:
+    """O(1) sum of squared deviations over the forward arc u -> v."""
+    return _arc_e2(points[:, 0], points[:, 1], tables.prefixes, tables.n, u, v)
+
+
+def _arcs_max_e(points: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Largest deviation over each forward arc u[k] -> v[k].
+
+    One array pass over the interior points of every arc; each arc takes
+    its max |cross| and then one division by its chord length, as the
+    Emax tables do.  Arcs with no interior give 0.
+    """
+    xu = points[u, 0].astype(np.float64)
+    yu = points[u, 1].astype(np.float64)
+    dx = points[v, 0] - xu
+    dy = points[v, 1] - yu
     l2 = dx * dx + dy * dy
-    if l2 == 0.0:
-        raise DegenerateSegment(f"points {u} and {v} coincide")
-    best = 0.0
-    for t in _arc_interior(n, u, v):
-        w = t % n
-        c = abs((float(points[w, 0]) - xu) * dy - (float(points[w, 1]) - yu) * dx)
-        if c > best:
-            best = c
-    return best / math.sqrt(l2)
+    if (l2 == 0.0).any():
+        k = int(np.argmax(l2 == 0.0))
+        raise DegenerateSegment(f"points {u[k]} and {v[k]} coincide")
+    counts = (v - u) % n - 1
+    arc = np.repeat(np.arange(u.shape[0]), counts)
+    first = np.cumsum(counts) - counts
+    w = (u[arc] + 1 + np.arange(arc.shape[0]) - first[arc]) % n
+    cross = np.abs((points[w, 0] - xu[arc]) * dy[arc] - (points[w, 1] - yu[arc]) * dx[arc])
+    best = np.zeros(u.shape[0])
+    full = counts > 0
+    if full.any():
+        best[full] = np.maximum.reduceat(cross, first[full])
+    return best / np.sqrt(l2)
 
 
 def segment_errors(
@@ -210,7 +231,7 @@ def segment_errors(
     pts = curve.points
     return SegmentErrors(
         sum_sq=arc_sum_sq(pts, tables, u, v),
-        max_e=_arc_max_e(pts, n, u, v),
+        max_e=float(_arcs_max_e(pts, n, np.array([u]), np.array([v]))[0]),
     )
 
 
@@ -231,6 +252,15 @@ def segment_errors_naive(curve: DigitalCurve, u: int, v: int) -> SegmentErrors:
     return SegmentErrors(ss, mx)
 
 
+def _polygon_errors(points: np.ndarray, tables: MomentTables, idx) -> tuple[float, float]:
+    u = np.asarray(idx)
+    v = np.roll(u, -1)
+    e2 = 0.0
+    for a, b in zip(u.tolist(), v.tolist()):
+        e2 += arc_sum_sq(points, tables, a, b)
+    return e2, float(_arcs_max_e(points, tables.n, u, v).max())
+
+
 def polygon_errors_points(points: np.ndarray, indices) -> tuple[float, float]:
     """(E2, Emax) of a polygon over a raw point array.
 
@@ -240,35 +270,14 @@ def polygon_errors_points(points: np.ndarray, indices) -> tuple[float, float]:
     """
     pts = np.asarray(points, dtype=np.float64)
     idx = np.asarray(indices, dtype=np.int64)
-    n = pts.shape[0]
-    m = idx.shape[0]
-    tables = MomentTables.build(pts)
-    e2 = 0.0
-    emax = 0.0
-    for i in range(m):
-        u = int(idx[i])
-        v = int(idx[(i + 1) % m])
-        e2 += arc_sum_sq(pts, tables, u, v)
-        emax = max(emax, _arc_max_e(pts, n, u, v))
-    return e2, emax
+    return _polygon_errors(pts, MomentTables.build(pts), idx)
 
 
 def polygon_errors(curve: DigitalCurve, poly: PolygonApprox) -> tuple[float, float]:
     """(E2, Emax) of a polygon on its curve."""
     if poly.curve is not curve:
         raise InvalidCounts("polygon does not belong to this curve")
-    pts = curve.points
-    tables = moment_tables(curve)
-    idx = poly.indices
-    m = poly.m
-    e2 = 0.0
-    emax = 0.0
-    for i in range(m):
-        u = int(idx[i])
-        v = int(idx[(i + 1) % m])
-        e2 += arc_sum_sq(pts, tables, u, v)
-        emax = max(emax, _arc_max_e(pts, curve.n, u, v))
-    return e2, emax
+    return _polygon_errors(curve.points, moment_tables(curve), poly.indices)
 
 
 def polygon_errors_naive(curve: DigitalCurve, poly: PolygonApprox) -> tuple[float, float]:

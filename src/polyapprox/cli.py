@@ -215,7 +215,10 @@ def _cmd_study(parser, args) -> int:
     # run_study has logged each skipped curve once
     kept = len(reports[0].records) if reports else 0
     skipped = len(reports[0].skipped_curves) if reports else 0
-    print(f"curves={kept} skipped={skipped} schemes={len(reports)} out={out}")
+    clamped = sum(r.clamped for report in reports for r in report.records)
+    print(
+        f"curves={kept} skipped={skipped} clamped={clamped} schemes={len(reports)} out={out}"
+    )
     return 0
 
 

@@ -69,6 +69,11 @@ class MeasureRecord:
     rosin: RosinBreakdown
     rosin_emax: RosinBreakdown
 
+    @property
+    def clamped(self) -> bool:
+        """Whether either optimal baseline clamped m_optimal to its range."""
+        return self.rosin.clamped or self.rosin_emax.clamped
+
 
 def figure_of_merit(cr: float, e2: float) -> float:
     """Compression ratio per unit squared error; undefined for exact fits."""
@@ -248,7 +253,6 @@ CSV_HEADER = (
 
 
 def record_to_csv_row(r: MeasureRecord) -> str:
-    clamped = r.rosin.clamped or r.rosin_emax.clamped
     fields = [
         r.curve_id,
         r.scheme,
@@ -269,6 +273,6 @@ def record_to_csv_row(r: MeasureRecord) -> str:
         str(r.rosin_emax.fidelity),
         str(r.rosin_emax.efficiency),
         str(r.rosin_emax.merit),
-        "true" if clamped else "false",
+        "true" if r.clamped else "false",
     ]
     return ",".join(fields)

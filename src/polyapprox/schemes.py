@@ -7,11 +7,13 @@ tie among floating-point scores resolves to the lowest curve index.
 from __future__ import annotations
 
 import enum
+import heapq
+import math
 
 import numpy as np
 
 from . import _kernels
-from .approx_error import PolygonApprox, arc_sum_sq, moment_tables, perpendicular_distance
+from .approx_error import PolygonApprox, _arc_e2, moment_tables
 from .curve import DigitalCurve
 from .exceptions import DegenerateSegment, InvalidCounts
 from .optimal import provisional_start_vertex
@@ -42,50 +44,46 @@ def _check_m(curve: DigitalCurve, m: int):
         raise InvalidCounts(f"need 3 <= m <= n, got m={m}, n={curve.n}")
 
 
-def _arc_points(n: int, u: int, v: int):
-    length = (v - u) % n
-    return [(u + t) % n for t in range(1, length)]
-
-
-def _farthest_on_arc(curve: DigitalCurve, u: int, v: int):
-    """(max deviation, its index) over the open arc u -> v; ties take the
-    lowest curve index.  Returns (-1.0, -1) for an empty arc."""
-    interior = _arc_points(curve.n, u, v)
-    if not interior:
-        return -1.0, -1
-    pu = curve.point(u)
-    pv = curve.point(v)
-    best = -1.0
-    arg = -1
-    for w in interior:
-        e = perpendicular_distance(pu, pv, curve.point(w))
-        if e > best or (e == best and w < arg):
-            best = e
-            arg = w
-    return best, arg
-
-
 def split_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
     """Grow a polygon by repeatedly splitting the worst side.
 
     Seeds are the point farthest from the centroid and the point
     farthest from that one.  Each round scores every side by its largest
-    deviation and inserts the offending point as a new vertex.
+    deviation and inserts the offending point as a new vertex.  A side
+    is scored once, by one array expression over its arc with the
+    arithmetic of perpendicular_distance; ties take the lowest curve
+    index.
     """
     _check_m(curve, m)
+    n = curve.n
+    pts = curve.points_float()
     s0 = provisional_start_vertex(curve)
-    rel = curve.points.astype(np.float64) - curve.points[s0].astype(np.float64)
+    rel = pts - pts[s0]
     d2 = (rel * rel).sum(axis=1)
     s1 = int(np.argmax(d2))
     verts = sorted((s0, s1))
+    x2 = np.concatenate((pts[:, 0], pts[:, 0]))
+    y2 = np.concatenate((pts[:, 1], pts[:, 1]))
+
+    def farthest(u, v):
+        """(max deviation, its index) over the open arc u -> v, or
+        (-1.0, -1) for an empty arc."""
+        length = (v - u) % n
+        if length <= 1:
+            return -1.0, -1
+        xu, yu = float(x2[u]), float(y2[u])
+        dx = float(x2[v]) - xu
+        dy = float(y2[v]) - yu
+        if dx == 0.0 and dy == 0.0:
+            raise DegenerateSegment(f"segment endpoints coincide at ({xu}, {yu})")
+        arc = slice(u + 1, u + length)
+        e = np.abs((x2[arc] - xu) * dy - (y2[arc] - yu) * dx) / math.hypot(dx, dy)
+        best = e.max()
+        w = (np.flatnonzero(e == best) + (u + 1)) % n
+        return float(best), int(w.min())
+
     # side score cache: side i runs verts[i] -> verts[i+1] circularly
     scores = {}
-
-    def side_score(u, v):
-        key = (u, v)
-        if key not in scores:
-            scores[key] = _farthest_on_arc(curve, u, v)
-        return scores[key]
 
     while len(verts) < m:
         best = (-1.0, -1, -1)  # (deviation, split point, side start)
@@ -93,7 +91,9 @@ def split_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
         for i in range(k):
             u = verts[i]
             v = verts[(i + 1) % k]
-            e, w = side_score(u, v)
+            if (u, v) not in scores:
+                scores[u, v] = farthest(u, v)
+            e, w = scores[u, v]
             if w < 0:
                 continue
             if e > best[0] or (e == best[0] and u < best[2]):
@@ -110,28 +110,44 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
 
     A vertex's deletion cost is the squared-error sum of the arc its
     neighbours would then span; only the two neighbours of a deleted
-    vertex need rescoring.  np.argmin keeps ties on the lowest index.
+    vertex need rescoring.  The n starting costs are one e2_arc_costs
+    call; a heap of (cost, index) finds the cheapest vertex, ties on the
+    lowest index, and entries whose cost has changed since are skipped.
     """
     _check_m(curve, m)
     n = curve.n
-    pts = curve.points
+    pts = curve.points_float()
     tables = moment_tables(curve)
-    nxt = np.arange(1, n + 1) % n
     prv = np.arange(-1, n - 1) % n
-    cost = np.empty(n)
-    for i in range(n):
-        cost[i] = arc_sum_sq(pts, tables, int(prv[i]), int(nxt[i]))
-    alive = n
-    while alive > m:
-        i = int(np.argmin(cost))
-        p, q = int(prv[i]), int(nxt[i])
+    nxt = np.arange(1, n + 1) % n
+    coincide = (pts[prv] == pts[nxt]).all(axis=1)
+    if coincide.any():
+        i = int(np.argmax(coincide))
+        raise DegenerateSegment(f"points {int(prv[i])} and {int(nxt[i])} coincide")
+    cost = _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], tables.prefixes, prv, nxt).tolist()
+    # Python floats from here on: rescoring two neighbours is scalar work
+    xs = pts[:, 0].tolist()
+    ys = pts[:, 1].tolist()
+    prefixes = tuple(p.tolist() for p in tables.prefixes)
+    prv = prv.tolist()
+    nxt = nxt.tolist()
+    heap = list(zip(cost, range(n)))
+    heapq.heapify(heap)
+    for _ in range(n - m):
+        while True:
+            c, i = heapq.heappop(heap)
+            # a deleted vertex costs inf; a rescored one has a newer entry
+            if c == cost[i]:
+                break
+        p, q = prv[i], nxt[i]
         prv[q] = p
         nxt[p] = q
-        cost[i] = np.inf
-        cost[p] = arc_sum_sq(pts, tables, int(prv[p]), q)
-        cost[q] = arc_sum_sq(pts, tables, p, int(nxt[q]))
-        alive -= 1
-    verts = np.nonzero(np.isfinite(cost))[0]
+        cost[i] = math.inf
+        cost[p] = _arc_e2(xs, ys, prefixes, n, prv[p], q)
+        cost[q] = _arc_e2(xs, ys, prefixes, n, p, nxt[q])
+        heapq.heappush(heap, (cost[p], p))
+        heapq.heappush(heap, (cost[q], q))
+    verts = [i for i in range(n) if cost[i] != math.inf]
     return PolygonApprox(curve, verts)
 
 
@@ -144,6 +160,11 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
     vertex moves only to a strictly cheaper position, the lowest curve
     index among equal minima, so a vertex already at a minimum stays
     put.  Stops on the first pass with no movement.
+
+    A vertex's candidate costs depend only on its two neighbours, and
+    once scored it sits where no candidate is strictly cheaper, so only
+    slots whose neighbours moved since their last scoring are rescored;
+    the moves and the pass count are those of rescoring every slot.
     """
     if poly.curve is not curve:
         raise InvalidCounts("polygon does not belong to this curve")
@@ -151,15 +172,19 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
     pts = curve.points
     xs = pts[:, 0].astype(np.float64)
     ys = pts[:, 1].astype(np.float64)
-    t = moment_tables(curve)
-    prefixes = (t.px, t.py, t.pxx, t.pyy, t.pxy)
+    prefixes = moment_tables(curve).prefixes
     verts = [int(v) for v in poly.indices]
     m = len(verts)
+    # slot i needs scoring: it has not been scored since a neighbour moved
+    stale = [True] * m
     # a coincident pair divides by zero; it raises DegenerateSegment below
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STABILIZE_PASSES):
             moved = False
             for i in range(m):
+                if not stale[i]:
+                    continue
+                stale[i] = False
                 p = verts[(i - 1) % m]
                 q = verts[(i + 1) % m]
                 # every position strictly between the neighbours, the
@@ -177,6 +202,7 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
                 if best < cost[(verts[i] - p) % n - 1]:
                     verts[i] = int(js[cost == best].min())
                     moved = True
+                    stale[i - 1] = stale[(i + 1) % m] = True
             if not moved:
                 break
     return PolygonApprox(curve, sorted(verts))

@@ -180,6 +180,32 @@ def test_polygon_errors_matches_naive_random():
         assert emax == pytest.approx(refmax, rel=1e-9, abs=1e-9)
 
 
+def _side_emax_reference(points, n, u, v):
+    # scalar loop: max |cross| over the arc points, then one division
+    xu, yu = float(points[u, 0]), float(points[u, 1])
+    dx, dy = float(points[v, 0]) - xu, float(points[v, 1]) - yu
+    best = 0.0
+    for t in range(u + 1, u + (v - u) % n):
+        w = t % n
+        best = max(best, abs((float(points[w, 0]) - xu) * dy - (float(points[w, 1]) - yu) * dx))
+    return best / math.sqrt(dx * dx + dy * dy)
+
+
+def test_emax_matches_scalar_loop_bit_for_bit(corpus):
+    rng = np.random.default_rng(13)
+    polys = [PolygonApprox(c, range(0, c.n, 8)) for c in corpus]
+    for seed in range(30):
+        c = lattice_ring(seed + 400)
+        m = int(rng.integers(3, c.n + 1))  # m = n gives only empty arcs
+        polys.append(PolygonApprox(c, rng.choice(c.n, size=m, replace=False)))
+    for p in polys:
+        c, idx = p.curve, p.indices.tolist()
+        sides = list(zip(idx, idx[1:] + idx[:1]))  # the last side wraps
+        want = [_side_emax_reference(c.points, c.n, u, v) for u, v in sides]
+        assert polygon_errors(c, p)[1] == max(want), c.name
+        assert [segment_errors(c, u, v).max_e for u, v in sides] == want, c.name
+
+
 def test_polygon_errors_rejects_foreign_curve(square8):
     other = DigitalCurve(square8.points.copy())
     p = PolygonApprox(other, [0, 2, 4, 6])

@@ -3,7 +3,7 @@ import pytest
 
 from polyapprox import parse_point_list
 from polyapprox.cli import main
-from conftest import build_corpus
+from conftest import build_corpus, lattice_ring
 
 
 SQUARE = "0 0\n1 0\n2 0\n2 1\n2 2\n1 2\n0 2\n0 1\n"
@@ -168,7 +168,26 @@ def test_study_logs_a_skipped_curve_once(corpus_dir, tmp_path, capsys, caplog):
     assert len(warnings) == 1
     assert "spur" in warnings[0].getMessage()
     summary = capsys.readouterr().out.strip()
-    assert summary.startswith("curves=5 skipped=1 schemes=3 ")
+    assert summary.startswith("curves=5 skipped=1 clamped=0 schemes=3 ")
+
+
+def test_study_summary_counts_clamped_rows(tmp_path, capsys):
+    # small lattice rings at 4 vertices: a scheme's polygon is often
+    # worse than the optimal triangle, so its baseline clamps to m = 3
+    d = tmp_path / "rings"
+    d.mkdir()
+    for seed in (1, 3, 4, 7, 9):
+        c = lattice_ring(seed, 10, 30)
+        (d / f"ring{seed}.pts").write_text("".join(f"{x} {y}\n" for x, y in c.points))
+    out = tmp_path / "out"
+    rc = main(["study", "--corpus", str(d), "--out", str(out), "--target-cr", "5",
+               "--threads", "1"])
+    assert rc == 0
+    rows = (out / "records.csv").read_text().splitlines()[1:]
+    clamped = sum(row.endswith(",true") for row in rows)
+    assert clamped > 0
+    summary = capsys.readouterr().out.strip()
+    assert summary.startswith(f"curves=5 skipped=0 clamped={clamped} schemes=3 ")
 
 
 def test_study_missing_corpus_is_data_error(tmp_path, capsys):

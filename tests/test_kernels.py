@@ -250,6 +250,25 @@ def test_dp_cost_matrix_layout():
                 assert rcost[v, u] == np.inf
 
 
+def _dp_cost_matrix_gather(tab, start):
+    # one fancy-index gather of the rotated table, then the same masks
+    n = tab.shape[0]
+    ridx = (start + np.arange(n + 1)) % n
+    rcost = tab.T[np.ix_(ridx, ridx)]
+    rows = np.arange(n + 1)
+    rcost[rows[None, :] >= rows[:, None]] = np.inf
+    rcost[n, 0] = np.inf
+    return rcost
+
+
+@pytest.mark.parametrize("n", [3, 5, 50, 351])
+def test_dp_cost_matrix_matches_gather(n):
+    tab = np.random.default_rng(n).uniform(0.0, 10.0, size=(n, n))
+    for start in sorted({0, 1, n // 3, n - 1}):
+        got = _kernels.dp_cost_matrix(tab, start)
+        assert got.tobytes() == _dp_cost_matrix_gather(tab, start).tobytes(), start
+
+
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_numpy_vs_loops(use_max):
     for seed in range(6):

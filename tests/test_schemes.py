@@ -15,7 +15,13 @@ from polyapprox import (
     split_to_m,
     stabilize,
 )
-from polyapprox.approx_error import arc_sum_sq, moment_tables, segment_errors_naive
+from polyapprox.approx_error import (
+    arc_sum_sq,
+    moment_tables,
+    perpendicular_distance,
+    segment_errors_naive,
+)
+from polyapprox.curve import parse_chain_code
 from polyapprox.optimal import provisional_start_vertex
 from conftest import build_corpus, lattice_ring
 
@@ -40,6 +46,70 @@ def eliminate_replay(curve, m):
                 best_pos = pos
         del alive[best_pos]
     return alive
+
+
+def eliminate_reference(curve, m):
+    """Scalar elimination: n arc_sum_sq costs, np.argmin per step (ties
+    on the lowest index), the two neighbours rescored by arc_sum_sq."""
+    n = curve.n
+    pts = curve.points
+    tables = moment_tables(curve)
+    nxt = np.arange(1, n + 1) % n
+    prv = np.arange(-1, n - 1) % n
+    cost = np.empty(n)
+    for i in range(n):
+        cost[i] = arc_sum_sq(pts, tables, int(prv[i]), int(nxt[i]))
+    alive = n
+    while alive > m:
+        i = int(np.argmin(cost))
+        p, q = int(prv[i]), int(nxt[i])
+        prv[q] = p
+        nxt[p] = q
+        cost[i] = np.inf
+        cost[p] = arc_sum_sq(pts, tables, int(prv[p]), q)
+        cost[q] = arc_sum_sq(pts, tables, p, int(nxt[q]))
+        alive -= 1
+    return PolygonApprox(curve, np.nonzero(np.isfinite(cost))[0])
+
+
+def _farthest_on_arc(curve, u, v):
+    """(max deviation, its index) over the open arc u -> v by one
+    perpendicular_distance per point; ties take the lowest curve index.
+    (-1.0, -1) for an empty arc."""
+    n = curve.n
+    interior = [(u + t) % n for t in range(1, (v - u) % n)]
+    if not interior:
+        return -1.0, -1
+    pu = curve.point(u)
+    pv = curve.point(v)
+    best = -1.0
+    arg = -1
+    for w in interior:
+        e = perpendicular_distance(pu, pv, curve.point(w))
+        if e > best or (e == best and w < arg):
+            best = e
+            arg = w
+    return best, arg
+
+
+def split_reference(curve, m):
+    """Scalar split: the same seeds and rounds as split_to_m, each side
+    scored point by point by _farthest_on_arc."""
+    s0 = provisional_start_vertex(curve)
+    rel = curve.points.astype(np.float64) - curve.points[s0].astype(np.float64)
+    s1 = int(np.argmax((rel * rel).sum(axis=1)))
+    verts = sorted((s0, s1))
+    while len(verts) < m:
+        best = (-1.0, -1, -1)  # (deviation, split point, side start)
+        k = len(verts)
+        for i in range(k):
+            u = verts[i]
+            e, w = _farthest_on_arc(curve, u, verts[(i + 1) % k])
+            if w >= 0 and (e > best[0] or (e == best[0] and u < best[2])):
+                best = (e, w, u)
+        verts.append(best[1])
+        verts.sort()
+    return PolygonApprox(curve, verts)
 
 
 def stabilize_reference(curve, poly):
@@ -187,6 +257,71 @@ def test_stabilize_matches_reference_on_plateaus_and_ties(square8):
             m = int(rng.integers(3, c.n))
             p = PolygonApprox(c, rng.choice(c.n, size=m, replace=False))
             assert stabilize(c, p) == stabilize_reference(c, p), (c.name, list(p.indices))
+
+
+@pytest.mark.parametrize("cr", [8.0, 15.0, 30.0])
+def test_split_and_eliminate_match_references_on_corpus(corpus, cr):
+    for c in corpus:
+        m = auto_target_m(c, cr)
+        assert split_to_m(c, m) == split_reference(c, m), c.name
+        assert eliminate_to_m(c, m) == eliminate_reference(c, m), c.name
+
+
+def _small_cases(square8):
+    # square8 and lattice rectangles (collinear plateaus, so many costs
+    # and deviations tie) at every m; lattice rings at a spread of m
+    for m in range(3, square8.n + 1):
+        yield square8, m
+    for w, h in [(4, 2), (6, 3), (9, 5), (7, 7), (12, 4)]:
+        c = _rectangle(w, h)
+        for m in range(3, c.n + 1):
+            yield c, m
+    for seed in range(20):
+        c = lattice_ring(seed + 1300)
+        for m in sorted({3, 4, max(3, c.n // 3), c.n // 2, c.n - 1, c.n}):
+            yield c, m
+
+
+def test_split_and_eliminate_match_references_on_ties(square8):
+    for c, m in _small_cases(square8):
+        assert split_to_m(c, m) == split_reference(c, m), (c.name, m)
+        assert eliminate_to_m(c, m) == eliminate_reference(c, m), (c.name, m)
+
+
+def test_stabilize_matches_reference_on_tied_rectangles():
+    # plateau-heavy rectangles, from the eliminated polygon and from
+    # every other vertex, where slots see their neighbours move often
+    for w, h in [(4, 2), (6, 3), (9, 5), (7, 7), (12, 4), (20, 3)]:
+        c = _rectangle(w, h)
+        for m in range(3, c.n + 1):
+            p = eliminate_to_m(c, m)
+            assert stabilize(c, p) == stabilize_reference(c, p), (c.name, m)
+        for k in (2, 3):
+            p = PolygonApprox(c, range(0, c.n, k))
+            assert stabilize(c, p) == stabilize_reference(c, p), (c.name, k)
+
+
+def _outcome(fn, curve, m):
+    try:
+        return fn(curve, m).indices.tolist()
+    except DegenerateSegment as exc:
+        return type(exc)
+
+
+def test_schemes_raise_like_references_on_revisited_points():
+    rings = [
+        # a rectangle with a one-pixel spur: points 8 and 10 coincide
+        parse_chain_code("0 0\n00002244264466"),
+        # points 0 and 3 coincide, and split meets them as one side
+        DigitalCurve(np.array([[3, 2], [2, 2], [3, 0], [3, 2], [3, 1]])),
+    ]
+    for fn, ref in [(split_to_m, split_reference), (eliminate_to_m, eliminate_reference)]:
+        raised = False
+        for c in rings:
+            got = [_outcome(fn, c, m) for m in range(3, c.n + 1)]
+            assert got == [_outcome(ref, c, m) for m in range(3, c.n + 1)], fn.__name__
+            raised |= DegenerateSegment in got
+        assert raised, fn.__name__
 
 
 def test_stabilize_rejects_coincident_candidates():
