@@ -10,14 +10,18 @@ benchmarks/bench_kernels.py times both.
 
 The numpy squared-error table evaluates the closed form of
 e2_arc_costs on blocks of about _E2_BLOCK entries, a few dozen rows at
-contour scale.  The numpy max-error table costs O(n^2 h) on a simple
-ring with integer coordinates spanning less than EXACT_SPAN, where h is
-the largest convex hull of an arc (a few dozen points on lattice
-contours), and O(n^3) on any other ring or when h exceeds n/3; the
-jitted twin always scans, O(n^3).  The DP reads its cost matrix with
-the arc end as the row and the arc start as the column (dp_cost_matrix
-builds it), so each of its m_max layers is one pass of row reductions
-over contiguous memory.
+contour scale, laid out by arc start and arc length so that every
+operand is a sliding window of a doubled array rather than a gather; a
+strided copy through a block-sized staging buffer rotates each block
+into [start, end] order.  The numpy max-error table costs O(n^2 h) on a
+simple ring with integer coordinates spanning less than EXACT_SPAN,
+where h is the largest convex hull of an arc (a few dozen points on
+lattice contours), and O(n^3) on any other ring or when h exceeds n/3;
+the jitted twin always scans, O(n^3).  The DP reads its cost matrix
+with the arc end as the row and the arc start as the column
+(dp_cost_matrix builds it); layer j combines and reduces only the cells
+it can reach, rows v >= j and columns j-1 <= u < v, in blocks of rows
+whose segments are contiguous.
 
 Both paths evaluate the same arithmetic expressions so their outputs
 agree to the last few bits; tests/test_kernels.py pins that down.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 def numba_disabled_by_env() -> bool:
@@ -63,23 +68,23 @@ def e2_arc_costs(xs, ys, prefixes, u, v):
     its order of operations are those of the scalar approx_error._arc_e2
     (arc_sum_sq), so each entry equals its value bit for bit.
     """
-    px, py, pxx, pyy, pxy = prefixes
     n = xs.shape[0]
-    xu = xs[u]
-    yu = ys[u]
-    dx = xs[v] - xu
-    dy = ys[v] - yu
-    l2 = dx * dx + dy * dy
     length = (v - u) % n
     a = u + 1
     b = u + length
-    sx = px[b] - px[a]
-    sy = py[b] - py[a]
-    sxx = pxx[b] - pxx[a]
-    syy = pyy[b] - pyy[a]
-    sxy = pxy[b] - pxy[a]
+    sums = [p[b] - p[a] for p in prefixes]
+    return _e2_closed_form(xs[u], ys[u], xs[v], ys[v], sums, length - 1.0)
+
+
+def _e2_closed_form(xu, yu, xv, yv, sums, cnt, out=None):
+    """E2 of arcs from their chord ends, the interior sums (sx, sy, sxx,
+    syy, sxy) and the interior point count; the one order of operations
+    that e2_arc_costs and e2_cost_table_numpy share."""
+    sx, sy, sxx, syy, sxy = sums
+    dx = xv - xu
+    dy = yv - yu
+    l2 = dx * dx + dy * dy
     k = yu * dx - xu * dy
-    cnt = length - 1.0
     num = (
         dy * dy * sxx
         + dx * dx * syy
@@ -89,7 +94,7 @@ def e2_arc_costs(xs, ys, prefixes, u, v):
         + cnt * k * k
     )
     # cancellation can leave tiny negatives on collinear arcs
-    return np.maximum(num, 0.0) / l2
+    return np.divide(np.maximum(num, 0.0), l2, out=out)
 
 
 # Entries of the squared-error table evaluated per block of rows: small
@@ -101,18 +106,41 @@ def e2_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Summed squared deviation of every forward arc u -> v.
 
     Entry [u, v] covers the points strictly between u and v walking
-    forward; adjacent pairs cost 0.  Rows are evaluated by e2_arc_costs
-    in blocks of about _E2_BLOCK entries.
+    forward; adjacent pairs cost 0.  Blocks of about _E2_BLOCK entries
+    are evaluated by arc start and arc length L: entry u + L of a doubled
+    coordinate or prefix array is the arc's far end or prefix bound, so
+    every operand is a sliding window, not a gather.  Each row of a
+    block, indexed by L, fills both halves of a staging row 2n wide;
+    table row u, whose entry v has L = (v - u) % n, is then the n
+    entries from column n - u, so one strided view that steps back a
+    column per row copies the block into place.
     """
     n = xs.shape[0]
     prefixes = doubled_prefixes(xs, ys)
-    out = np.zeros((n, n))
-    lengths = np.arange(2, n)
-    step = max(1, _E2_BLOCK // n)
+    doubled = (np.concatenate((xs, xs)), np.concatenate((ys, ys))) + prefixes
+    # window[u, L - 2] is doubled entry u + L, for L in [2, n)
+    wx, wy, *wsums = (sliding_window_view(a, n)[:, 2:] for a in doubled)
+    cnt = np.arange(2, n) - 1.0
+    out = np.empty((n, n))
+    step = min(max(1, _E2_BLOCK // n), n)
+    # lengths 0 and 1 (the diagonal and adjacent pairs) stay 0
+    stage = np.zeros((step, 2 * n))
+    row, col = stage.strides
     for u0 in range(0, n, step):
-        u = np.arange(u0, min(u0 + step, n))[:, None]
-        v = (u + lengths) % n
-        out[u, v] = e2_arc_costs(xs, ys, prefixes, u, v)
+        u1 = min(u0 + step, n)
+        block = stage[:u1 - u0]
+        a = slice(u0 + 1, u1 + 1)
+        sums = [w[u0:u1] - p[a, None] for w, p in zip(wsums, prefixes)]
+        _e2_closed_form(
+            xs[u0:u1, None], ys[u0:u1, None], wx[u0:u1], wy[u0:u1],
+            sums, cnt, out=block[:, 2:n],
+        )
+        block[:, n + 2:] = block[:, 2:n]
+        # table row u0 + r starts r rows down and r columns back
+        out[u0:u1] = as_strided(
+            stage.reshape(-1)[n - u0:], shape=(u1 - u0, n),
+            strides=(row - col, col), writeable=False,
+        )
     return out
 
 
@@ -367,28 +395,49 @@ def dp_cost_matrix(tab: np.ndarray, start: int) -> np.ndarray:
     return rcost
 
 
+# Entries of one DP layer combined and reduced per block of rows: small
+# enough that the block stays in cache while its rows are reduced.
+_DP_BLOCK = 1 << 15
+
+
 def dp_solve_numpy(rcost: np.ndarray, m_max: int, use_max: bool):
     """Optimal chain costs over a dp_cost_matrix.
 
     rcost[v, u] is the cost of the side from rotated position u to v.
     dp[j, v] is the best cost of reaching v from 0 with exactly j
     segments; parents record the first (smallest) predecessor attaining
-    each optimum.  Each layer combines the previous one with the whole
-    matrix and reduces its rows, which are contiguous: O(m_max n^2) time,
-    one (n+1, n+1) buffer.
+    each optimum, and -1 where there is none.  Layer j touches only the
+    cells it can reach: rows v >= j (fewer positions cannot hold j
+    sides) and, in each block of about _DP_BLOCK entries of rows v0..v1,
+    the columns j-1 <= u < v1 (earlier predecessors are unreachable with
+    j-1 sides, later ones do not run forward).  A block is one combine
+    and one row argmin over its contiguous row segments; a layer's
+    values are its combine recomputed at the chosen predecessors, the
+    same bits.  O(m_max n^2) time, one buffer of a block.
     """
     n1 = rcost.shape[0]
     dp = np.full((m_max + 1, n1), np.inf)
     parent = np.full((m_max + 1, n1), -1, dtype=np.int64)
     dp[1, 1:] = rcost[1:, 0]
     parent[1, 1:] = 0
-    buf = np.empty_like(rcost)
     rows = np.arange(n1)
+    step = min(max(1, _DP_BLOCK // n1), n1)
+    buf = np.empty(step * n1)
     combine = np.maximum if use_max else np.add
     for j in range(2, m_max + 1):
-        combine(dp[j - 1][None, :], rcost, out=buf)
-        parent[j] = buf.argmin(axis=1)
-        dp[j] = buf[rows, parent[j]]
+        prev = dp[j - 1]
+        best = parent[j, j:]
+        u0 = j - 1
+        for v0 in range(j, n1, step):
+            v1 = min(v0 + step, n1)
+            block = buf[:(v1 - v0) * (v1 - u0)].reshape(v1 - v0, v1 - u0)
+            combine(prev[u0:v1], rcost[v0:v1, u0:v1], out=block)
+            block.argmin(axis=1, out=best[v0 - j:v1 - j])
+        best += u0
+        dp[j, j:] = combine(prev[best], rcost[rows[j:], best])
+    # from layer 2 on, a row whose candidates all cost +inf has no
+    # predecessor
+    parent[2:][np.isinf(dp[2:])] = -1
     return dp, parent
 
 

@@ -3,9 +3,9 @@
 Subcommands: approx (emit one polygon), profile (optimal error versus
 vertex count), merit (full measure record for one polygon), study
 (corpus evaluation with correlations and line diagrams).  Usage problems
-exit 1, unreadable or malformed data exits 2.  Files are written to a
-temporary name and renamed into place so failures leave no partial
-output.
+exit 1; unreadable or malformed data, or a curve too large for its cost
+tables, exits 2.  Files are written to a temporary name and renamed
+into place so failures leave no partial output.
 """
 
 from __future__ import annotations

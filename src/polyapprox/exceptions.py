@@ -34,6 +34,10 @@ class DegenerateSegment(PolyApproxError):
     """Segment endpoints coincide, so no line is defined."""
 
 
+class CurveTooLarge(PolyApproxError):
+    """A curve's O(n^2) cost tables would exceed the memory limit."""
+
+
 class InvalidCounts(PolyApproxError):
     """A vertex or size argument is out of its allowed range."""
 

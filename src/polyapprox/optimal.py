@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .approx_error import PolygonApprox, polygon_errors
 from .curve import DigitalCurve, centroid
-from .exceptions import DegenerateSegment, InvalidCounts, OutOfRange
+from .exceptions import CurveTooLarge, DegenerateSegment, InvalidCounts, OutOfRange
 
 __all__ = [
     "CostKind",
@@ -85,16 +85,30 @@ class OptimalBaseline:
     clamped: bool = False
 
 
+# Most memory one curve's cost tables may take: both n x n tables plus
+# two (n+1)^2 arrays for the DP cost matrix and the largest transient,
+# 8 bytes an entry.  About n = 7900 points.
+MAX_TABLE_BYTES = 2 * 10**9
+
+
 class SegmentCosts:
     """Per-curve cache of forward-arc cost tables.
 
     The n x n tables depend only on the curve, not on the DP start, so
     one instance serves every start vertex and both cost kinds.  Curves
-    with coincident (non-consecutive) points are rejected up front: some
-    table entry would have no defining line.
+    whose tables would take more than MAX_TABLE_BYTES, and curves with
+    coincident (non-consecutive) points, are rejected up front: for the
+    latter some table entry would have no defining line.
     """
 
     def __init__(self, curve: DigitalCurve):
+        n = curve.n
+        need = 8 * (2 * n * n + 2 * (n + 1) ** 2)
+        if need > MAX_TABLE_BYTES:
+            raise CurveTooLarge(
+                f"n={n} points need about {need / 1e9:.1f} GB of cost tables,"
+                f" over the {MAX_TABLE_BYTES / 1e9:g} GB limit"
+            )
         pts = curve.points
         order = np.lexsort((pts[:, 1], pts[:, 0]))  # stable: by x, then y
         ranked = pts[order]

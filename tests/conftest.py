@@ -21,6 +21,16 @@ def lattice_ring(seed: int, n_lo: int = 6, n_hi: int = 12) -> DigitalCurve:
             return DigitalCurve(pts, name=f"ring{seed:04d}")
 
 
+def square_ring(side: int) -> DigitalCurve:
+    """The 4 * side lattice points around a side x side square, in order."""
+    t = np.arange(side)
+    zero = np.zeros_like(t)
+    full = np.full_like(t, side)
+    xs = np.concatenate((t, full, side - t, zero))
+    ys = np.concatenate((zero, t, full, side - t))
+    return DigitalCurve(np.stack([xs, ys], axis=1), name=f"square{side}")
+
+
 def _dedup_trace(pts: np.ndarray) -> np.ndarray:
     """Drop repeated coordinates from a dense rounded trace, keeping first
     occurrences, until the ring is globally duplicate free."""

@@ -3,7 +3,7 @@ import pytest
 
 from polyapprox import parse_point_list
 from polyapprox.cli import main
-from conftest import build_corpus, lattice_ring
+from conftest import build_corpus, lattice_ring, square_ring
 
 
 SQUARE = "0 0\n1 0\n2 0\n2 1\n2 2\n1 2\n0 2\n0 1\n"
@@ -120,6 +120,15 @@ def test_profile_emax_kind(square_pts, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert float(lines[2].split(",")[1]) == 0.0   # m=4 row
+
+
+def test_profile_of_a_curve_too_large_is_data_error(tmp_path, capsys):
+    big = tmp_path / "big.pts"
+    big.write_text("".join(f"{x} {y}\n" for x, y in square_ring(5000).points))
+    rc = main(["profile", "--in", str(big), "--m", "100"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n=20000" in err and "12.8 GB" in err
 
 
 def test_merit_outputs_header_and_row(square_pts, capsys):

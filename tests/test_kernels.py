@@ -7,6 +7,7 @@ byte-identical CSV output no matter which path happens to be active.
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +23,20 @@ def _random_tables(seed):
     return xs, ys
 
 
+def _assert_e2_table_is_loops(xs, ys):
+    want = _kernels._e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys))
+    assert _kernels.e2_cost_table_numpy(xs, ys).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_e2_table_numpy_vs_loops(seed):
-    xs, ys = _random_tables(seed)
-    a = _kernels.e2_cost_table_numpy(xs, ys)
-    b = _kernels._e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys))
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    _assert_e2_table_is_loops(*_random_tables(seed))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_e2_table_exact_on_small_rings(n):
+    pts = lattice_ring(n, n_lo=n, n_hi=n).points.astype(np.float64)
+    _assert_e2_table_is_loops(pts[:, 0], pts[:, 1])
 
 
 @pytest.mark.parametrize("blocks", ["several", "one"])
@@ -40,11 +49,34 @@ def test_e2_table_blocks_match_loops_exactly(blocks):
     else:
         pts = lattice_ring(3, n_lo=40, n_hi=60).points
         assert _kernels._E2_BLOCK // pts.shape[0] >= pts.shape[0]
-    xs = pts[:, 0].astype(np.float64)
-    ys = pts[:, 1].astype(np.float64)
-    table = _kernels.e2_cost_table_numpy(xs, ys)
-    want = _kernels._e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys))
-    assert table.tobytes() == want.tobytes()
+    _assert_e2_table_is_loops(pts[:, 0].astype(np.float64), pts[:, 1].astype(np.float64))
+
+
+def test_e2_table_exact_on_a_non_integer_ring():
+    # n = 211: 38 rows a block, the last block ragged (21 rows)
+    rng = np.random.default_rng(7)
+    theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, 211))
+    xs = 30.0 * np.cos(theta) + rng.normal(0.0, 0.7, theta.size)
+    ys = 18.0 * np.sin(theta) + rng.normal(0.0, 0.7, theta.size)
+    assert 211 % (_kernels._E2_BLOCK // 211)
+    _assert_e2_table_is_loops(xs, ys)
+
+
+def test_e2_table_working_set_is_a_few_blocks():
+    # the table plus temporaries of a few _E2_BLOCK entries; staging the
+    # whole table at n x 2n would add twice the table
+    pts = _fourier_blob(1, 80.0, 1200).points.astype(np.float64)
+    n = pts.shape[0]
+    table = 8 * n * n
+    slack = 48 * 8 * _kernels._E2_BLOCK
+    assert 2 * table > slack
+    tracemalloc.start()
+    try:
+        _kernels.e2_cost_table_numpy(pts[:, 0], pts[:, 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table + slack
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -269,15 +301,17 @@ def test_dp_cost_matrix_matches_gather(n):
         assert got.tobytes() == _dp_cost_matrix_gather(tab, start).tobytes(), start
 
 
+def _assert_dp_is_loops(rcost, m_max, use_max):
+    d1, p1 = _kernels.dp_solve_numpy(rcost, m_max, use_max)
+    d2, p2 = _kernels._dp_solve_loops(rcost, m_max, use_max)
+    assert d1.tobytes() == d2.tobytes()
+    assert np.array_equal(p1, p2)
+
+
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_numpy_vs_loops(use_max):
     for seed in range(6):
-        rcost = _random_rcost(seed, 12)
-        d1, p1 = _kernels.dp_solve_numpy(rcost, 6, use_max)
-        d2, p2 = _kernels._dp_solve_loops(rcost, 6, use_max)
-        assert np.array_equal(d1, d2)
-        finite = np.isfinite(d1)
-        assert np.array_equal(p1[finite], p2[finite])
+        _assert_dp_is_loops(_random_rcost(seed, 12), 6, use_max)
 
 
 @pytest.mark.parametrize("use_max", [False, True])
@@ -285,12 +319,41 @@ def test_dp_numpy_vs_loops_on_tied_costs(use_max):
     # integer costs 0..3 tie on most cells; both paths keep the first
     # (smallest) predecessor
     for seed in range(3):
-        rcost = _random_rcost(seed, 40, costs=range(4))
-        d1, p1 = _kernels.dp_solve_numpy(rcost, 15, use_max)
-        d2, p2 = _kernels._dp_solve_loops(rcost, 15, use_max)
-        assert np.array_equal(d1, d2)
-        finite = np.isfinite(d1)
-        assert np.array_equal(p1[finite], p2[finite])
+        _assert_dp_is_loops(_random_rcost(seed, 40, costs=range(4)), 15, use_max)
+
+
+@pytest.mark.parametrize("block", [1, 7, 60, 1 << 15])
+@pytest.mark.parametrize("use_max", [False, True])
+def test_dp_numpy_vs_loops_across_row_blocks(block, use_max, monkeypatch):
+    # one row a block, ragged blocks, and the whole layer in one block
+    monkeypatch.setattr(_kernels, "_DP_BLOCK", block)
+    for seed in range(2):
+        _assert_dp_is_loops(_random_rcost(seed, 30, costs=range(3)), 30, use_max)
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_dp_numpy_vs_loops_with_forbidden_sides(use_max):
+    # +inf sides leave some reachable cells without any finite candidate;
+    # both paths give them +inf and parent -1
+    rcost = _random_rcost(5, 25)
+    rng = np.random.default_rng(5)
+    rcost[rng.uniform(size=rcost.shape) < 0.6] = np.inf
+    d1, _ = _kernels.dp_solve_numpy(rcost, 12, use_max)
+    j, v = np.nonzero(np.isinf(d1))
+    assert np.any((j >= 2) & (v >= j))
+    _assert_dp_is_loops(rcost, 12, use_max)
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_dp_unreachable_rows_stay_inf_and_minus_one(use_max):
+    n1 = 21
+    dp, parent = _kernels.dp_solve_numpy(_random_rcost(2, n1 - 1), n1 - 1, use_max)
+    rows = np.arange(n1)
+    for j in range(1, n1):
+        assert np.all(np.isinf(dp[j, rows < j])), j
+        assert np.all(parent[j, rows < j] == -1), j
+        assert np.all(np.isfinite(dp[j, j:n1 - 1])), j
+    assert np.all(np.isinf(dp[0])) and np.all(parent[0] == -1)
 
 
 def test_dp_tie_breaks_to_smallest_predecessor():
@@ -328,8 +391,7 @@ def test_jit_kernels_match_numpy():
             d1, p1 = _kernels.dp_solve_jit(rcost, 5, use_max)
             d2, p2 = _kernels.dp_solve_numpy(rcost, 5, use_max)
             np.testing.assert_allclose(d1, d2, rtol=1e-12)
-            finite = np.isfinite(d1)
-            assert np.array_equal(p1[finite], p2[finite])
+            assert np.array_equal(p1, p2)
 
 
 def test_env_flag_disables_numba():

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polyapprox import (
     CostKind,
+    CurveTooLarge,
     DegenerateSegment,
     DigitalCurve,
     ErrorProfile,
@@ -23,7 +25,7 @@ from polyapprox import (
 )
 from polyapprox.approx_error import segment_errors_naive
 from polyapprox.schemes import split_to_m
-from conftest import lattice_ring
+from conftest import lattice_ring, square_ring
 
 
 def brute_force_values(curve, start, m_lo, m_hi, kind):
@@ -143,6 +145,29 @@ def test_segment_costs_reports_coincident_points_at_large_x():
     with pytest.raises(DegenerateSegment) as err:
         SegmentCosts(c)
     assert str(err.value) == f"points 1 and 3 coincide at ({x}, 1)"
+
+
+def test_segment_costs_refuses_a_curve_too_large_before_allocating():
+    # n = 20000: two 3.2 GB tables and two (n+1)^2 DP arrays
+    c = square_ring(5000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CurveTooLarge) as err:
+            SegmentCosts(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "n=20000 points need about 12.8 GB of cost tables, over the 2 GB limit"
+    )
+    assert peak < 100_000
+
+
+def test_segment_costs_accepts_a_curve_at_the_limit():
+    # 8 * (2 n^2 + 2 (n+1)^2) is 1.9994e9 bytes at n = 7904, 2.0014e9 at 7908
+    assert SegmentCosts(square_ring(7904 // 4)).curve.n == 7904
+    with pytest.raises(CurveTooLarge, match="n=7908 "):
+        SegmentCosts(square_ring(7908 // 4))
 
 
 def test_solve_range_checks():

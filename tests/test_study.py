@@ -19,7 +19,7 @@ from polyapprox import (
     study_series,
 )
 from polyapprox.study import PAIRINGS, correlations_csv, pairing_slug, records_csv
-from conftest import build_corpus
+from conftest import build_corpus, square_ring
 
 
 def scaled_square8(scale):
@@ -166,6 +166,18 @@ def test_run_study_skips_degenerate_curve_and_continues():
         cid, reason = rep.skipped_curves[0]
         assert cid == "pinch"
         assert "DegenerateSegment" in reason
+
+
+def test_run_study_skips_a_curve_too_large_with_one_warning(caplog):
+    reports = run_study([scaled_square8(2), square_ring(5000)], target_cr=2.0)
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "square5000" in warnings[0].getMessage()
+    for rep in reports:
+        assert len(rep.records) == 1
+        [(cid, reason)] = rep.skipped_curves
+        assert cid == "square5000"
+        assert reason.startswith("CurveTooLarge: n=20000 points need about 12.8 GB")
 
 
 def test_study_series_labels_and_values():
