@@ -2,8 +2,11 @@
 
 Builds a noisy digitized ellipse, then times the three hot paths (the
 two cost tables and the DP solve) on both implementations and checks
-they agree, and times the suboptimal schemes at m = --m-max.  Run from
-the repository root:
+they agree, and times the suboptimal schemes at m = --m-max.  The Emax
+table is also timed on an elongated ellipse (b = 0.3a), whose long arcs
+mostly stay under the table's bound, and for both rings the script
+prints how many arcs longer than n/2 needed an exact value and how they
+got it.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 """
@@ -16,15 +19,16 @@ import numpy as np
 from polyapprox import DigitalCurve, _kernels, eliminate_to_m, split_to_m, stabilize
 
 
-def noisy_ellipse(n_target: int, seed: int = 0) -> np.ndarray:
-    """Closed lattice contour with roughly n_target distinct points.
+def noisy_ellipse(n_target: int, seed: int = 0, aspect: float = 0.6) -> np.ndarray:
+    """Closed lattice contour with semi-axes a and b = aspect * a, and
+    roughly n_target distinct points at the default aspect.
 
     Wobble comes from smooth random-phase harmonics; white noise would
     shatter the trace into far more lattice cells than requested.
     """
     rng = np.random.default_rng(seed)
     a = n_target / 6.6  # wobbled rounded trace runs about 6.6a for b = 0.6a
-    b = a * 0.6
+    b = a * aspect
     p1, p2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     theta = np.linspace(0.0, 2.0 * np.pi, 8 * n_target, endpoint=False)
     wobble = 1.0 + 0.05 * np.sin(7 * theta + p1) + 0.03 * np.cos(11 * theta + p2)
@@ -62,12 +66,21 @@ def main() -> int:
     if not _kernels.HAS_NUMBA:
         print("numba not importable; only the numpy path is available")
 
+    thin = noisy_ellipse(args.n, aspect=0.3)
+    txs = thin[:, 0].astype(np.float64)
+    tys = thin[:, 1].astype(np.float64)
+    print(f"elongated contour: n={len(thin)}")
+
     rcost = _kernels.dp_cost_matrix(_kernels.e2_cost_table_numpy(xs, ys), 0)
+    # both Emax tables hold +inf above the same bound, so they are
+    # compared with their +inf entries
     cases = [
         ("e2 cost table", _kernels.e2_cost_table_numpy,
          _kernels.e2_cost_table_jit, (xs, ys)),
         ("emax cost table", _kernels.emax_cost_table_numpy,
          _kernels.emax_cost_table_jit, (xs, ys)),
+        ("emax, elongated", _kernels.emax_cost_table_numpy,
+         _kernels.emax_cost_table_jit, (txs, tys)),
         ("dp solve (sum)", _kernels.dp_solve_numpy,
          _kernels.dp_solve_jit, (rcost, args.m_max, False)),
         ("dp solve (max)", _kernels.dp_solve_numpy,
@@ -99,6 +112,19 @@ def main() -> int:
         )
         if not ok:
             return 1
+
+    for name, ring_xs, ring_ys in (("contour", xs, ys), ("elongated", txs, tys)):
+        counts = {}
+        if _kernels._emax_cost_table_hull(ring_xs, ring_ys, counts) is None:
+            how = "hulls passed n/3 points: the full scan"
+        elif counts["resumed"]:
+            how = "the resumed sweep"
+        else:
+            how = "their tails"
+        print(
+            f"emax long arcs ({name}): {counts.get('exact', '-')} of"
+            f" {counts.get('long', '-')} exact, from {how}"
+        )
 
     curve = DigitalCurve(pts)
     m = min(args.m_max, n)

@@ -13,18 +13,29 @@ e2_arc_costs on blocks of about _E2_BLOCK entries, a few dozen rows at
 contour scale, laid out by arc start and arc length so that every
 operand is a sliding window of a doubled array rather than a gather; a
 strided copy through a block-sized staging buffer rotates each block
-into [start, end] order.  The numpy max-error table costs O(n^2 h) on a
-simple ring with integer coordinates spanning less than EXACT_SPAN,
-where h is the largest convex hull of an arc (a few dozen points on
-lattice contours), and O(n^3) on any other ring or when h exceeds n/3;
-the jitted twin always scans, O(n^3).  The DP reads its cost matrix
-with the arc end as the row and the arc start as the column
-(dp_cost_matrix builds it); layer j combines and reduces only the cells
-it can reach, rows v >= j and columns j-1 <= u < v, in blocks of rows
-whose segments are contiguous.
+into [start, end] order.
 
-Both paths evaluate the same arithmetic expressions so their outputs
-agree to the last few bits; tests/test_kernels.py pins that down.
+The max-error table holds an arc's exact value where it is at most B,
+the largest entry over arcs of at most ceil(n/3) steps, and +inf above
+B, on every path: no optimal polygon of 3 or more vertices, and no tie
+with one, has such a side (_drop_unusable_sides says why).  The numpy
+table costs O(n^2 h) on a simple ring with integer coordinates spanning
+less than EXACT_SPAN, where h is the largest convex hull of an arc (a
+few dozen points on lattice contours): a hull sweep to arcs of
+ceil(n/2) steps, one column scan of the frozen hulls that proves most
+longer arcs to be above B, and exact values for the few it leaves
+open, never more than the whole sweep and that scan.  Any other ring,
+and one whose hulls pass n/3 points, takes the O(n^3) scan and then
+the bound; the jitted twin always scans.
+
+The DP reads its cost matrix with the arc end as the row and the arc
+start as the column (dp_cost_matrix builds it); layer j combines and
+reduces only the cells it can reach, rows v >= j and columns
+j-1 <= u < v, in blocks of rows whose segments are contiguous.
+
+The numpy kernels evaluate the arithmetic of the plain loops that the
+jitted twins compile (`_*_loops`), so their tables and DP arrays equal
+the loops' bit for bit; tests/test_kernels.py pins that down.
 """
 
 from __future__ import annotations
@@ -158,7 +169,8 @@ _SIMPLE_BLOCK = 1 << 18
 
 
 def emax_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Largest deviation of every forward arc u -> v from its chord.
+    """Largest deviation of every forward arc u -> v from its chord, or
+    +inf where that exceeds the bound of _drop_unusable_sides.
 
     Simple rings with exact cross products take the hull sweep, every
     other ring the full scan; both give the same table, bit for bit.
@@ -167,7 +179,29 @@ def emax_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         out = _emax_cost_table_hull(xs, ys)
         if out is not None:
             return out
-    return _emax_cost_table_scan(xs, ys)
+    return _drop_unusable_sides(_emax_cost_table_scan(xs, ys))
+
+
+def _drop_unusable_sides(out: np.ndarray) -> np.ndarray:
+    """Set to +inf, in place, every entry of a max-error table above B,
+    the largest entry over arcs of at most ceil(n/3) steps.
+
+    No polygon of m >= 3 vertices that is optimal, or tied with the
+    optimum, can have such a side: the polygon through s + floor(k n / m)
+    has sides of at most ceil(n/3) steps, so the optimal max error from
+    any start s is at most B.  A table holding NaN (a ring that revisits
+    a point) is returned unchanged.
+    """
+    if not np.isnan(out).any():
+        out[out > _side_bound(out)] = np.inf
+    return out
+
+
+def _side_bound(out: np.ndarray) -> float:
+    # B: the largest entry over arcs of 1 to ceil(n/3) steps
+    n = out.shape[0]
+    u = np.arange(n)[:, None]
+    return out[u, (u + np.arange(1, -(-n // 3) + 1)) % n].max()
 
 
 def _emax_cost_table_scan(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -256,33 +290,161 @@ def _cross(e, f):
     return (e.conj() * f).imag
 
 
-def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
+def _emax_cost_table_hull(
+    xs: np.ndarray, ys: np.ndarray, counts: dict | None = None
+) -> np.ndarray | None:
     """emax_cost_table_numpy for a ring that passes _hull_sweep_is_exact.
 
-    The largest |cross| over an arc is reached at a vertex of the arc's
-    convex hull.  All n starts advance in lockstep: at step j, start u
-    adds p[u+j] to a Melkman deque holding the hull of p[u..u+j] (exact
-    for a simple polyline), in coordinates relative to p[u], and column
-    v = u+j+1 scans the deque instead of the arc: O(n^2 h) for hulls of
-    at most h points, against the scan's O(n^3).  Points are complex
-    numbers x + iy; every product is an integer below 2**53, so each
-    entry takes the scan's bits.
+    The largest |cross| over a set of points is reached at a vertex of
+    its convex hull, so column v = u+L scans the slots that _arc_hulls
+    keeps for start u, the hull of p[u..u+L-1], instead of the arc:
+    O(n^2 h) for hulls of at most h points, against the scan's O(n^3).
+    Every product is an integer below 2**53, so each entry takes the
+    scan's bits.
 
-    Deque slots are circular along axis 0 of `hull`, which grows by
-    _HULL_GROW slots when a deque would fill it.  Popped and unwritten
-    slots still hold points of the prefix (0 is p[u] itself), which never
-    exceed the maximum, so a column scans every slot without a mask.
+    The sweep runs to arcs of K = ceil(n/2) steps; B, the bound of
+    _drop_unusable_sides, is then known.  A longer arc holds the frozen
+    hull of p[u..u+K-1], whose scan against the arc's chord is a lower
+    bound on the entry, with the entry's own products and divisor:
+    above B, the entry is +inf with no more work.  The long arcs left
+    open need exact values.  While the points past the frozen hull on
+    those arcs (their tails) number at most the slots the rest of the
+    sweep would scan, each value is the larger |cross| of its bound and
+    its tail over the chord (_finish_long_arcs, in chunks no larger than
+    the hull array); past that, the sweep resumes to the last column.
+    So no ring costs more than the whole sweep plus one column scan of
+    the frozen hulls.
 
-    Past n/3 slots (arcs of a nearly convex ring) the sweep would need
-    more memory than the scan and save little or no time, so it stops
-    and returns None, leaving the ring to the scan; the steps already
-    taken cost at most a ninth of the scan.
+    Returns None where _arc_hulls gives up.  A `counts` dict receives
+    the number of arcs longer than K ("long"), how many of them took an
+    exact value ("exact"), and whether the sweep resumed ("resumed").
     """
     n = xs.shape[0]
     z = xs + 1j * ys
     z2 = np.concatenate((z, z))
     out = np.zeros((n, n))
     out_f = out.reshape(-1)
+    reach = -(-n // 2)
+    hulls = _arc_hulls(z, z2)
+    prod = dev = None
+
+    def column(hull, length):
+        # largest slot |cross| against each chord u -> u+length, and the
+        # chord's length
+        nonlocal prod, dev
+        if prod is None or prod.shape != hull.shape:
+            prod = np.empty(hull.shape, dtype=np.complex128)
+            dev = np.empty(hull.shape)
+        d = z2[length:length + n] - z
+        np.multiply(hull, d.conj(), out=prod)
+        np.abs(prod.imag, out=dev)
+        dx, dy = d.real, d.imag
+        return dev.max(axis=0), np.sqrt(dx * dx + dy * dy)
+
+    def sweep(lengths):
+        hull = None
+        for length in lengths:
+            hull = next(hulls)
+            if hull is None:
+                break
+            top, norm = column(hull, length)
+            _put_column(out_f, length, top / norm)
+        return hull
+
+    frozen = sweep(range(2, reach + 1))
+    if frozen is None:
+        return None
+    bound = _side_bound(out)
+    # per length: long arcs that the bound leaves open
+    unsettled = np.zeros(n, dtype=np.int64)
+    budget = (n - 1 - reach) * frozen.size
+    tail_points = 0
+    for length in range(reach + 1, n):
+        top, norm = column(frozen, length)
+        settled = top / norm > bound
+        top[settled] = np.inf
+        _put_column(out_f, length, top)
+        unsettled[length] = n - np.count_nonzero(settled)
+        tail_points += int(unsettled[length]) * (length - reach)
+        if tail_points > budget:
+            break
+    resumed = tail_points > budget
+    if counts is not None:
+        long = n * (n - 1 - reach)
+        counts.update(long=long, resumed=resumed,
+                      exact=long if resumed else int(unsettled.sum()))
+    if resumed:
+        if sweep(range(reach + 1, n)) is None:
+            return None
+    else:
+        _finish_long_arcs(out_f, z, z2, unsettled, reach, frozen.size)
+    out[out > bound] = np.inf
+    return out
+
+
+def _column(n, length):
+    """Flat slices of a table's entries [u, (u + length) % n], for u
+    below n - length and for the rest."""
+    m = n - length
+    return (slice(length, m * (n + 1), n + 1),
+            slice(m * (n + 1) + length - n, None, n + 1))
+
+
+def _put_column(out_f, length, val):
+    n = val.shape[0]
+    head, tail = _column(n, length)
+    out_f[head] = val[:n - length]
+    out_f[tail] = val[n - length:]
+
+
+def _finish_long_arcs(out_f, z, z2, unsettled, reach, chunk):
+    """Exact entries of the long arcs that the frozen hulls left open.
+
+    Entry [u, u+L] of such an arc holds the largest |cross| over
+    p[u..u+reach-1]; the arc's tail p[u+reach..u+L-1] adds the rest.
+    Arcs are taken per length, about `chunk` tail points at a time.
+    """
+    n = z.shape[0]
+    for length in np.flatnonzero(unsettled):
+        head, tail = _column(n, length)
+        cells = np.concatenate((out_f[head], out_f[tail]))
+        starts = np.flatnonzero(cells < np.inf)
+        width = length - reach
+        windows = sliding_window_view(z2, width)
+        step = max(1, chunk // width)
+        for k in range(0, starts.size, step):
+            u = starts[k:k + step]
+            d = z2[u + length] - z[u]
+            rel = windows[u + reach]
+            rel -= z[u, None]
+            np.multiply(rel, d.conj()[:, None], out=rel)
+            # |cross| is the imaginary part; keep it in the real parts
+            far = np.abs(rel.imag, out=rel.real).max(axis=1)
+            dx, dy = d.real, d.imag
+            cells[u] = np.maximum(cells[u], far) / np.sqrt(dx * dx + dy * dy)
+        _put_column(out_f, length, cells)
+
+
+def _arc_hulls(z: np.ndarray, z2: np.ndarray):
+    """Yield, after step j = 1 .. n-2, a (slots, n) array whose column u
+    holds the convex hull of p[u..u+j] relative to p[u]; yield None and
+    stop where the hulls pass n/3 points.
+
+    All n starts advance in lockstep: at step j, start u adds p[u+j] to
+    a Melkman deque (exact for a simple polyline).  Points are complex
+    numbers x + iy.  Deque slots are circular along axis 0, which grows
+    by _HULL_GROW slots when a deque would fill it.  Popped and unwritten
+    slots still hold points of the prefix (0 is p[u] itself), which never
+    exceed the maximum of a convex function over it, so a column scans
+    every slot without a mask.  The yielded array is updated in place by
+    the next step, or replaced when it grows.
+
+    Past n/3 slots (arcs of a nearly convex ring) the sweep would need
+    more memory than the scan and save little or no time, so it gives
+    the ring to the scan; the steps already taken cost at most a ninth
+    of the scan.
+    """
+    n = z.shape[0]
     rows = np.arange(n)
     cap = _HULL_SLOTS
     hull = np.zeros((cap, n), dtype=np.complex128)
@@ -301,8 +463,6 @@ def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
     last = z2[1:n + 1] - z
     hull[0] = hull[2] = last
     straight = rows
-    prod = np.empty(hull.shape, dtype=np.complex128)
-    dev = np.empty(hull.shape)
     for j in range(1, n - 1):
         if j > 1:
             q = z2[j:j + n] - z
@@ -348,7 +508,8 @@ def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
                 # each step adds at most one entry; keep room for it
                 if ((e[0] - e[1]) % hull_f.size).max() // n + 1 >= cap:
                     if 3 * (cap + _HULL_GROW) > n:
-                        return None
+                        yield None
+                        return
                     slots = (ends[1] // n + np.arange(cap)[:, None]) % cap
                     ends[0] = (ends[0] - ends[1]) % hull_f.size + rows
                     ends[1] = rows
@@ -358,18 +519,7 @@ def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
                         np.zeros((_HULL_GROW, n), dtype=np.complex128),
                     ))
                     hull_f = hull.reshape(-1)
-                    prod = np.empty(hull.shape, dtype=np.complex128)
-                    dev = np.empty(hull.shape)
-        d = z2[j + 1:j + 1 + n] - z
-        np.multiply(hull, d.conj(), out=prod)
-        np.abs(prod.imag, out=dev)
-        dx, dy = d.real, d.imag
-        val = dev.max(axis=0) / np.sqrt(dx * dx + dy * dy)
-        # out[u, (u + j + 1) % n] lies on two diagonals of the flat table
-        m = n - j - 1
-        out_f[j + 1:m * (n + 1):n + 1] = val[:m]
-        out_f[m * (n + 1) + j + 1 - n::n + 1] = val[m:]
-    return out
+        yield hull
 
 
 def dp_cost_matrix(tab: np.ndarray, start: int) -> np.ndarray:
@@ -535,11 +685,14 @@ try:
     HAS_NUMBA = True
 
     _e2_jit_inner = njit(cache=True, nogil=True)(_e2_cost_table_loops)
-    emax_cost_table_jit = njit(cache=True, nogil=True)(_emax_cost_table_loops)
+    _emax_jit_inner = njit(cache=True, nogil=True)(_emax_cost_table_loops)
     dp_solve_jit = njit(cache=True, nogil=True)(_dp_solve_loops)
 
     def e2_cost_table_jit(xs, ys):
         return _e2_jit_inner(xs, ys, *doubled_prefixes(xs, ys))
+
+    def emax_cost_table_jit(xs, ys):
+        return _drop_unusable_sides(_emax_jit_inner(xs, ys))
 
 except ImportError:
     pass

@@ -3,8 +3,7 @@
 The deviation of a curve point from a polygon side is its perpendicular
 distance to the infinite line through the side's endpoints, not to the
 clipped segment.  Per-side sums of squared deviations come from moment
-prefix tables in O(1) per query; a naive loop is kept as a reference
-implementation for tests.
+prefix tables in O(1) per query.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ __all__ = [
     "moment_tables",
     "perpendicular_distance",
     "segment_errors",
-    "segment_errors_naive",
     "polygon_errors",
-    "polygon_errors_naive",
     "polygon_errors_points",
     "compression_ratio",
 ]
@@ -142,12 +139,6 @@ def perpendicular_distance(p_u, p_v, p_w) -> float:
     return abs((xw - xu) * dy - (yw - yu) * dx) / math.hypot(dx, dy)
 
 
-def _arc_interior(n: int, u: int, v: int) -> range:
-    # doubled indices of points strictly between u and v walking forward
-    length = (v - u) % n
-    return range(u + 1, u + length)
-
-
 def _arc_e2(xs, ys, prefixes, n: int, u: int, v: int):
     """arc_sum_sq on any indexable coordinates and doubled prefixes:
     numpy arrays or Python lists, which give the same bits."""
@@ -235,23 +226,6 @@ def segment_errors(
     )
 
 
-def segment_errors_naive(curve: DigitalCurve, u: int, v: int) -> SegmentErrors:
-    """Reference implementation: direct loop over the arc interior."""
-    n = curve.n
-    u, v = u % n, v % n
-    if u == v:
-        raise DegenerateSegment(f"u and v are the same index {u}")
-    pu = curve.point(u)
-    pv = curve.point(v)
-    ss = 0.0
-    mx = 0.0
-    for t in _arc_interior(n, u, v):
-        e = perpendicular_distance(pu, pv, curve.point(t % n))
-        ss += e * e
-        mx = max(mx, e)
-    return SegmentErrors(ss, mx)
-
-
 def _polygon_errors(points: np.ndarray, tables: MomentTables, idx) -> tuple[float, float]:
     u = np.asarray(idx)
     v = np.roll(u, -1)
@@ -278,19 +252,6 @@ def polygon_errors(curve: DigitalCurve, poly: PolygonApprox) -> tuple[float, flo
     if poly.curve is not curve:
         raise InvalidCounts("polygon does not belong to this curve")
     return _polygon_errors(curve.points, moment_tables(curve), poly.indices)
-
-
-def polygon_errors_naive(curve: DigitalCurve, poly: PolygonApprox) -> tuple[float, float]:
-    """Reference double loop for tests."""
-    idx = poly.indices
-    m = poly.m
-    e2 = 0.0
-    emax = 0.0
-    for i in range(m):
-        se = segment_errors_naive(curve, int(idx[i]), int(idx[(i + 1) % m]))
-        e2 += se.sum_sq
-        emax = max(emax, se.max_e)
-    return e2, emax
 
 
 def compression_ratio(n: int, m: int) -> float:

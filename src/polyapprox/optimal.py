@@ -95,7 +95,11 @@ class SegmentCosts:
     """Per-curve cache of forward-arc cost tables.
 
     The n x n tables depend only on the curve, not on the DP start, so
-    one instance serves every start vertex and both cost kinds.  Curves
+    one instance serves every start vertex and both cost kinds.  The
+    Emax table holds +inf for sides that no optimal polygon of 3 or more
+    vertices, nor one tied with it, can use (those above the largest
+    Emax of an arc of at most ceil(n/3) steps); its other entries, and
+    so every profile value and polygon, are exact.  Curves
     whose tables would take more than MAX_TABLE_BYTES, and curves with
     coincident (non-consecutive) points, are rejected up front: for the
     latter some table entry would have no defining line.

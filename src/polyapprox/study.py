@@ -189,9 +189,11 @@ def run_study(
 ) -> list[StudyReport]:
     """Evaluate every scheme over a corpus and correlate the measures.
 
-    Curves are processed independently (optionally in a thread pool; the
-    kernels drop the GIL) and reduced in corpus order, so results do not
-    depend on the thread count.  A curve that fails to evaluate is
+    Curves are processed independently, optionally in a thread pool, and
+    reduced in corpus order, so results do not depend on the thread
+    count.  Only the numba kernels release the GIL; the numpy path holds
+    it through many small calls, and there threads=2 ran slower than
+    threads=1 on a 2-vCPU machine.  A curve that fails to evaluate is
     logged and skipped rather than aborting the study.
     """
     ids = []

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from polyapprox import DigitalCurve
+from polyapprox import DigitalCurve, perpendicular_distance
+from polyapprox.approx_error import SegmentErrors
+from polyapprox.exceptions import DegenerateSegment
 
 
 def lattice_ring(seed: int, n_lo: int = 6, n_hi: int = 12) -> DigitalCurve:
@@ -19,6 +21,37 @@ def lattice_ring(seed: int, n_lo: int = 6, n_hi: int = 12) -> DigitalCurve:
         # the cost table wants every coordinate distinct, retry until clean
         if len(np.unique(pts, axis=0)) == n:
             return DigitalCurve(pts, name=f"ring{seed:04d}")
+
+
+def segment_errors_naive(curve: DigitalCurve, u: int, v: int) -> SegmentErrors:
+    """Reference for segment_errors: a direct loop over the points
+    strictly between u and v walking forward."""
+    n = curve.n
+    u, v = u % n, v % n
+    if u == v:
+        raise DegenerateSegment(f"u and v are the same index {u}")
+    pu = curve.point(u)
+    pv = curve.point(v)
+    ss = 0.0
+    mx = 0.0
+    for t in range(u + 1, u + (v - u) % n):
+        e = perpendicular_distance(pu, pv, curve.point(t % n))
+        ss += e * e
+        mx = max(mx, e)
+    return SegmentErrors(ss, mx)
+
+
+def polygon_errors_naive(curve: DigitalCurve, poly) -> tuple[float, float]:
+    """Reference for polygon_errors: (E2, Emax) summed side by side."""
+    idx = poly.indices
+    m = poly.m
+    e2 = 0.0
+    emax = 0.0
+    for i in range(m):
+        se = segment_errors_naive(curve, int(idx[i]), int(idx[(i + 1) % m]))
+        e2 += se.sum_sq
+        emax = max(emax, se.max_e)
+    return e2, emax
 
 
 def square_ring(side: int) -> DigitalCurve:

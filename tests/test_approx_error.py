@@ -18,8 +18,7 @@ from polyapprox import (
     polygon_errors_points,
     segment_errors,
 )
-from polyapprox.approx_error import polygon_errors_naive, segment_errors_naive
-from conftest import lattice_ring
+from conftest import lattice_ring, polygon_errors_naive, segment_errors_naive
 
 
 def test_perpendicular_distance_hand_values():

@@ -1,7 +1,9 @@
-"""Equivalence of the compiled kernels with the numpy fallbacks.
+"""Equivalence of the numpy kernels with the plain loops that numba
+compiles.
 
-Both paths must agree to the last few ulps: the study relies on
-byte-identical CSV output no matter which path happens to be active.
+The numpy tables and DP arrays must equal the loops bit for bit (the
+Emax table after the bound rule of bounded_emax_loops): the study relies
+on byte-identical CSV output no matter which path happens to be active.
 """
 
 import os
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from polyapprox import _kernels
-from conftest import _fourier_blob, lattice_ring
+from conftest import _ellipse, _fourier_blob, lattice_ring
 
 
 def _random_tables(seed):
@@ -79,12 +81,25 @@ def test_e2_table_working_set_is_a_few_blocks():
     assert peak < table + slack
 
 
+def bounded_emax_loops(xs, ys):
+    """_emax_cost_table_loops with the bound rule: +inf above B, the
+    largest entry over arcs of 1 to ceil(n/3) steps, unless the table
+    holds NaN (a revisited point)."""
+    want = _kernels._emax_cost_table_loops(xs, ys)
+    n = want.shape[0]
+    if not np.isnan(want).any():
+        bound = max(
+            want[u, (u + k) % n] for u in range(n) for k in range(1, -(-n // 3) + 1)
+        )
+        want[want > bound] = np.inf
+    return want
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_emax_table_numpy_vs_loops(seed):
     xs, ys = _random_tables(seed)
     a = _kernels.emax_cost_table_numpy(xs, ys)
-    b = _kernels._emax_cost_table_loops(xs, ys)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(a, bounded_emax_loops(xs, ys))
 
 
 def _walk(corners):
@@ -121,7 +136,7 @@ def _check_emax_exact(pts, emax_path, *path):
     # a revisited point makes 0/0 chords: NaN on both paths
     with np.errstate(invalid="ignore"):
         table = _kernels.emax_cost_table_numpy(xs, ys)
-        want = _kernels._emax_cost_table_loops(xs, ys)
+        want = bounded_emax_loops(xs, ys)
     assert emax_path == ["_emax_cost_table_" + p for p in path]
     assert np.array_equal(table, want, equal_nan=True)
 
@@ -159,9 +174,17 @@ def test_emax_table_exact_on_corpus_blobs(seed, emax_path):
     _check_emax_exact(pts, emax_path, "hull")
 
 
-def _convex_polygon(run):
-    """Strictly convex 40-gon with `run` lattice points on each side."""
-    quarter = [(1, 0), (4, 1), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (1, 4)]
+# side directions of a quarter turn, by angle
+QUARTER_10 = [(1, 0), (4, 1), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (1, 4)]
+QUARTER_20 = [
+    (1, 0), (6, 1), (5, 1), (4, 1), (3, 1), (5, 2), (2, 1), (5, 3), (3, 2), (4, 3),
+    (5, 4), (6, 5), (1, 1), (5, 6), (4, 5), (3, 4), (2, 3), (3, 5), (1, 2), (2, 5),
+]
+
+
+def _convex_polygon(run, quarter=QUARTER_10):
+    """Strictly convex polygon, 4 * len(quarter) sides, with `run`
+    lattice points on each side."""
     sides = []
     for _ in range(4):
         sides += quarter
@@ -170,16 +193,74 @@ def _convex_polygon(run):
 
 
 def test_emax_table_exact_when_hulls_outgrow_the_deque(emax_path):
-    # n = 160 with arc hulls of up to 40 vertices: the deques outgrow
-    # their first _HULL_SLOTS slots several times but stay below n/3
-    ring = _convex_polygon(4)
-    assert 40 > 2 * _kernels._HULL_SLOTS and 3 * 48 <= ring.shape[0]
+    # 80-gon, n = 160: the hull of an arc of n/2 points has about 41
+    # vertices, so the deques outgrow their first _HULL_SLOTS slots
+    # several times before the sweep stops, and stay below n/3
+    ring = _convex_polygon(2, QUARTER_20)
+    assert 41 > 2 * _kernels._HULL_SLOTS and 3 * 48 <= ring.shape[0]
+    z = (ring[:, 0] + 1j * ring[:, 1]).astype(np.complex128)
+    hulls = _kernels._arc_hulls(z, np.concatenate((z, z)))
+    slots = [next(hulls).shape[0] for _ in range(2, ring.shape[0] // 2 + 1)]
+    assert slots[-1] == 48
     _check_emax_exact(ring, emax_path, "hull")
 
 
 def test_emax_table_scans_when_hulls_pass_a_third_of_n(emax_path):
     # n = 40: each arc is its own hull, so the sweep gives up to the scan
     _check_emax_exact(_convex_polygon(1), emax_path, "hull", "scan")
+
+
+def _hull_table(pts):
+    xs = pts[:, 0].astype(np.float64)
+    ys = pts[:, 1].astype(np.float64)
+    counts = {}
+    table = _kernels._emax_cost_table_hull(xs, ys, counts)
+    return table, counts, bounded_emax_loops(xs, ys)
+
+
+def test_emax_table_finishes_open_long_arcs_from_their_tails():
+    # n = 26, 13 x 2 points: most long arcs run along both long sides,
+    # under B, so the frozen hulls leave them open
+    table, counts, want = _hull_table(RUN_RINGS["thin_rectangle"])
+    assert counts == {"long": 26 * 12, "exact": 260, "resumed": False}
+    assert np.isinf(table).any()
+    assert np.array_equal(table, want)
+
+
+def test_emax_table_resumes_the_sweep_when_tails_outweigh_it():
+    # n = 82: the open long arcs' tails would take more points than the
+    # rest of the sweep scans
+    table, counts, want = _hull_table(_walk([(0, 0), (40, 0), (40, 1), (0, 1)]))
+    assert counts == {"long": 82 * 40, "exact": 82 * 40, "resumed": True}
+    assert np.isinf(table).any()
+    assert np.array_equal(table, want)
+
+
+def test_emax_table_tails_stay_within_the_sweep_memory(monkeypatch):
+    # a thin ellipse (n = 236) whose open tails at one arc length take
+    # over twice the hull array's slots: in chunks they allocate no more
+    # than the sweep's hull, product and deviation arrays (40 bytes a
+    # slot); in one piece per length they take about 150
+    pts = _ellipse("thin", 50.0, 16.0, 400).points.astype(np.float64)
+    seen = []
+
+    def traced(out_f, z, z2, unsettled, reach, chunk):
+        work = unsettled * (np.arange(unsettled.size) - reach)
+        tracemalloc.start()
+        try:
+            real(out_f, z, z2, unsettled, reach, chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        seen.append((int(work.max()), chunk, peak))
+
+    real = _kernels._finish_long_arcs
+    monkeypatch.setattr(_kernels, "_finish_long_arcs", traced)
+    _kernels._emax_cost_table_hull(pts[:, 0], pts[:, 1])
+    (widest, chunk, peak), = seen
+    n = pts.shape[0]
+    assert widest > 2 * chunk
+    assert peak <= 40 * chunk + 64 * n
 
 
 NON_SIMPLE_RINGS = {
@@ -211,7 +292,7 @@ def test_emax_table_scans_non_integer_points(emax_path):
     ys = np.array([0.0, 0.0, 3.0, 3.0])
     table = _kernels.emax_cost_table_numpy(xs, ys)
     assert emax_path == ["_emax_cost_table_scan"]
-    assert np.array_equal(table, _kernels._emax_cost_table_loops(xs, ys))
+    assert np.array_equal(table, bounded_emax_loops(xs, ys))
 
 
 @pytest.mark.parametrize("name, pts, simple", [

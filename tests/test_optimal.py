@@ -23,9 +23,9 @@ from polyapprox import (
     provisional_start_vertex,
     select_start_vertex,
 )
-from polyapprox.approx_error import segment_errors_naive
-from polyapprox.schemes import split_to_m
-from conftest import lattice_ring, square_ring
+from polyapprox import _kernels
+from polyapprox.schemes import auto_target_m, split_to_m
+from conftest import lattice_ring, segment_errors_naive, square_ring
 
 
 def brute_force_values(curve, start, m_lo, m_hi, kind):
@@ -306,3 +306,55 @@ def test_baseline_cross_checked_against_enumeration():
             lo = min(m for m in ms if ref[m] <= e2 + 1e-15)
             assert b.m_optimal >= lo - 1 - 1e-12
             assert b.m_optimal <= lo + 1e-12
+
+
+def unbounded_emax_table(curve):
+    """The exact Emax table with no +inf entries: every column of the
+    hull sweep (corpus rings are simple lattice rings whose arc hulls
+    stay below n/3 points), scanned as the kernel scans it."""
+    pts = curve.points.astype(np.float64)
+    z = pts[:, 0] + 1j * pts[:, 1]
+    z2 = np.concatenate((z, z))
+    n = curve.n
+    u = np.arange(n)
+    out = np.zeros((n, n))
+    for length, hull in zip(range(2, n), _kernels._arc_hulls(z, z2)):
+        d = z2[length:length + n] - z
+        dx, dy = d.real, d.imag
+        out[u, (u + length) % n] = (
+            np.abs((hull * d.conj()).imag).max(axis=0) / np.sqrt(dx * dx + dy * dy)
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_emax_tables(corpus):
+    return [unbounded_emax_table(curve) for curve in corpus]
+
+
+@pytest.mark.parametrize("cr", [8, 15, 30])
+def test_emax_bound_keeps_every_optimum_on_the_corpus(corpus, corpus_emax_tables, cr):
+    # the bounded table against the exact one: same start vertex, same
+    # profile and same polygons, on every corpus ring
+    kind = CostKind.MAX_ERROR
+    for curve, exact in zip(corpus, corpus_emax_tables):
+        n = curve.n
+        bounded = SegmentCosts(curve)
+        table = bounded.table(kind)
+        finite = np.isfinite(table)
+        assert np.array_equal(table[finite], exact[finite])
+        assert exact[~finite].min() > table[finite].max()
+        full = SegmentCosts(curve)
+        full._tables[kind] = exact
+        m_sub = auto_target_m(curve, cr)
+        start = select_start_vertex(curve, m_sub, kind, bounded)
+        assert start == select_start_vertex(curve, m_sub, kind, full)
+        m_max = min(n, 3 * m_sub)
+        assert np.array_equal(
+            bounded.profile(start, m_max, kind).values,
+            full.profile(start, m_max, kind).values,
+            equal_nan=True,
+        )
+        for s in (start, provisional_start_vertex(curve), n // 2):
+            for m in (3, 5, m_sub):
+                assert bounded.polygon(s, m, kind) == full.polygon(s, m, kind)
