@@ -1,12 +1,11 @@
-"""Time the jitted kernels against the pure-numpy fallbacks.
+"""Time the cost-table and DP kernels and the suboptimal schemes.
 
 Builds a noisy digitized ellipse, then times the three hot paths (the
-two cost tables and the DP solve) on both implementations and checks
-they agree, and times the suboptimal schemes at m = --m-max.  The Emax
-table is also timed on an elongated ellipse (b = 0.3a), whose long arcs
-mostly stay under the table's bound, and for both rings the script
-prints how many arcs longer than n/2 needed an exact value and how they
-got it.  Run from the repository root:
+two cost tables and the DP solve) and the suboptimal schemes at
+m = --m-max.  The Emax table is also timed on an elongated ellipse
+(b = 0.3a), whose long arcs mostly stay under the table's bound, and
+for both rings the script prints how many arcs longer than n/2 needed
+an exact value and how they got it.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 """
@@ -63,55 +62,23 @@ def main() -> int:
     n = len(pts)
     print(f"contour: n={n}  m_max={args.m_max}  repeat={args.repeat}")
 
-    if not _kernels.HAS_NUMBA:
-        print("numba not importable; only the numpy path is available")
-
     thin = noisy_ellipse(args.n, aspect=0.3)
     txs = thin[:, 0].astype(np.float64)
     tys = thin[:, 1].astype(np.float64)
     print(f"elongated contour: n={len(thin)}")
 
-    rcost = _kernels.dp_cost_matrix(_kernels.e2_cost_table_numpy(xs, ys), 0)
-    # both Emax tables hold +inf above the same bound, so they are
-    # compared with their +inf entries
+    rcost = _kernels.dp_cost_matrix(_kernels.e2_cost_table(xs, ys), 0)
     cases = [
-        ("e2 cost table", _kernels.e2_cost_table_numpy,
-         _kernels.e2_cost_table_jit, (xs, ys)),
-        ("emax cost table", _kernels.emax_cost_table_numpy,
-         _kernels.emax_cost_table_jit, (xs, ys)),
-        ("emax, elongated", _kernels.emax_cost_table_numpy,
-         _kernels.emax_cost_table_jit, (txs, tys)),
-        ("dp solve (sum)", _kernels.dp_solve_numpy,
-         _kernels.dp_solve_jit, (rcost, args.m_max, False)),
-        ("dp solve (max)", _kernels.dp_solve_numpy,
-         _kernels.dp_solve_jit, (rcost, args.m_max, True)),
+        ("e2 cost table", _kernels.e2_cost_table, (xs, ys)),
+        ("emax cost table", _kernels.emax_cost_table, (xs, ys)),
+        ("emax, elongated", _kernels.emax_cost_table, (txs, tys)),
+        ("dp solve (sum)", _kernels.dp_solve, (rcost, args.m_max, False)),
+        ("dp solve (max)", _kernels.dp_solve, (rcost, args.m_max, True)),
     ]
 
-    print(f"{'kernel':<16} {'numpy':>10} {'numba':>10} {'speedup':>8}  agree")
-    for name, ref, jit, call_args in cases:
-        t_np = timeit(ref, call_args, args.repeat)
-        if jit is None:
-            print(f"{name:<16} {t_np * 1e3:>8.2f}ms {'-':>10} {'-':>8}  -")
-            continue
-        jit(*call_args)  # compile outside the timed region
-        t_jt = timeit(jit, call_args, args.repeat)
-        got = jit(*call_args)
-        want = ref(*call_args)
-        if isinstance(got, tuple):
-            # (dp, parent): both paths leave -1 where there is no parent
-            dp_g, par_g = got
-            dp_w, par_w = want
-            ok = np.allclose(dp_g, dp_w, rtol=1e-12, atol=1e-12) and np.array_equal(
-                par_g, par_w
-            )
-        else:
-            ok = np.allclose(got, want, rtol=1e-12, atol=1e-12)
-        print(
-            f"{name:<16} {t_np * 1e3:>8.2f}ms {t_jt * 1e3:>8.2f}ms"
-            f" {t_np / t_jt:>7.1f}x  {'yes' if ok else 'NO'}"
-        )
-        if not ok:
-            return 1
+    print(f"{'kernel':<16} {'time':>10}")
+    for name, fn, call_args in cases:
+        print(f"{name:<16} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
 
     for name, ring_xs, ring_ys in (("contour", xs, ys), ("elongated", txs, tys)):
         counts = {}

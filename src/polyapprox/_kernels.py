@@ -1,53 +1,46 @@
-"""Hot numeric kernels with a numba fast path and a numpy fallback.
+"""Hot numeric kernels, in numpy.
 
 Three loops dominate the cost of optimal approximation at contour scale:
 the O(n^2) squared-error table, the max-error table, and the
-O(m_max * n^2) dynamic program.  Each has a plain-numpy implementation
-(`*_numpy`) and, when numba (an optional dependency) is importable and
-POLYAPPROX_NO_NUMBA is not set, a compiled twin (`*_jit`).  The
-module-level aliases without suffix point at the selected path;
-benchmarks/bench_kernels.py times both.
+O(m_max * n^2) dynamic program: e2_cost_table, emax_cost_table and
+dp_solve.  benchmarks/bench_kernels.py times them.
 
-The numpy squared-error table evaluates the closed form of
-e2_arc_costs on blocks of about _E2_BLOCK entries, a few dozen rows at
-contour scale, laid out by arc start and arc length so that every
-operand is a sliding window of a doubled array rather than a gather; a
-strided copy through a block-sized staging buffer rotates each block
-into [start, end] order.
+The squared-error table evaluates the closed form of e2_arc_costs on
+blocks of about _E2_BLOCK entries, a few dozen rows at contour scale,
+laid out by arc start and arc length so that every operand is a sliding
+window of a doubled array rather than a gather; a strided copy through
+a block-sized staging buffer rotates each block into [start, end] order.
 
 The max-error table holds an arc's exact value where it is at most B,
 the largest entry over arcs of at most ceil(n/3) steps, and +inf above
-B, on every path: no optimal polygon of 3 or more vertices, and no tie
-with one, has such a side (_drop_unusable_sides says why).  The numpy
-table costs O(n^2 h) on a simple ring with integer coordinates spanning
-less than EXACT_SPAN, where h is the largest convex hull of an arc (a
-few dozen points on lattice contours): a hull sweep to arcs of
-ceil(n/2) steps, one column scan of the frozen hulls that proves most
-longer arcs to be above B, and exact values for the few it leaves
-open, never more than the whole sweep and that scan.  Any other ring,
-and one whose hulls pass n/3 points, takes the O(n^3) scan and then
-the bound; the jitted twin always scans.
+B: no optimal polygon of 3 or more vertices, and no tie with one, has
+such a side (_drop_unusable_sides says why).  The table costs O(n^2 h)
+on a simple ring with integer coordinates spanning less than
+EXACT_SPAN, where h is the largest convex hull of an arc (a few dozen
+points on lattice contours): a hull sweep to arcs of ceil(n/2) steps,
+one column scan of the frozen hulls that proves most longer arcs to be
+above B, and exact values for the few it leaves open, never more than
+the whole sweep and that scan.  Any other ring, and one whose hulls
+pass n/3 points, takes the O(n^3) scan and then the bound.
 
 The DP reads its cost matrix with the arc end as the row and the arc
 start as the column (dp_cost_matrix builds it); layer j combines and
 reduces only the cells it can reach, rows v >= j and columns
 j-1 <= u < v, in blocks of rows whose segments are contiguous.
 
-The numpy kernels evaluate the arithmetic of the plain loops that the
-jitted twins compile (`_*_loops`), so their tables and DP arrays equal
-the loops' bit for bit; tests/test_kernels.py pins that down.
+The kernels evaluate the arithmetic of plain per-entry loops, so their
+tables and DP arrays equal the loops' bit for bit; the loops live in
+tests/test_kernels.py as the oracles that pin this down.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("POLYAPPROX_NO_NUMBA", "").strip() not in ("", "0")
+# perfbench reads this flag for its environment block; the next change
+# to the benchmark (ROADMAP D1) drops it.
+USE_NUMBA = False
 
 
 def doubled_prefixes(xs, ys):
@@ -90,7 +83,7 @@ def e2_arc_costs(xs, ys, prefixes, u, v):
 def _e2_closed_form(xu, yu, xv, yv, sums, cnt, out=None):
     """E2 of arcs from their chord ends, the interior sums (sx, sy, sxx,
     syy, sxy) and the interior point count; the one order of operations
-    that e2_arc_costs and e2_cost_table_numpy share."""
+    that e2_arc_costs and e2_cost_table share."""
     sx, sy, sxx, syy, sxy = sums
     dx = xv - xu
     dy = yv - yu
@@ -113,7 +106,7 @@ def _e2_closed_form(xu, yu, xv, yv, sums, cnt, out=None):
 _E2_BLOCK = 1 << 13
 
 
-def e2_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def e2_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Summed squared deviation of every forward arc u -> v.
 
     Entry [u, v] covers the points strictly between u and v walking
@@ -168,7 +161,7 @@ _HULL_GROW = 8
 _SIMPLE_BLOCK = 1 << 18
 
 
-def emax_cost_table_numpy(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Largest deviation of every forward arc u -> v from its chord, or
     +inf where that exceeds the bound of _drop_unusable_sides.
 
@@ -205,7 +198,7 @@ def _side_bound(out: np.ndarray) -> float:
 
 
 def _emax_cost_table_scan(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """emax_cost_table_numpy by scanning every arc point: O(n^3)."""
+    """emax_cost_table by scanning every arc point: O(n^3)."""
     n = xs.shape[0]
     x2 = np.concatenate((xs, xs))
     y2 = np.concatenate((ys, ys))
@@ -293,7 +286,7 @@ def _cross(e, f):
 def _emax_cost_table_hull(
     xs: np.ndarray, ys: np.ndarray, counts: dict | None = None
 ) -> np.ndarray | None:
-    """emax_cost_table_numpy for a ring that passes _hull_sweep_is_exact.
+    """emax_cost_table for a ring that passes _hull_sweep_is_exact.
 
     The largest |cross| over a set of points is reached at a vertex of
     its convex hull, so column v = u+L scans the slots that _arc_hulls
@@ -550,7 +543,7 @@ def dp_cost_matrix(tab: np.ndarray, start: int) -> np.ndarray:
 _DP_BLOCK = 1 << 15
 
 
-def dp_solve_numpy(rcost: np.ndarray, m_max: int, use_max: bool):
+def dp_solve(rcost: np.ndarray, m_max: int, use_max: bool):
     """Optimal chain costs over a dp_cost_matrix.
 
     rcost[v, u] is the cost of the side from rotated position u to v.
@@ -589,121 +582,3 @@ def dp_solve_numpy(rcost: np.ndarray, m_max: int, use_max: bool):
     # predecessor
     parent[2:][np.isinf(dp[2:])] = -1
     return dp, parent
-
-
-def _e2_cost_table_loops(xs, ys, px, py, pxx, pyy, pxy):
-    n = xs.shape[0]
-    out = np.zeros((n, n))
-    for u in range(n):
-        xu = xs[u]
-        yu = ys[u]
-        for length in range(2, n):
-            v = (u + length) % n
-            dx = xs[v] - xu
-            dy = ys[v] - yu
-            l2 = dx * dx + dy * dy
-            k = yu * dx - xu * dy
-            a = u + 1
-            b = u + length
-            sx = px[b] - px[a]
-            sy = py[b] - py[a]
-            sxx = pxx[b] - pxx[a]
-            syy = pyy[b] - pyy[a]
-            sxy = pxy[b] - pxy[a]
-            cnt = length - 1.0
-            num = (
-                dy * dy * sxx
-                + dx * dx * syy
-                - 2.0 * dx * dy * sxy
-                + 2.0 * k * dy * sx
-                - 2.0 * k * dx * sy
-                + cnt * k * k
-            )
-            if num < 0.0:
-                num = 0.0
-            out[u, v] = num / l2
-    return out
-
-
-def _emax_cost_table_loops(xs, ys):
-    n = xs.shape[0]
-    x2 = np.concatenate((xs, xs))
-    y2 = np.concatenate((ys, ys))
-    out = np.zeros((n, n))
-    for u in range(n):
-        xu = xs[u]
-        yu = ys[u]
-        for length in range(2, n):
-            v = (u + length) % n
-            dx = xs[v] - xu
-            dy = ys[v] - yu
-            best = 0.0
-            for t in range(u + 1, u + length):
-                c = (x2[t] - xu) * dy - (y2[t] - yu) * dx
-                if c < 0.0:
-                    c = -c
-                if c > best:
-                    best = c
-            out[u, v] = best / np.sqrt(dx * dx + dy * dy)
-    return out
-
-
-def _dp_solve_loops(rcost, m_max, use_max):
-    n1 = rcost.shape[0]
-    dp = np.full((m_max + 1, n1), np.inf)
-    parent = np.full((m_max + 1, n1), -1, dtype=np.int64)
-    for v in range(1, n1):
-        dp[1, v] = rcost[v, 0]
-        parent[1, v] = 0
-    for j in range(2, m_max + 1):
-        for v in range(j, n1):
-            best = np.inf
-            arg = -1
-            for u in range(j - 1, v):
-                prev = dp[j - 1, u]
-                c = rcost[v, u]
-                if use_max:
-                    val = prev if prev >= c else c
-                else:
-                    val = prev + c
-                if val < best:
-                    best = val
-                    arg = u
-            dp[j, v] = best
-            parent[j, v] = arg
-    return dp, parent
-
-
-HAS_NUMBA = False
-e2_cost_table_jit = None
-emax_cost_table_jit = None
-dp_solve_jit = None
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-
-    _e2_jit_inner = njit(cache=True, nogil=True)(_e2_cost_table_loops)
-    _emax_jit_inner = njit(cache=True, nogil=True)(_emax_cost_table_loops)
-    dp_solve_jit = njit(cache=True, nogil=True)(_dp_solve_loops)
-
-    def e2_cost_table_jit(xs, ys):
-        return _e2_jit_inner(xs, ys, *doubled_prefixes(xs, ys))
-
-    def emax_cost_table_jit(xs, ys):
-        return _drop_unusable_sides(_emax_jit_inner(xs, ys))
-
-except ImportError:
-    pass
-
-USE_NUMBA = HAS_NUMBA and not numba_disabled_by_env()
-
-if USE_NUMBA:
-    e2_cost_table = e2_cost_table_jit
-    emax_cost_table = emax_cost_table_jit
-    dp_solve = dp_solve_jit
-else:
-    e2_cost_table = e2_cost_table_numpy
-    emax_cost_table = emax_cost_table_numpy
-    dp_solve = dp_solve_numpy

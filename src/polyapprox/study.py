@@ -24,6 +24,7 @@ from .exceptions import (
     ConstantSeries,
     LengthMismatch,
     PolyApproxError,
+    ZeroError,
 )
 from .measures import CSV_HEADER, MeasureRecord, build_record, record_to_csv_row
 from .optimal import (
@@ -180,6 +181,25 @@ def _evaluate_curve(
     return out
 
 
+def _pairing_values(records, row) -> tuple[list[float], list[float]]:
+    """(weighted, merit) values of one PAIRINGS row over records, the
+    weighted ones as compared: reciprocal where the row says so.
+
+    Raises ZeroError where a reciprocal meets a zero weighted value.
+    """
+    _, source, transform, _, merit_col = row
+    weighted = [getattr(r, source) for r in records]
+    if transform == "reciprocal":
+        if any(v == 0.0 for v in weighted):
+            raise ZeroError(f"1/{source} is undefined: {source} is 0 on an exact fit")
+        weighted = [1.0 / v for v in weighted]
+    merit = [
+        (r.rosin_emax.merit if merit_col == "merit_emax" else r.rosin.merit)
+        for r in records
+    ]
+    return weighted, merit
+
+
 def run_study(
     corpus: list[DigitalCurve],
     schemes: tuple[SchemeId, ...] = tuple(SchemeId),
@@ -191,10 +211,11 @@ def run_study(
 
     Curves are processed independently, optionally in a thread pool, and
     reduced in corpus order, so results do not depend on the thread
-    count.  Only the numba kernels release the GIL; the numpy path holds
-    it through many small calls, and there threads=2 ran slower than
-    threads=1 on a 2-vCPU machine.  A curve that fails to evaluate is
-    logged and skipped rather than aborting the study.
+    count.  The kernels hold the GIL through many small numpy calls: on
+    the built-in corpus at 2 vCPUs, threads=2 was neither clearly faster
+    nor clearly slower than threads=1 (4 alternating runs each, 1.9 to
+    2.8 s on both).  A curve that fails to evaluate is logged and
+    skipped rather than aborting the study.
     """
     ids = []
     for i, curve in enumerate(corpus):
@@ -223,18 +244,14 @@ def run_study(
         corr: dict[str, float] = {}
         agree: dict[str, list[bool]] = {}
         skips: dict[str, str] = {}
-        for key, source, transform, inverted, merit_col in PAIRINGS:
-            weighted = [getattr(r, source) for r in records]
-            merit = [
-                (r.rosin_emax.merit if merit_col == "merit_emax" else r.rosin.merit)
-                for r in records
-            ]
-            if transform == "reciprocal":
-                if any(v == 0.0 for v in weighted):
-                    skips[key] = "non-finite reciprocal (exact fit in corpus)"
-                    corr[key] = math.nan
-                    continue
-                weighted = [1.0 / v for v in weighted]
+        for row in PAIRINGS:
+            key, _, _, inverted, _ = row
+            try:
+                weighted, merit = _pairing_values(records, row)
+            except ZeroError:
+                skips[key] = "non-finite reciprocal (exact fit in corpus)"
+                corr[key] = math.nan
+                continue
             try:
                 corr[key] = pearson(merit, weighted)
             except (ConstantSeries, LengthMismatch) as exc:
@@ -260,15 +277,8 @@ def study_series(report: StudyReport, key: str) -> tuple[MeasureSeries, MeasureS
     row = next(p for p in PAIRINGS if p[0] == key)
     _, source, transform, _, merit_col = row
     ids = tuple(r.curve_id for r in report.records)
-    weighted = [getattr(r, source) for r in report.records]
-    label = source
-    if transform == "reciprocal":
-        weighted = [1.0 / v for v in weighted]
-        label = f"1/{source}"
-    merit = [
-        (r.rosin_emax.merit if merit_col == "merit_emax" else r.rosin.merit)
-        for r in report.records
-    ]
+    weighted, merit = _pairing_values(report.records, row)
+    label = f"1/{source}" if transform == "reciprocal" else source
     return (
         MeasureSeries(label, ids, tuple(weighted)),
         MeasureSeries(merit_col, ids, tuple(merit)),

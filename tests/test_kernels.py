@@ -1,14 +1,11 @@
-"""Equivalence of the numpy kernels with the plain loops that numba
-compiles.
+"""Equivalence of the kernels with the plain per-entry loops below.
 
-The numpy tables and DP arrays must equal the loops bit for bit (the
+The kernels' tables and DP arrays must equal the loops bit for bit (the
 Emax table after the bound rule of bounded_emax_loops): the study relies
-on byte-identical CSV output no matter which path happens to be active.
+on byte-identical CSV output, and the loops state each entry's
+arithmetic one operation at a time.
 """
 
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +13,89 @@ import pytest
 
 from polyapprox import _kernels
 from conftest import _ellipse, _fourier_blob, lattice_ring
+
+
+def _e2_cost_table_loops(xs, ys, px, py, pxx, pyy, pxy):
+    n = xs.shape[0]
+    out = np.zeros((n, n))
+    for u in range(n):
+        xu = xs[u]
+        yu = ys[u]
+        for length in range(2, n):
+            v = (u + length) % n
+            dx = xs[v] - xu
+            dy = ys[v] - yu
+            l2 = dx * dx + dy * dy
+            k = yu * dx - xu * dy
+            a = u + 1
+            b = u + length
+            sx = px[b] - px[a]
+            sy = py[b] - py[a]
+            sxx = pxx[b] - pxx[a]
+            syy = pyy[b] - pyy[a]
+            sxy = pxy[b] - pxy[a]
+            cnt = length - 1.0
+            num = (
+                dy * dy * sxx
+                + dx * dx * syy
+                - 2.0 * dx * dy * sxy
+                + 2.0 * k * dy * sx
+                - 2.0 * k * dx * sy
+                + cnt * k * k
+            )
+            if num < 0.0:
+                num = 0.0
+            out[u, v] = num / l2
+    return out
+
+
+def _emax_cost_table_loops(xs, ys):
+    n = xs.shape[0]
+    x2 = np.concatenate((xs, xs))
+    y2 = np.concatenate((ys, ys))
+    out = np.zeros((n, n))
+    for u in range(n):
+        xu = xs[u]
+        yu = ys[u]
+        for length in range(2, n):
+            v = (u + length) % n
+            dx = xs[v] - xu
+            dy = ys[v] - yu
+            best = 0.0
+            for t in range(u + 1, u + length):
+                c = (x2[t] - xu) * dy - (y2[t] - yu) * dx
+                if c < 0.0:
+                    c = -c
+                if c > best:
+                    best = c
+            out[u, v] = best / np.sqrt(dx * dx + dy * dy)
+    return out
+
+
+def _dp_solve_loops(rcost, m_max, use_max):
+    n1 = rcost.shape[0]
+    dp = np.full((m_max + 1, n1), np.inf)
+    parent = np.full((m_max + 1, n1), -1, dtype=np.int64)
+    for v in range(1, n1):
+        dp[1, v] = rcost[v, 0]
+        parent[1, v] = 0
+    for j in range(2, m_max + 1):
+        for v in range(j, n1):
+            best = np.inf
+            arg = -1
+            for u in range(j - 1, v):
+                prev = dp[j - 1, u]
+                c = rcost[v, u]
+                if use_max:
+                    val = prev if prev >= c else c
+                else:
+                    val = prev + c
+                if val < best:
+                    best = val
+                    arg = u
+            dp[j, v] = best
+            parent[j, v] = arg
+    return dp, parent
 
 
 def _random_tables(seed):
@@ -26,8 +106,8 @@ def _random_tables(seed):
 
 
 def _assert_e2_table_is_loops(xs, ys):
-    want = _kernels._e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys))
-    assert _kernels.e2_cost_table_numpy(xs, ys).tobytes() == want.tobytes()
+    want = _e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys))
+    assert _kernels.e2_cost_table(xs, ys).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -74,7 +154,7 @@ def test_e2_table_working_set_is_a_few_blocks():
     assert 2 * table > slack
     tracemalloc.start()
     try:
-        _kernels.e2_cost_table_numpy(pts[:, 0], pts[:, 1])
+        _kernels.e2_cost_table(pts[:, 0], pts[:, 1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -85,7 +165,7 @@ def bounded_emax_loops(xs, ys):
     """_emax_cost_table_loops with the bound rule: +inf above B, the
     largest entry over arcs of 1 to ceil(n/3) steps, unless the table
     holds NaN (a revisited point)."""
-    want = _kernels._emax_cost_table_loops(xs, ys)
+    want = _emax_cost_table_loops(xs, ys)
     n = want.shape[0]
     if not np.isnan(want).any():
         bound = max(
@@ -98,7 +178,7 @@ def bounded_emax_loops(xs, ys):
 @pytest.mark.parametrize("seed", range(8))
 def test_emax_table_numpy_vs_loops(seed):
     xs, ys = _random_tables(seed)
-    a = _kernels.emax_cost_table_numpy(xs, ys)
+    a = _kernels.emax_cost_table(xs, ys)
     assert np.array_equal(a, bounded_emax_loops(xs, ys))
 
 
@@ -120,7 +200,7 @@ def _is_simple(pts):
 
 @pytest.fixture
 def emax_path(monkeypatch):
-    """Names of the table implementations emax_cost_table_numpy ran."""
+    """Names of the table implementations emax_cost_table ran."""
     taken = []
     for name in ("_emax_cost_table_hull", "_emax_cost_table_scan"):
         def traced(xs, ys, fn=getattr(_kernels, name), name=name):
@@ -135,7 +215,7 @@ def _check_emax_exact(pts, emax_path, *path):
     ys = pts[:, 1].astype(np.float64)
     # a revisited point makes 0/0 chords: NaN on both paths
     with np.errstate(invalid="ignore"):
-        table = _kernels.emax_cost_table_numpy(xs, ys)
+        table = _kernels.emax_cost_table(xs, ys)
         want = bounded_emax_loops(xs, ys)
     assert emax_path == ["_emax_cost_table_" + p for p in path]
     assert np.array_equal(table, want, equal_nan=True)
@@ -290,7 +370,7 @@ def test_emax_table_span_bound(offset, path, emax_path):
 def test_emax_table_scans_non_integer_points(emax_path):
     xs = np.array([0.0, 4.0, 4.5, 0.0])
     ys = np.array([0.0, 0.0, 3.0, 3.0])
-    table = _kernels.emax_cost_table_numpy(xs, ys)
+    table = _kernels.emax_cost_table(xs, ys)
     assert emax_path == ["_emax_cost_table_scan"]
     assert np.array_equal(table, bounded_emax_loops(xs, ys))
 
@@ -383,8 +463,8 @@ def test_dp_cost_matrix_matches_gather(n):
 
 
 def _assert_dp_is_loops(rcost, m_max, use_max):
-    d1, p1 = _kernels.dp_solve_numpy(rcost, m_max, use_max)
-    d2, p2 = _kernels._dp_solve_loops(rcost, m_max, use_max)
+    d1, p1 = _kernels.dp_solve(rcost, m_max, use_max)
+    d2, p2 = _dp_solve_loops(rcost, m_max, use_max)
     assert d1.tobytes() == d2.tobytes()
     assert np.array_equal(p1, p2)
 
@@ -419,7 +499,7 @@ def test_dp_numpy_vs_loops_with_forbidden_sides(use_max):
     rcost = _random_rcost(5, 25)
     rng = np.random.default_rng(5)
     rcost[rng.uniform(size=rcost.shape) < 0.6] = np.inf
-    d1, _ = _kernels.dp_solve_numpy(rcost, 12, use_max)
+    d1, _ = _kernels.dp_solve(rcost, 12, use_max)
     j, v = np.nonzero(np.isinf(d1))
     assert np.any((j >= 2) & (v >= j))
     _assert_dp_is_loops(rcost, 12, use_max)
@@ -428,7 +508,7 @@ def test_dp_numpy_vs_loops_with_forbidden_sides(use_max):
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_unreachable_rows_stay_inf_and_minus_one(use_max):
     n1 = 21
-    dp, parent = _kernels.dp_solve_numpy(_random_rcost(2, n1 - 1), n1 - 1, use_max)
+    dp, parent = _kernels.dp_solve(_random_rcost(2, n1 - 1), n1 - 1, use_max)
     rows = np.arange(n1)
     for j in range(1, n1):
         assert np.all(np.isinf(dp[j, rows < j])), j
@@ -446,57 +526,8 @@ def test_dp_tie_breaks_to_smallest_predecessor():
     rcost[4, 1] = rcost[4, 2] = 1.0
     rcost[3, 1] = rcost[3, 2] = 1.0
     rcost[4, 3] = 0.0
-    for solver in (_kernels.dp_solve_numpy, _kernels._dp_solve_loops):
+    for solver in (_kernels.dp_solve, _dp_solve_loops):
         dp, parent = solver(rcost, 3, False)
         assert dp[2, 4] == 2.0
         assert parent[2, 4] == 1
         assert parent[2, 3] == 1
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not importable")
-def test_jit_kernels_match_numpy():
-    for seed in range(4):
-        xs, ys = _random_tables(seed + 50)
-        np.testing.assert_allclose(
-            _kernels.e2_cost_table_jit(xs, ys),
-            _kernels.e2_cost_table_numpy(xs, ys),
-            rtol=1e-12, atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            _kernels.emax_cost_table_jit(xs, ys),
-            _kernels.emax_cost_table_numpy(xs, ys),
-            rtol=1e-12, atol=1e-12,
-        )
-        rcost = _random_rcost(seed, 10)
-        for use_max in (False, True):
-            d1, p1 = _kernels.dp_solve_jit(rcost, 5, use_max)
-            d2, p2 = _kernels.dp_solve_numpy(rcost, 5, use_max)
-            np.testing.assert_allclose(d1, d2, rtol=1e-12)
-            assert np.array_equal(p1, p2)
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "import polyapprox._kernels as k; "
-        "print(k.USE_NUMBA)"
-    )
-    env = dict(os.environ, POLYAPPROX_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "False"
-
-    env0 = dict(os.environ, POLYAPPROX_NO_NUMBA="0")
-    out0 = subprocess.run(
-        [sys.executable, "-c", code], env=env0, capture_output=True, text=True
-    )
-    assert out0.stdout.strip() == str(_kernels.HAS_NUMBA)
-
-
-def test_active_aliases_point_at_a_real_path():
-    if _kernels.USE_NUMBA:
-        assert _kernels.e2_cost_table is _kernels.e2_cost_table_jit
-        assert _kernels.dp_solve is _kernels.dp_solve_jit
-    else:
-        assert _kernels.e2_cost_table is _kernels.e2_cost_table_numpy
-        assert _kernels.dp_solve is _kernels.dp_solve_numpy
