@@ -3,9 +3,8 @@
 Builds a noisy digitized ellipse, then times the three hot paths (the
 two cost tables and the DP solve) and the suboptimal schemes at
 m = --m-max.  The Emax table is also timed on an elongated ellipse
-(b = 0.3a), whose long arcs mostly stay under the table's bound, and
-for both rings the script prints how many arcs longer than n/2 needed
-an exact value and how they got it.  Run from the repository root:
+(b = 0.3a), whose long arcs mostly stay under the table's bound.  Run
+from the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 """
@@ -79,19 +78,6 @@ def main() -> int:
     print(f"{'kernel':<16} {'time':>10}")
     for name, fn, call_args in cases:
         print(f"{name:<16} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
-
-    for name, ring_xs, ring_ys in (("contour", xs, ys), ("elongated", txs, tys)):
-        counts = {}
-        if _kernels._emax_cost_table_hull(ring_xs, ring_ys, counts) is None:
-            how = "hulls passed n/3 points: the full scan"
-        elif counts["resumed"]:
-            how = "the resumed sweep"
-        else:
-            how = "their tails"
-        print(
-            f"emax long arcs ({name}): {counts.get('exact', '-')} of"
-            f" {counts.get('long', '-')} exact, from {how}"
-        )
 
     curve = DigitalCurve(pts)
     m = min(args.m_max, n)

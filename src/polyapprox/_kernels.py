@@ -18,10 +18,11 @@ such a side (_drop_unusable_sides says why).  The table costs O(n^2 h)
 on a simple ring with integer coordinates spanning less than
 EXACT_SPAN, where h is the largest convex hull of an arc (a few dozen
 points on lattice contours): a hull sweep to arcs of ceil(n/2) steps,
-one column scan of the frozen hulls that proves most longer arcs to be
-above B, and exact values for the few it leaves open, never more than
-the whole sweep and that scan.  Any other ring, and one whose hulls
-pass n/3 points, takes the O(n^3) scan and then the bound.
+then two frozen hulls per longer arc, of the ceil(n/2) points at each
+of its ends, which together cover it.  The first proves most such arcs
+to be above B; the larger of the two over the chord is the exact value
+of the rest.  Any other ring, and one whose hulls pass n/3 points,
+takes the O(n^3) scan and then the bound.
 
 The DP reads its cost matrix with the arc end as the row and the arc
 start as the column (dp_cost_matrix builds it); layer j combines and
@@ -283,9 +284,7 @@ def _cross(e, f):
     return (e.conj() * f).imag
 
 
-def _emax_cost_table_hull(
-    xs: np.ndarray, ys: np.ndarray, counts: dict | None = None
-) -> np.ndarray | None:
+def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
     """emax_cost_table for a ring that passes _hull_sweep_is_exact.
 
     The largest |cross| over a set of points is reached at a vertex of
@@ -296,21 +295,18 @@ def _emax_cost_table_hull(
     scan's bits.
 
     The sweep runs to arcs of K = ceil(n/2) steps; B, the bound of
-    _drop_unusable_sides, is then known.  A longer arc holds the frozen
-    hull of p[u..u+K-1], whose scan against the arc's chord is a lower
-    bound on the entry, with the entry's own products and divisor:
-    above B, the entry is +inf with no more work.  The long arcs left
-    open need exact values.  While the points past the frozen hull on
-    those arcs (their tails) number at most the slots the rest of the
-    sweep would scan, each value is the larger |cross| of its bound and
-    its tail over the chord (_finish_long_arcs, in chunks no larger than
-    the hull array); past that, the sweep resumes to the last column.
-    So no ring costs more than the whole sweep plus one column scan of
-    the frozen hulls.
+    _drop_unusable_sides, is then known.  A longer arc u -> u+L holds
+    two frozen windows that cover it, as L < 2K: p[u..u+K-1], hull
+    column u, and p[u+L-K..u+L-1], column s = (u+L-K) % n.  The first
+    window's quotient above B makes the entry +inf; every other entry is
+    the larger |cross| of the two windows over the chord.  Column s is
+    stored relative to p[s], so its crosses shift by cross(p[s] - p[u]),
+    and its largest |cross| is the larger magnitude of its shifted
+    maximum and minimum; taking both magnitudes keeps a window on the
+    chord's line at the scan's +0.0, where negating a zero gives -0.0.
+    So the long arcs cost at most two column scans of the frozen hulls.
 
-    Returns None where _arc_hulls gives up.  A `counts` dict receives
-    the number of arcs longer than K ("long"), how many of them took an
-    exact value ("exact"), and whether the sweep resumed ("resumed").
+    Returns None where _arc_hulls gives up.
     """
     n = xs.shape[0]
     z = xs + 1j * ys
@@ -322,8 +318,8 @@ def _emax_cost_table_hull(
     prod = dev = None
 
     def column(hull, length):
-        # largest slot |cross| against each chord u -> u+length, and the
-        # chord's length
+        # largest slot |cross| against each chord u -> u+length, the
+        # chords, and their lengths
         nonlocal prod, dev
         if prod is None or prod.shape != hull.shape:
             prod = np.empty(hull.shape, dtype=np.complex128)
@@ -332,90 +328,43 @@ def _emax_cost_table_hull(
         np.multiply(hull, d.conj(), out=prod)
         np.abs(prod.imag, out=dev)
         dx, dy = d.real, d.imag
-        return dev.max(axis=0), np.sqrt(dx * dx + dy * dy)
+        return dev.max(axis=0), d, np.sqrt(dx * dx + dy * dy)
 
-    def sweep(lengths):
-        hull = None
-        for length in lengths:
-            hull = next(hulls)
-            if hull is None:
-                break
-            top, norm = column(hull, length)
-            _put_column(out_f, length, top / norm)
-        return hull
-
-    frozen = sweep(range(2, reach + 1))
-    if frozen is None:
-        return None
-    bound = _side_bound(out)
-    # per length: long arcs that the bound leaves open
-    unsettled = np.zeros(n, dtype=np.int64)
-    budget = (n - 1 - reach) * frozen.size
-    tail_points = 0
-    for length in range(reach + 1, n):
-        top, norm = column(frozen, length)
-        settled = top / norm > bound
-        top[settled] = np.inf
-        _put_column(out_f, length, top)
-        unsettled[length] = n - np.count_nonzero(settled)
-        tail_points += int(unsettled[length]) * (length - reach)
-        if tail_points > budget:
-            break
-    resumed = tail_points > budget
-    if counts is not None:
-        long = n * (n - 1 - reach)
-        counts.update(long=long, resumed=resumed,
-                      exact=long if resumed else int(unsettled.sum()))
-    if resumed:
-        if sweep(range(reach + 1, n)) is None:
+    for length in range(2, reach + 1):
+        hull = next(hulls)
+        if hull is None:
             return None
-    else:
-        _finish_long_arcs(out_f, z, z2, unsettled, reach, frozen.size)
+        top, _, norm = column(hull, length)
+        _put_column(out_f, length, top / norm)
+    bound = _side_bound(out)
+    for length in range(reach + 1, n):
+        top, d, norm = column(hull, length)
+        val = top / norm
+        u = np.flatnonzero(val <= bound)
+        if u.size:
+            lag = length - reach
+            # the open arcs' second windows, gathered into the front of
+            # prod; mode "clip" writes straight into it, unbuffered
+            far = prod.reshape(-1)[:hull.shape[0] * u.size].reshape(-1, u.size)
+            np.take(hull, (u + lag) % n, axis=1, out=far, mode="clip")
+            chord = d[u].conj()
+            far *= chord
+            shift = ((z2[u + lag] - z[u]) * chord).imag
+            cross = far.imag
+            wide = np.maximum(np.abs(cross.max(axis=0) + shift),
+                              np.abs(cross.min(axis=0) + shift))
+            val[u] = np.maximum(top[u], wide) / norm[u]
+        _put_column(out_f, length, val)
     out[out > bound] = np.inf
     return out
 
 
-def _column(n, length):
-    """Flat slices of a table's entries [u, (u + length) % n], for u
-    below n - length and for the rest."""
-    m = n - length
-    return (slice(length, m * (n + 1), n + 1),
-            slice(m * (n + 1) + length - n, None, n + 1))
-
-
 def _put_column(out_f, length, val):
+    """Write val[u] to the flat table's entries [u, (u + length) % n]."""
     n = val.shape[0]
-    head, tail = _column(n, length)
-    out_f[head] = val[:n - length]
-    out_f[tail] = val[n - length:]
-
-
-def _finish_long_arcs(out_f, z, z2, unsettled, reach, chunk):
-    """Exact entries of the long arcs that the frozen hulls left open.
-
-    Entry [u, u+L] of such an arc holds the largest |cross| over
-    p[u..u+reach-1]; the arc's tail p[u+reach..u+L-1] adds the rest.
-    Arcs are taken per length, about `chunk` tail points at a time.
-    """
-    n = z.shape[0]
-    for length in np.flatnonzero(unsettled):
-        head, tail = _column(n, length)
-        cells = np.concatenate((out_f[head], out_f[tail]))
-        starts = np.flatnonzero(cells < np.inf)
-        width = length - reach
-        windows = sliding_window_view(z2, width)
-        step = max(1, chunk // width)
-        for k in range(0, starts.size, step):
-            u = starts[k:k + step]
-            d = z2[u + length] - z[u]
-            rel = windows[u + reach]
-            rel -= z[u, None]
-            np.multiply(rel, d.conj()[:, None], out=rel)
-            # |cross| is the imaginary part; keep it in the real parts
-            far = np.abs(rel.imag, out=rel.real).max(axis=1)
-            dx, dy = d.real, d.imag
-            cells[u] = np.maximum(cells[u], far) / np.sqrt(dx * dx + dy * dy)
-        _put_column(out_f, length, cells)
+    m = n - length
+    out_f[length:m * (n + 1):n + 1] = val[:m]
+    out_f[m * (n + 1) + length - n::n + 1] = val[m:]
 
 
 def _arc_hulls(z: np.ndarray, z2: np.ndarray):

@@ -27,7 +27,6 @@ __all__ = [
     "figure_of_merit",
     "weighted_foms",
     "rosin_merit",
-    "rosin_merit_emax",
     "fg_measure",
     "build_record",
     "theorem_identity_check",
@@ -93,7 +92,11 @@ def weighted_foms(cr: float, e2: float, emax: float) -> dict[str, float]:
     }
 
 
-def _breakdown(error_sub: float, m_sub: int, baseline: OptimalBaseline) -> RosinBreakdown:
+def rosin_merit(error_sub: float, m_sub: int, baseline: OptimalBaseline) -> RosinBreakdown:
+    """Merit of a polygon with error error_sub and m_sub vertices
+    against the optimal baseline of the same error kind (squared or
+    max).  An exact fit scores fidelity 100 when the optimal error is
+    also 0, and is contradictory otherwise."""
     if error_sub == 0.0:
         if baseline.error_optimal != 0.0:
             raise ZeroError(
@@ -112,17 +115,6 @@ def _breakdown(error_sub: float, m_sub: int, baseline: OptimalBaseline) -> Rosin
         m_optimal=baseline.m_optimal,
         clamped=baseline.clamped,
     )
-
-
-def rosin_merit(e2_sub: float, m_sub: int, baseline: OptimalBaseline) -> RosinBreakdown:
-    """Merit from squared error.  An exact fit scores fidelity 100 when
-    the optimal error is also 0, and is contradictory otherwise."""
-    return _breakdown(e2_sub, m_sub, baseline)
-
-
-def rosin_merit_emax(emax_sub: float, m_sub: int, baseline: OptimalBaseline) -> RosinBreakdown:
-    """Merit from the largest single deviation."""
-    return _breakdown(emax_sub, m_sub, baseline)
 
 
 def fg_measure(cr: float, e2: float, d: float, variant: str = "printed") -> float:
@@ -186,7 +178,7 @@ def build_record(
         we_inf=w["we_inf"],
         fg=fg,
         rosin=rosin_merit(e2, m, baseline_e2),
-        rosin_emax=rosin_merit_emax(emax, m, baseline_emax),
+        rosin_emax=rosin_merit(emax, m, baseline_emax),
     )
 
 

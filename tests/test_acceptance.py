@@ -27,7 +27,6 @@ from polyapprox import (
     polygon_errors_points,
     provisional_start_vertex,
     rosin_merit,
-    rosin_merit_emax,
     run_study,
     select_start_vertex,
     stabilize,
@@ -157,7 +156,7 @@ def test_04_optimal_polygon_scores_100_against_itself(corpus):
             if kind is CostKind.SUM_SQUARED:
                 bd = rosin_merit(e2, m_sub, baseline)
             else:
-                bd = rosin_merit_emax(emax, m_sub, baseline)
+                bd = rosin_merit(emax, m_sub, baseline)
             worst = max(worst, abs(bd.merit - 100.0))
             assert abs(bd.merit - 100.0) <= 1e-6, (curve.name, kind)
     _passed(

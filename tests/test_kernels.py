@@ -290,57 +290,30 @@ def test_emax_table_scans_when_hulls_pass_a_third_of_n(emax_path):
     _check_emax_exact(_convex_polygon(1), emax_path, "hull", "scan")
 
 
-def _hull_table(pts):
+def _scan_bounded(xs, ys):
+    return _kernels._drop_unusable_sides(_kernels._emax_cost_table_scan(xs, ys))
+
+
+@pytest.mark.parametrize("pts, oracle", [
+    # n = 26 and 82, 13 x 2 and 41 x 2 points: most long arcs run along
+    # both long sides, under B
+    (RUN_RINGS["thin_rectangle"], bounded_emax_loops),
+    (_walk([(0, 0), (40, 0), (40, 1), (0, 1)]), bounded_emax_loops),
+    # n = 236; the scan stands in for the slower loops
+    (_ellipse("thin", 50.0, 16.0, 400).points, _scan_bounded),
+    # n = 12: arcs of up to 10 steps lie on one line, Emax +0.0, not -0.0
+    (np.array([(x, 0) for x in range(11)] + [(5, 3)]), bounded_emax_loops),
+], ids=["thin_rectangle_26", "thin_rectangle_82", "thin_ellipse_236", "long_side_12"])
+def test_emax_table_exact_on_open_long_arcs(pts, oracle, emax_path):
+    # the long arcs under B take their value from both frozen windows
     xs = pts[:, 0].astype(np.float64)
     ys = pts[:, 1].astype(np.float64)
-    counts = {}
-    table = _kernels._emax_cost_table_hull(xs, ys, counts)
-    return table, counts, bounded_emax_loops(xs, ys)
-
-
-def test_emax_table_finishes_open_long_arcs_from_their_tails():
-    # n = 26, 13 x 2 points: most long arcs run along both long sides,
-    # under B, so the frozen hulls leave them open
-    table, counts, want = _hull_table(RUN_RINGS["thin_rectangle"])
-    assert counts == {"long": 26 * 12, "exact": 260, "resumed": False}
-    assert np.isinf(table).any()
-    assert np.array_equal(table, want)
-
-
-def test_emax_table_resumes_the_sweep_when_tails_outweigh_it():
-    # n = 82: the open long arcs' tails would take more points than the
-    # rest of the sweep scans
-    table, counts, want = _hull_table(_walk([(0, 0), (40, 0), (40, 1), (0, 1)]))
-    assert counts == {"long": 82 * 40, "exact": 82 * 40, "resumed": True}
-    assert np.isinf(table).any()
-    assert np.array_equal(table, want)
-
-
-def test_emax_table_tails_stay_within_the_sweep_memory(monkeypatch):
-    # a thin ellipse (n = 236) whose open tails at one arc length take
-    # over twice the hull array's slots: in chunks they allocate no more
-    # than the sweep's hull, product and deviation arrays (40 bytes a
-    # slot); in one piece per length they take about 150
-    pts = _ellipse("thin", 50.0, 16.0, 400).points.astype(np.float64)
-    seen = []
-
-    def traced(out_f, z, z2, unsettled, reach, chunk):
-        work = unsettled * (np.arange(unsettled.size) - reach)
-        tracemalloc.start()
-        try:
-            real(out_f, z, z2, unsettled, reach, chunk)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        seen.append((int(work.max()), chunk, peak))
-
-    real = _kernels._finish_long_arcs
-    monkeypatch.setattr(_kernels, "_finish_long_arcs", traced)
-    _kernels._emax_cost_table_hull(pts[:, 0], pts[:, 1])
-    (widest, chunk, peak), = seen
-    n = pts.shape[0]
-    assert widest > 2 * chunk
-    assert peak <= 40 * chunk + 64 * n
+    table = _kernels.emax_cost_table(xs, ys)
+    assert emax_path == ["_emax_cost_table_hull"]
+    assert table.tobytes() == oracle(xs, ys).tobytes()
+    n = xs.shape[0]
+    length = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    assert np.isfinite(table[length > -(-n // 2)]).any()
 
 
 NON_SIMPLE_RINGS = {

@@ -15,7 +15,6 @@ from polyapprox import (
     figure_of_merit,
     record_for_polygon,
     rosin_merit,
-    rosin_merit_emax,
     theorem_identity_check,
     weighted_foms,
 )
@@ -62,7 +61,7 @@ def test_rosin_merit_hand_values():
 
 def test_rosin_merit_emax_hand_values():
     b = OptimalBaseline(error_optimal=1.0, m_optimal=6.0, start_index=0)
-    r = rosin_merit_emax(2.0, 8, b)
+    r = rosin_merit(2.0, 8, b)
     assert r.fidelity == 50.0
     assert r.efficiency == 75.0
     # sqrt(3750)
