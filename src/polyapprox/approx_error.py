@@ -19,10 +19,10 @@ from .curve import DigitalCurve
 from .exceptions import DegenerateSegment, InvalidCounts
 
 __all__ = [
-    "MomentTables",
     "SegmentErrors",
     "PolygonApprox",
     "moment_tables",
+    "arc_sum_sq",
     "perpendicular_distance",
     "segment_errors",
     "polygon_errors",
@@ -40,44 +40,21 @@ class SegmentErrors:
     max_e: float
 
 
-@dataclass(frozen=True)
-class MomentTables:
-    """Doubled prefix sums of x, y, x^2, y^2, xy for circular arc sums.
-
-    Arrays have length 2n + 1 with a leading zero, so the sum over the
-    doubled half-open range [a, b) is prefix[b] - prefix[a] for any arc,
-    wrapped or not.
-    """
-
-    n: int
-    px: np.ndarray
-    py: np.ndarray
-    pxx: np.ndarray
-    pyy: np.ndarray
-    pxy: np.ndarray
-
-    @classmethod
-    def build(cls, points: np.ndarray) -> "MomentTables":
-        pts = np.asarray(points, dtype=np.float64)
-        return cls(pts.shape[0], *_kernels.doubled_prefixes(pts[:, 0], pts[:, 1]))
-
-    @property
-    def prefixes(self) -> tuple:
-        """(px, py, pxx, pyy, pxy), the argument of _kernels.e2_arc_costs."""
-        return self.px, self.py, self.pxx, self.pyy, self.pxy
-
-
 # weak keys: a cached curve is freed, with its tables, once unreferenced
 _MOMENT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def moment_tables(curve: DigitalCurve) -> MomentTables:
-    """Per-curve cached moment tables (curves are immutable)."""
-    tables = _MOMENT_CACHE.get(curve)
-    if tables is None:
+def moment_tables(curve: DigitalCurve) -> tuple:
+    """Per-curve cached (px, py, pxx, pyy, pxy) of
+    _kernels.doubled_prefixes (curves are immutable)."""
+    prefixes = _MOMENT_CACHE.get(curve)
+    if prefixes is None:
+        pts = curve.points.astype(np.float64)
         # setdefault keeps the first build when two threads race
-        tables = _MOMENT_CACHE.setdefault(curve, MomentTables.build(curve.points))
-    return tables
+        prefixes = _MOMENT_CACHE.setdefault(
+            curve, _kernels.doubled_prefixes(pts[:, 0], pts[:, 1])
+        )
+    return prefixes
 
 
 class PolygonApprox:
@@ -173,9 +150,10 @@ def _arc_e2(xs, ys, prefixes, n: int, u: int, v: int):
     return max(num, 0.0) / l2
 
 
-def arc_sum_sq(points: np.ndarray, tables: MomentTables, u: int, v: int) -> float:
-    """O(1) sum of squared deviations over the forward arc u -> v."""
-    return _arc_e2(points[:, 0], points[:, 1], tables.prefixes, tables.n, u, v)
+def arc_sum_sq(points: np.ndarray, prefixes: tuple, u: int, v: int) -> float:
+    """O(1) sum of squared deviations over the forward arc u -> v, from
+    the points' doubled prefixes (moment_tables)."""
+    return _arc_e2(points[:, 0], points[:, 1], prefixes, points.shape[0], u, v)
 
 
 def _arcs_max_e(points: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -205,9 +183,7 @@ def _arcs_max_e(points: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.
     return best / np.sqrt(l2)
 
 
-def segment_errors(
-    curve: DigitalCurve, u: int, v: int, tables: MomentTables | None = None
-) -> SegmentErrors:
+def segment_errors(curve: DigitalCurve, u: int, v: int) -> SegmentErrors:
     """Errors of the side from curve point u to curve point v.
 
     Only points strictly inside the forward arc contribute; the side's
@@ -217,22 +193,20 @@ def segment_errors(
     u, v = u % n, v % n
     if u == v:
         raise DegenerateSegment(f"u and v are the same index {u}")
-    if tables is None:
-        tables = moment_tables(curve)
     pts = curve.points
     return SegmentErrors(
-        sum_sq=arc_sum_sq(pts, tables, u, v),
+        sum_sq=arc_sum_sq(pts, moment_tables(curve), u, v),
         max_e=float(_arcs_max_e(pts, n, np.array([u]), np.array([v]))[0]),
     )
 
 
-def _polygon_errors(points: np.ndarray, tables: MomentTables, idx) -> tuple[float, float]:
+def _polygon_errors(points: np.ndarray, prefixes: tuple, idx) -> tuple[float, float]:
     u = np.asarray(idx)
     v = np.roll(u, -1)
     e2 = 0.0
     for a, b in zip(u.tolist(), v.tolist()):
-        e2 += arc_sum_sq(points, tables, a, b)
-    return e2, float(_arcs_max_e(points, tables.n, u, v).max())
+        e2 += arc_sum_sq(points, prefixes, a, b)
+    return e2, float(_arcs_max_e(points, points.shape[0], u, v).max())
 
 
 def polygon_errors_points(points: np.ndarray, indices) -> tuple[float, float]:
@@ -244,7 +218,7 @@ def polygon_errors_points(points: np.ndarray, indices) -> tuple[float, float]:
     """
     pts = np.asarray(points, dtype=np.float64)
     idx = np.asarray(indices, dtype=np.int64)
-    return _polygon_errors(pts, MomentTables.build(pts), idx)
+    return _polygon_errors(pts, _kernels.doubled_prefixes(pts[:, 0], pts[:, 1]), idx)
 
 
 def polygon_errors(curve: DigitalCurve, poly: PolygonApprox) -> tuple[float, float]:

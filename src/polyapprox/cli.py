@@ -21,13 +21,14 @@ from . import __version__
 from .approx_error import polygon_errors
 from .curve import load_curve
 from .exceptions import PolyApproxError
-from .measures import CSV_HEADER, record_for_polygon, record_to_csv_row
+from .measures import CSV_HEADER, record_to_csv_row
 from .optimal import CostKind, SegmentCosts, optimal_profile, select_start_vertex
 from .schemes import SchemeId, apply_scheme, auto_target_m
 from .study import (
     PAIRINGS,
     correlations_csv,
     emit_svg_line_diagram,
+    evaluate_curve,
     pairing_slug,
     records_csv,
     run_study,
@@ -170,10 +171,7 @@ def _cmd_merit(parser, args) -> int:
     curve = load_curve(args.infile, args.format)
     m = _resolve_m(parser, args, curve)
     scheme = _SCHEMES[args.scheme]
-    poly = apply_scheme(scheme, curve, m)
-    record = record_for_polygon(
-        curve, poly, scheme=scheme.value, nise_variant=args.nise_variant
-    )
+    record = evaluate_curve(curve, curve.name, (scheme,), m, args.nise_variant)[scheme]
     print(CSV_HEADER)
     print(record_to_csv_row(record))
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .approx_error import PolygonApprox, compression_ratio, polygon_errors
 from .curve import CurveGeometry, DigitalCurve, curve_geometry
 from .exceptions import InvalidGeometry, ZeroError
-from .optimal import CostKind, OptimalBaseline, SegmentCosts, optimal_baseline
+from .optimal import OptimalBaseline
 
 __all__ = [
     "RosinBreakdown",
@@ -179,25 +179,6 @@ def build_record(
         fg=fg,
         rosin=rosin_merit(e2, m, baseline_e2),
         rosin_emax=rosin_merit(emax, m, baseline_emax),
-    )
-
-
-def record_for_polygon(
-    curve: DigitalCurve,
-    poly: PolygonApprox,
-    curve_id: str | None = None,
-    scheme: str = "",
-    nise_variant: str = "printed",
-    costs: SegmentCosts | None = None,
-) -> MeasureRecord:
-    """Convenience wrapper that derives both baselines itself."""
-    if costs is None:
-        costs = SegmentCosts(curve)
-    b_e2 = optimal_baseline(curve, poly, CostKind.SUM_SQUARED, costs)
-    b_em = optimal_baseline(curve, poly, CostKind.MAX_ERROR, costs)
-    return build_record(
-        curve, poly, b_e2, b_em, curve_id=curve_id, scheme=scheme,
-        nise_variant=nise_variant,
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .approx_error import PolygonApprox, polygon_errors
+from .approx_error import PolygonApprox
 from .curve import DigitalCurve, centroid
 from .exceptions import CurveTooLarge, DegenerateSegment, InvalidCounts, OutOfRange
 
@@ -35,9 +35,8 @@ __all__ = [
     "provisional_start_vertex",
     "select_start_vertex",
     "optimal_profile",
-    "optimal_polygon",
     "interpolate_m_optimal",
-    "optimal_baseline",
+    "baseline_from_profile",
 ]
 
 
@@ -183,7 +182,7 @@ def select_start_vertex(
     curve: DigitalCurve,
     m_sub: int,
     kind: CostKind,
-    costs: SegmentCosts | None = None,
+    costs: SegmentCosts,
 ) -> int:
     """Start vertex for baseline profiles.
 
@@ -191,8 +190,6 @@ def select_start_vertex(
     start and hand back the second vertex of that polygon in circular
     order, which tends to sit on a genuine corner of the contour.
     """
-    if costs is None:
-        costs = SegmentCosts(curve)
     if not (3 <= m_sub <= curve.n):
         raise InvalidCounts(f"need 3 <= m_sub <= n, got m_sub={m_sub}, n={curve.n}")
     p0 = provisional_start_vertex(curve)
@@ -207,23 +204,9 @@ def optimal_profile(
     start: int,
     m_max: int,
     kind: CostKind,
-    costs: SegmentCosts | None = None,
+    costs: SegmentCosts,
 ) -> ErrorProfile:
-    if costs is None:
-        costs = SegmentCosts(curve)
     return costs.profile(start, m_max, kind)
-
-
-def optimal_polygon(
-    curve: DigitalCurve,
-    start: int,
-    m: int,
-    kind: CostKind,
-    costs: SegmentCosts | None = None,
-) -> PolygonApprox:
-    if costs is None:
-        costs = SegmentCosts(curve)
-    return costs.polygon(start, m, kind)
 
 
 def interpolate_m_optimal(profile: ErrorProfile, error_sub: float) -> float:
@@ -253,24 +236,6 @@ def interpolate_m_optimal(profile: ErrorProfile, error_sub: float) -> float:
     upper = vals[m_lo - 1]
     lower = vals[m_lo]
     return (m_lo - 1) + (upper - error_sub) / (upper - lower)
-
-
-def optimal_baseline(
-    curve: DigitalCurve,
-    poly_sub: PolygonApprox,
-    kind: CostKind,
-    costs: SegmentCosts | None = None,
-) -> OptimalBaseline:
-    """Run the full three-pass protocol against one suboptimal polygon."""
-    if costs is None:
-        costs = SegmentCosts(curve)
-    m_sub = poly_sub.m
-    start = select_start_vertex(curve, m_sub, kind, costs)
-    m_max = min(curve.n, 3 * m_sub)
-    profile = costs.profile(start, m_max, kind)
-    e2, emax = polygon_errors(curve, poly_sub)
-    error_sub = e2 if kind is CostKind.SUM_SQUARED else emax
-    return baseline_from_profile(profile, m_sub, error_sub)
 
 
 def baseline_from_profile(

@@ -117,18 +117,18 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
     _check_m(curve, m)
     n = curve.n
     pts = curve.points_float()
-    tables = moment_tables(curve)
+    prefixes = moment_tables(curve)
     prv = np.arange(-1, n - 1) % n
     nxt = np.arange(1, n + 1) % n
     coincide = (pts[prv] == pts[nxt]).all(axis=1)
     if coincide.any():
         i = int(np.argmax(coincide))
         raise DegenerateSegment(f"points {int(prv[i])} and {int(nxt[i])} coincide")
-    cost = _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], tables.prefixes, prv, nxt).tolist()
+    cost = _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], prefixes, prv, nxt).tolist()
     # Python floats from here on: rescoring two neighbours is scalar work
     xs = pts[:, 0].tolist()
     ys = pts[:, 1].tolist()
-    prefixes = tuple(p.tolist() for p in tables.prefixes)
+    prefixes = tuple(p.tolist() for p in prefixes)
     prv = prv.tolist()
     nxt = nxt.tolist()
     heap = list(zip(cost, range(n)))
@@ -172,7 +172,7 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
     pts = curve.points
     xs = pts[:, 0].astype(np.float64)
     ys = pts[:, 1].astype(np.float64)
-    prefixes = moment_tables(curve).prefixes
+    prefixes = moment_tables(curve)
     verts = [int(v) for v in poly.indices]
     m = len(verts)
     # slot i needs scoring: it has not been scored since a neighbour moved

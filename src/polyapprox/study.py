@@ -42,7 +42,9 @@ __all__ = [
     "pearson",
     "direction_agreement",
     "scale_for_plot",
+    "evaluate_curve",
     "run_study",
+    "study_series",
     "emit_svg_line_diagram",
     "PAIRINGS",
     "correlations_csv",
@@ -146,15 +148,20 @@ def scale_for_plot(series: MeasureSeries) -> MeasureSeries:
     )
 
 
-def _evaluate_curve(
+def evaluate_curve(
     curve: DigitalCurve,
-    curve_id: str,
+    curve_id: str | None,
     schemes: tuple[SchemeId, ...],
-    target_cr: float,
+    m_sub: int,
     nise_variant: str,
 ) -> dict[SchemeId, MeasureRecord]:
+    """Every measure of each scheme's m_sub-vertex polygon on one curve.
+
+    The optimal baselines come from one SegmentCosts: per cost kind, one
+    start vertex and one profile up to 3 * m_sub, shared by the schemes.
+    A curve_id of None names the record after the curve.
+    """
     n = curve.n
-    m_sub = auto_target_m(curve, target_cr)
     geometry = curve_geometry(curve)
     costs = SegmentCosts(curve)
     m_max = min(n, 3 * m_sub)
@@ -212,10 +219,10 @@ def run_study(
     Curves are processed independently, optionally in a thread pool, and
     reduced in corpus order, so results do not depend on the thread
     count.  The kernels hold the GIL through many small numpy calls: on
-    the built-in corpus at 2 vCPUs, threads=2 was neither clearly faster
-    nor clearly slower than threads=1 (4 alternating runs each, 1.9 to
-    2.8 s on both).  A curve that fails to evaluate is logged and
-    skipped rather than aborting the study.
+    the built-in corpus at 2 vCPUs, threads=2 was slower than threads=1
+    in each of 4 alternating pairs (2.50 to 2.81 s against 2.17 to
+    2.38 s).  A curve that fails to evaluate is logged and skipped
+    rather than aborting the study.
     """
     ids = []
     for i, curve in enumerate(corpus):
@@ -224,7 +231,8 @@ def run_study(
     def job(pair):
         i, curve = pair
         try:
-            return _evaluate_curve(curve, ids[i], schemes, target_cr, nise_variant)
+            m_sub = auto_target_m(curve, target_cr)
+            return evaluate_curve(curve, ids[i], schemes, m_sub, nise_variant)
         except PolyApproxError as exc:
             logger.warning("skipping %s: %s", ids[i], exc)
             return (ids[i], f"{type(exc).__name__}: {exc}")

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from polyapprox import DigitalCurve, perpendicular_distance
+from polyapprox import (
+    CostKind,
+    DigitalCurve,
+    SegmentCosts,
+    baseline_from_profile,
+    perpendicular_distance,
+    polygon_errors,
+    select_start_vertex,
+)
 from polyapprox.approx_error import SegmentErrors
 from polyapprox.exceptions import DegenerateSegment
 
@@ -52,6 +60,20 @@ def polygon_errors_naive(curve: DigitalCurve, poly) -> tuple[float, float]:
         e2 += se.sum_sq
         emax = max(emax, se.max_e)
     return e2, emax
+
+
+def baseline_for(curve: DigitalCurve, poly, kind: CostKind, costs=None):
+    """Optimal baseline of any polygon on the curve, by the steps that
+    study.evaluate_curve takes for a scheme's polygon: start vertex at
+    poly.m vertices, profile up to 3 * poly.m, read at poly's error."""
+    if costs is None:
+        costs = SegmentCosts(curve)
+    start = select_start_vertex(curve, poly.m, kind, costs)
+    profile = costs.profile(start, min(curve.n, 3 * poly.m), kind)
+    e2, emax = polygon_errors(curve, poly)
+    return baseline_from_profile(
+        profile, poly.m, e2 if kind is CostKind.SUM_SQUARED else emax
+    )
 
 
 def square_ring(side: int) -> DigitalCurve:

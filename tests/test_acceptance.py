@@ -18,8 +18,6 @@ from polyapprox import (
     apply_scheme,
     auto_target_m,
     compression_ratio,
-    optimal_baseline,
-    optimal_polygon,
     optimal_profile,
     pearson,
     perpendicular_distance,
@@ -41,7 +39,7 @@ from polyapprox.study import (
     scale_for_plot,
     study_series,
 )
-from conftest import lattice_ring
+from conftest import baseline_for, lattice_ring
 from test_optimal import brute_force_values
 
 BOTH_KINDS = (CostKind.SUM_SQUARED, CostKind.MAX_ERROR)
@@ -148,9 +146,9 @@ def test_04_optimal_polygon_scores_100_against_itself(corpus):
         target = auto_target_m(curve, 15.0)
         for kind in BOTH_KINDS:
             m_sub, start = _strict_descent_m(curve, costs, kind, target)
-            poly = optimal_polygon(curve, start, m_sub, kind, costs)
+            poly = costs.polygon(start, m_sub, kind)
             assert start in poly.indices
-            baseline = optimal_baseline(curve, poly, kind, costs)
+            baseline = baseline_for(curve, poly, kind, costs)
             assert baseline.start_index == start
             e2, emax = polygon_errors(curve, poly)
             if kind is CostKind.SUM_SQUARED:

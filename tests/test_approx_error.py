@@ -9,7 +9,6 @@ from polyapprox import (
     DegenerateSegment,
     DigitalCurve,
     InvalidCounts,
-    MomentTables,
     PolygonApprox,
     compression_ratio,
     moment_tables,
@@ -18,6 +17,7 @@ from polyapprox import (
     polygon_errors_points,
     segment_errors,
 )
+from polyapprox import _kernels
 from conftest import lattice_ring, polygon_errors_naive, segment_errors_naive
 
 
@@ -83,15 +83,16 @@ def test_segment_errors_matches_naive_everywhere():
 
 
 def test_moment_tables_prefix_structure(square8):
-    t = moment_tables(square8)
+    px, py, pxx, pyy, pxy = moment_tables(square8)
+    n = square8.n
     x = square8.points[:, 0].astype(float)
     y = square8.points[:, 1].astype(float)
-    assert t.n == square8.n
-    assert len(t.px) == 2 * t.n + 1
-    assert t.px[0] == 0.0
-    assert t.px[2 * t.n] == pytest.approx(2.0 * x.sum())
-    assert t.pyy[2 * t.n] == pytest.approx(2.0 * (y * y).sum())
-    assert t.pxy[t.n] == pytest.approx((x * y).sum())
+    assert all(len(p) == 2 * n + 1 and p[0] == 0.0 for p in (px, py, pxx, pyy, pxy))
+    assert px[2 * n] == pytest.approx(2.0 * x.sum())
+    assert py[n] == pytest.approx(y.sum())
+    assert pxx[n] == pytest.approx((x * x).sum())
+    assert pyy[2 * n] == pytest.approx(2.0 * (y * y).sum())
+    assert pxy[n] == pytest.approx((x * y).sum())
 
 
 def test_moment_tables_cached_per_curve(square8):
@@ -111,8 +112,9 @@ def test_moment_tables_do_not_keep_curves_alive(square8):
 
 def test_moment_tables_build_accepts_floats():
     pts = np.array([[0.5, 0.25], [2.5, 0.25], [1.5, 3.75]])
-    t = MomentTables.build(pts)
-    assert t.px[3] == pytest.approx(4.5)
+    px, py, *_ = _kernels.doubled_prefixes(pts[:, 0], pts[:, 1])
+    assert px[3] == pytest.approx(4.5)
+    assert py[6] == pytest.approx(8.5)
 
 
 def test_polygon_validation(square8):

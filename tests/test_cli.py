@@ -142,6 +142,27 @@ def test_merit_outputs_header_and_row(square_pts, capsys):
     assert float(fields[15]) == 100.0    # merit of the exact fit
 
 
+def test_merit_prints_the_study_row(tmp_path, capsys):
+    # merit and study share one evaluator: the same row, byte for byte
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for c in build_corpus()[:3]:
+        (d / f"{c.name}.pts").write_text("".join(f"{x} {y}\n" for x, y in c.points))
+    out = tmp_path / "out"
+    assert main(["study", "--corpus", str(d), "--out", str(out), "--threads", "1"]) == 0
+    header, *rows = (out / "records.csv").read_text().splitlines()
+    capsys.readouterr()
+    checked = 0
+    for path in sorted(d.iterdir()):
+        for scheme in ("split", "elim", "elim-stab"):
+            rc = main(["merit", "--in", str(path), "--scheme", scheme, "--target-cr", "15"])
+            assert rc == 0
+            row = next(r for r in rows if r.startswith(f"{path.stem},{scheme},"))
+            assert capsys.readouterr().out == f"{header}\n{row}\n"
+            checked += 1
+    assert checked == len(rows) == 9
+
+
 def test_study_writes_outputs(corpus_dir, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["study", "--corpus", str(corpus_dir), "--out", str(out),

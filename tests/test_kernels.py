@@ -175,11 +175,20 @@ def bounded_emax_loops(xs, ys):
     return want
 
 
+def _assert_same_bytes(table, want):
+    """Bit equality, so -0.0 differs from +0.0; NaN entries must sit in
+    the same places and are then zeroed, as their payloads may differ."""
+    assert table.dtype == want.dtype and table.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(table), nan)
+    assert np.where(nan, 0.0, table).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_emax_table_numpy_vs_loops(seed):
     xs, ys = _random_tables(seed)
     a = _kernels.emax_cost_table(xs, ys)
-    assert np.array_equal(a, bounded_emax_loops(xs, ys))
+    _assert_same_bytes(a, bounded_emax_loops(xs, ys))
 
 
 def _walk(corners):
@@ -218,7 +227,7 @@ def _check_emax_exact(pts, emax_path, *path):
         table = _kernels.emax_cost_table(xs, ys)
         want = bounded_emax_loops(xs, ys)
     assert emax_path == ["_emax_cost_table_" + p for p in path]
-    assert np.array_equal(table, want, equal_nan=True)
+    _assert_same_bytes(table, want)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -345,7 +354,7 @@ def test_emax_table_scans_non_integer_points(emax_path):
     ys = np.array([0.0, 0.0, 3.0, 3.0])
     table = _kernels.emax_cost_table(xs, ys)
     assert emax_path == ["_emax_cost_table_scan"]
-    assert np.array_equal(table, bounded_emax_loops(xs, ys))
+    _assert_same_bytes(table, bounded_emax_loops(xs, ys))
 
 
 @pytest.mark.parametrize("name, pts, simple", [

@@ -8,19 +8,26 @@ from polyapprox import (
     InvalidGeometry,
     OptimalBaseline,
     PolygonApprox,
+    SchemeId,
     ZeroError,
     build_record,
     curve_geometry,
+    evaluate_curve,
     fg_measure,
     figure_of_merit,
-    record_for_polygon,
     rosin_merit,
     theorem_identity_check,
     weighted_foms,
 )
 from polyapprox.measures import CSV_HEADER, record_to_csv_row
 from polyapprox.schemes import eliminate_to_m
-from conftest import lattice_ring
+from conftest import baseline_for, lattice_ring
+
+
+def elim_record(curve, m):
+    """The study's record of the elimination scheme at m vertices."""
+    elim = SchemeId.ELIMINATE
+    return evaluate_curve(curve, None, (elim,), m, "printed")[elim]
 
 
 def test_figure_of_merit():
@@ -125,8 +132,7 @@ def test_fg_measure_rejects_bad_inputs():
 
 def test_build_record_fields():
     c = lattice_ring(40)
-    poly = eliminate_to_m(c, 4)
-    rec = record_for_polygon(c, poly, scheme="elim")
+    rec = elim_record(c, 4)
     assert rec.curve_id == c.name
     assert rec.scheme == "elim"
     assert rec.n == c.n and rec.m == 4
@@ -144,10 +150,8 @@ def test_build_record_fields():
 def test_build_record_with_explicit_baselines():
     c = lattice_ring(41)
     poly = eliminate_to_m(c, 5)
-    from polyapprox import optimal_baseline
-
-    b_e2 = optimal_baseline(c, poly, CostKind.SUM_SQUARED)
-    b_em = optimal_baseline(c, poly, CostKind.MAX_ERROR)
+    b_e2 = baseline_for(c, poly, CostKind.SUM_SQUARED)
+    b_em = baseline_for(c, poly, CostKind.MAX_ERROR)
     rec = build_record(c, poly, b_e2, b_em, curve_id="x", scheme="elim")
     assert rec.curve_id == "x"
     assert rec.rosin.error_optimal == b_e2.error_optimal
@@ -158,8 +162,7 @@ def test_build_record_with_explicit_baselines():
 def test_theorem_identities_on_pipeline_output():
     for seed in (50, 51, 52, 53):
         c = lattice_ring(seed)
-        poly = eliminate_to_m(c, 5)
-        rec = record_for_polygon(c, poly, scheme="elim")
+        rec = elim_record(c, 5)
         res = theorem_identity_check(rec)
         assert set(res) == {"sum_sq", "sum_sq_squared_cr", "max_error"}
         for name, r in res.items():
@@ -168,7 +171,13 @@ def test_theorem_identities_on_pipeline_output():
 
 def test_theorem_identities_self_comparison(square8):
     poly = PolygonApprox(square8, [0, 2, 4, 6])
-    rec = record_for_polygon(square8, poly, scheme="elim")
+    rec = build_record(
+        square8,
+        poly,
+        baseline_for(square8, poly, CostKind.SUM_SQUARED),
+        baseline_for(square8, poly, CostKind.MAX_ERROR),
+        scheme="elim",
+    )
     assert rec.rosin.merit == 100.0
     res = theorem_identity_check(rec)
     assert all(r == 0.0 for r in res.values())
@@ -176,8 +185,7 @@ def test_theorem_identities_self_comparison(square8):
 
 def test_csv_row_shape():
     c = lattice_ring(44)
-    poly = eliminate_to_m(c, 4)
-    rec = record_for_polygon(c, poly, scheme="elim")
+    rec = elim_record(c, 4)
     row = record_to_csv_row(rec)
     fields = row.split(",")
     assert len(fields) == len(CSV_HEADER.split(","))

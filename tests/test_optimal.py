@@ -16,16 +16,13 @@ from polyapprox import (
     SegmentCosts,
     baseline_from_profile,
     interpolate_m_optimal,
-    optimal_baseline,
-    optimal_polygon,
-    optimal_profile,
     polygon_errors,
     provisional_start_vertex,
     select_start_vertex,
 )
 from polyapprox import _kernels
 from polyapprox.schemes import auto_target_m, split_to_m
-from conftest import lattice_ring, segment_errors_naive, square_ring
+from conftest import baseline_for, lattice_ring, segment_errors_naive, square_ring
 
 
 def brute_force_values(curve, start, m_lo, m_hi, kind):
@@ -71,7 +68,7 @@ def synthetic_profile(square8, values_by_m):
 
 
 def test_profile_square_corner_start_hits_zero(square8):
-    prof = optimal_profile(square8, 0, 8, CostKind.SUM_SQUARED)
+    prof = SegmentCosts(square8).profile(0, 8, CostKind.SUM_SQUARED)
     assert prof.value(4) == 0.0
     assert prof.value(8) == 0.0          # m = n reproduces the curve
     assert prof.value(3) > 0.0
@@ -82,7 +79,7 @@ def test_profile_square_corner_start_hits_zero(square8):
 
 
 def test_profile_items_spans_3_to_m_max(square8):
-    prof = optimal_profile(square8, 0, 6, CostKind.MAX_ERROR)
+    prof = SegmentCosts(square8).profile(0, 6, CostKind.MAX_ERROR)
     ms = [m for m, _ in prof.items()]
     assert ms == [3, 4, 5, 6]
     assert np.isnan(prof.values[2])
@@ -93,7 +90,7 @@ def test_profile_matches_brute_force_both_kinds():
         c = lattice_ring(seed + 300)
         start = provisional_start_vertex(c)
         for kind in (CostKind.SUM_SQUARED, CostKind.MAX_ERROR):
-            prof = optimal_profile(c, start, 6, kind)
+            prof = SegmentCosts(c).profile(start, 6, kind)
             ref = brute_force_values(c, start, 3, 6, kind)
             for m in range(3, 7):
                 assert prof.value(m) == pytest.approx(ref[m], abs=1e-9), (
@@ -104,22 +101,23 @@ def test_optimal_polygon_achieves_profile_value():
     for seed in range(8):
         c = lattice_ring(seed + 500)
         start = provisional_start_vertex(c)
+        costs = SegmentCosts(c)
         for kind in (CostKind.SUM_SQUARED, CostKind.MAX_ERROR):
             for m in (3, 4, 5):
-                poly = optimal_polygon(c, start, m, kind)
+                poly = costs.polygon(start, m, kind)
                 assert poly.m == m
                 assert start in poly.indices
                 e2, emax = polygon_errors(c, poly)
                 got = e2 if kind is CostKind.SUM_SQUARED else emax
-                prof = optimal_profile(c, start, m, kind)
+                prof = costs.profile(start, m, kind)
                 assert got == pytest.approx(prof.value(m), abs=1e-9)
 
 
 def test_optimal_polygon_deterministic():
     c = lattice_ring(42)
     start = provisional_start_vertex(c)
-    a = optimal_polygon(c, start, 5, CostKind.SUM_SQUARED)
-    b = optimal_polygon(c, start, 5, CostKind.SUM_SQUARED)
+    a = SegmentCosts(c).polygon(start, 5, CostKind.SUM_SQUARED)
+    b = SegmentCosts(c).polygon(start, 5, CostKind.SUM_SQUARED)
     assert a == b
 
 
@@ -127,7 +125,7 @@ def test_segment_costs_shared_across_kinds_and_starts():
     c = lattice_ring(9)
     costs = SegmentCosts(c)
     p1 = costs.polygon(0, 4, CostKind.SUM_SQUARED)
-    p2 = optimal_polygon(c, 0, 4, CostKind.SUM_SQUARED)
+    p2 = SegmentCosts(c).polygon(0, 4, CostKind.SUM_SQUARED)
     assert p1 == p2
     assert costs.table(CostKind.SUM_SQUARED) is costs.table(CostKind.SUM_SQUARED)
 
@@ -194,7 +192,7 @@ def test_provisional_start_farthest():
 
 
 def test_select_start_square_second_corner(square8):
-    start = select_start_vertex(square8, 4, CostKind.SUM_SQUARED)
+    start = select_start_vertex(square8, 4, CostKind.SUM_SQUARED, SegmentCosts(square8))
     assert start == 2
 
 
@@ -202,18 +200,18 @@ def test_select_start_triangle_next_vertex():
     c = DigitalCurve(np.array([[9, 0], [-1, 3], [-1, -3]]))
     # only one 3-gon exists; start becomes the vertex after the farthest
     assert provisional_start_vertex(c) == 0
-    assert select_start_vertex(c, 3, CostKind.SUM_SQUARED) == 1
+    assert select_start_vertex(c, 3, CostKind.SUM_SQUARED, SegmentCosts(c)) == 1
 
 
 def test_select_start_full_polygon_next_vertex():
     c = DigitalCurve(np.array([[8, 0], [4, 7], [-4, 7], [-8, 0], [-4, -7], [4, -7]]))
     p0 = provisional_start_vertex(c)
-    assert select_start_vertex(c, 6, CostKind.SUM_SQUARED) == (p0 + 1) % 6
+    assert select_start_vertex(c, 6, CostKind.SUM_SQUARED, SegmentCosts(c)) == (p0 + 1) % 6
 
 
 def test_select_start_range_check(square8):
     with pytest.raises(InvalidCounts):
-        select_start_vertex(square8, 2, CostKind.SUM_SQUARED)
+        select_start_vertex(square8, 2, CostKind.SUM_SQUARED, SegmentCosts(square8))
 
 
 def test_interpolate_linear_midpoint(square8):
@@ -284,7 +282,7 @@ def test_baseline_square_corners_self_evaluation(square8):
     from polyapprox import PolygonApprox
 
     poly = PolygonApprox(square8, [0, 2, 4, 6])
-    b = optimal_baseline(square8, poly, CostKind.SUM_SQUARED)
+    b = baseline_for(square8, poly, CostKind.SUM_SQUARED)
     assert b.error_optimal == 0.0
     assert b.m_optimal == 4.0
     assert not b.clamped
@@ -295,7 +293,7 @@ def test_baseline_cross_checked_against_enumeration():
     for seed in (21, 22, 23):
         c = lattice_ring(seed)
         poly = split_to_m(c, 4)
-        b = optimal_baseline(c, poly, CostKind.SUM_SQUARED)
+        b = baseline_for(c, poly, CostKind.SUM_SQUARED)
         start = b.start_index
         m_max = min(c.n, 12)
         ref = brute_force_values(c, start, 3, m_max, CostKind.SUM_SQUARED)

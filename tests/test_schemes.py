@@ -52,12 +52,12 @@ def eliminate_reference(curve, m):
     on the lowest index), the two neighbours rescored by arc_sum_sq."""
     n = curve.n
     pts = curve.points
-    tables = moment_tables(curve)
+    prefixes = moment_tables(curve)
     nxt = np.arange(1, n + 1) % n
     prv = np.arange(-1, n - 1) % n
     cost = np.empty(n)
     for i in range(n):
-        cost[i] = arc_sum_sq(pts, tables, int(prv[i]), int(nxt[i]))
+        cost[i] = arc_sum_sq(pts, prefixes, int(prv[i]), int(nxt[i]))
     alive = n
     while alive > m:
         i = int(np.argmin(cost))
@@ -65,8 +65,8 @@ def eliminate_reference(curve, m):
         prv[q] = p
         nxt[p] = q
         cost[i] = np.inf
-        cost[p] = arc_sum_sq(pts, tables, int(prv[p]), q)
-        cost[q] = arc_sum_sq(pts, tables, p, int(nxt[q]))
+        cost[p] = arc_sum_sq(pts, prefixes, int(prv[p]), q)
+        cost[q] = arc_sum_sq(pts, prefixes, p, int(nxt[q]))
         alive -= 1
     return PolygonApprox(curve, np.nonzero(np.isfinite(cost))[0])
 
@@ -116,7 +116,7 @@ def stabilize_reference(curve, poly):
     arc_sum_sq calls, visited in arc order."""
     n = curve.n
     pts = curve.points
-    tables = moment_tables(curve)
+    prefixes = moment_tables(curve)
     verts = [int(v) for v in poly.indices]
     m = len(verts)
     for _ in range(50):
@@ -128,12 +128,12 @@ def stabilize_reference(curve, poly):
             # the current position competes on its own cost, so an equal
             # candidate elsewhere never displaces it
             best_j = cur
-            best_cost = arc_sum_sq(pts, tables, p, cur) + arc_sum_sq(pts, tables, cur, q)
+            best_cost = arc_sum_sq(pts, prefixes, p, cur) + arc_sum_sq(pts, prefixes, cur, q)
             for t in range(1, (q - p) % n):
                 j = (p + t) % n
                 if j == cur:
                     continue
-                c = arc_sum_sq(pts, tables, p, j) + arc_sum_sq(pts, tables, j, q)
+                c = arc_sum_sq(pts, prefixes, p, j) + arc_sum_sq(pts, prefixes, j, q)
                 if c < best_cost or (c == best_cost and best_j != cur and j < best_j):
                     best_cost = c
                     best_j = j
