@@ -3,8 +3,9 @@
 Builds a noisy digitized ellipse, then times the three hot paths (the
 two cost tables and the DP solve) and the suboptimal schemes at
 m = --m-max.  The Emax table is also timed on an elongated ellipse
-(b = 0.3a), whose long arcs mostly stay under the table's bound.  Run
-from the repository root:
+(b = 0.3a), whose long arcs mostly stay under the table's bound, and on
+300 integer points of a circle of radius 10**6, every one of them a
+vertex of each arc's hull.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 """
@@ -65,12 +66,17 @@ def main() -> int:
     txs = thin[:, 0].astype(np.float64)
     tys = thin[:, 1].astype(np.float64)
     print(f"elongated contour: n={len(thin)}")
+    # the sagitta between neighbours (about 55) dwarfs rounding, so every
+    # point of the circle is a hull vertex
+    theta = 2.0 * np.pi * np.arange(300) / 300
+    circle = np.rint(1e6 * np.column_stack((np.cos(theta), np.sin(theta))))
 
     rcost = _kernels.dp_cost_matrix(_kernels.e2_cost_table(xs, ys), 0)
     cases = [
         ("e2 cost table", _kernels.e2_cost_table, (xs, ys)),
         ("emax cost table", _kernels.emax_cost_table, (xs, ys)),
         ("emax, elongated", _kernels.emax_cost_table, (txs, tys)),
+        ("emax, all-hull", _kernels.emax_cost_table, (circle[:, 0], circle[:, 1])),
         ("dp solve (sum)", _kernels.dp_solve, (rcost, args.m_max, False)),
         ("dp solve (max)", _kernels.dp_solve, (rcost, args.m_max, True)),
     ]

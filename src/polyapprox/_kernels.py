@@ -17,12 +17,12 @@ B: no optimal polygon of 3 or more vertices, and no tie with one, has
 such a side (_drop_unusable_sides says why).  The table costs O(n^2 h)
 on a simple ring with integer coordinates spanning less than
 EXACT_SPAN, where h is the largest convex hull of an arc (a few dozen
-points on lattice contours): a hull sweep to arcs of ceil(n/2) steps,
-then two frozen hulls per longer arc, of the ceil(n/2) points at each
-of its ends, which together cover it.  The first proves most such arcs
-to be above B; the larger of the two over the chord is the exact value
-of the rest.  Any other ring, and one whose hulls pass n/3 points,
-takes the O(n^3) scan and then the bound.
+points on lattice contours, up to n/2 on a convex ring): a hull sweep
+to arcs of ceil(n/2) steps, then two frozen hulls per longer arc, of
+the ceil(n/2) points at each of its ends, which together cover it.  The
+first proves most such arcs to be above B; the larger of the two over
+the chord is the exact value of the rest.  Any other ring takes the
+O(n^3) scan and then the bound.
 
 The DP reads its cost matrix with the arc end as the row and the arc
 start as the column (dp_cost_matrix builds it); layer j combines and
@@ -168,11 +168,12 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     Simple rings with exact cross products take the hull sweep, every
     other ring the full scan; both give the same table, bit for bit.
+    The sweep is the faster of the two even where every point is a hull
+    vertex; its deques then grow to about n/2 slots a start, and its peak
+    memory to 1.2 to 1.4 times the scan's (measured at n = 150 to 600).
     """
     if _hull_sweep_is_exact(xs, ys):
-        out = _emax_cost_table_hull(xs, ys)
-        if out is not None:
-            return out
+        return _emax_cost_table_hull(xs, ys)
     return _drop_unusable_sides(_emax_cost_table_scan(xs, ys))
 
 
@@ -284,7 +285,7 @@ def _cross(e, f):
     return (e.conj() * f).imag
 
 
-def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
+def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """emax_cost_table for a ring that passes _hull_sweep_is_exact.
 
     The largest |cross| over a set of points is reached at a vertex of
@@ -305,8 +306,6 @@ def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
     maximum and minimum; taking both magnitudes keeps a window on the
     chord's line at the scan's +0.0, where negating a zero gives -0.0.
     So the long arcs cost at most two column scans of the frozen hulls.
-
-    Returns None where _arc_hulls gives up.
     """
     n = xs.shape[0]
     z = xs + 1j * ys
@@ -332,8 +331,6 @@ def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
 
     for length in range(2, reach + 1):
         hull = next(hulls)
-        if hull is None:
-            return None
         top, _, norm = column(hull, length)
         _put_column(out_f, length, top / norm)
     bound = _side_bound(out)
@@ -369,8 +366,7 @@ def _put_column(out_f, length, val):
 
 def _arc_hulls(z: np.ndarray, z2: np.ndarray):
     """Yield, after step j = 1 .. n-2, a (slots, n) array whose column u
-    holds the convex hull of p[u..u+j] relative to p[u]; yield None and
-    stop where the hulls pass n/3 points.
+    holds the convex hull of p[u..u+j] relative to p[u].
 
     All n starts advance in lockstep: at step j, start u adds p[u+j] to
     a Melkman deque (exact for a simple polyline).  Points are complex
@@ -381,10 +377,13 @@ def _arc_hulls(z: np.ndarray, z2: np.ndarray):
     every slot without a mask.  The yielded array is updated in place by
     the next step, or replaced when it grows.
 
-    Past n/3 slots (arcs of a nearly convex ring) the sweep would need
-    more memory than the scan and save little or no time, so it gives
-    the ring to the scan; the steps already taken cost at most a ninth
-    of the scan.
+    Each deque starts as [last, p[u], last], and the ordinary step makes
+    it Melkman's triangle at the prefix's first turn.  Before that, a
+    collinear q pops both ends to p[u]; one more pop would step onto the
+    other end's slot and never stop, as every slot holds a point of the
+    same line, so no end pops onto it.  Only a three-entry deque can
+    reach that slot, and only at steps j <= R + 1, for R the ring's
+    longest circular run of zero turns; only those steps check it.
     """
     n = z.shape[0]
     rows = np.arange(n)
@@ -400,32 +399,16 @@ def _arc_hulls(z: np.ndarray, z2: np.ndarray):
     # pop direction of each end, as a flat slot step; its sign also makes
     # "q strictly inside the edge at this end" a positive cross product
     inward = np.array([[-n], [n]])
-    # a start whose prefix is one straight run keeps [last, p[u], last]
-    # until the first turn, where its deque becomes Melkman's triangle
     last = z2[1:n + 1] - z
     hull[0] = hull[2] = last
-    straight = rows
+    # R: last[u] is side u -> u+1, so the turns are crosses of neighbours
+    bent = np.flatnonzero(_cross(last, np.roll(last, -1)))
+    run = (np.diff(bent, append=bent[0] + n) - 1).max()
     for j in range(1, n - 1):
         if j > 1:
             q = z2[j:j + n] - z
             # an end pops while q is not strictly inside its edge
             need = _cross(nbr - last, q - last) * inward <= 0.0
-            if straight.size:
-                need[:, straight] = False
-                turn = _cross(last[straight], q[straight])
-                on = straight[turn == 0.0]
-                hull[0, on] = hull[2, on] = last[on] = q[on]
-                bent = turn != 0.0
-                c = straight[bent]
-                left = turn[bent] > 0.0
-                # left turn: [q, p[u], last, q]; right turn: [q, last, p[u], q]
-                lo = np.where(left, 0.0, last[c])
-                hi = np.where(left, last[c], 0.0)
-                hull[1, c] = nbr[1, c] = lo
-                hull[2, c] = nbr[0, c] = hi
-                hull[0, c] = hull[3, c] = last[c] = q[c]
-                ends[0, c] += n
-                straight = on
             keys = np.flatnonzero(need)  # end * n + start
             if keys.size:
                 moved = np.flatnonzero(need.any(axis=0))
@@ -434,11 +417,18 @@ def _arc_hulls(z: np.ndarray, z2: np.ndarray):
                 pos = ends_f[keys]
                 cur = nbr_f[keys]
                 qk = q[keys - end * n]
+                # the other end's slot, while the prefix can be straight
+                other = ends_f[(keys + n) % (2 * n)] if j <= run + 1 else None
                 while keys.size:
                     pos = (pos + step) % hull_f.size
                     ends_f[keys] = pos
-                    deeper = hull_f[(pos + step) % hull_f.size]
+                    nxt = (pos + step) % hull_f.size
+                    deeper = hull_f[nxt]
                     keep = _cross(deeper - cur, qk - cur) * step <= 0.0
+                    if other is not None:
+                        # the second pop is the first that could reach it
+                        keep &= nxt != other
+                        other = None
                     keys, pos, cur, qk, step = (
                         a[keep] for a in (keys, pos, deeper, qk, step)
                     )
@@ -449,9 +439,6 @@ def _arc_hulls(z: np.ndarray, z2: np.ndarray):
                 hull_f[e[0]] = hull_f[e[1]] = last[moved] = q[moved]
                 # each step adds at most one entry; keep room for it
                 if ((e[0] - e[1]) % hull_f.size).max() // n + 1 >= cap:
-                    if 3 * (cap + _HULL_GROW) > n:
-                        yield None
-                        return
                     slots = (ends[1] // n + np.arange(cap)[:, None]) % cap
                     ends[0] = (ends[0] - ends[1]) % hull_f.size + rows
                     ends[1] = rows

@@ -104,8 +104,8 @@ def build_parser() -> _Parser:
     p_study.add_argument("--target-cr", type=float, default=15.0)
     p_study.add_argument("--nise-variant", choices=("printed", "unit"),
                          default="printed")
-    p_study.add_argument("--threads", default="auto",
-                         help="worker threads, an integer or 'auto'")
+    p_study.add_argument("--threads", default="1",
+                         help="worker threads, an integer >= 1 (default 1)")
     p_study.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -126,12 +126,10 @@ def _resolve_m(parser: _Parser, args, curve) -> int:
 
 
 def _threads_arg(parser: _Parser, value: str) -> int:
-    if value == "auto":
-        return os.cpu_count() or 1
     try:
         t = int(value)
     except ValueError:
-        parser.error(f"--threads must be an integer or 'auto', got {value!r}")
+        parser.error(f"--threads must be an integer, got {value!r}")
     if t < 1:
         parser.error("--threads must be >= 1")
     return t

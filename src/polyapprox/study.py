@@ -220,8 +220,8 @@ def run_study(
     reduced in corpus order, so results do not depend on the thread
     count.  The kernels hold the GIL through many small numpy calls: on
     the built-in corpus at 2 vCPUs, threads=2 was slower than threads=1
-    in each of 4 alternating pairs (2.50 to 2.81 s against 2.17 to
-    2.38 s).  A curve that fails to evaluate is logged and skipped
+    in each of 8 alternating pairs (2.44 to 2.87 s against 2.14 to
+    2.58 s).  A curve that fails to evaluate is logged and skipped
     rather than aborting the study.
     """
     ids = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyapprox import parse_point_list
+from polyapprox import cli, parse_point_list
 from polyapprox.cli import main
 from conftest import build_corpus, lattice_ring, square_ring
 
@@ -239,6 +239,26 @@ def test_study_bad_threads(corpus_dir):
     with pytest.raises(SystemExit) as e2:
         main(["study", "--corpus", str(corpus_dir), "--threads", "0"])
     assert e2.value.code == 1
+
+
+def test_study_threads_auto_is_a_usage_error(corpus_dir, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["study", "--corpus", str(corpus_dir), "--threads", "auto"])
+    assert e.value.code == 1
+    assert "--threads must be an integer" in capsys.readouterr().err
+
+
+def test_study_runs_on_one_thread_by_default(corpus_dir, tmp_path, monkeypatch):
+    threads = []
+    real = cli.run_study
+
+    def run_study(corpus, **kwargs):
+        threads.append(kwargs["threads"])
+        return real(corpus, **kwargs)
+
+    monkeypatch.setattr(cli, "run_study", run_study)
+    assert main(["study", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 0
+    assert threads == [1]
 
 
 def test_target_cr_validation(square_pts):

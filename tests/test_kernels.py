@@ -6,6 +6,7 @@ on byte-identical CSV output, and the loops state each entry's
 arithmetic one operation at a time.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -281,26 +282,111 @@ def _convex_polygon(run, quarter=QUARTER_10):
     return np.cumsum(np.repeat(sides, run, axis=0), axis=0)
 
 
+def _sweep_slots(pts):
+    """Deque slots of _arc_hulls once the sweep reaches ceil(n/2) steps."""
+    z = (pts[:, 0] + 1j * pts[:, 1]).astype(np.complex128)
+    hulls = _kernels._arc_hulls(z, np.concatenate((z, z)))
+    for _ in range(2, -(-z.shape[0] // 2) + 1):
+        hull = next(hulls)
+    return hull.shape[0]
+
+
 def test_emax_table_exact_when_hulls_outgrow_the_deque(emax_path):
     # 80-gon, n = 160: the hull of an arc of n/2 points has about 41
     # vertices, so the deques outgrow their first _HULL_SLOTS slots
     # several times before the sweep stops, and stay below n/3
     ring = _convex_polygon(2, QUARTER_20)
     assert 41 > 2 * _kernels._HULL_SLOTS and 3 * 48 <= ring.shape[0]
-    z = (ring[:, 0] + 1j * ring[:, 1]).astype(np.complex128)
-    hulls = _kernels._arc_hulls(z, np.concatenate((z, z)))
-    slots = [next(hulls).shape[0] for _ in range(2, ring.shape[0] // 2 + 1)]
-    assert slots[-1] == 48
+    assert _sweep_slots(ring) == 48
     _check_emax_exact(ring, emax_path, "hull")
 
 
-def test_emax_table_scans_when_hulls_pass_a_third_of_n(emax_path):
-    # n = 40: each arc is its own hull, so the sweep gives up to the scan
-    _check_emax_exact(_convex_polygon(1), emax_path, "hull", "scan")
+def test_emax_table_sweeps_when_hulls_pass_a_third_of_n(emax_path):
+    # n = 40: each arc is its own hull, and the sweep still takes it
+    _check_emax_exact(_convex_polygon(1), emax_path, "hull")
 
 
 def _scan_bounded(xs, ys):
     return _kernels._drop_unusable_sides(_kernels._emax_cost_table_scan(xs, ys))
+
+
+@pytest.mark.parametrize("n", [60, 131, 200])
+def test_emax_table_sweeps_all_hull_rings(n, emax_path):
+    # integer points on a circle of radius 10**5: the sagitta between
+    # neighbours (12 or more) outweighs rounding, so every point is a
+    # hull vertex and the deques grow past n/3 slots
+    theta = 2.0 * np.pi * np.arange(n) / n
+    ring = np.rint(1e5 * np.column_stack((np.cos(theta), np.sin(theta))))
+    side = np.roll(ring, -1, axis=0) - ring
+    assert (side[:, 0] * np.roll(side[:, 1], -1) > side[:, 1] * np.roll(side[:, 0], -1)).all()
+    xs, ys = ring[:, 0], ring[:, 1]
+    table = _kernels.emax_cost_table(xs, ys)
+    assert emax_path == ["_emax_cost_table_hull"]
+    assert table.tobytes() == _scan_bounded(xs, ys).tobytes()
+    assert 3 * _sweep_slots(ring) > n
+
+
+def _direction(rng):
+    # a random primitive lattice direction
+    while True:
+        a, b = (int(c) for c in rng.integers(-5, 6, size=2))
+        if math.gcd(a, b) == 1:
+            return np.array([a, b])
+
+
+def _fuzz_lattice(rng):
+    # at least 3 distinct lattice points in angular order, n from 4 to 80
+    # before duplicates drop; rounding makes some self-touching
+    while True:
+        n = int(rng.integers(4, 81))
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        radii = rng.uniform(2.0, 2.0 + n / 4, n)
+        pts = np.rint(radii[:, None] * np.column_stack((np.cos(theta), np.sin(theta))))
+        _, first = np.unique(pts, axis=0, return_index=True)
+        if first.size >= 3:
+            return pts[np.sort(first)]
+
+
+def _fuzz_thin_rectangle(rng):
+    # every lattice point of a rectangle along a random direction d, one
+    # or two steps wide
+    d = _direction(rng)
+    w = np.array([-d[1], d[0]])
+    k = np.arange(int(rng.integers(2, 30)))[:, None]
+    across = np.arange(int(rng.integers(1, 3)))[:, None]
+    far = (k[-1] + 1) * d
+    top = far + (across[-1] + 1) * w
+    return np.concatenate((k * d, far + across * w, top - k * d, top - far - across * w))
+
+
+def _fuzz_run_and_apex(rng):
+    # a straight run along a random direction, closed by one point off it
+    d = _direction(rng)
+    while True:
+        apex = rng.integers(-20, 21, size=2)
+        if d[0] * apex[1] != d[1] * apex[0]:
+            break
+    run = np.arange(int(rng.integers(2, 40)))[:, None] * d
+    return np.concatenate((run, apex[None, :]))
+
+
+FUZZ_RINGS = {
+    "lattice": _fuzz_lattice,
+    "thin_rectangle": _fuzz_thin_rectangle,
+    "run_and_apex": _fuzz_run_and_apex,
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", sorted(FUZZ_RINGS))
+def test_emax_table_exact_on_fuzzed_rings(family, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        pts = FUZZ_RINGS[family](rng).astype(np.float64)
+        xs, ys = pts[:, 0], pts[:, 1]
+        # only the angular lattice rings can be self-touching
+        assert family == "lattice" or _kernels._hull_sweep_is_exact(xs, ys)
+        _assert_same_bytes(_kernels.emax_cost_table(xs, ys), _scan_bounded(xs, ys))
 
 
 @pytest.mark.parametrize("pts, oracle", [
