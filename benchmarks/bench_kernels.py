@@ -3,9 +3,11 @@
 Builds a noisy digitized ellipse, then times the three hot paths (the
 two cost tables and the DP solve) and the suboptimal schemes at
 m = --m-max.  The Emax table is also timed on an elongated ellipse
-(b = 0.3a), whose long arcs mostly stay under the table's bound, and on
+(b = 0.3a), whose long arcs mostly stay under the table's bound, on
 300 integer points of a circle of radius 10**6, every one of them a
-vertex of each arc's hull.  Run from the repository root:
+vertex of each arc's hull, and on the first ellipse with two points a
+third of the ring apart swapped, which makes its sides cross.  Run from
+the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 """
@@ -70,6 +72,8 @@ def main() -> int:
     # point of the circle is a hull vertex
     theta = 2.0 * np.pi * np.arange(300) / 300
     circle = np.rint(1e6 * np.column_stack((np.cos(theta), np.sin(theta))))
+    crossed = pts.astype(np.float64)
+    crossed[[0, n // 3]] = crossed[[n // 3, 0]]
 
     rcost = _kernels.dp_cost_matrix(_kernels.e2_cost_table(xs, ys), 0)
     cases = [
@@ -77,6 +81,7 @@ def main() -> int:
         ("emax cost table", _kernels.emax_cost_table, (xs, ys)),
         ("emax, elongated", _kernels.emax_cost_table, (txs, tys)),
         ("emax, all-hull", _kernels.emax_cost_table, (circle[:, 0], circle[:, 1])),
+        ("emax, non-simple", _kernels.emax_cost_table, (crossed[:, 0], crossed[:, 1])),
         ("dp solve (sum)", _kernels.dp_solve, (rcost, args.m_max, False)),
         ("dp solve (max)", _kernels.dp_solve, (rcost, args.m_max, True)),
     ]

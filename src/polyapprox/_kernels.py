@@ -14,15 +14,16 @@ a block-sized staging buffer rotates each block into [start, end] order.
 The max-error table holds an arc's exact value where it is at most B,
 the largest entry over arcs of at most ceil(n/3) steps, and +inf above
 B: no optimal polygon of 3 or more vertices, and no tie with one, has
-such a side (_drop_unusable_sides says why).  The table costs O(n^2 h)
-on a simple ring with integer coordinates spanning less than
-EXACT_SPAN, where h is the largest convex hull of an arc (a few dozen
-points on lattice contours, up to n/2 on a convex ring): a hull sweep
-to arcs of ceil(n/2) steps, then two frozen hulls per longer arc, of
-the ceil(n/2) points at each of its ends, which together cover it.  The
-first proves most such arcs to be above B; the larger of the two over
-the chord is the exact value of the rest.  Any other ring takes the
-O(n^3) scan and then the bound.
+such a side (_side_bound says why).  Its points must be distinct
+integers spanning less than EXACT_SPAN, which SegmentCosts checks.  One
+sweep builds it on every ring: to arcs of ceil(n/2) steps, then two
+frozen windows per longer arc, of the ceil(n/2) points at each of its
+ends, which together cover it.  The first proves most such arcs to be
+above B; the larger of the two over the chord is the exact value of the
+rest.  Only the points kept per window depend on the ring: on a simple
+ring its convex hull, O(n^2 h) for hulls of at most h points (a few
+dozen on lattice contours, up to n/2 on a convex ring); on any other
+ring every point of the window, O(n^3).
 
 The DP reads its cost matrix with the arc end as the row and the arc
 start as the column (dp_cost_matrix builds it); layer j combines and
@@ -164,70 +165,96 @@ _SIMPLE_BLOCK = 1 << 18
 
 def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Largest deviation of every forward arc u -> v from its chord, or
-    +inf where that exceeds the bound of _drop_unusable_sides.
+    +inf where that exceeds B, the bound of _side_bound.
 
-    Simple rings with exact cross products take the hull sweep, every
-    other ring the full scan; both give the same table, bit for bit.
-    The sweep is the faster of the two even where every point is a hull
-    vertex; its deques then grow to about n/2 slots a start, and its peak
-    memory to 1.2 to 1.4 times the scan's (measured at n = 150 to 600).
+    The points must be distinct integers spanning less than EXACT_SPAN:
+    then every chord has a length and every product below is an integer
+    under 2**53, exact in float64.
+
+    The largest |cross| over a set of points is reached at a vertex of
+    its convex hull, so column v = u+L scans, for start u, points of
+    p[u..u+L-1] relative to p[u] that include every vertex of their hull,
+    not the whole arc.  On a simple ring _arc_hulls keeps the hull
+    itself: O(n^2 h) for hulls of at most h points.  On any other ring,
+    where Melkman's hull does not hold, _arc_prefixes keeps every point
+    of the prefix: O(n^3).  Each entry is the exact largest |cross|
+    divided once by the chord length: the bits of a scan of every arc
+    point, whichever set was scanned.
+
+    The sweep runs to arcs of K = ceil(n/2) steps; B is then known.  A
+    longer arc u -> u+L holds two frozen windows that cover it, as
+    L < 2K: p[u..u+K-1], column u, and p[u+L-K..u+L-1], column
+    s = (u+L-K) % n.  The first window's quotient above B makes the
+    entry +inf; every other entry is the larger |cross| of the two
+    windows over the chord.  Column s is stored relative to p[s], so its
+    crosses shift by cross(p[s] - p[u]), and its largest |cross| is the
+    larger magnitude of its shifted maximum and minimum; taking both
+    magnitudes keeps a window on the chord's line at the scan's +0.0,
+    where negating a zero gives -0.0.  So the long arcs cost at most two
+    column scans of the frozen windows.
     """
-    if _hull_sweep_is_exact(xs, ys):
-        return _emax_cost_table_hull(xs, ys)
-    return _drop_unusable_sides(_emax_cost_table_scan(xs, ys))
+    n = xs.shape[0]
+    z = xs + 1j * ys
+    z2 = np.concatenate((z, z))
+    out = np.zeros((n, n))
+    out_f = out.reshape(-1)
+    reach = -(-n // 2)
+    simple = ring_is_simple(xs.astype(np.int64), ys.astype(np.int64))
+    hulls = (_arc_hulls if simple else _arc_prefixes)(z, z2)
+    prod = dev = None
 
+    def column(hull, length):
+        # largest slot |cross| against each chord u -> u+length, the
+        # chords, and their lengths
+        nonlocal prod, dev
+        if prod is None or prod.shape != hull.shape:
+            prod = np.empty(hull.shape, dtype=np.complex128)
+            dev = np.empty(hull.shape)
+        d = z2[length:length + n] - z
+        np.multiply(hull, d.conj(), out=prod)
+        np.abs(prod.imag, out=dev)
+        dx, dy = d.real, d.imag
+        return dev.max(axis=0), d, np.sqrt(dx * dx + dy * dy)
 
-def _drop_unusable_sides(out: np.ndarray) -> np.ndarray:
-    """Set to +inf, in place, every entry of a max-error table above B,
-    the largest entry over arcs of at most ceil(n/3) steps.
-
-    No polygon of m >= 3 vertices that is optimal, or tied with the
-    optimum, can have such a side: the polygon through s + floor(k n / m)
-    has sides of at most ceil(n/3) steps, so the optimal max error from
-    any start s is at most B.  A table holding NaN (a ring that revisits
-    a point) is returned unchanged.
-    """
-    if not np.isnan(out).any():
-        out[out > _side_bound(out)] = np.inf
+    for length in range(2, reach + 1):
+        hull = next(hulls)
+        top, _, norm = column(hull, length)
+        _put_column(out_f, length, top / norm)
+    bound = _side_bound(out)
+    for length in range(reach + 1, n):
+        top, d, norm = column(hull, length)
+        val = top / norm
+        u = np.flatnonzero(val <= bound)
+        if u.size:
+            lag = length - reach
+            # the open arcs' second windows, gathered into the front of
+            # prod; mode "clip" writes straight into it, unbuffered
+            far = prod.reshape(-1)[:hull.shape[0] * u.size].reshape(-1, u.size)
+            np.take(hull, (u + lag) % n, axis=1, out=far, mode="clip")
+            chord = d[u].conj()
+            far *= chord
+            shift = ((z2[u + lag] - z[u]) * chord).imag
+            cross = far.imag
+            wide = np.maximum(np.abs(cross.max(axis=0) + shift),
+                              np.abs(cross.min(axis=0) + shift))
+            val[u] = np.maximum(top[u], wide) / norm[u]
+        _put_column(out_f, length, val)
+    out[out > bound] = np.inf
     return out
 
 
 def _side_bound(out: np.ndarray) -> float:
-    # B: the largest entry over arcs of 1 to ceil(n/3) steps
+    """B: the largest entry of a max-error table over arcs of 1 to
+    ceil(n/3) steps.
+
+    No polygon of m >= 3 vertices that is optimal, or tied with the
+    optimum, can have a side above B: the polygon through s + floor(k n / m)
+    has sides of at most ceil(n/3) steps, so the optimal max error from
+    any start s is at most B.
+    """
     n = out.shape[0]
     u = np.arange(n)[:, None]
     return out[u, (u + np.arange(1, -(-n // 3) + 1)) % n].max()
-
-
-def _emax_cost_table_scan(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """emax_cost_table by scanning every arc point: O(n^3)."""
-    n = xs.shape[0]
-    x2 = np.concatenate((xs, xs))
-    y2 = np.concatenate((ys, ys))
-    out = np.zeros((n, n))
-    lengths = np.arange(2, n)
-    offs = np.arange(1, n - 1)
-    for u in range(n):
-        xu, yu = xs[u], ys[u]
-        vs = (u + lengths) % n
-        dx = xs[vs] - xu
-        dy = ys[vs] - yu
-        wx = x2[u + offs] - xu
-        wy = y2[u + offs] - yu
-        cross = np.abs(np.outer(wx, dy) - np.outer(wy, dx))
-        valid = offs[:, None] < lengths[None, :]
-        cross[~valid] = -1.0
-        out[u, vs] = cross.max(axis=0) / np.sqrt(dx * dx + dy * dy)
-    return out
-
-
-def _hull_sweep_is_exact(xs: np.ndarray, ys: np.ndarray) -> bool:
-    """Whether the hull sweep gives the scan's table: integer coordinates
-    spanning less than EXACT_SPAN on a simple ring."""
-    for c in (xs, ys):
-        if not (np.array_equal(np.rint(c), c) and np.ptp(c) < EXACT_SPAN):
-            return False
-    return ring_is_simple(xs.astype(np.int64), ys.astype(np.int64))
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -283,77 +310,6 @@ def ring_is_simple(xs: np.ndarray, ys: np.ndarray) -> bool:
 def _cross(e, f):
     # cross product of vectors stored as complex numbers x + iy
     return (e.conj() * f).imag
-
-
-def _emax_cost_table_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """emax_cost_table for a ring that passes _hull_sweep_is_exact.
-
-    The largest |cross| over a set of points is reached at a vertex of
-    its convex hull, so column v = u+L scans the slots that _arc_hulls
-    keeps for start u, the hull of p[u..u+L-1], instead of the arc:
-    O(n^2 h) for hulls of at most h points, against the scan's O(n^3).
-    Every product is an integer below 2**53, so each entry takes the
-    scan's bits.
-
-    The sweep runs to arcs of K = ceil(n/2) steps; B, the bound of
-    _drop_unusable_sides, is then known.  A longer arc u -> u+L holds
-    two frozen windows that cover it, as L < 2K: p[u..u+K-1], hull
-    column u, and p[u+L-K..u+L-1], column s = (u+L-K) % n.  The first
-    window's quotient above B makes the entry +inf; every other entry is
-    the larger |cross| of the two windows over the chord.  Column s is
-    stored relative to p[s], so its crosses shift by cross(p[s] - p[u]),
-    and its largest |cross| is the larger magnitude of its shifted
-    maximum and minimum; taking both magnitudes keeps a window on the
-    chord's line at the scan's +0.0, where negating a zero gives -0.0.
-    So the long arcs cost at most two column scans of the frozen hulls.
-    """
-    n = xs.shape[0]
-    z = xs + 1j * ys
-    z2 = np.concatenate((z, z))
-    out = np.zeros((n, n))
-    out_f = out.reshape(-1)
-    reach = -(-n // 2)
-    hulls = _arc_hulls(z, z2)
-    prod = dev = None
-
-    def column(hull, length):
-        # largest slot |cross| against each chord u -> u+length, the
-        # chords, and their lengths
-        nonlocal prod, dev
-        if prod is None or prod.shape != hull.shape:
-            prod = np.empty(hull.shape, dtype=np.complex128)
-            dev = np.empty(hull.shape)
-        d = z2[length:length + n] - z
-        np.multiply(hull, d.conj(), out=prod)
-        np.abs(prod.imag, out=dev)
-        dx, dy = d.real, d.imag
-        return dev.max(axis=0), d, np.sqrt(dx * dx + dy * dy)
-
-    for length in range(2, reach + 1):
-        hull = next(hulls)
-        top, _, norm = column(hull, length)
-        _put_column(out_f, length, top / norm)
-    bound = _side_bound(out)
-    for length in range(reach + 1, n):
-        top, d, norm = column(hull, length)
-        val = top / norm
-        u = np.flatnonzero(val <= bound)
-        if u.size:
-            lag = length - reach
-            # the open arcs' second windows, gathered into the front of
-            # prod; mode "clip" writes straight into it, unbuffered
-            far = prod.reshape(-1)[:hull.shape[0] * u.size].reshape(-1, u.size)
-            np.take(hull, (u + lag) % n, axis=1, out=far, mode="clip")
-            chord = d[u].conj()
-            far *= chord
-            shift = ((z2[u + lag] - z[u]) * chord).imag
-            cross = far.imag
-            wide = np.maximum(np.abs(cross.max(axis=0) + shift),
-                              np.abs(cross.min(axis=0) + shift))
-            val[u] = np.maximum(top[u], wide) / norm[u]
-        _put_column(out_f, length, val)
-    out[out > bound] = np.inf
-    return out
 
 
 def _put_column(out_f, length, val):
@@ -449,6 +405,15 @@ def _arc_hulls(z: np.ndarray, z2: np.ndarray):
                     ))
                     hull_f = hull.reshape(-1)
         yield hull
+
+
+def _arc_prefixes(z: np.ndarray, z2: np.ndarray):
+    """Yield, after step j = 1 .. n-2, a (j+1, n) array whose column u
+    holds every point of p[u..u+j] relative to p[u]: a superset of the
+    prefix's hull on any ring."""
+    win = sliding_window_view(z2, z.shape[0])
+    for j in range(1, z.shape[0] - 1):
+        yield win[:j + 1] - z
 
 
 def dp_cost_matrix(tab: np.ndarray, start: int) -> np.ndarray:

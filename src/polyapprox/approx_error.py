@@ -8,9 +8,7 @@ prefix tables in O(1) per query.
 
 from __future__ import annotations
 
-import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +17,12 @@ from .curve import DigitalCurve
 from .exceptions import DegenerateSegment, InvalidCounts
 
 __all__ = [
-    "SegmentErrors",
     "PolygonApprox",
     "moment_tables",
     "arc_sum_sq",
-    "perpendicular_distance",
-    "segment_errors",
     "polygon_errors",
-    "polygon_errors_points",
     "compression_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class SegmentErrors:
-    """Errors of one polygon side: sum of squares and the largest single
-    deviation over the strictly intervening arc points."""
-
-    sum_sq: float
-    max_e: float
 
 
 # weak keys: a cached curve is freed, with its tables, once unreferenced
@@ -102,18 +87,6 @@ class PolygonApprox:
 
     def __repr__(self) -> str:
         return f"<PolygonApprox m={self.m} of {self.curve!r}>"
-
-
-def perpendicular_distance(p_u, p_v, p_w) -> float:
-    """Distance from p_w to the infinite line through p_u and p_v."""
-    xu, yu = float(p_u[0]), float(p_u[1])
-    xv, yv = float(p_v[0]), float(p_v[1])
-    xw, yw = float(p_w[0]), float(p_w[1])
-    dx = xv - xu
-    dy = yv - yu
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateSegment(f"segment endpoints coincide at ({xu}, {yu})")
-    return abs((xw - xu) * dy - (yw - yu) * dx) / math.hypot(dx, dy)
 
 
 def _arc_e2(xs, ys, prefixes, n: int, u: int, v: int):
@@ -183,23 +156,6 @@ def _arcs_max_e(points: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.
     return best / np.sqrt(l2)
 
 
-def segment_errors(curve: DigitalCurve, u: int, v: int) -> SegmentErrors:
-    """Errors of the side from curve point u to curve point v.
-
-    Only points strictly inside the forward arc contribute; the side's
-    endpoints are on the line by construction.
-    """
-    n = curve.n
-    u, v = u % n, v % n
-    if u == v:
-        raise DegenerateSegment(f"u and v are the same index {u}")
-    pts = curve.points
-    return SegmentErrors(
-        sum_sq=arc_sum_sq(pts, moment_tables(curve), u, v),
-        max_e=float(_arcs_max_e(pts, n, np.array([u]), np.array([v]))[0]),
-    )
-
-
 def _polygon_errors(points: np.ndarray, prefixes: tuple, idx) -> tuple[float, float]:
     u = np.asarray(idx)
     v = np.roll(u, -1)
@@ -207,18 +163,6 @@ def _polygon_errors(points: np.ndarray, prefixes: tuple, idx) -> tuple[float, fl
     for a, b in zip(u.tolist(), v.tolist()):
         e2 += arc_sum_sq(points, prefixes, a, b)
     return e2, float(_arcs_max_e(points, points.shape[0], u, v).max())
-
-
-def polygon_errors_points(points: np.ndarray, indices) -> tuple[float, float]:
-    """(E2, Emax) of a polygon over a raw point array.
-
-    E2 sums the squared deviations of every non-vertex point against its
-    covering side; Emax is the largest single deviation.  Exposed at the
-    array level so invariance checks can feed transformed float points.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    idx = np.asarray(indices, dtype=np.int64)
-    return _polygon_errors(pts, _kernels.doubled_prefixes(pts[:, 0], pts[:, 1]), idx)
 
 
 def polygon_errors(curve: DigitalCurve, poly: PolygonApprox) -> tuple[float, float]:

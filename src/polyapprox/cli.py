@@ -22,7 +22,7 @@ from .approx_error import polygon_errors
 from .curve import load_curve
 from .exceptions import PolyApproxError
 from .measures import CSV_HEADER, record_to_csv_row
-from .optimal import CostKind, SegmentCosts, optimal_profile, select_start_vertex
+from .optimal import CostKind, SegmentCosts, select_start_vertex
 from .schemes import SchemeId, apply_scheme, auto_target_m
 from .study import (
     PAIRINGS,
@@ -157,7 +157,7 @@ def _cmd_profile(parser, args) -> int:
     costs = SegmentCosts(curve)
     start = select_start_vertex(curve, m_sub, kind, costs)
     m_max = min(curve.n, 3 * m_sub)
-    profile = optimal_profile(curve, start, m_max, kind, costs)
+    profile = costs.profile(start, m_max, kind)
     lines = ["m,error"]
     for m, err in profile.items():
         lines.append(f"{m},{err}")

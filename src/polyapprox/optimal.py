@@ -98,10 +98,12 @@ class SegmentCosts:
     Emax table holds +inf for sides that no optimal polygon of 3 or more
     vertices, nor one tied with it, can use (those above the largest
     Emax of an arc of at most ceil(n/3) steps); its other entries, and
-    so every profile value and polygon, are exact.  Curves
-    whose tables would take more than MAX_TABLE_BYTES, and curves with
-    coincident (non-consecutive) points, are rejected up front: for the
-    latter some table entry would have no defining line.
+    so every profile value and polygon, are exact.  Curves are rejected
+    up front whose tables would take more than MAX_TABLE_BYTES, whose x
+    or y coordinates span 2**26 (_kernels.EXACT_SPAN) or more, beyond
+    which float64 cross products lose bits, or whose points coincide
+    (non-consecutively), which would leave some table entry without a
+    defining line.
     """
 
     def __init__(self, curve: DigitalCurve):
@@ -121,6 +123,13 @@ class SegmentCosts:
             i, j = sorted((int(order[dup]), int(order[dup + 1])))
             raise DegenerateSegment(
                 f"points {i} and {j} coincide at ({pts[i, 0]}, {pts[i, 1]})"
+            )
+        # Python ints: an int64 difference could wrap
+        sx, sy = (int(hi) - int(lo) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
+        if max(sx, sy) >= _kernels.EXACT_SPAN:
+            raise CurveTooLarge(
+                f"coordinates span {sx} by {sy}; the cost tables need spans"
+                f" below 2**26"
             )
         self.curve = curve
         self._tables: dict[CostKind, np.ndarray] = {}
@@ -199,6 +208,8 @@ def select_start_vertex(
     return int(idx[(pos + 1) % poly.m])
 
 
+# perfbench's workloads still call this; the next change to the
+# benchmark (ROADMAP D1) moves them to SegmentCosts.profile and drops it.
 def optimal_profile(
     curve: DigitalCurve,
     start: int,

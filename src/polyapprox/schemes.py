@@ -50,9 +50,9 @@ def split_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
     Seeds are the point farthest from the centroid and the point
     farthest from that one.  Each round scores every side by its largest
     deviation and inserts the offending point as a new vertex.  A side
-    is scored once, by one array expression over its arc with the
-    arithmetic of perpendicular_distance; ties take the lowest curve
-    index.
+    is scored once, by one array expression over its arc: each point's
+    |cross| against the chord over the chord's hypot; ties take the
+    lowest curve index.
     """
     _check_m(curve, m)
     n = curve.n

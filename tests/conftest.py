@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,13 +8,63 @@ from polyapprox import (
     CostKind,
     DigitalCurve,
     SegmentCosts,
+    _kernels,
+    arc_sum_sq,
     baseline_from_profile,
-    perpendicular_distance,
+    moment_tables,
     polygon_errors,
     select_start_vertex,
 )
-from polyapprox.approx_error import SegmentErrors
+from polyapprox.approx_error import _arcs_max_e, _polygon_errors
 from polyapprox.exceptions import DegenerateSegment
+
+
+@dataclass(frozen=True)
+class SegmentErrors:
+    """Errors of one polygon side: sum of squares and the largest single
+    deviation over the strictly intervening arc points."""
+
+    sum_sq: float
+    max_e: float
+
+
+def perpendicular_distance(p_u, p_v, p_w) -> float:
+    """Distance from p_w to the infinite line through p_u and p_v."""
+    xu, yu = float(p_u[0]), float(p_u[1])
+    xv, yv = float(p_v[0]), float(p_v[1])
+    xw, yw = float(p_w[0]), float(p_w[1])
+    dx = xv - xu
+    dy = yv - yu
+    if dx == 0.0 and dy == 0.0:
+        raise DegenerateSegment(f"segment endpoints coincide at ({xu}, {yu})")
+    return abs((xw - xu) * dy - (yw - yu) * dx) / math.hypot(dx, dy)
+
+
+def segment_errors(curve: DigitalCurve, u: int, v: int) -> SegmentErrors:
+    """Errors of the side from curve point u to curve point v, by the
+    library's arithmetic: arc_sum_sq and the arc max of polygon_errors.
+
+    Only points strictly inside the forward arc contribute; the side's
+    endpoints are on the line by construction.
+    """
+    n = curve.n
+    u, v = u % n, v % n
+    if u == v:
+        raise DegenerateSegment(f"u and v are the same index {u}")
+    pts = curve.points
+    return SegmentErrors(
+        sum_sq=arc_sum_sq(pts, moment_tables(curve), u, v),
+        max_e=float(_arcs_max_e(pts, n, np.array([u]), np.array([v]))[0]),
+    )
+
+
+def polygon_errors_points(points: np.ndarray, indices) -> tuple[float, float]:
+    """(E2, Emax) of a polygon over a raw point array, by the arithmetic
+    of polygon_errors, so invariance checks can feed transformed float
+    points."""
+    pts = np.asarray(points, dtype=np.float64)
+    idx = np.asarray(indices, dtype=np.int64)
+    return _polygon_errors(pts, _kernels.doubled_prefixes(pts[:, 0], pts[:, 1]), idx)
 
 
 def lattice_ring(seed: int, n_lo: int = 6, n_hi: int = 12) -> DigitalCurve:
@@ -84,6 +135,12 @@ def square_ring(side: int) -> DigitalCurve:
     xs = np.concatenate((t, full, side - t, zero))
     ys = np.concatenate((zero, t, full, side - t))
     return DigitalCurve(np.stack([xs, ys], axis=1), name=f"square{side}")
+
+
+def wide_ring(w: int) -> DigitalCurve:
+    """Simple six-point ring whose x span is w."""
+    pts = np.array([[0, 0], [w, 1], [w, 3], [w // 2, 2], [1, 5], [0, 3]], dtype=np.int64)
+    return DigitalCurve(pts, name=f"wide{w}")
 
 
 def _dedup_trace(pts: np.ndarray) -> np.ndarray:

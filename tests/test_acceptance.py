@@ -20,9 +20,7 @@ from polyapprox import (
     compression_ratio,
     optimal_profile,
     pearson,
-    perpendicular_distance,
     polygon_errors,
-    polygon_errors_points,
     provisional_start_vertex,
     rosin_merit,
     run_study,
@@ -39,7 +37,7 @@ from polyapprox.study import (
     scale_for_plot,
     study_series,
 )
-from conftest import baseline_for, lattice_ring
+from conftest import baseline_for, lattice_ring, perpendicular_distance, polygon_errors_points
 from test_optimal import brute_force_values
 
 BOTH_KINDS = (CostKind.SUM_SQUARED, CostKind.MAX_ERROR)

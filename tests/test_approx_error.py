@@ -12,13 +12,17 @@ from polyapprox import (
     PolygonApprox,
     compression_ratio,
     moment_tables,
-    perpendicular_distance,
     polygon_errors,
-    polygon_errors_points,
-    segment_errors,
 )
 from polyapprox import _kernels
-from conftest import lattice_ring, polygon_errors_naive, segment_errors_naive
+from conftest import (
+    lattice_ring,
+    perpendicular_distance,
+    polygon_errors_naive,
+    polygon_errors_points,
+    segment_errors,
+    segment_errors_naive,
+)
 
 
 def test_perpendicular_distance_hand_values():

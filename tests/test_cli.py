@@ -3,7 +3,8 @@ import pytest
 
 from polyapprox import cli, parse_point_list
 from polyapprox.cli import main
-from conftest import build_corpus, lattice_ring, square_ring
+from polyapprox._kernels import EXACT_SPAN
+from conftest import build_corpus, lattice_ring, square_ring, wide_ring
 
 
 SQUARE = "0 0\n1 0\n2 0\n2 1\n2 2\n1 2\n0 2\n0 1\n"
@@ -129,6 +130,14 @@ def test_profile_of_a_curve_too_large_is_data_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "n=20000" in err and "12.8 GB" in err
+
+
+def test_profile_of_a_curve_too_wide_is_data_error(tmp_path, capsys):
+    wide = tmp_path / "wide.pts"
+    wide.write_text("".join(f"{x} {y}\n" for x, y in wide_ring(EXACT_SPAN).points))
+    rc = main(["profile", "--in", str(wide), "--m", "3", "--cost", "emax"])
+    assert rc == 2
+    assert "span 67108864 by 5" in capsys.readouterr().err
 
 
 def test_merit_outputs_header_and_row(square_pts, capsys):

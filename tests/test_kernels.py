@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyapprox import _kernels
-from conftest import _ellipse, _fourier_blob, lattice_ring
+from polyapprox import CostKind, CurveTooLarge, DigitalCurve, SegmentCosts, _kernels
+from conftest import _ellipse, _fourier_blob, lattice_ring, wide_ring
 
 
 def _e2_cost_table_loops(xs, ys, px, py, pxx, pyy, pxy):
@@ -162,27 +162,51 @@ def test_e2_table_working_set_is_a_few_blocks():
     assert peak < table + slack
 
 
-def bounded_emax_loops(xs, ys):
-    """_emax_cost_table_loops with the bound rule: +inf above B, the
-    largest entry over arcs of 1 to ceil(n/3) steps, unless the table
-    holds NaN (a revisited point)."""
-    want = _emax_cost_table_loops(xs, ys)
+def _emax_cost_table_scan(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """emax_cost_table before the bound, by scanning every arc point:
+    O(n^3)."""
+    n = xs.shape[0]
+    x2 = np.concatenate((xs, xs))
+    y2 = np.concatenate((ys, ys))
+    out = np.zeros((n, n))
+    lengths = np.arange(2, n)
+    offs = np.arange(1, n - 1)
+    for u in range(n):
+        xu, yu = xs[u], ys[u]
+        vs = (u + lengths) % n
+        dx = xs[vs] - xu
+        dy = ys[vs] - yu
+        wx = x2[u + offs] - xu
+        wy = y2[u + offs] - yu
+        cross = np.abs(np.outer(wx, dy) - np.outer(wy, dx))
+        valid = offs[:, None] < lengths[None, :]
+        cross[~valid] = -1.0
+        out[u, vs] = cross.max(axis=0) / np.sqrt(dx * dx + dy * dy)
+    return out
+
+
+def _bounded(want):
+    """The bound rule, in place: +inf above B, the largest entry over
+    arcs of 1 to ceil(n/3) steps."""
     n = want.shape[0]
-    if not np.isnan(want).any():
-        bound = max(
-            want[u, (u + k) % n] for u in range(n) for k in range(1, -(-n // 3) + 1)
-        )
-        want[want > bound] = np.inf
+    bound = max(want[u, (u + k) % n] for u in range(n) for k in range(1, -(-n // 3) + 1))
+    want[want > bound] = np.inf
     return want
 
 
+def bounded_emax_loops(xs, ys):
+    return _bounded(_emax_cost_table_loops(xs, ys))
+
+
+def _scan_bounded(xs, ys):
+    # the O(n^3) scan stands in for the loops on larger rings
+    return _bounded(_emax_cost_table_scan(xs, ys))
+
+
 def _assert_same_bytes(table, want):
-    """Bit equality, so -0.0 differs from +0.0; NaN entries must sit in
-    the same places and are then zeroed, as their payloads may differ."""
+    """Bit equality, so -0.0 differs from +0.0."""
     assert table.dtype == want.dtype and table.shape == want.shape
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(table), nan)
-    assert np.where(nan, 0.0, table).tobytes() == np.where(nan, 0.0, want).tobytes()
+    assert table.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -210,32 +234,31 @@ def _is_simple(pts):
 
 @pytest.fixture
 def emax_path(monkeypatch):
-    """Names of the table implementations emax_cost_table ran."""
+    """Names of the window providers emax_cost_table swept: _arc_hulls
+    on a simple ring, _arc_prefixes on any other."""
     taken = []
-    for name in ("_emax_cost_table_hull", "_emax_cost_table_scan"):
-        def traced(xs, ys, fn=getattr(_kernels, name), name=name):
+    for name in ("_arc_hulls", "_arc_prefixes"):
+        def traced(z, z2, fn=getattr(_kernels, name), name=name):
             taken.append(name)
-            return fn(xs, ys)
+            return fn(z, z2)
         monkeypatch.setattr(_kernels, name, traced)
     return taken
 
 
-def _check_emax_exact(pts, emax_path, *path):
+def _check_emax_exact(pts, emax_path, provider, oracle=bounded_emax_loops):
     xs = pts[:, 0].astype(np.float64)
     ys = pts[:, 1].astype(np.float64)
-    # a revisited point makes 0/0 chords: NaN on both paths
-    with np.errstate(invalid="ignore"):
-        table = _kernels.emax_cost_table(xs, ys)
-        want = bounded_emax_loops(xs, ys)
-    assert emax_path == ["_emax_cost_table_" + p for p in path]
-    _assert_same_bytes(table, want)
+    table = _kernels.emax_cost_table(xs, ys)
+    assert emax_path == ["_arc_" + provider]
+    _assert_same_bytes(table, oracle(xs, ys))
+    return table
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_emax_table_exact_on_lattice_rings(seed, emax_path):
     # angular-order rings up to n=60; rounding makes some self-touching
     pts = lattice_ring(seed, n_lo=4, n_hi=60).points
-    _check_emax_exact(pts, emax_path, "hull" if _is_simple(pts) else "scan")
+    _check_emax_exact(pts, emax_path, "hulls" if _is_simple(pts) else "prefixes")
 
 
 RUN_RINGS = {
@@ -254,14 +277,14 @@ def test_emax_table_exact_on_collinear_runs(name, emax_path):
     # every start: inside a run, at a corner, just before one
     for shift in range(ring.shape[0]):
         emax_path.clear()
-        _check_emax_exact(np.roll(ring, shift, axis=0), emax_path, "hull")
+        _check_emax_exact(np.roll(ring, shift, axis=0), emax_path, "hulls")
 
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_emax_table_exact_on_corpus_blobs(seed, emax_path):
     # the corpus generator's 600-sample blobs, n near 300
     pts = _fourier_blob(seed, 40.0, 600).points
-    _check_emax_exact(pts, emax_path, "hull")
+    _check_emax_exact(pts, emax_path, "hulls")
 
 
 # side directions of a quarter turn, by angle
@@ -298,16 +321,13 @@ def test_emax_table_exact_when_hulls_outgrow_the_deque(emax_path):
     ring = _convex_polygon(2, QUARTER_20)
     assert 41 > 2 * _kernels._HULL_SLOTS and 3 * 48 <= ring.shape[0]
     assert _sweep_slots(ring) == 48
-    _check_emax_exact(ring, emax_path, "hull")
+    emax_path.clear()
+    _check_emax_exact(ring, emax_path, "hulls")
 
 
 def test_emax_table_sweeps_when_hulls_pass_a_third_of_n(emax_path):
     # n = 40: each arc is its own hull, and the sweep still takes it
-    _check_emax_exact(_convex_polygon(1), emax_path, "hull")
-
-
-def _scan_bounded(xs, ys):
-    return _kernels._drop_unusable_sides(_kernels._emax_cost_table_scan(xs, ys))
+    _check_emax_exact(_convex_polygon(1), emax_path, "hulls")
 
 
 @pytest.mark.parametrize("n", [60, 131, 200])
@@ -321,7 +341,7 @@ def test_emax_table_sweeps_all_hull_rings(n, emax_path):
     assert (side[:, 0] * np.roll(side[:, 1], -1) > side[:, 1] * np.roll(side[:, 0], -1)).all()
     xs, ys = ring[:, 0], ring[:, 1]
     table = _kernels.emax_cost_table(xs, ys)
-    assert emax_path == ["_emax_cost_table_hull"]
+    assert emax_path == ["_arc_hulls"]
     assert table.tobytes() == _scan_bounded(xs, ys).tobytes()
     assert 3 * _sweep_slots(ring) > n
 
@@ -370,43 +390,70 @@ def _fuzz_run_and_apex(rng):
     return np.concatenate((run, apex[None, :]))
 
 
+def _swap_points(rng, pts, pairs):
+    # distinct points stay distinct; most swaps make sides cross
+    pts = pts.copy()
+    for _ in range(pairs):
+        i, j = rng.choice(pts.shape[0], size=2, replace=False)
+        pts[[i, j]] = pts[[j, i]]
+    return pts
+
+
+def _fuzz_crossed(rng):
+    # an angular lattice ring with one or two pairs of points swapped
+    return _swap_points(rng, _fuzz_lattice(rng), int(rng.integers(1, 3)))
+
+
 FUZZ_RINGS = {
     "lattice": _fuzz_lattice,
     "thin_rectangle": _fuzz_thin_rectangle,
     "run_and_apex": _fuzz_run_and_apex,
+    "crossed": _fuzz_crossed,
 }
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("family", sorted(FUZZ_RINGS))
-def test_emax_table_exact_on_fuzzed_rings(family, seed):
+def test_emax_table_exact_on_fuzzed_rings(family, seed, emax_path):
     rng = np.random.default_rng(seed)
     for _ in range(12):
         pts = FUZZ_RINGS[family](rng).astype(np.float64)
         xs, ys = pts[:, 0], pts[:, 1]
-        # only the angular lattice rings can be self-touching
-        assert family == "lattice" or _kernels._hull_sweep_is_exact(xs, ys)
         _assert_same_bytes(_kernels.emax_cost_table(xs, ys), _scan_bounded(xs, ys))
+    # thin rectangles and runs plus an apex are simple; the angular
+    # lattice rings can be self-touching, and most crossed rings are
+    if family in ("thin_rectangle", "run_and_apex"):
+        assert set(emax_path) == {"_arc_hulls"}
+    elif family == "crossed":
+        assert "_arc_prefixes" in emax_path
 
 
-@pytest.mark.parametrize("pts, oracle", [
+def _crossed_blob():
+    # the corpus generator's blob05, n = 294, with two points n/3 apart
+    # swapped
+    pts = _fourier_blob(5, 40.0, 600).points.copy()
+    n = pts.shape[0]
+    pts[[10, 10 + n // 3]] = pts[[10 + n // 3, 10]]
+    return pts
+
+
+@pytest.mark.parametrize("pts, oracle, provider", [
     # n = 26 and 82, 13 x 2 and 41 x 2 points: most long arcs run along
     # both long sides, under B
-    (RUN_RINGS["thin_rectangle"], bounded_emax_loops),
-    (_walk([(0, 0), (40, 0), (40, 1), (0, 1)]), bounded_emax_loops),
+    (RUN_RINGS["thin_rectangle"], bounded_emax_loops, "hulls"),
+    (_walk([(0, 0), (40, 0), (40, 1), (0, 1)]), bounded_emax_loops, "hulls"),
     # n = 236; the scan stands in for the slower loops
-    (_ellipse("thin", 50.0, 16.0, 400).points, _scan_bounded),
+    (_ellipse("thin", 50.0, 16.0, 400).points, _scan_bounded, "hulls"),
     # n = 12: arcs of up to 10 steps lie on one line, Emax +0.0, not -0.0
-    (np.array([(x, 0) for x in range(11)] + [(5, 3)]), bounded_emax_loops),
-], ids=["thin_rectangle_26", "thin_rectangle_82", "thin_ellipse_236", "long_side_12"])
-def test_emax_table_exact_on_open_long_arcs(pts, oracle, emax_path):
+    (np.array([(x, 0) for x in range(11)] + [(5, 3)]), bounded_emax_loops, "hulls"),
+    # n = 294, sides crossing: the swapped points' spike raises B
+    (_crossed_blob(), _scan_bounded, "prefixes"),
+], ids=["thin_rectangle_26", "thin_rectangle_82", "thin_ellipse_236", "long_side_12",
+        "crossed_blob_294"])
+def test_emax_table_exact_on_open_long_arcs(pts, oracle, provider, emax_path):
     # the long arcs under B take their value from both frozen windows
-    xs = pts[:, 0].astype(np.float64)
-    ys = pts[:, 1].astype(np.float64)
-    table = _kernels.emax_cost_table(xs, ys)
-    assert emax_path == ["_emax_cost_table_hull"]
-    assert table.tobytes() == oracle(xs, ys).tobytes()
-    n = xs.shape[0]
+    table = _check_emax_exact(pts, emax_path, provider, oracle)
+    n = pts.shape[0]
     length = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     assert np.isfinite(table[length > -(-n // 2)]).any()
 
@@ -415,32 +462,35 @@ NON_SIMPLE_RINGS = {
     "figure_eight": _walk([(0, 0), (3, 3), (3, 0), (0, 3)]),
     "fold_back": np.array([[0, 0], [4, 0], [2, 0], [2, 3]]),
     "vertex_on_side": np.array([[0, 0], [4, 0], [4, 4], [3, 4], [2, 0], [1, 4], [0, 4]]),
-    "pinched_squares": _walk([(0, 0), (2, 0), (2, 2), (4, 2), (4, 4), (2, 4), (2, 2), (0, 2)]),
+    # two loops joined by diagonals that cross at (3.5, 2.5)
+    "crossed_loops": _walk([(0, 0), (2, 0), (2, 1), (5, 4), (5, 6), (2, 6), (2, 4), (5, 1),
+                            (5, -2), (0, -2)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_SIMPLE_RINGS))
 def test_emax_table_scans_non_simple_rings(name, emax_path):
+    # every point of every window, as Melkman's hull does not hold
     ring = NON_SIMPLE_RINGS[name]
     assert not _is_simple(ring)
-    _check_emax_exact(ring, emax_path, "scan")
+    assert np.unique(ring, axis=0).shape == ring.shape
+    _check_emax_exact(ring, emax_path, "prefixes")
 
 
-@pytest.mark.parametrize("offset, path", [(0, "hull"), (1, "scan")])
-def test_emax_table_span_bound(offset, path, emax_path):
-    # a simple ring whose x span is EXACT_SPAN - 1 + offset
-    w = _kernels.EXACT_SPAN - 1 + offset
-    ring = np.array([[0, 0], [w, 1], [w, 3], [w // 2, 2], [1, 5], [0, 3]])
-    assert _is_simple(ring)
-    _check_emax_exact(ring, emax_path, path)
-
-
-def test_emax_table_scans_non_integer_points(emax_path):
-    xs = np.array([0.0, 4.0, 4.5, 0.0])
-    ys = np.array([0.0, 0.0, 3.0, 3.0])
-    table = _kernels.emax_cost_table(xs, ys)
-    assert emax_path == ["_emax_cost_table_scan"]
-    _assert_same_bytes(table, bounded_emax_loops(xs, ys))
+@pytest.mark.parametrize("offset", [0, 1])
+def test_segment_costs_span_bound(offset):
+    # an x span, then a y span, of EXACT_SPAN - 1 + offset: exact tables
+    # below EXACT_SPAN, refused from it on
+    ring = wide_ring(_kernels.EXACT_SPAN - 1 + offset).points
+    for pts in (ring, ring[:, ::-1]):
+        curve = DigitalCurve(pts)
+        if offset:
+            with pytest.raises(CurveTooLarge, match="span"):
+                SegmentCosts(curve)
+            continue
+        table = SegmentCosts(curve).table(CostKind.MAX_ERROR)
+        xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
+        _assert_same_bytes(table, bounded_emax_loops(xs, ys))
 
 
 @pytest.mark.parametrize("name, pts, simple", [

@@ -15,14 +15,10 @@ from polyapprox import (
     split_to_m,
     stabilize,
 )
-from polyapprox.approx_error import (
-    arc_sum_sq,
-    moment_tables,
-    perpendicular_distance,
-)
+from polyapprox.approx_error import arc_sum_sq, moment_tables
 from polyapprox.curve import parse_chain_code
 from polyapprox.optimal import provisional_start_vertex
-from conftest import build_corpus, lattice_ring, segment_errors_naive
+from conftest import build_corpus, lattice_ring, perpendicular_distance, segment_errors_naive
 
 
 def eliminate_replay(curve, m):

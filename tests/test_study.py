@@ -19,7 +19,8 @@ from polyapprox import (
     study_series,
 )
 from polyapprox.study import PAIRINGS, correlations_csv, pairing_slug, records_csv
-from conftest import build_corpus, square_ring
+from polyapprox._kernels import EXACT_SPAN
+from conftest import build_corpus, square_ring, wide_ring
 
 
 def scaled_square8(scale):
@@ -178,6 +179,19 @@ def test_run_study_skips_a_curve_too_large_with_one_warning(caplog):
         [(cid, reason)] = rep.skipped_curves
         assert cid == "square5000"
         assert reason.startswith("CurveTooLarge: n=20000 points need about 12.8 GB")
+
+
+def test_run_study_skips_a_curve_too_wide_with_one_warning(caplog):
+    wide = wide_ring(EXACT_SPAN)
+    reports = run_study([scaled_square8(2), wide], target_cr=2.0)
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert wide.name in warnings[0].getMessage()
+    for rep in reports:
+        assert len(rep.records) == 1
+        [(cid, reason)] = rep.skipped_curves
+        assert cid == wide.name
+        assert reason.startswith("CurveTooLarge: coordinates span 67108864 by 5")
 
 
 def test_study_series_labels_and_values():
