@@ -6,8 +6,11 @@ m = --m-max.  The Emax table is also timed on an elongated ellipse
 (b = 0.3a), whose long arcs mostly stay under the table's bound, on
 300 integer points of a circle of radius 10**6, every one of them a
 vertex of each arc's hull, and on the first ellipse with two points a
-third of the ring apart swapped, which makes its sides cross.  Run from
-the repository root:
+third of the ring apart swapped, which makes its sides cross.  The DP
+solves the ellipse's E2 and Emax cost matrices from vertex 0, as the
+study does, and a matrix of uniform random costs, whose rising profile
+makes the banded solve fall back to the full DP: its worst case.  Run
+from the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 """
@@ -75,31 +78,38 @@ def main() -> int:
     crossed = pts.astype(np.float64)
     crossed[[0, n // 3]] = crossed[[n // 3, 0]]
 
-    rcost = _kernels.dp_cost_matrix(_kernels.e2_cost_table(xs, ys), 0)
+    m_max = min(args.m_max, n)
+    e2_rcost = _kernels.dp_cost_matrix(_kernels.e2_cost_table(xs, ys), 0)
+    emax_rcost = _kernels.dp_cost_matrix(_kernels.emax_cost_table(xs, ys), 0)
+    # uniform random costs: the profile rises, so the banded solve falls
+    # back to the full DP
+    rng = np.random.default_rng(0)
+    rising = _kernels.dp_cost_matrix(rng.uniform(0.0, 10.0, size=(n, n)), 0)
     cases = [
         ("e2 cost table", _kernels.e2_cost_table, (xs, ys)),
         ("emax cost table", _kernels.emax_cost_table, (xs, ys)),
         ("emax, elongated", _kernels.emax_cost_table, (txs, tys)),
         ("emax, all-hull", _kernels.emax_cost_table, (circle[:, 0], circle[:, 1])),
         ("emax, non-simple", _kernels.emax_cost_table, (crossed[:, 0], crossed[:, 1])),
-        ("dp solve (sum)", _kernels.dp_solve, (rcost, args.m_max, False)),
-        ("dp solve (max)", _kernels.dp_solve, (rcost, args.m_max, True)),
+        ("dp solve (sum)", _kernels.dp_solve, (e2_rcost, m_max, False)),
+        ("dp solve (max)", _kernels.dp_solve, (emax_rcost, m_max, True)),
+        ("dp solve, rising profile", _kernels.dp_solve, (rising, m_max, False)),
     ]
 
-    print(f"{'kernel':<16} {'time':>10}")
+    print(f"{'kernel':<24} {'time':>10}")
     for name, fn, call_args in cases:
-        print(f"{name:<16} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
+        print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
 
     curve = DigitalCurve(pts)
-    m = min(args.m_max, n)
+    m = m_max
     schemes = [
         ("split_to_m", split_to_m, (curve, m)),
         ("eliminate_to_m", eliminate_to_m, (curve, m)),
         ("stabilize", stabilize, (curve, eliminate_to_m(curve, m))),
     ]
-    print(f"{'scheme (m=' + str(m) + ')':<16} {'time':>10}")
+    print(f"{'scheme (m=' + str(m) + ')':<24} {'time':>10}")
     for name, fn, call_args in schemes:
-        print(f"{name:<16} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
+        print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Hot numeric kernels, in numpy.
 
 Three loops dominate the cost of optimal approximation at contour scale:
-the O(n^2) squared-error table, the max-error table, and the
-O(m_max * n^2) dynamic program: e2_cost_table, emax_cost_table and
+the O(n^2) squared-error table, the max-error table, and the dynamic
+program, O(m_max * n^2) at worst: e2_cost_table, emax_cost_table and
 dp_solve.  benchmarks/bench_kernels.py times them.
 
 The squared-error table evaluates the closed form of e2_arc_costs on
@@ -23,16 +23,24 @@ above B; the larger of the two over the chord is the exact value of the
 rest.  Only the points kept per window depend on the ring: on a simple
 ring its convex hull, O(n^2 h) for hulls of at most h points (a few
 dozen on lattice contours, up to n/2 on a convex ring); on any other
-ring every point of the window, O(n^3).
+ring every point of the window, O(n^3).  Each sweep step writes into
+buffers sized once per table, grown only when the hull deques grow.
 
 The DP reads its cost matrix with the arc end as the row and the arc
-start as the column (dp_cost_matrix builds it); layer j combines and
-reduces only the cells it can reach, rows v >= j and columns
-j-1 <= u < v, in blocks of rows whose segments are contiguous.
+start as the column (dp_cost_matrix builds it), through a row-skewed
+view in which the sides of at most W positions ending at each row are
+the last W columns.  Costs are >= 0, so a layer may drop every cell
+above b, the least profile value found so far, and every side wider
+than the widest one costing at most b: what is left is a band of W
+columns, in blocks of rows.  The profile, the parent chains and every
+cell the band keeps are exact; if the profile rises, the band loses a
+profile value and the solve runs once more unpruned (dp_solve says
+why).
 
 The kernels evaluate the arithmetic of plain per-entry loops, so their
-tables and DP arrays equal the loops' bit for bit; the loops live in
-tests/test_kernels.py as the oracles that pin this down.
+tables, and the DP's profile, chains and kept cells, equal the loops'
+bit for bit; the loops live in tests/test_kernels.py as the oracles
+that pin this down.
 """
 
 from __future__ import annotations
@@ -200,21 +208,27 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     out_f = out.reshape(-1)
     reach = -(-n // 2)
     simple = ring_is_simple(xs.astype(np.int64), ys.astype(np.int64))
-    hulls = (_arc_hulls if simple else _arc_prefixes)(z, z2)
-    prod = dev = None
+    if simple:
+        hulls, slots = _arc_hulls(z, z2), _HULL_SLOTS
+    else:
+        hulls, slots = _arc_prefixes(z, z2, reach), reach
+    prod = np.empty((slots, n), dtype=np.complex128)
+    dev = np.empty((slots, n))
 
     def column(hull, length):
         # largest slot |cross| against each chord u -> u+length, the
         # chords, and their lengths
         nonlocal prod, dev
-        if prod is None or prod.shape != hull.shape:
+        k = hull.shape[0]
+        if k > prod.shape[0]:
+            # the hull deques grew
             prod = np.empty(hull.shape, dtype=np.complex128)
             dev = np.empty(hull.shape)
         d = z2[length:length + n] - z
-        np.multiply(hull, d.conj(), out=prod)
-        np.abs(prod.imag, out=dev)
+        np.multiply(hull, d.conj(), out=prod[:k])
+        np.abs(prod[:k].imag, out=dev[:k])
         dx, dy = d.real, d.imag
-        return dev.max(axis=0), d, np.sqrt(dx * dx + dy * dy)
+        return dev[:k].max(axis=0), d, np.sqrt(dx * dx + dy * dy)
 
     for length in range(2, reach + 1):
         hull = next(hulls)
@@ -407,13 +421,17 @@ def _arc_hulls(z: np.ndarray, z2: np.ndarray):
         yield hull
 
 
-def _arc_prefixes(z: np.ndarray, z2: np.ndarray):
-    """Yield, after step j = 1 .. n-2, a (j+1, n) array whose column u
+def _arc_prefixes(z: np.ndarray, z2: np.ndarray, rows: int):
+    """Yield, after step j = 1 .. rows-1, a (j+1, n) array whose column u
     holds every point of p[u..u+j] relative to p[u]: a superset of the
-    prefix's hull on any ring."""
-    win = sliding_window_view(z2, z.shape[0])
-    for j in range(1, z.shape[0] - 1):
-        yield win[:j + 1] - z
+    prefix's hull on any ring.  Each step writes one row of one buffer
+    of `rows` rows and yields a view of its first j+1."""
+    n = z.shape[0]
+    buf = np.empty((rows, n), dtype=np.complex128)
+    np.subtract(z2[:n], z, out=buf[0])
+    for j in range(1, rows):
+        np.subtract(z2[j:j + n], z, out=buf[j])
+        yield buf[:j + 1]
 
 
 def dp_cost_matrix(tab: np.ndarray, start: int) -> np.ndarray:
@@ -445,41 +463,105 @@ _DP_BLOCK = 1 << 15
 
 
 def dp_solve(rcost: np.ndarray, m_max: int, use_max: bool):
-    """Optimal chain costs over a dp_cost_matrix.
+    """Optimal chain costs over a dp_cost_matrix, whose costs must be
+    >= 0 (or +inf).
 
     rcost[v, u] is the cost of the side from rotated position u to v.
     dp[j, v] is the best cost of reaching v from 0 with exactly j
     segments; parents record the first (smallest) predecessor attaining
-    each optimum, and -1 where there is none.  Layer j touches only the
-    cells it can reach: rows v >= j (fewer positions cannot hold j
-    sides) and, in each block of about _DP_BLOCK entries of rows v0..v1,
-    the columns j-1 <= u < v1 (earlier predecessors are unreachable with
-    j-1 sides, later ones do not run forward).  A block is one combine
-    and one row argmin over its contiguous row segments; a layer's
+    each optimum, and -1 where there is none.
+
+    Every layer j >= 2 is pruned by b_j, the least profile value
+    dp[j', n] over 2 <= j' < j (+inf for j = 2): a cell above b_j is
+    stored as +inf with parent -1, and the layer reads only sides of at
+    most W_j positions, as every wider side costs more than b_j.  The
+    pruning only drops paths, so each value it computes is the cost of a
+    real path.  Costs never fall along a path and b never rises, so a
+    finite dp[m, n] <= b_m bounds every cell on its optimal chain, and
+    every candidate tied with one, by its layer's b_j: the profile value,
+    the chain, and every finite cell and its parent are the full DP's.
+    A profile value dp[3:, n] that comes back +inf means the profile
+    rose (or has no polygon), and the solve runs again with every
+    b_j = +inf: the full DP, whose arrays hold every reachable cell.
+    """
+    dp, parent = _dp_layers(rcost, m_max, use_max, pruned=True)
+    if np.isinf(dp[3:, -1]).any():
+        dp, parent = _dp_layers(rcost, m_max, use_max, pruned=False)
+    return dp, parent
+
+
+def _skew(rcost):
+    """Read-only (n, n) view of an (n + 1, n + 1) dp_cost_matrix whose
+    entry [v - 1, k] is rcost[v, v - n + k]: row v - 1 holds the sides
+    ending at v, by start, with the sides of at most W positions in the
+    last W columns.  A start u < 0 reads the row above, at column
+    n + 1 + u > v - 1: its upper triangle, which dp_cost_matrix sets to
+    +inf."""
+    n1 = rcost.shape[0]
+    size = rcost.itemsize
+    return as_strided(rcost.reshape(-1)[2:], shape=(n1 - 1, n1 - 1),
+                      strides=((n1 + 1) * size, size), writeable=False)
+
+
+def _dp_layers(rcost, m_max, use_max, pruned):
+    """dp_solve's layers, each pruned by the running bound b_j when
+    `pruned`, else with every b_j = +inf.
+
+    The layers read rcost through _skew, with no copy, and the previous
+    layer through the same skew of the flattened dp array: entry
+    [v - 1, k] is dp[j - 1, u] for u = v - n + k, and for u < 0 a cell
+    of the layer before, which meets a +inf side.  In each block of
+    about _DP_BLOCK entries of rows v0..v1 >= j, the last W_j columns
+    with u >= j - 1 on row v1 - 1 (an earlier predecessor is unreachable
+    with j - 1 sides) are one combine and one row argmin; a layer's
     values are its combine recomputed at the chosen predecessors, the
-    same bits.  O(m_max n^2) time, one buffer of a block.
+    same bits.  A predecessor above b_j needs no mask, as it can only
+    win a cell above b_j.  O(m_max n W) time for bands of at most W
+    columns, one buffer of a block.
     """
     n1 = rcost.shape[0]
+    n = n1 - 1
     dp = np.full((m_max + 1, n1), np.inf)
     parent = np.full((m_max + 1, n1), -1, dtype=np.int64)
     dp[1, 1:] = rcost[1:, 0]
     parent[1, 1:] = 0
+    sides = _skew(rcost)
+    # row (j - 2) n1 + v - 1 is the previous layer's skew row for v
+    prevs = sliding_window_view(dp.reshape(-1)[2:], n)
+    # cheapest[L - 1]: the least cost of a side spanning L or more
+    # positions (column k spans n - k); copied, as searchsorted would
+    # copy a reversed view at every layer
+    cheapest = np.minimum.accumulate(sides.min(axis=0))[::-1].copy()
     rows = np.arange(n1)
-    step = min(max(1, _DP_BLOCK // n1), n1)
-    buf = np.empty(step * n1)
+    cap = min(max(1, _DP_BLOCK // n1), n1) * n1
+    buf = np.empty(cap)
     combine = np.maximum if use_max else np.add
+    bound = np.inf
     for j in range(2, m_max + 1):
         prev = dp[j - 1]
-        best = parent[j, j:]
-        u0 = j - 1
+        preds = prevs[(j - 2) * n1:]
+        # the widest span with a side at most b_j; at least 1, so that a
+        # layer with none fills with values above b_j
+        width = max(1, int(cheapest.searchsorted(bound, side="right")))
+        step = max(1, cap // width)
         for v0 in range(j, n1, step):
             v1 = min(v0 + step, n1)
-            block = buf[:(v1 - v0) * (v1 - u0)].reshape(v1 - v0, v1 - u0)
-            combine(prev[u0:v1], rcost[v0:v1, u0:v1], out=block)
-            block.argmin(axis=1, out=best[v0 - j:v1 - j])
-        best += u0
-        dp[j, j:] = combine(prev[best], rcost[rows[j:], best])
-    # from layer 2 on, a row whose candidates all cost +inf has no
+            k = max(n - width, n + j - v1)
+            block = buf[:(v1 - v0) * (n - k)].reshape(v1 - v0, n - k)
+            combine(preds[v0 - 1:v1 - 1, k:], sides[v0 - 1:v1 - 1, k:], out=block)
+            best = parent[j, v0:v1]
+            block.argmin(axis=1, out=best)
+            best += k - n
+        # from skew column k to u = v - n + k; a u < 0 wraps to a +inf
+        # side of row v, as its skew entry met one in the row above
+        best = parent[j, j:]
+        best += rows[j:]
+        vals = combine(prev[best], rcost[rows[j:], best])
+        vals[vals > bound] = np.inf
+        dp[j, j:] = vals
+        if pruned:
+            bound = min(bound, vals[-1])
+    # from layer 2 on, a cell with no finite candidate, or pruned, has no
     # predecessor
     parent[2:][np.isinf(dp[2:])] = -1
     return dp, parent

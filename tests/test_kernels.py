@@ -1,9 +1,11 @@
 """Equivalence of the kernels with the plain per-entry loops below.
 
-The kernels' tables and DP arrays must equal the loops bit for bit (the
-Emax table after the bound rule of bounded_emax_loops): the study relies
-on byte-identical CSV output, and the loops state each entry's
-arithmetic one operation at a time.
+The kernels' tables must equal the loops bit for bit (the Emax table
+after the bound rule of bounded_emax_loops), and so must the DP's
+profile, parent chains and every cell its running bound keeps
+(_assert_dp_matches_loops): the study relies on byte-identical CSV
+output, and the loops state each entry's arithmetic one operation at a
+time.
 """
 
 import math
@@ -12,7 +14,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyapprox import CostKind, CurveTooLarge, DigitalCurve, SegmentCosts, _kernels
+from polyapprox import (
+    CostKind, CurveTooLarge, DigitalCurve, SegmentCosts, _kernels, select_start_vertex,
+)
 from conftest import _ellipse, _fourier_blob, lattice_ring, wide_ring
 
 
@@ -238,9 +242,9 @@ def emax_path(monkeypatch):
     on a simple ring, _arc_prefixes on any other."""
     taken = []
     for name in ("_arc_hulls", "_arc_prefixes"):
-        def traced(z, z2, fn=getattr(_kernels, name), name=name):
+        def traced(*args, fn=getattr(_kernels, name), name=name):
             taken.append(name)
-            return fn(z, z2)
+            return fn(*args)
         monkeypatch.setattr(_kernels, name, traced)
     return taken
 
@@ -580,17 +584,59 @@ def test_dp_cost_matrix_matches_gather(n):
         assert got.tobytes() == _dp_cost_matrix_gather(tab, start).tobytes(), start
 
 
-def _assert_dp_is_loops(rcost, m_max, use_max):
+def _chain(parent, m, v):
+    """Positions of the parent chain from (m, v), ending where a parent
+    is -1."""
+    out = [v]
+    for j in range(m, 0, -1):
+        v = int(parent[j, v])
+        out.append(v)
+        if v < 0:
+            break
+    return out
+
+
+def _assert_dp_matches_loops(rcost, m_max, use_max):
+    """dp_solve against the full table of the loops: its pruning contract.
+
+    The profile dp[3:, n] is byte-equal, the parent chain from (m, n) is
+    equal for every m, and every finite cell equals the loops' with the
+    same parent.  Every other cell is +inf with parent -1, and where the
+    loops' cell is finite it lies above b_j, the least of the loops'
+    profile values dp[2..j-1, n].  When the loops' profile dp[2:, n]
+    rises, or dp[3:, n] is +inf, the solve falls back to the full DP and
+    the arrays are byte-equal.  Returns whether it fell back, and how
+    many finite cells of the loops' it pruned.
+    """
     d1, p1 = _kernels.dp_solve(rcost, m_max, use_max)
     d2, p2 = _dp_solve_loops(rcost, m_max, use_max)
-    assert d1.tobytes() == d2.tobytes()
-    assert np.array_equal(p1, p2)
+    n = rcost.shape[0] - 1
+    assert d1[3:, n].tobytes() == d2[3:, n].tobytes()
+    for m in range(1, m_max + 1):
+        assert _chain(p1, m, n) == _chain(p2, m, n), m
+    kept = np.isfinite(d1)
+    assert d1[kept].tobytes() == d2[kept].tobytes()
+    assert np.array_equal(p1[kept], p2[kept])
+    assert np.all(np.isinf(d1[~kept])) and np.all(p1[2:][~kept[2:]] == -1)
+    profile = d2[:, n]
+    bound = np.full(m_max + 1, np.inf)
+    bound[3:] = np.minimum.accumulate(profile[2:m_max])
+    lost = ~kept & np.isfinite(d2)
+    j, _ = np.nonzero(lost)
+    assert np.all(d2[lost] > bound[j])
+    with np.errstate(invalid="ignore"):
+        fell_back = not (np.all(np.diff(profile[2:]) <= 0)
+                         and np.isfinite(profile[3:]).all())
+    if fell_back:
+        assert d1.tobytes() == d2.tobytes()
+        assert np.array_equal(p1, p2)
+    return fell_back, int(lost.sum())
 
 
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_numpy_vs_loops(use_max):
     for seed in range(6):
-        _assert_dp_is_loops(_random_rcost(seed, 12), 6, use_max)
+        _assert_dp_matches_loops(_random_rcost(seed, 12), 6, use_max)
 
 
 @pytest.mark.parametrize("use_max", [False, True])
@@ -598,16 +644,20 @@ def test_dp_numpy_vs_loops_on_tied_costs(use_max):
     # integer costs 0..3 tie on most cells; both paths keep the first
     # (smallest) predecessor
     for seed in range(3):
-        _assert_dp_is_loops(_random_rcost(seed, 40, costs=range(4)), 15, use_max)
+        _assert_dp_matches_loops(_random_rcost(seed, 40, costs=range(4)), 15, use_max)
 
 
 @pytest.mark.parametrize("block", [1, 7, 60, 1 << 15])
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_numpy_vs_loops_across_row_blocks(block, use_max, monkeypatch):
-    # one row a block, ragged blocks, and the whole layer in one block
+    # one row a block, ragged blocks, and the whole layer in one block;
+    # random costs fall back to the full DP, a ring's costs keep the band
     monkeypatch.setattr(_kernels, "_DP_BLOCK", block)
     for seed in range(2):
-        _assert_dp_is_loops(_random_rcost(seed, 30, costs=range(3)), 30, use_max)
+        _assert_dp_matches_loops(_random_rcost(seed, 30, costs=range(3)), 30, use_max)
+    tab = _ring_table(_ellipse("e", 9.0, 5.0, 80).points, use_max)
+    fell_back, _ = _assert_dp_matches_loops(_kernels.dp_cost_matrix(tab, 5), 20, use_max)
+    assert not fell_back
 
 
 @pytest.mark.parametrize("use_max", [False, True])
@@ -620,19 +670,108 @@ def test_dp_numpy_vs_loops_with_forbidden_sides(use_max):
     d1, _ = _kernels.dp_solve(rcost, 12, use_max)
     j, v = np.nonzero(np.isinf(d1))
     assert np.any((j >= 2) & (v >= j))
-    _assert_dp_is_loops(rcost, 12, use_max)
+    _assert_dp_matches_loops(rcost, 12, use_max)
 
 
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_unreachable_rows_stay_inf_and_minus_one(use_max):
     n1 = 21
-    dp, parent = _kernels.dp_solve(_random_rcost(2, n1 - 1), n1 - 1, use_max)
+    rcost = _random_rcost(2, n1 - 1)
+    dp, parent = _kernels.dp_solve(rcost, n1 - 1, use_max)
     rows = np.arange(n1)
     for j in range(1, n1):
         assert np.all(np.isinf(dp[j, rows < j])), j
         assert np.all(parent[j, rows < j] == -1), j
-        assert np.all(np.isfinite(dp[j, j:n1 - 1])), j
     assert np.all(np.isinf(dp[0])) and np.all(parent[0] == -1)
+    # the reachable cells follow the pruning contract
+    _assert_dp_matches_loops(rcost, n1 - 1, use_max)
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_dp_falls_back_when_the_profile_rises_past_the_band(use_max):
+    # n = 12: steps of 1 and 4 cost 0, every other side 10 but 3 -> 0 at
+    # 5.  The triangle costs 0, so b_4 = 0 and layer 4's band stops at
+    # 4 positions; the best quadrilateral, 0 1 2 3 at 5, ends on the
+    # 9-position side.  Its banded value is above b_4 and stored as +inf,
+    # so the solve falls back rather than keep a worse quadrilateral.
+    n = 12
+    tab = np.full((n, n), 10.0)
+    u = np.arange(n)
+    tab[u, (u + 1) % n] = tab[u, (u + 4) % n] = 0.0
+    tab[3, 0] = 5.0
+    rcost = _kernels.dp_cost_matrix(tab, 0)
+    fell_back, _ = _assert_dp_matches_loops(rcost, n, use_max)
+    assert fell_back
+    dp, parent = _kernels.dp_solve(rcost, 4, use_max)
+    assert dp[4, n] == 5.0 and _chain(parent, 4, n) == [12, 3, 2, 1, 0]
+
+
+def _ring_table(pts, use_max):
+    xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
+    return (_kernels.emax_cost_table if use_max else _kernels.e2_cost_table)(xs, ys)
+
+
+@pytest.mark.parametrize("name", ["square8", "rectangle", "thin_rectangle", "big_square"])
+@pytest.mark.parametrize("use_max", [False, True])
+def test_dp_exact_on_tie_heavy_rings(name, use_max):
+    # lattice rectangles tie on most cells and their profiles reach 0 at
+    # m = 4; the solve at every m_max keeps the loops' profile and chains
+    pts = {
+        "square8": _walk([(0, 0), (2, 0), (2, 2), (0, 2)]),
+        "rectangle": RUN_RINGS["rectangle"],
+        "thin_rectangle": RUN_RINGS["thin_rectangle"],
+        "big_square": _walk([(0, 0), (7, 0), (7, 7), (0, 7)]),
+    }[name]
+    n = pts.shape[0]
+    tab = _ring_table(pts, use_max)
+    for start in sorted({0, 1, n // 3}):
+        rcost = _kernels.dp_cost_matrix(tab, start)
+        for m_max in range(3, n + 1):
+            fell_back, _ = _assert_dp_matches_loops(rcost, m_max, use_max)
+            assert not fell_back, (start, m_max)
+
+
+class _CountedReads(np.ndarray):
+    """A view that counts the entries of the 2-D slices taken from it."""
+
+    entries = 0
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key).view(np.ndarray)
+        if isinstance(key, tuple):
+            _CountedReads.entries += out.size
+        return out
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_dp_prunes_a_corpus_curve_without_fallback(kind, monkeypatch):
+    # the study's solves on blob05 (n = 294): the profile to m_max =
+    # 3 m_sub from its start vertex falls, so the banded DP answers alone,
+    # and its bands read well under half the reachable cells
+    curve = _fourier_blob(5, 40.0, 600)
+    m_sub = round(curve.n / 15)
+    m_max = 3 * m_sub
+    costs = SegmentCosts(curve)
+    start = select_start_vertex(curve, m_sub, kind, costs)
+    rcost = _kernels.dp_cost_matrix(costs.table(kind), start)
+    runs = []
+    layers, skew = _kernels._dp_layers, _kernels._skew
+
+    def counted(costs):
+        return skew(costs).view(_CountedReads)
+
+    def traced(*args, pruned):
+        runs.append(pruned)
+        return layers(*args, pruned=pruned)
+
+    monkeypatch.setattr(_kernels, "_dp_layers", traced)
+    monkeypatch.setattr(_kernels, "_skew", counted)
+    monkeypatch.setattr(_CountedReads, "entries", 0)
+    fell_back, _ = _assert_dp_matches_loops(rcost, m_max, kind is CostKind.MAX_ERROR)
+    assert runs == [True] and not fell_back
+    n1 = curve.n + 1
+    reachable = sum((n1 - j) * (n1 - j + 1) // 2 for j in range(2, m_max + 1))
+    assert _CountedReads.entries < 0.5 * reachable
 
 
 def test_dp_tie_breaks_to_smallest_predecessor():
