@@ -3,20 +3,24 @@
 Builds a noisy digitized ellipse, then times the three hot paths (the
 two cost tables and the DP solve) and the suboptimal schemes at
 m = --m-max.  The Emax table is also timed on an elongated ellipse
-(b = 0.3a), whose long arcs mostly stay under the table's bound, on
-300 integer points of a circle of radius 10**6, every one of them a
-vertex of each arc's hull, and on the first ellipse with two points a
-third of the ring apart swapped, which makes its sides cross.  The DP
-solves the ellipse's E2 and Emax cost matrices from vertex 0, as the
-study does, and a matrix of uniform random costs, whose rising profile
-makes the banded solve fall back to the full DP: its worst case.  Run
-from the repository root:
+(b = 0.3a), whose long arcs mostly stay under the table's bound, so
+that most of its windows are scanned; on 300 integer points of a
+circle of radius 10**6, every one of them a vertex of each window's
+hull, so that its hull levels are as large as they get; and on the
+first ellipse with two points a third of the ring apart swapped, which
+makes its sides cross.  Every Emax row also prints the peak of the
+numpy allocations of one table build (tracemalloc), table included.
+The DP solves the ellipse's E2 and Emax cost matrices from vertex 0,
+as the study does, and a matrix of uniform random costs, whose rising
+profile makes the banded solve fall back to the full DP: its worst
+case.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 """
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -52,6 +56,16 @@ def timeit(fn, args, repeat: int) -> float:
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def peak_mb(fn, args) -> float:
+    """Peak traced allocation of one call, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -96,9 +110,12 @@ def main() -> int:
         ("dp solve, rising profile", _kernels.dp_solve, (rising, m_max, False)),
     ]
 
-    print(f"{'kernel':<24} {'time':>10}")
+    print(f"{'kernel':<24} {'time':>10} {'peak':>10}")
     for name, fn, call_args in cases:
-        print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
+        line = f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms"
+        if fn is _kernels.emax_cost_table:
+            line += f" {peak_mb(fn, call_args):>8.2f}MB"
+        print(line)
 
     curve = DigitalCurve(pts)
     m = m_max

@@ -16,15 +16,10 @@ the largest entry over arcs of at most ceil(n/3) steps, and +inf above
 B: no optimal polygon of 3 or more vertices, and no tie with one, has
 such a side (_side_bound says why).  Its points must be distinct
 integers spanning less than EXACT_SPAN, which SegmentCosts checks.  One
-sweep builds it on every ring: to arcs of ceil(n/2) steps, then two
-frozen windows per longer arc, of the ceil(n/2) points at each of its
-ends, which together cover it.  The first proves most such arcs to be
-above B; the larger of the two over the chord is the exact value of the
-rest.  Only the points kept per window depend on the ring: on a simple
-ring its convex hull, O(n^2 h) for hulls of at most h points (a few
-dozen on lattice contours, up to n/2 on a convex ring); on any other
-ring every point of the window, O(n^3).  Each sweep step writes into
-buffers sized once per table, grown only when the hull deques grow.
+path builds it on every ring, simple or not: a sparse table whose level
+k holds the hull vertices of every window of 2^k points, merged from
+level k-1 by Andrew's monotone chain.  Two windows of one level cover
+any arc, so an entry scans their vertices, not the arc.
 
 The DP reads its cost matrix with the arc end as the row and the arc
 start as the column (dp_cost_matrix builds it), through a row-skewed
@@ -163,12 +158,12 @@ def e2_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 # 2**53, so float64 evaluates them exactly.
 EXACT_SPAN = 2**26
 
-# Deque slots per start before the first growth, and the growth step.
-_HULL_SLOTS = 16
-_HULL_GROW = 8
+# Entries the max-error table handles per block: window rows times arc
+# lengths times starts in a scan, chain rows times starts in a merge.
+_EMAX_BLOCK = 1 << 14
 
-# Side pairs ring_is_simple tests per vectorised block.
-_SIMPLE_BLOCK = 1 << 18
+# Points spread along each block of long arcs to bound them from below.
+_PROBES = 5
 
 
 def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -176,83 +171,82 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     +inf where that exceeds B, the bound of _side_bound.
 
     The points must be distinct integers spanning less than EXACT_SPAN:
-    then every chord has a length and every product below is an integer
-    under 2**53, exact in float64.
+    relative to the min corner, every coordinate is then below 2**26,
+    and every cross product below is an integer under 2**53, exact in
+    float64.
 
-    The largest |cross| over a set of points is reached at a vertex of
-    its convex hull, so column v = u+L scans, for start u, points of
-    p[u..u+L-1] relative to p[u] that include every vertex of their hull,
-    not the whole arc.  On a simple ring _arc_hulls keeps the hull
-    itself: O(n^2 h) for hulls of at most h points.  On any other ring,
-    where Melkman's hull does not hold, _arc_prefixes keeps every point
-    of the prefix: O(n^3).  Each entry is the exact largest |cross|
-    divided once by the chord length: the bits of a scan of every arc
-    point, whichever set was scanned.
+    The largest |cross| of a set of points against a chord is reached at
+    a strict vertex of its hull.  Level k of _hull_levels holds those of
+    every window of 2^k points, and for k = floor(log2(L-1)) the level-k
+    windows starting at u+1 and at u+L-2^k cover the interior of the arc
+    u -> u+L: the sparse-table cover of range queries.  With d the
+    chord, f = cross(d, w) for each window point w and c0 = cross(d,
+    p[u]), the entry is max(|max f - c0|, |c0 - min f|) / |d|: the exact
+    largest |cross| divided once by the chord length, so the bits of a
+    scan of every arc point, +0.0 on a straight arc.  A block of lengths
+    reads both windows as slices of the level, with no gather.
 
-    The sweep runs to arcs of K = ceil(n/2) steps; B is then known.  A
-    longer arc u -> u+L holds two frozen windows that cover it, as
-    L < 2K: p[u..u+K-1], column u, and p[u+L-K..u+L-1], column
-    s = (u+L-K) % n.  The first window's quotient above B makes the
-    entry +inf; every other entry is the larger |cross| of the two
-    windows over the chord.  Column s is stored relative to p[s], so its
-    crosses shift by cross(p[s] - p[u]), and its largest |cross| is the
-    larger magnitude of its shifted maximum and minimum; taking both
-    magnitudes keeps a window on the chord's line at the scan's +0.0,
-    where negating a zero gives -0.0.  So the long arcs cost at most two
-    column scans of the frozen windows.
+    Arcs of at most ceil(n/3) steps come first and give B.  Longer arcs
+    go in blocks of lengths: _PROBES points spread along the block's
+    shortest arc lie inside all of its arcs and bound each from below.
+    A block whose bounds are all above B stays +inf; any other is
+    scanned from its first length with a bound at or below B to its
+    last.  A level is built when a scan first needs it, and only the
+    latest is kept.
     """
     n = xs.shape[0]
-    z = xs + 1j * ys
-    z2 = np.concatenate((z, z))
-    out = np.zeros((n, n))
+    x, y = xs - xs.min(), ys - ys.min()
+    # [L, u]: p[u + L]
+    ends_x, ends_y = (sliding_window_view(np.concatenate((a, a)), n) for a in (x, y))
+    out = np.full((n, n), np.inf)
     out_f = out.reshape(-1)
-    reach = -(-n // 2)
-    simple = ring_is_simple(xs.astype(np.int64), ys.astype(np.int64))
-    if simple:
-        hulls, slots = _arc_hulls(z, z2), _HULL_SLOTS
-    else:
-        hulls, slots = _arc_prefixes(z, z2, reach), reach
-    prod = np.empty((slots, n), dtype=np.complex128)
-    dev = np.empty((slots, n))
+    out_f[::n + 1] = 0.0
+    _put_column(out_f, 1, np.zeros(n))
+    third = -(-n // 3)
+    levels = _hull_levels(x + 1j * y)
+    built, wx, wy = -1, None, None
 
-    def column(hull, length):
-        # largest slot |cross| against each chord u -> u+length, the
-        # chords, and their lengths
-        nonlocal prod, dev
-        k = hull.shape[0]
-        if k > prod.shape[0]:
-            # the hull deques grew
-            prod = np.empty(hull.shape, dtype=np.complex128)
-            dev = np.empty(hull.shape)
-        d = z2[length:length + n] - z
-        np.multiply(hull, d.conj(), out=prod[:k])
-        np.abs(prod[:k].imag, out=dev[:k])
-        dx, dy = d.real, d.imag
-        return dev[:k].max(axis=0), d, np.sqrt(dx * dx + dy * dy)
+    def scan(lo, hi, windows):
+        # entries of the arcs of lo..hi-1 steps from the points of
+        # `windows`, (x, y) pairs of shape (rows, lengths or 1, n)
+        dx = ends_x[lo:hi] - x
+        dy = ends_y[lo:hi] - y
+        top = np.full(dx.shape, -np.inf)
+        bottom = np.full(dx.shape, np.inf)
+        for px, py in windows:
+            f = py * dx
+            f -= px * dy
+            np.maximum(top, f.max(axis=0), out=top)
+            np.minimum(bottom, f.min(axis=0), out=bottom)
+        c0 = y * dx - x * dy
+        dev = np.maximum(np.abs(top - c0), np.abs(c0 - bottom))
+        return dev / np.sqrt(dx * dx + dy * dy)
 
-    for length in range(2, reach + 1):
-        hull = next(hulls)
-        top, _, norm = column(hull, length)
-        _put_column(out_f, length, top / norm)
+    def fill(lo, hi):
+        nonlocal built, wx, wy
+        while lo < hi:
+            k = (lo - 1).bit_length() - 1
+            while built < k:
+                # free the old level before the next is built
+                wx = wy = None
+                wx, wy = next(levels)
+                built += 1
+            end = min(hi, 2**(k + 1) + 1, lo + max(1, _EMAX_BLOCK // (wx.shape[0] * n)))
+            first, last = slice(1, 2), slice(lo - 2**k, end - 2**k)
+            val = scan(lo, end, [(wx[:, first], wy[:, first]), (wx[:, last], wy[:, last])])
+            for length, col in zip(range(lo, end), val):
+                _put_column(out_f, length, col)
+            lo = end
+
+    fill(2, third + 1)
     bound = _side_bound(out)
-    for length in range(reach + 1, n):
-        top, d, norm = column(hull, length)
-        val = top / norm
-        u = np.flatnonzero(val <= bound)
-        if u.size:
-            lag = length - reach
-            # the open arcs' second windows, gathered into the front of
-            # prod; mode "clip" writes straight into it, unbuffered
-            far = prod.reshape(-1)[:hull.shape[0] * u.size].reshape(-1, u.size)
-            np.take(hull, (u + lag) % n, axis=1, out=far, mode="clip")
-            chord = d[u].conj()
-            far *= chord
-            shift = ((z2[u + lag] - z[u]) * chord).imag
-            cross = far.imag
-            wide = np.maximum(np.abs(cross.max(axis=0) + shift),
-                              np.abs(cross.min(axis=0) + shift))
-            val[u] = np.maximum(top[u], wide) / norm[u]
-        _put_column(out_f, length, val)
+    step = max(1, _EMAX_BLOCK // (_PROBES * n))
+    for lo in range(third + 1, n, step):
+        at = 1 + np.arange(1, _PROBES + 1) * (lo - 2) // (_PROBES + 1)
+        probe = scan(lo, min(lo + step, n), [(ends_x[at, None], ends_y[at, None])])
+        near = np.flatnonzero((probe <= bound).any(axis=1))
+        if near.size:
+            fill(lo + int(near[0]), lo + int(near[-1]) + 1)
     out[out > bound] = np.inf
     return out
 
@@ -271,61 +265,6 @@ def _side_bound(out: np.ndarray) -> float:
     return out[u, (u + np.arange(1, -(-n // 3) + 1)) % n].max()
 
 
-def _orient(ax, ay, bx, by, cx, cy):
-    # twice the signed area of triangle a, b, c: > 0 when c is left of a -> b
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def ring_is_simple(xs: np.ndarray, ys: np.ndarray) -> bool:
-    """Whether the closed ring through integer points xs, ys has no
-    self-contact: adjacent sides meet only at their shared vertex and no
-    other two sides touch.
-
-    Exact in int64 for coordinate spans below 2**31.  O(n^2) side pairs,
-    taken about _SIMPLE_BLOCK at a time; only pairs whose bounding boxes
-    meet get the orientation tests.
-    """
-    n = xs.shape[0]
-    ax, ay = xs, ys
-    bx, by = np.roll(xs, -1), np.roll(ys, -1)
-    cx, cy = np.roll(xs, -2), np.roll(ys, -2)
-    if np.any((ax == bx) & (ay == by)):
-        return False
-    # side a -> b doubling back along b -> c
-    turn = _orient(ax, ay, bx, by, cx, cy)
-    back = (ax - bx) * (cx - bx) + (ay - by) * (cy - by)
-    if np.any((turn == 0) & (back > 0)):
-        return False
-    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
-    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
-    k = np.arange(n)
-    step = max(1, _SIMPLE_BLOCK // n)
-    for i0 in range(0, n, step):
-        i = k[i0:i0 + step, None]
-        # side pairs i < k sharing no vertex whose boxes meet
-        near = (
-            (k > i + 1) & (k - i < n - 1)
-            & (xlo[i] <= xhi) & (xlo <= xhi[i])
-            & (ylo[i] <= yhi) & (ylo <= yhi[i])
-        )
-        ii, kk = np.nonzero(near)
-        ii += i0
-        s1 = np.sign(_orient(ax[ii], ay[ii], bx[ii], by[ii], ax[kk], ay[kk]))
-        s2 = np.sign(_orient(ax[ii], ay[ii], bx[ii], by[ii], bx[kk], by[kk]))
-        s3 = np.sign(_orient(ax[kk], ay[kk], bx[kk], by[kk], ax[ii], ay[ii]))
-        s4 = np.sign(_orient(ax[kk], ay[kk], bx[kk], by[kk], bx[ii], by[ii]))
-        # with the boxes meeting, closed segments touch iff each one's
-        # endpoints are not strictly on one side of the other's line
-        if np.any((s1 * s2 <= 0) & (s3 * s4 <= 0)):
-            return False
-    return True
-
-
-def _cross(e, f):
-    # cross product of vectors stored as complex numbers x + iy
-    return (e.conj() * f).imag
-
-
 def _put_column(out_f, length, val):
     """Write val[u] to the flat table's entries [u, (u + length) % n]."""
     n = val.shape[0]
@@ -334,104 +273,84 @@ def _put_column(out_f, length, val):
     out_f[m * (n + 1) + length - n::n + 1] = val[m:]
 
 
-def _arc_hulls(z: np.ndarray, z2: np.ndarray):
-    """Yield, after step j = 1 .. n-2, a (slots, n) array whose column u
-    holds the convex hull of p[u..u+j] relative to p[u].
-
-    All n starts advance in lockstep: at step j, start u adds p[u+j] to
-    a Melkman deque (exact for a simple polyline).  Points are complex
-    numbers x + iy.  Deque slots are circular along axis 0, which grows
-    by _HULL_GROW slots when a deque would fill it.  Popped and unwritten
-    slots still hold points of the prefix (0 is p[u] itself), which never
-    exceed the maximum of a convex function over it, so a column scans
-    every slot without a mask.  The yielded array is updated in place by
-    the next step, or replaced when it grows.
-
-    Each deque starts as [last, p[u], last], and the ordinary step makes
-    it Melkman's triangle at the prefix's first turn.  Before that, a
-    collinear q pops both ends to p[u]; one more pop would step onto the
-    other end's slot and never stop, as every slot holds a point of the
-    same line, so no end pops onto it.  Only a three-entry deque can
-    reach that slot, and only at steps j <= R + 1, for R the ring's
-    longest circular run of zero turns; only those steps check it.
+def _hull_levels(z: np.ndarray):
+    """Yield level k = 0, 1, ... of the hull table of the ring z (points
+    as complex numbers x + iy): x and y views of shape (rows, 2^k + 1, n)
+    whose [:, s, u] holds every strict hull vertex of p[u+s..u+s+2^k-1],
+    padded by repeating one.  Those are the window's lower and upper
+    chains.  Level k's are _merged_chains of level k-1's windows u and
+    u + 2^(k-1): a point on neither child's lower chain is on no lower
+    chain of their union, and likewise for upper chains.
     """
-    n = z.shape[0]
-    rows = np.arange(n)
-    cap = _HULL_SLOTS
-    hull = np.zeros((cap, n), dtype=np.complex128)
-    hull_f = hull.reshape(-1)
-    # flat slot index (slot * n + start) of each deque's top and bottom
-    # end, which both hold its last point; nbr holds the entry inside each
-    ends = np.stack((rows + 2 * n, rows))
-    ends_f = ends.reshape(-1)
-    nbr = np.zeros((2, n), dtype=np.complex128)
-    nbr_f = nbr.reshape(-1)
-    # pop direction of each end, as a flat slot step; its sign also makes
-    # "q strictly inside the edge at this end" a positive cross product
-    inward = np.array([[-n], [n]])
-    last = z2[1:n + 1] - z
-    hull[0] = hull[2] = last
-    # R: last[u] is side u -> u+1, so the turns are crosses of neighbours
-    bent = np.flatnonzero(_cross(last, np.roll(last, -1)))
-    run = (np.diff(bent, append=bent[0] + n) - 1).max()
-    for j in range(1, n - 1):
-        if j > 1:
-            q = z2[j:j + n] - z
-            # an end pops while q is not strictly inside its edge
-            need = _cross(nbr - last, q - last) * inward <= 0.0
-            keys = np.flatnonzero(need)  # end * n + start
-            if keys.size:
-                moved = np.flatnonzero(need.any(axis=0))
-                end = keys // n
-                step = inward[end, 0]
-                pos = ends_f[keys]
-                cur = nbr_f[keys]
-                qk = q[keys - end * n]
-                # the other end's slot, while the prefix can be straight
-                other = ends_f[(keys + n) % (2 * n)] if j <= run + 1 else None
-                while keys.size:
-                    pos = (pos + step) % hull_f.size
-                    ends_f[keys] = pos
-                    nxt = (pos + step) % hull_f.size
-                    deeper = hull_f[nxt]
-                    keep = _cross(deeper - cur, qk - cur) * step <= 0.0
-                    if other is not None:
-                        # the second pop is the first that could reach it
-                        keep &= nxt != other
-                        other = None
-                    keys, pos, cur, qk, step = (
-                        a[keep] for a in (keys, pos, deeper, qk, step)
-                    )
-                e = ends[:, moved]
-                nbr[:, moved] = hull_f[e]
-                e = (e - inward) % hull_f.size
-                ends[:, moved] = e
-                hull_f[e[0]] = hull_f[e[1]] = last[moved] = q[moved]
-                # each step adds at most one entry; keep room for it
-                if ((e[0] - e[1]) % hull_f.size).max() // n + 1 >= cap:
-                    slots = (ends[1] // n + np.arange(cap)[:, None]) % cap
-                    ends[0] = (ends[0] - ends[1]) % hull_f.size + rows
-                    ends[1] = rows
-                    cap += _HULL_GROW
-                    hull = np.concatenate((
-                        np.take_along_axis(hull, slots, axis=0),
-                        np.zeros((_HULL_GROW, n), dtype=np.complex128),
-                    ))
-                    hull_f = hull.reshape(-1)
-        yield hull
+    lower = upper = z[None, :]
+    n_lower = n_upper = np.ones(z.shape[0], dtype=np.int64)
+    width = 1
+    while True:
+        yield _level_points(lower, n_lower, upper, n_upper, width)
+        lower, n_lower = _merged_chains(lower, width, 1.0)
+        upper, n_upper = _merged_chains(upper, width, -1.0)
+        width *= 2
 
 
-def _arc_prefixes(z: np.ndarray, z2: np.ndarray, rows: int):
-    """Yield, after step j = 1 .. rows-1, a (j+1, n) array whose column u
-    holds every point of p[u..u+j] relative to p[u]: a superset of the
-    prefix's hull on any ring.  Each step writes one row of one buffer
-    of `rows` rows and yields a view of its first j+1."""
-    n = z.shape[0]
-    buf = np.empty((rows, n), dtype=np.complex128)
-    np.subtract(z2[:n], z, out=buf[0])
-    for j in range(1, rows):
-        np.subtract(z2[j:j + n], z, out=buf[j])
-        yield buf[:j + 1]
+def _level_points(lower, n_lower, upper, n_upper, width):
+    """A level's views from its chains and their lengths (kept out of
+    _hull_levels' frame, which would keep the temporaries): each
+    window's lower chain, then its upper chain but for the ends, which
+    are the lower chain's, with the first `width` starts repeated."""
+    n = lower.shape[1]
+    count = np.maximum(n_lower + n_upper - 2, n_lower)
+    r = np.arange(count.max())[:, None]
+    src = np.where(r < n_lower, r, lower.shape[0] + 1 + r - n_lower)
+    src[r >= count] = 0
+    q = np.take_along_axis(np.concatenate((lower, upper)), src, axis=0)
+    return tuple(sliding_window_view(np.concatenate((a, a[:, :width]), axis=1), n, axis=1)
+                 for a in (q.real, q.imag))
+
+
+def _merged_chains(chain: np.ndarray, width: int, sign: float):
+    """Start u's strict lower (sign 1) or upper (sign -1) chain of the
+    union of windows u and u + width, from their chains of the same
+    kind, columns of `chain`.  Returns the chains, padded past each
+    end with its last vertex, and their lengths.
+
+    Each start sorts its points by the exact key x * 2**27 + y (upper
+    chains descending), and Andrew's monotone chain runs over them, all
+    starts in lockstep, over blocks of starts of about _EMAX_BLOCK
+    entries: it pops while the last two points and the next do not turn
+    left.  A stack never passes the point it reads, so it lives in the
+    rows already read.  A repeated point costs one pop and one push, so
+    the padding needs no mask.
+    """
+    rows, n = 2 * chain.shape[0], chain.shape[1]
+    parts, tops = [], []
+    step = max(1, _EMAX_BLOCK // rows)
+    for a in range(0, n, step):
+        lanes = np.arange(a, min(a + step, n))
+        pts = np.concatenate((chain[:, lanes], chain[:, (lanes + width) % n]))
+        pts = np.take_along_axis(
+            pts, np.argsort(sign * (pts.real * 2.0**27 + pts.imag), axis=0), axis=0)
+        c = lanes.size
+        lane = np.arange(c)
+        flat = pts.reshape(-1)
+        top = np.full(c, 2)
+        below, last = pts[0].copy(), pts[1].copy()
+        for q in pts[2:]:
+            pop = lane[((last - below).conj() * (q - below)).imag <= 0.0]
+            while pop.size:
+                top[pop] -= 1
+                last[pop] = below[pop]
+                pop = pop[top[pop] >= 2]
+                below[pop] = flat[(top[pop] - 2) * c + pop]
+                turn = (last[pop] - below[pop]).conj() * (q[pop] - below[pop])
+                pop = pop[turn.imag <= 0.0]
+            flat[top * c + lane] = q
+            top += 1
+            below, last = last, q.copy()
+        np.copyto(pts, last, where=np.arange(rows)[:, None] >= top)
+        parts.append(pts)
+        tops.append(top)
+    top = np.concatenate(tops)
+    return np.concatenate([p[:top.max()] for p in parts], axis=1), top
 
 
 def dp_cost_matrix(tab: np.ndarray, start: int) -> np.ndarray:

@@ -86,7 +86,11 @@ class OptimalBaseline:
 
 # Most memory one curve's cost tables may take: both n x n tables plus
 # two (n+1)^2 arrays for the DP cost matrix and the largest transient,
-# 8 bytes an entry.  About n = 7900 points.
+# 8 bytes an entry.  About n = 7900 points.  Building the Emax table
+# takes under one more n x n table on lattice contours, but up to about
+# eight on rings whose every point is a vertex of each window's hull
+# and whose long arcs stay under its bound, such as integer points of a
+# thin ellipse: its hull levels then hold about n/2 points a window.
 MAX_TABLE_BYTES = 2 * 10**9
 
 

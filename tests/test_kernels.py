@@ -232,37 +232,62 @@ def _walk(corners):
     return np.array(pts, dtype=np.int64)
 
 
+def _orient(ax, ay, bx, by, cx, cy):
+    # twice the signed area of triangle a, b, c: > 0 when c is left of a -> b
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
 def _is_simple(pts):
-    return _kernels.ring_is_simple(pts[:, 0], pts[:, 1])
+    """Whether the closed ring through integer points pts has no
+    self-contact: adjacent sides meet only at their shared vertex and no
+    other two sides touch.  Exact in int64 for spans below 2**31.
+
+    emax_cost_table takes every ring the same way; this labels the test
+    families, so that each is known to hold self-touching rings or not.
+    """
+    pts = np.asarray(pts, dtype=np.int64)
+    n = pts.shape[0]
+    ax, ay = pts[:, 0], pts[:, 1]
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    cx, cy = np.roll(ax, -2), np.roll(ay, -2)
+    if np.any((ax == bx) & (ay == by)):
+        return False
+    # side a -> b doubling back along b -> c
+    turn = _orient(ax, ay, bx, by, cx, cy)
+    back = (ax - bx) * (cx - bx) + (ay - by) * (cy - by)
+    if np.any((turn == 0) & (back > 0)):
+        return False
+    # every pair of sides i < k sharing no vertex
+    i, k = np.nonzero(np.triu(np.ones((n, n), dtype=bool), 2))
+    far = k - i < n - 1
+    i, k = i[far], k[far]
+    s1 = np.sign(_orient(ax[i], ay[i], bx[i], by[i], ax[k], ay[k]))
+    s2 = np.sign(_orient(ax[i], ay[i], bx[i], by[i], bx[k], by[k]))
+    s3 = np.sign(_orient(ax[k], ay[k], bx[k], by[k], ax[i], ay[i]))
+    s4 = np.sign(_orient(ax[k], ay[k], bx[k], by[k], bx[i], by[i]))
+    # with the boxes meeting, closed segments touch iff each one's
+    # endpoints are not strictly on one side of the other's line
+    meet = (
+        (np.minimum(ax[i], bx[i]) <= np.maximum(ax[k], bx[k]))
+        & (np.minimum(ax[k], bx[k]) <= np.maximum(ax[i], bx[i]))
+        & (np.minimum(ay[i], by[i]) <= np.maximum(ay[k], by[k]))
+        & (np.minimum(ay[k], by[k]) <= np.maximum(ay[i], by[i]))
+    )
+    return not np.any(meet & (s1 * s2 <= 0) & (s3 * s4 <= 0))
 
 
-@pytest.fixture
-def emax_path(monkeypatch):
-    """Names of the window providers emax_cost_table swept: _arc_hulls
-    on a simple ring, _arc_prefixes on any other."""
-    taken = []
-    for name in ("_arc_hulls", "_arc_prefixes"):
-        def traced(*args, fn=getattr(_kernels, name), name=name):
-            taken.append(name)
-            return fn(*args)
-        monkeypatch.setattr(_kernels, name, traced)
-    return taken
-
-
-def _check_emax_exact(pts, emax_path, provider, oracle=bounded_emax_loops):
+def _check_emax_exact(pts, oracle=bounded_emax_loops):
     xs = pts[:, 0].astype(np.float64)
     ys = pts[:, 1].astype(np.float64)
     table = _kernels.emax_cost_table(xs, ys)
-    assert emax_path == ["_arc_" + provider]
     _assert_same_bytes(table, oracle(xs, ys))
     return table
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_emax_table_exact_on_lattice_rings(seed, emax_path):
+def test_emax_table_exact_on_lattice_rings(seed):
     # angular-order rings up to n=60; rounding makes some self-touching
-    pts = lattice_ring(seed, n_lo=4, n_hi=60).points
-    _check_emax_exact(pts, emax_path, "hulls" if _is_simple(pts) else "prefixes")
+    _check_emax_exact(lattice_ring(seed, n_lo=4, n_hi=60).points)
 
 
 RUN_RINGS = {
@@ -275,20 +300,18 @@ RUN_RINGS = {
 
 
 @pytest.mark.parametrize("name", sorted(RUN_RINGS))
-def test_emax_table_exact_on_collinear_runs(name, emax_path):
+def test_emax_table_exact_on_collinear_runs(name):
     ring = RUN_RINGS[name]
     assert _is_simple(ring)
     # every start: inside a run, at a corner, just before one
     for shift in range(ring.shape[0]):
-        emax_path.clear()
-        _check_emax_exact(np.roll(ring, shift, axis=0), emax_path, "hulls")
+        _check_emax_exact(np.roll(ring, shift, axis=0))
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-def test_emax_table_exact_on_corpus_blobs(seed, emax_path):
+def test_emax_table_exact_on_corpus_blobs(seed):
     # the corpus generator's 600-sample blobs, n near 300
-    pts = _fourier_blob(seed, 40.0, 600).points
-    _check_emax_exact(pts, emax_path, "hulls")
+    _check_emax_exact(_fourier_blob(seed, 40.0, 600).points)
 
 
 # side directions of a quarter turn, by angle
@@ -309,45 +332,46 @@ def _convex_polygon(run, quarter=QUARTER_10):
     return np.cumsum(np.repeat(sides, run, axis=0), axis=0)
 
 
-def _sweep_slots(pts):
-    """Deque slots of _arc_hulls once the sweep reaches ceil(n/2) steps."""
-    z = (pts[:, 0] + 1j * pts[:, 1]).astype(np.complex128)
-    hulls = _kernels._arc_hulls(z, np.concatenate((z, z)))
-    for _ in range(2, -(-z.shape[0] // 2) + 1):
-        hull = next(hulls)
-    return hull.shape[0]
+def _level_rows(pts, k):
+    """Rows of level k of emax_cost_table's hull table: the most strict
+    hull vertices of any window of 2^k points."""
+    x, y = (pts[:, j] - pts[:, j].min() for j in (0, 1))
+    levels = _kernels._hull_levels((x + 1j * y).astype(np.complex128))
+    for _ in range(k):
+        next(levels)
+    return next(levels)[0].shape[0]
 
 
-def test_emax_table_exact_when_hulls_outgrow_the_deque(emax_path):
+def test_emax_table_exact_when_hulls_outgrow_the_deque():
     # 80-gon, n = 160: the hull of an arc of n/2 points has about 41
-    # vertices, so the deques outgrow their first _HULL_SLOTS slots
-    # several times before the sweep stops, and stay below n/3
+    # vertices, and every 64-point window has 33 or more
     ring = _convex_polygon(2, QUARTER_20)
-    assert 41 > 2 * _kernels._HULL_SLOTS and 3 * 48 <= ring.shape[0]
-    assert _sweep_slots(ring) == 48
-    emax_path.clear()
-    _check_emax_exact(ring, emax_path, "hulls")
+    assert _level_rows(ring, 6) >= 33
+    _check_emax_exact(ring)
 
 
-def test_emax_table_sweeps_when_hulls_pass_a_third_of_n(emax_path):
-    # n = 40: each arc is its own hull, and the sweep still takes it
-    _check_emax_exact(_convex_polygon(1), emax_path, "hulls")
+def test_emax_table_sweeps_when_hulls_pass_a_third_of_n():
+    # n = 40: each arc is its own hull
+    _check_emax_exact(_convex_polygon(1))
+
+
+def _circle(n, radius=1e5):
+    # integer points on a circle: for n <= 200 at radius 10**5 the
+    # sagitta between neighbours (12 or more) outweighs rounding, so
+    # every point is a hull vertex of every window
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return np.rint(radius * np.column_stack((np.cos(theta), np.sin(theta))))
 
 
 @pytest.mark.parametrize("n", [60, 131, 200])
-def test_emax_table_sweeps_all_hull_rings(n, emax_path):
-    # integer points on a circle of radius 10**5: the sagitta between
-    # neighbours (12 or more) outweighs rounding, so every point is a
-    # hull vertex and the deques grow past n/3 slots
-    theta = 2.0 * np.pi * np.arange(n) / n
-    ring = np.rint(1e5 * np.column_stack((np.cos(theta), np.sin(theta))))
+def test_emax_table_sweeps_all_hull_rings(n):
+    ring = _circle(n)
     side = np.roll(ring, -1, axis=0) - ring
     assert (side[:, 0] * np.roll(side[:, 1], -1) > side[:, 1] * np.roll(side[:, 0], -1)).all()
     xs, ys = ring[:, 0], ring[:, 1]
     table = _kernels.emax_cost_table(xs, ys)
-    assert emax_path == ["_arc_hulls"]
     assert table.tobytes() == _scan_bounded(xs, ys).tobytes()
-    assert 3 * _sweep_slots(ring) > n
+    assert _level_rows(ring, 4) == 16
 
 
 def _direction(rng):
@@ -418,18 +442,19 @@ FUZZ_RINGS = {
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("family", sorted(FUZZ_RINGS))
-def test_emax_table_exact_on_fuzzed_rings(family, seed, emax_path):
+def test_emax_table_exact_on_fuzzed_rings(family, seed):
     rng = np.random.default_rng(seed)
+    simple = []
     for _ in range(12):
-        pts = FUZZ_RINGS[family](rng).astype(np.float64)
-        xs, ys = pts[:, 0], pts[:, 1]
-        _assert_same_bytes(_kernels.emax_cost_table(xs, ys), _scan_bounded(xs, ys))
+        pts = FUZZ_RINGS[family](rng)
+        simple.append(_is_simple(pts))
+        _check_emax_exact(pts, _scan_bounded)
     # thin rectangles and runs plus an apex are simple; the angular
     # lattice rings can be self-touching, and most crossed rings are
     if family in ("thin_rectangle", "run_and_apex"):
-        assert set(emax_path) == {"_arc_hulls"}
+        assert all(simple)
     elif family == "crossed":
-        assert "_arc_prefixes" in emax_path
+        assert not all(simple)
 
 
 def _crossed_blob():
@@ -441,22 +466,23 @@ def _crossed_blob():
     return pts
 
 
-@pytest.mark.parametrize("pts, oracle, provider", [
+@pytest.mark.parametrize("pts, oracle", [
     # n = 26 and 82, 13 x 2 and 41 x 2 points: most long arcs run along
     # both long sides, under B
-    (RUN_RINGS["thin_rectangle"], bounded_emax_loops, "hulls"),
-    (_walk([(0, 0), (40, 0), (40, 1), (0, 1)]), bounded_emax_loops, "hulls"),
+    (RUN_RINGS["thin_rectangle"], bounded_emax_loops),
+    (_walk([(0, 0), (40, 0), (40, 1), (0, 1)]), bounded_emax_loops),
     # n = 236; the scan stands in for the slower loops
-    (_ellipse("thin", 50.0, 16.0, 400).points, _scan_bounded, "hulls"),
+    (_ellipse("thin", 50.0, 16.0, 400).points, _scan_bounded),
     # n = 12: arcs of up to 10 steps lie on one line, Emax +0.0, not -0.0
-    (np.array([(x, 0) for x in range(11)] + [(5, 3)]), bounded_emax_loops, "hulls"),
+    (np.array([(x, 0) for x in range(11)] + [(5, 3)]), bounded_emax_loops),
     # n = 294, sides crossing: the swapped points' spike raises B
-    (_crossed_blob(), _scan_bounded, "prefixes"),
+    (_crossed_blob(), _scan_bounded),
 ], ids=["thin_rectangle_26", "thin_rectangle_82", "thin_ellipse_236", "long_side_12",
         "crossed_blob_294"])
-def test_emax_table_exact_on_open_long_arcs(pts, oracle, provider, emax_path):
-    # the long arcs under B take their value from both frozen windows
-    table = _check_emax_exact(pts, emax_path, provider, oracle)
+def test_emax_table_exact_on_open_long_arcs(pts, oracle):
+    # the long arcs under B pass the probes and take their value from
+    # both windows
+    table = _check_emax_exact(pts, oracle)
     n = pts.shape[0]
     length = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     assert np.isfinite(table[length > -(-n // 2)]).any()
@@ -473,12 +499,168 @@ NON_SIMPLE_RINGS = {
 
 
 @pytest.mark.parametrize("name", sorted(NON_SIMPLE_RINGS))
-def test_emax_table_scans_non_simple_rings(name, emax_path):
-    # every point of every window, as Melkman's hull does not hold
+def test_emax_table_scans_non_simple_rings(name):
+    # a window's hull does not care whether its ring touches itself
     ring = NON_SIMPLE_RINGS[name]
     assert not _is_simple(ring)
     assert np.unique(ring, axis=0).shape == ring.shape
-    _check_emax_exact(ring, emax_path, "prefixes")
+    _check_emax_exact(ring)
+
+
+def _angular_ring(rng, n):
+    # n distinct lattice points in angular order; rounding makes some
+    # rings self-touching
+    while True:
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        radii = rng.uniform(2.0, 2.0 + n / 4, n)
+        pts = np.rint(radii[:, None] * np.column_stack((np.cos(theta), np.sin(theta))))
+        if np.unique(pts, axis=0).shape[0] == n:
+            return pts
+
+
+def _lattice_cloud(rng, n, span):
+    # n distinct lattice points of [0, span)^2 in random order: most
+    # sides cross
+    assert span * span >= 2 * n
+    while True:
+        pts = rng.integers(0, span, size=(n, 2))
+        if np.unique(pts, axis=0).shape[0] == n:
+            return pts
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_emax_table_exact_on_small_rings(n):
+    # every n from 3: probes that coincide, a ceil(n/3) - 1 under 16,
+    # levels of one or two rows
+    rng = np.random.default_rng(n)
+    oracle = bounded_emax_loops if n <= 12 else _scan_bounded
+    _check_emax_exact(_angular_ring(rng, n), oracle)
+    _check_emax_exact(_lattice_cloud(rng, n, 8 + n), oracle)
+
+
+@pytest.mark.parametrize("n", [6, 10, 18, 34, 66, 130, 258, 514])
+def test_emax_table_exact_when_n_minus_2_is_a_power_of_two(n, monkeypatch):
+    # the arcs of n - 1 steps have n - 2 = 2^k interior points, one
+    # window of the top level; with B lifted to +inf every arc is
+    # scanned, those included
+    rings = [_walk([(0, 0), ((n - 2) // 2, 0), ((n - 2) // 2, 1), (0, 1)])]
+    if n <= 130:
+        rings.append(_lattice_cloud(np.random.default_rng(n), n, 2 * n))
+    for ring in rings:
+        assert ring.shape[0] == n
+        xs, ys = (ring[:, k].astype(np.float64) for k in (0, 1))
+        want = _emax_cost_table_scan(xs, ys)
+        _assert_same_bytes(_kernels.emax_cost_table(xs, ys), _bounded(want.copy()))
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_side_bound", lambda out: np.inf)
+            _assert_same_bytes(_kernels.emax_cost_table(xs, ys), want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_emax_table_exact_on_lattice_clouds(seed):
+    # random point clouds, n from 3 to 89, spans from 2**4 to 2**25
+    rng = np.random.default_rng(seed)
+    for _ in range(15):
+        n = int(rng.integers(3, 90))
+        span = 2 ** int(rng.integers(4, 26))
+        _check_emax_exact(_lattice_cloud(rng, n, span), _scan_bounded)
+
+
+def test_emax_table_exact_at_the_span_bound():
+    # x and y spans of EXACT_SPAN - 1, far from the origin: the largest
+    # relative coordinates, sort keys and cross products the table takes
+    top = _kernels.EXACT_SPAN - 1
+    rng = np.random.default_rng(3)
+    pts = np.concatenate((
+        [[0, 5], [top, 9], [7, 0], [11, top]], _lattice_cloud(rng, 56, top)))
+    assert np.unique(pts, axis=0).shape == pts.shape
+    assert (pts.max(axis=0) - pts.min(axis=0) == top).all()
+    _check_emax_exact(pts - 3 * 2**40, _scan_bounded)
+
+
+def _thin_all_hull(n):
+    # integer points of an ellipse of semi-axes 10**6 and 10**5: every
+    # point is a hull vertex, and long arcs along the flat sides stay
+    # under B, so every level is built and read
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return np.rint(np.column_stack((1e6 * np.cos(theta), 1e5 * np.sin(theta))))
+
+
+@pytest.mark.parametrize("block", [1, 100, 1 << 14])
+def test_emax_table_exact_across_blocks(block, monkeypatch):
+    # one start and one length a block, ragged blocks, and the default
+    monkeypatch.setattr(_kernels, "_EMAX_BLOCK", block)
+    for pts in (_circle(60), _thin_all_hull(40), RUN_RINGS["thin_rectangle"],
+                _lattice_cloud(np.random.default_rng(1), 50, 30)):
+        _check_emax_exact(pts, _scan_bounded)
+
+
+def _strict_hull(points):
+    """Strict hull vertices of a list of (x, y) tuples: Andrew's
+    monotone chain, one point at a time."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return set(pts)
+    hull = set()
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for q in seq:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (q[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (q[0] - chain[-2][0])
+            ) <= 0:
+                chain.pop()
+            chain.append(q)
+        hull.update(chain)
+    return hull
+
+
+@pytest.mark.parametrize("name", ["circle", "crossed_blob", "cloud", "collinear_runs"])
+def test_hull_levels_hold_the_strict_hull_vertices(name):
+    # every window of every level holds its strict hull vertices and no
+    # other point
+    pts = {
+        "circle": _circle(40),
+        "crossed_blob": _crossed_blob()[::3],
+        "cloud": _lattice_cloud(np.random.default_rng(4), 70, 40),
+        "collinear_runs": RUN_RINGS["u_shape"],
+    }[name].astype(np.float64)
+    n = pts.shape[0]
+    rel = pts - pts.min(axis=0)
+    levels = _kernels._hull_levels(rel[:, 0] + 1j * rel[:, 1])
+    for k in range(int(np.log2(n - 2)) + 1):
+        wx, wy = next(levels)
+        assert wx.shape[1:] == (2**k + 1, n)
+        for u in range(n):
+            window = [tuple(rel[(u + j) % n]) for j in range(2**k)]
+            got = set(zip(wx[:, 0, u].tolist(), wy[:, 0, u].tolist()))
+            assert got == _strict_hull(window), (k, u)
+
+
+@pytest.mark.parametrize("n", [150, 300])
+def test_emax_table_merges_hulls_in_blocks_of_starts(n, monkeypatch):
+    # on a ring whose every point is a hull vertex, a level merge takes
+    # its chains and their sorted copy, a block at a time, plus a few
+    # blocks of temporaries, however wide its windows
+    merge = _kernels._merged_chains
+    extra = []
+
+    def traced(chain, width, sign):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out, top = merge(chain, width, sign)
+        peak = tracemalloc.get_traced_memory()[1]
+        extra.append(peak - before - out.nbytes - 2 * chain.nbytes)
+        return out, top
+
+    monkeypatch.setattr(_kernels, "_merged_chains", traced)
+    ring = _thin_all_hull(n)
+    tracemalloc.start()
+    try:
+        _kernels.emax_cost_table(ring[:, 0], ring[:, 1])
+    finally:
+        tracemalloc.stop()
+    assert max(extra) < 32 * _kernels._EMAX_BLOCK
 
 
 @pytest.mark.parametrize("offset", [0, 1])
@@ -512,9 +694,10 @@ def test_segment_costs_span_bound(offset):
     ("large_coordinates", [(0, 0), (2**30, 0), (2**30, 2**30), (1, 1)], True),
 ])
 def test_ring_is_simple(name, pts, simple):
+    # the oracle that labels the ring families above
     pts = np.array(pts, dtype=np.int64)
     assert _is_simple(pts) is simple
-    assert _kernels.ring_is_simple(pts[::-1, 0], pts[::-1, 1]) is simple
+    assert _is_simple(pts[::-1]) is simple
 
 
 # 600-point rectangle 200 x 100: bottom side indices 0-199, right
@@ -524,21 +707,17 @@ BIG_RECTANGLE = _walk([(0, 0), (200, 0), (200, 100), (0, 100)])
 
 @pytest.mark.parametrize("moved, to, simple", [
     (None, None, True),
-    (50, (50, 100), False),  # onto the top side: found in the first block
-    (450, (0, 50), False),  # onto the left side: found in the second block
+    (50, (50, 100), False),  # onto the top side, far on in the side order
+    (450, (0, 50), False),  # onto the left side, near the end of it
     (450, (1, 50), True),  # next to the left side
 ])
 def test_ring_is_simple_across_blocks(moved, to, simple):
+    # a large ring: contacts between sides far apart in the ring order
     pts = BIG_RECTANGLE.copy()
-    n = pts.shape[0]
-    # the first block of side pairs holds rows 0..step-1, so the two
-    # moves of vertex 50 and 450 are found in different blocks
-    step = _kernels._SIMPLE_BLOCK // n
-    assert 50 < step <= 449
     if moved is not None:
         pts[moved] = to
     assert _is_simple(pts) is simple
-    assert _kernels.ring_is_simple(pts[::-1, 0], pts[::-1, 1]) is simple
+    assert _is_simple(pts[::-1]) is simple
 
 
 def _random_rcost(seed, n, costs=None):

@@ -307,22 +307,12 @@ def test_baseline_cross_checked_against_enumeration():
 
 
 def unbounded_emax_table(curve):
-    """The exact Emax table with no +inf entries: every column of the
-    hull sweep (corpus rings are simple lattice rings whose arc hulls
-    stay below n/3 points), scanned as the kernel scans it."""
+    """The exact Emax table with no +inf entries: the kernel's hull table
+    with the bound B lifted to +inf, so that every arc is scanned."""
     pts = curve.points.astype(np.float64)
-    z = pts[:, 0] + 1j * pts[:, 1]
-    z2 = np.concatenate((z, z))
-    n = curve.n
-    u = np.arange(n)
-    out = np.zeros((n, n))
-    for length, hull in zip(range(2, n), _kernels._arc_hulls(z, z2)):
-        d = z2[length:length + n] - z
-        dx, dy = d.real, d.imag
-        out[u, (u + length) % n] = (
-            np.abs((hull * d.conj()).imag).max(axis=0) / np.sqrt(dx * dx + dy * dy)
-        )
-    return out
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernels, "_side_bound", lambda out: np.inf)
+        return _kernels.emax_cost_table(pts[:, 0], pts[:, 1])
 
 
 @pytest.fixture(scope="module")
