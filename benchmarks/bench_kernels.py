@@ -13,7 +13,9 @@ numpy allocations of one table build (tracemalloc), table included.
 The DP solves the ellipse's E2 and Emax cost matrices from vertex 0,
 as the study does, and a matrix of uniform random costs, whose rising
 profile makes the banded solve fall back to the full DP: its worst
-case.  Run from the repository root:
+case.  Elimination and stabilize are timed twice: on the closed form, as
+`polyapprox approx` runs them, and while a SegmentCosts holds the
+ellipse's E2 table, as a study runs them.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 """
@@ -24,7 +26,9 @@ import tracemalloc
 
 import numpy as np
 
-from polyapprox import DigitalCurve, _kernels, eliminate_to_m, split_to_m, stabilize
+from polyapprox import (
+    CostKind, DigitalCurve, SegmentCosts, _kernels, eliminate_to_m, split_to_m, stabilize,
+)
 
 
 def noisy_ellipse(n_target: int, seed: int = 0, aspect: float = 0.6) -> np.ndarray:
@@ -119,14 +123,21 @@ def main() -> int:
 
     curve = DigitalCurve(pts)
     m = m_max
+    eliminated = eliminate_to_m(curve, m)
     schemes = [
         ("split_to_m", split_to_m, (curve, m)),
         ("eliminate_to_m", eliminate_to_m, (curve, m)),
-        ("stabilize", stabilize, (curve, eliminate_to_m(curve, m))),
+        ("stabilize", stabilize, (curve, eliminated)),
     ]
     print(f"{'scheme (m=' + str(m) + ')':<24} {'time':>10}")
     for name, fn, call_args in schemes:
         print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
+    # while a SegmentCosts holds the curve's E2 table, as in a study, the
+    # schemes look their costs up in it
+    costs = SegmentCosts(curve)
+    costs.table(CostKind.SUM_SQUARED)
+    for name, fn, call_args in schemes[1:]:
+        print(f"{name + ', E2 table':<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
     return 0
 
 

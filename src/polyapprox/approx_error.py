@@ -3,11 +3,13 @@
 The deviation of a curve point from a polygon side is its perpendicular
 distance to the infinite line through the side's endpoints, not to the
 clipped segment.  Per-side sums of squared deviations come from moment
-prefix tables in O(1) per query.
+prefix tables in O(1) per query, or, for the schemes, from the curve's
+E2 table while a SegmentCosts holds one (E2Costs).
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 
 import numpy as np
@@ -19,6 +21,7 @@ from .exceptions import DegenerateSegment, InvalidCounts
 __all__ = [
     "PolygonApprox",
     "moment_tables",
+    "E2Costs",
     "arc_sum_sq",
     "polygon_errors",
     "compression_ratio",
@@ -40,6 +43,49 @@ def moment_tables(curve: DigitalCurve) -> tuple:
             curve, _kernels.doubled_prefixes(pts[:, 0], pts[:, 1])
         )
     return prefixes
+
+
+# weak keys and weak values: a curve's E2 table lives as long as the
+# SegmentCosts that built it, not as long as the curve
+_E2_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def record_e2_table(curve: DigitalCurve, table: np.ndarray) -> None:
+    """Let E2Costs read `table`, the curve's E2 cost table, for as long
+    as its owner keeps it; only a weak reference is recorded."""
+    _E2_TABLES[curve] = weakref.ref(table)
+
+
+class E2Costs:
+    """Summed squared deviation over the forward arcs of one curve:
+    arc(u, v) for one arc, as a float, and arcs(u, v) for broadcast index
+    arrays.
+
+    While a SegmentCosts that built the curve's E2 table is alive, both
+    read that table: a lookup and a gather.  Otherwise they evaluate the
+    closed form on moment_tables, arc by arc on Python floats (raising
+    DegenerateSegment for a side between coincident points) and on
+    arrays through e2_arc_costs.  Every table entry is the closed form's
+    value bit for bit, so both paths give the same costs.
+    """
+
+    __slots__ = ("arc", "arcs")
+
+    def __init__(self, curve: DigitalCurve):
+        ref = _E2_TABLES.get(curve)
+        table = None if ref is None else ref()
+        if table is not None:
+            self.arc = table.item
+            self.arcs = lambda u, v: table[u, v]
+            return
+        pts = curve.points_float()
+        xs, ys = pts[:, 0], pts[:, 1]
+        prefixes = moment_tables(curve)
+        # Python floats: one arc at a time is scalar work
+        self.arc = functools.partial(
+            _arc_e2, xs.tolist(), ys.tolist(), tuple(p.tolist() for p in prefixes), curve.n
+        )
+        self.arcs = functools.partial(_kernels.e2_arc_costs, xs, ys, prefixes)
 
 
 class PolygonApprox:

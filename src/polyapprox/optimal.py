@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .approx_error import PolygonApprox
+from .approx_error import PolygonApprox, record_e2_table
 from .curve import DigitalCurve, centroid
 from .exceptions import CurveTooLarge, DegenerateSegment, InvalidCounts, OutOfRange
 
@@ -108,6 +108,12 @@ class SegmentCosts:
     which float64 cross products lose bits, or whose points coincide
     (non-consecutively), which would leave some table entry without a
     defining line.
+
+    Tables are read-only.  While an instance holds the curve's E2 table,
+    elimination and stabilize look their costs up in it
+    (approx_error.E2Costs).  Only a weak reference to it is recorded, so
+    the table goes with the instance: a study keeps one curve's tables
+    at a time.
     """
 
     def __init__(self, curve: DigitalCurve):
@@ -145,8 +151,10 @@ class SegmentCosts:
             ys = self.curve.points[:, 1].astype(np.float64)
             if kind is CostKind.SUM_SQUARED:
                 tab = _kernels.e2_cost_table(xs, ys)
+                record_e2_table(self.curve, tab)
             else:
                 tab = _kernels.emax_cost_table(xs, ys)
+            tab.setflags(write=False)
             self._tables[kind] = tab
         return tab
 

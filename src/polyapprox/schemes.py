@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from . import _kernels
-from .approx_error import PolygonApprox, _arc_e2, moment_tables
+from .approx_error import E2Costs, PolygonApprox
 from .curve import DigitalCurve
 from .exceptions import DegenerateSegment, InvalidCounts
 from .optimal import provisional_start_vertex
@@ -110,25 +109,24 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
 
     A vertex's deletion cost is the squared-error sum of the arc its
     neighbours would then span; only the two neighbours of a deleted
-    vertex need rescoring.  The n starting costs are one e2_arc_costs
-    call; a heap of (cost, index) finds the cheapest vertex, ties on the
-    lowest index, and entries whose cost has changed since are skipped.
+    vertex need rescoring.  Costs come from E2Costs: the n starting costs
+    are one arcs() call, each rescoring one arc() call, lookups in the
+    curve's E2 table while a SegmentCosts holds it.  A heap of (cost,
+    index) finds the cheapest vertex, ties on the lowest index, and
+    entries whose cost has changed since are skipped.
     """
     _check_m(curve, m)
     n = curve.n
-    pts = curve.points_float()
-    prefixes = moment_tables(curve)
+    pts = curve.points
     prv = np.arange(-1, n - 1) % n
     nxt = np.arange(1, n + 1) % n
     coincide = (pts[prv] == pts[nxt]).all(axis=1)
     if coincide.any():
         i = int(np.argmax(coincide))
         raise DegenerateSegment(f"points {int(prv[i])} and {int(nxt[i])} coincide")
-    cost = _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], prefixes, prv, nxt).tolist()
-    # Python floats from here on: rescoring two neighbours is scalar work
-    xs = pts[:, 0].tolist()
-    ys = pts[:, 1].tolist()
-    prefixes = tuple(p.tolist() for p in prefixes)
+    costs = E2Costs(curve)
+    arc = costs.arc
+    cost = costs.arcs(prv, nxt).tolist()
     prv = prv.tolist()
     nxt = nxt.tolist()
     heap = list(zip(cost, range(n)))
@@ -143,8 +141,8 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
         prv[q] = p
         nxt[p] = q
         cost[i] = math.inf
-        cost[p] = _arc_e2(xs, ys, prefixes, n, prv[p], q)
-        cost[q] = _arc_e2(xs, ys, prefixes, n, p, nxt[q])
+        cost[p] = arc(prv[p], q)
+        cost[q] = arc(p, nxt[q])
         heapq.heappush(heap, (cost[p], p))
         heapq.heappush(heap, (cost[q], q))
     verts = [i for i in range(n) if cost[i] != math.inf]
@@ -156,7 +154,8 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
 
     Round-robin over vertex slots: each vertex may move anywhere
     strictly between its neighbours if that lowers the combined error of
-    its two sides; one e2_arc_costs call scores all its positions.  A
+    its two sides.  All its positions are scored at once by E2Costs, two
+    gathers from the curve's E2 table while a SegmentCosts holds it.  A
     vertex moves only to a strictly cheaper position, the lowest curve
     index among equal minima, so a vertex already at a minimum stays
     put.  Stops on the first pass with no movement.
@@ -170,9 +169,7 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
         raise InvalidCounts("polygon does not belong to this curve")
     n = curve.n
     pts = curve.points
-    xs = pts[:, 0].astype(np.float64)
-    ys = pts[:, 1].astype(np.float64)
-    prefixes = moment_tables(curve)
+    arcs = E2Costs(curve).arcs
     verts = [int(v) for v in poly.indices]
     m = len(verts)
     # slot i needs scoring: it has not been scored since a neighbour moved
@@ -190,10 +187,7 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
                 # every position strictly between the neighbours, the
                 # current one at (verts[i] - p) % n - 1
                 js = (p + np.arange(1, (q - p) % n)) % n
-                # rows [p, j, q]: one call scores the sides p -> j and j -> q
-                ends = np.stack((np.full_like(js, p), js, np.full_like(js, q)))
-                two = _kernels.e2_arc_costs(xs, ys, prefixes, ends[:2], ends[1:])
-                cost = two[0] + two[1]
+                cost = arcs(p, js) + arcs(js, q)
                 if not np.isfinite(cost).all():
                     j = int(js[~np.isfinite(cost)][0])
                     u, v = (p, j) if (pts[p] == pts[j]).all() else (j, q)

@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from polyapprox import (
+    CostKind,
     DegenerateSegment,
     DigitalCurve,
     InvalidCounts,
     PolygonApprox,
+    SegmentCosts,
     compression_ratio,
     moment_tables,
     polygon_errors,
 )
 from polyapprox import _kernels
+from polyapprox.approx_error import E2Costs
 from conftest import (
+    build_corpus,
     lattice_ring,
     perpendicular_distance,
     polygon_errors_naive,
@@ -112,6 +116,24 @@ def test_moment_tables_do_not_keep_curves_alive(square8):
     del curve
     gc.collect()
     assert ref() is None
+
+
+def test_e2_costs_read_the_table_bit_for_bit():
+    # every arc u != v of the closed form, array and scalar, against the
+    # lookups and gathers in a live SegmentCosts' E2 table
+    corpus = build_corpus()
+    for curve in (corpus[3], corpus[11]):
+        n = curve.n
+        u, v = np.nonzero(~np.eye(n, dtype=bool))
+        closed = E2Costs(curve)
+        want = closed.arcs(u, v)
+        scalar = [closed.arc(int(a), int(b)) for a, b in zip(u[::61], v[::61])]
+        assert np.array(scalar).tobytes() == want[::61].tobytes()
+        costs = SegmentCosts(curve)
+        costs.table(CostKind.SUM_SQUARED)
+        lookup = E2Costs(curve)
+        assert lookup.arcs(u, v).tobytes() == want.tobytes()
+        assert [lookup.arc(int(a), int(b)) for a, b in zip(u[::61], v[::61])] == scalar
 
 
 def test_moment_tables_build_accepts_floats():

@@ -1,12 +1,16 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from polyapprox import (
+    CostKind,
     DegenerateSegment,
     DigitalCurve,
     InvalidCounts,
     PolygonApprox,
     SchemeId,
+    SegmentCosts,
     apply_scheme,
     auto_target_m,
     eliminate_stabilized_to_m,
@@ -15,6 +19,7 @@ from polyapprox import (
     split_to_m,
     stabilize,
 )
+from polyapprox import _kernels, approx_error
 from polyapprox.approx_error import arc_sum_sq, moment_tables
 from polyapprox.curve import parse_chain_code
 from polyapprox.optimal import provisional_start_vertex
@@ -141,6 +146,26 @@ def stabilize_reference(curve, poly):
     return PolygonApprox(curve, sorted(verts))
 
 
+def _closed_form_called(*args):
+    raise AssertionError("a scheme evaluated the closed form beside a live E2 table")
+
+
+def on_both_paths(monkeypatch, curve, run):
+    """run()'s result on the closed form, then while a SegmentCosts holds
+    the curve's E2 table, with the closed form made to fail, so that
+    only lookups and gathers in the table can answer."""
+    ref = approx_error._E2_TABLES.get(curve)
+    assert ref is None or ref() is None, "a table outlived its SegmentCosts"
+    closed = run()
+    costs = SegmentCosts(curve)
+    costs.table(CostKind.SUM_SQUARED)
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "e2_arc_costs", _closed_form_called)
+        mp.setattr(approx_error, "_arc_e2", _closed_form_called)
+        table = run()
+    return closed, table
+
+
 def test_split_square_finds_corners(square8):
     p = split_to_m(square8, 4)
     assert list(p.indices) == [0, 2, 4, 6]
@@ -219,13 +244,14 @@ def test_stabilize_never_increases_e2_and_is_idempotent():
 
 
 @pytest.mark.parametrize("cr", [8.0, 15.0, 30.0])
-def test_stabilize_matches_reference_on_corpus(cr):
+def test_stabilize_matches_reference_on_corpus(cr, monkeypatch):
     moved = 0
     for c in build_corpus():
         p = eliminate_to_m(c, auto_target_m(c, cr))
-        q = stabilize(c, p)
-        assert q == stabilize_reference(c, p), c.name
-        moved += q != p
+        want = stabilize_reference(c, p)
+        for q in on_both_paths(monkeypatch, c, lambda: stabilize(c, p)):
+            assert q == want, c.name
+        moved += want != p
     assert moved > 0
 
 
@@ -254,12 +280,17 @@ def test_stabilize_matches_reference_on_plateaus_and_ties(square8):
             assert stabilize(c, p) == stabilize_reference(c, p), (c.name, list(p.indices))
 
 
+def _split_and_eliminate(curve, m):
+    return [split_to_m(curve, m), eliminate_to_m(curve, m)]
+
+
 @pytest.mark.parametrize("cr", [8.0, 15.0, 30.0])
-def test_split_and_eliminate_match_references_on_corpus(corpus, cr):
+def test_split_and_eliminate_match_references_on_corpus(corpus, cr, monkeypatch):
     for c in corpus:
         m = auto_target_m(c, cr)
-        assert split_to_m(c, m) == split_reference(c, m), c.name
-        assert eliminate_to_m(c, m) == eliminate_reference(c, m), c.name
+        want = [split_reference(c, m), eliminate_reference(c, m)]
+        for got in on_both_paths(monkeypatch, c, lambda: _split_and_eliminate(c, m)):
+            assert got == want, c.name
 
 
 def _small_cases(square8):
@@ -277,23 +308,46 @@ def _small_cases(square8):
             yield c, m
 
 
-def test_split_and_eliminate_match_references_on_ties(square8):
+def test_split_and_eliminate_match_references_on_ties(square8, monkeypatch):
     for c, m in _small_cases(square8):
-        assert split_to_m(c, m) == split_reference(c, m), (c.name, m)
-        assert eliminate_to_m(c, m) == eliminate_reference(c, m), (c.name, m)
+        want = [split_reference(c, m), eliminate_reference(c, m)]
+        for got in on_both_paths(monkeypatch, c, lambda: _split_and_eliminate(c, m)):
+            assert got == want, (c.name, m)
 
 
-def test_stabilize_matches_reference_on_tied_rectangles():
-    # plateau-heavy rectangles, from the eliminated polygon and from
-    # every other vertex, where slots see their neighbours move often
-    for w, h in [(4, 2), (6, 3), (9, 5), (7, 7), (12, 4), (20, 3)]:
+def test_stabilize_matches_reference_on_tied_rectangles(monkeypatch):
+    # plateau-heavy rectangles (2 x 2 is square8), from the eliminated
+    # polygon and from every other vertex, where slots see their
+    # neighbours move often
+    for w, h in [(2, 2), (4, 2), (6, 3), (9, 5), (7, 7), (12, 4), (20, 3)]:
         c = _rectangle(w, h)
-        for m in range(3, c.n + 1):
-            p = eliminate_to_m(c, m)
-            assert stabilize(c, p) == stabilize_reference(c, p), (c.name, m)
-        for k in (2, 3):
-            p = PolygonApprox(c, range(0, c.n, k))
-            assert stabilize(c, p) == stabilize_reference(c, p), (c.name, k)
+        starts = [eliminate_reference(c, m) for m in range(3, c.n + 1)]
+        starts += [PolygonApprox(c, range(0, c.n, k)) for k in (2, 3)]
+        want = [stabilize_reference(c, p) for p in starts]
+        for got in on_both_paths(monkeypatch, c, lambda: [stabilize(c, p) for p in starts]):
+            assert got == want, c.name
+
+
+def test_e2_table_dies_with_its_segment_costs():
+    c = build_corpus()[0]
+    m = auto_target_m(c, 15.0)
+    costs = SegmentCosts(c)
+    table = costs.table(CostKind.SUM_SQUARED)
+    held = weakref.ref(table)
+    with_table = [apply_scheme(s, c, m) for s in SchemeId]
+    del costs, table
+    assert held() is None
+    assert approx_error._E2_TABLES[c]() is None
+    assert [apply_scheme(s, c, m) for s in SchemeId] == with_table
+
+
+def test_cost_tables_are_read_only(square8):
+    costs = SegmentCosts(square8)
+    for kind in CostKind:
+        table = costs.table(kind)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 1] = 1.0
 
 
 def _outcome(fn, curve, m):

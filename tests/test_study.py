@@ -18,6 +18,7 @@ from polyapprox import (
     scale_for_plot,
     study_series,
 )
+from polyapprox import approx_error, study
 from polyapprox.study import PAIRINGS, correlations_csv, pairing_slug, records_csv
 from polyapprox._kernels import EXACT_SPAN
 from conftest import build_corpus, square_ring, wide_ring
@@ -123,6 +124,26 @@ def test_run_study_structure():
         assert not rep.skipped_curves
         for rec in rep.records:
             assert rec.scheme == rep.scheme.value
+
+
+def test_run_study_calls_apply_scheme_with_three_positional_arguments(monkeypatch):
+    # perfbench/spans.py traces the schemes through a wrapper of exactly
+    # this signature; another argument would crash every traced run
+    original = study.apply_scheme
+    calls = []
+
+    def wrapper(scheme, crv, m):
+        calls.append(scheme)
+        return original(scheme, crv, m)
+
+    monkeypatch.setattr(study, "apply_scheme", wrapper)
+    corpus = build_corpus()[:3]
+    reports = run_study(corpus, target_cr=15.0)
+    assert calls == list(SchemeId) * len(corpus)
+    assert all(len(rep.records) == len(corpus) for rep in reports)
+    # the study keeps no curve's E2 table once it returns
+    for curve in corpus:
+        assert approx_error._E2_TABLES[curve]() is None
 
 
 def test_run_study_thread_count_does_not_change_results():
