@@ -10,10 +10,12 @@ hull, so that its hull levels are as large as they get; and on the
 first ellipse with two points a third of the ring apart swapped, which
 makes its sides cross.  Every Emax row also prints the peak of the
 numpy allocations of one table build (tracemalloc), table included.
-The DP solves the ellipse's E2 and Emax cost matrices from vertex 0,
-as the study does, and a matrix of uniform random costs, whose rising
-profile makes the banded solve fall back to the full DP: its worst
-case.  Elimination and stabilize are timed twice: on the closed form, as
+The DP solves the ellipse's span-major E2 and Emax tables from vertex
+0, as the study does, and an n x n table of uniform random costs,
+whose rising profile makes the banded solve fall back to the full DP:
+its worst case.  "polygon solve" is a solve to m = --m-max on the E2
+table plus the walk back along its chain, as an optimal polygon costs.
+Elimination and stabilize are timed twice: on the closed form, as
 `polyapprox approx` runs them, and while a SegmentCosts holds the
 ellipse's E2 table, as a study runs them.  Run from the repository root:
 
@@ -97,21 +99,30 @@ def main() -> int:
     crossed[[0, n // 3]] = crossed[[n // 3, 0]]
 
     m_max = min(args.m_max, n)
-    e2_rcost = _kernels.dp_cost_matrix(_kernels.e2_cost_table(xs, ys), 0)
-    emax_rcost = _kernels.dp_cost_matrix(_kernels.emax_cost_table(xs, ys), 0)
+    e2_tab = _kernels.e2_cost_table(xs, ys)
+    emax_tab = _kernels.emax_cost_table(xs, ys)
     # uniform random costs: the profile rises, so the banded solve falls
     # back to the full DP
-    rng = np.random.default_rng(0)
-    rising = _kernels.dp_cost_matrix(rng.uniform(0.0, 10.0, size=(n, n)), 0)
+    rising = np.random.default_rng(0).uniform(0.0, 10.0, size=(n, n))
+
+    def solve(tab, use_max):
+        # a study computes a table's band widths once, not once a solve
+        return _kernels.dp_solve, (tab, _kernels.cheapest_sides(tab), 0, m_max, use_max)
+
+    def polygon(tab, cheapest):
+        dp = _kernels.dp_solve(tab, cheapest, 0, m_max, False)
+        return _kernels.dp_chain(tab, 0, dp, m_max, False)
+
     cases = [
         ("e2 cost table", _kernels.e2_cost_table, (xs, ys)),
         ("emax cost table", _kernels.emax_cost_table, (xs, ys)),
         ("emax, elongated", _kernels.emax_cost_table, (txs, tys)),
         ("emax, all-hull", _kernels.emax_cost_table, (circle[:, 0], circle[:, 1])),
         ("emax, non-simple", _kernels.emax_cost_table, (crossed[:, 0], crossed[:, 1])),
-        ("dp solve (sum)", _kernels.dp_solve, (e2_rcost, m_max, False)),
-        ("dp solve (max)", _kernels.dp_solve, (emax_rcost, m_max, True)),
-        ("dp solve, rising profile", _kernels.dp_solve, (rising, m_max, False)),
+        ("dp solve (sum)", *solve(e2_tab, False)),
+        ("dp solve (max)", *solve(emax_tab, True)),
+        ("dp solve, rising profile", *solve(rising, False)),
+        ("polygon solve (sum)", polygon, (e2_tab, _kernels.cheapest_sides(e2_tab))),
     ]
 
     print(f"{'kernel':<24} {'time':>10} {'peak':>10}")

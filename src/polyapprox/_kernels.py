@@ -5,11 +5,16 @@ the O(n^2) squared-error table, the max-error table, and the dynamic
 program, O(m_max * n^2) at worst: e2_cost_table, emax_cost_table and
 dp_solve.  benchmarks/bench_kernels.py times them.
 
+Both cost tables are span-major: entry [L, e] is the cost of the
+forward arc of L steps that ends at point e, so it starts at (e - L) %
+n.  Rows 0 and 1 (a point and an adjacent pair) are 0.  A DP layer
+reads the sides ending at a run of positions as slices of the table's
+rows, with no copy of the table for its start vertex.
+
 The squared-error table evaluates the closed form of e2_arc_costs on
-blocks of about _E2_BLOCK entries, a few dozen rows at contour scale,
-laid out by arc start and arc length so that every operand is a sliding
-window of a doubled array rather than a gather; a strided copy through
-a block-sized staging buffer rotates each block into [start, end] order.
+blocks of about _E2_BLOCK entries, a few dozen spans by all ends: the
+arc starts, and the prefix bound just past them, are reversed sliding
+windows of doubled arrays.
 
 The max-error table holds an arc's exact value where it is at most B,
 the largest entry over arcs of at most ceil(n/3) steps, and +inf above
@@ -21,16 +26,13 @@ k holds the hull vertices of every window of 2^k points, merged from
 level k-1 by Andrew's monotone chain.  Two windows of one level cover
 any arc, so an entry scans their vertices, not the arc.
 
-The DP reads its cost matrix with the arc end as the row and the arc
-start as the column (dp_cost_matrix builds it), through a row-skewed
-view in which the sides of at most W positions ending at each row are
-the last W columns.  Costs are >= 0, so a layer may drop every cell
-above b, the least profile value found so far, and every side wider
-than the widest one costing at most b: what is left is a band of W
-columns, in blocks of rows.  The profile, the parent chains and every
-cell the band keeps are exact; if the profile rises, the band loses a
-profile value and the solve runs once more unpruned (dp_solve says
-why).
+Costs are >= 0, so a DP layer may drop every cell above b, the least
+of a seeded triangle's cost and the profile values found so far, and
+every side wider than the widest one costing at most b: what is left
+is a band of W spans.  The profile and every cell the band keeps are
+exact, and dp_chain recovers the chains from them; if the profile
+rises, the band loses a profile value and the solve runs once more
+unpruned (dp_solve says why).
 
 The kernels evaluate the arithmetic of plain per-entry loops, so their
 tables, and the DP's profile, chains and kept cells, equal the loops'
@@ -41,7 +43,7 @@ that pin this down.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 # perfbench reads this flag for its environment block; the next change
 # to the benchmark (ROADMAP D1) drops it.
@@ -106,50 +108,49 @@ def _e2_closed_form(xu, yu, xv, yv, sums, cnt, out=None):
     return np.divide(np.maximum(num, 0.0), l2, out=out)
 
 
-# Entries of the squared-error table evaluated per block of rows: small
+# Entries of the squared-error table evaluated per block of spans: small
 # enough that the block's temporaries stay in cache.
 _E2_BLOCK = 1 << 13
 
 
 def e2_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Summed squared deviation of every forward arc u -> v.
+    """Summed squared deviation of every forward arc, span-major.
 
-    Entry [u, v] covers the points strictly between u and v walking
-    forward; adjacent pairs cost 0.  Blocks of about _E2_BLOCK entries
-    are evaluated by arc start and arc length L: entry u + L of a doubled
-    coordinate or prefix array is the arc's far end or prefix bound, so
-    every operand is a sliding window, not a gather.  Each row of a
-    block, indexed by L, fills both halves of a staging row 2n wide;
-    table row u, whose entry v has L = (v - u) % n, is then the n
-    entries from column n - u, so one strided view that steps back a
-    column per row copies the block into place.
+    Entry [L, e] covers the points strictly between u = (e - L) % n and
+    e walking forward; rows 0 and 1 are 0.  Blocks of about _E2_BLOCK
+    entries are evaluated by span and end: the start u is doubled entry
+    e - L + n, so its coordinates and the prefix bound p[u + 1] are
+    reversed sliding windows of doubled arrays, written straight into
+    the table.  The far bound p[u + L] is p[e + n] on arcs that wrap past
+    index 0 (e < L) and p[e] on the others, the indices e2_arc_costs
+    uses.
     """
     n = xs.shape[0]
-    prefixes = doubled_prefixes(xs, ys)
-    doubled = (np.concatenate((xs, xs)), np.concatenate((ys, ys))) + prefixes
-    # window[u, L - 2] is doubled entry u + L, for L in [2, n)
-    wx, wy, *wsums = (sliding_window_view(a, n)[:, 2:] for a in doubled)
-    cnt = np.arange(2, n) - 1.0
+    prefixes = np.stack(doubled_prefixes(xs, ys))
+    # starts[n - L, e]: doubled entry e - L + n, the start of arc [L, e]
+    starts = [sliding_window_view(np.concatenate((a, a)), n) for a in (xs, ys)]
+    # near[:, n - L, e]: p[u + 1] for the start u of arc [L, e]
+    near = sliding_window_view(np.tile(prefixes[:, 1:n + 1], 2), n, axis=1)
+    lo, hi = prefixes[:, None, :n], prefixes[:, None, n:2 * n]
+    ends = np.arange(n)
     out = np.empty((n, n))
-    step = min(max(1, _E2_BLOCK // n), n)
-    # lengths 0 and 1 (the diagonal and adjacent pairs) stay 0
-    stage = np.zeros((step, 2 * n))
-    row, col = stage.strides
-    for u0 in range(0, n, step):
-        u1 = min(u0 + step, n)
-        block = stage[:u1 - u0]
-        a = slice(u0 + 1, u1 + 1)
-        sums = [w[u0:u1] - p[a, None] for w, p in zip(wsums, prefixes)]
-        _e2_closed_form(
-            xs[u0:u1, None], ys[u0:u1, None], wx[u0:u1], wy[u0:u1],
-            sums, cnt, out=block[:, 2:n],
-        )
-        block[:, n + 2:] = block[:, 2:n]
-        # table row u0 + r starts r rows down and r columns back
-        out[u0:u1] = as_strided(
-            stage.reshape(-1)[n - u0:], shape=(u1 - u0, n),
-            strides=(row - col, col), writeable=False,
-        )
+    out[:2] = 0.0
+    step = max(1, _E2_BLOCK // n)
+    for l0 in range(2, n, step):
+        l1 = min(l0 + step, n)
+        rows = slice(n - l0, n - l1, -1)
+        spans = np.arange(l0, l1)[:, None]
+        a = near[:, rows]
+        sums = np.empty(a.shape)
+        # every arc of the block wraps at ends below l0 and none does from
+        # l1 - 1 on; between, the arc of L wraps where e < L
+        mid = l1 - 1
+        np.subtract(hi[..., :mid], a[..., :mid], out=sums[..., :mid])
+        np.subtract(lo[..., mid:], a[..., mid:], out=sums[..., mid:])
+        np.subtract(lo[..., l0:mid], a[..., l0:mid], out=sums[..., l0:mid],
+                    where=ends[l0:mid] >= spans)
+        _e2_closed_form(starts[0][rows], starts[1][rows], xs, ys, sums, spans - 1.0,
+                        out=out[l0:l1])
     return out
 
 
@@ -167,8 +168,9 @@ _PROBES = 5
 
 
 def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Largest deviation of every forward arc u -> v from its chord, or
-    +inf where that exceeds B, the bound of _side_bound.
+    """Largest deviation of every forward arc from its chord, span-major
+    as e2_cost_table, or +inf where that exceeds B, the bound of
+    _side_bound.
 
     The points must be distinct integers spanning less than EXACT_SPAN:
     relative to the min corner, every coordinate is then below 2**26,
@@ -199,9 +201,7 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # [L, u]: p[u + L]
     ends_x, ends_y = (sliding_window_view(np.concatenate((a, a)), n) for a in (x, y))
     out = np.full((n, n), np.inf)
-    out_f = out.reshape(-1)
-    out_f[::n + 1] = 0.0
-    _put_column(out_f, 1, np.zeros(n))
+    out[:2] = 0.0
     third = -(-n // 3)
     levels = _hull_levels(x + 1j * y)
     built, wx, wy = -1, None, None
@@ -234,8 +234,10 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             end = min(hi, 2**(k + 1) + 1, lo + max(1, _EMAX_BLOCK // (wx.shape[0] * n)))
             first, last = slice(1, 2), slice(lo - 2**k, end - 2**k)
             val = scan(lo, end, [(wx[:, first], wy[:, first]), (wx[:, last], wy[:, last])])
-            for length, col in zip(range(lo, end), val):
-                _put_column(out_f, length, col)
+            # row u of a length is entry (u + length) % n: a roll
+            for length, row in zip(range(lo, end), val):
+                out[length, length:] = row[:n - length]
+                out[length, :length] = row[n - length:]
             lo = end
 
     fill(2, third + 1)
@@ -260,17 +262,7 @@ def _side_bound(out: np.ndarray) -> float:
     has sides of at most ceil(n/3) steps, so the optimal max error from
     any start s is at most B.
     """
-    n = out.shape[0]
-    u = np.arange(n)[:, None]
-    return out[u, (u + np.arange(1, -(-n // 3) + 1)) % n].max()
-
-
-def _put_column(out_f, length, val):
-    """Write val[u] to the flat table's entries [u, (u + length) % n]."""
-    n = val.shape[0]
-    m = n - length
-    out_f[length:m * (n + 1):n + 1] = val[:m]
-    out_f[m * (n + 1) + length - n::n + 1] = val[m:]
+    return out[1:-(-out.shape[0] // 3) + 1].max()
 
 
 def _hull_levels(z: np.ndarray):
@@ -353,134 +345,119 @@ def _merged_chains(chain: np.ndarray, width: int, sign: float):
     return np.concatenate([p[:top.max()] for p in parts], axis=1), top
 
 
-def dp_cost_matrix(tab: np.ndarray, start: int) -> np.ndarray:
-    """The DP's (n+1, n+1) cost matrix for one start vertex.
+def cheapest_sides(tab: np.ndarray) -> np.ndarray:
+    """cheapest[L - 1]: the least cost in a span-major table of a side
+    spanning L or more steps, for L in [1, n).  A table's band widths
+    serve every start, so it is computed once a table."""
+    return np.minimum.accumulate(tab[:0:-1].min(axis=1))[::-1].copy()
 
-    Rotated position r is curve index (start + r) % n, so position n is
-    the start again, closing the ring.  Entry [v, u] is tab's cost of the
-    forward arc from position u to position v; arcs that do not run
-    forward (u >= v) and the single side from 0 around to n are +inf.
+
+# Entries of one DP layer combined and reduced per block of positions:
+# small enough that the block stays in cache while it is reduced.
+_DP_BLOCK = 1 << 16
+
+
+def dp_solve(tab, cheapest, start, m_max, use_max):
+    """Optimal chain costs over a span-major table whose costs are >= 0
+    (or +inf), with cheapest = cheapest_sides(tab).
+
+    Position v is curve index (start + v) % n, so position n is the
+    start again, closing the ring, and the side from position u to v is
+    tab[v - u, (start + v) % n]; the side 0 -> n, of n steps, has no
+    entry and is +inf.  dp[j, v] is the best cost of reaching v from 0
+    with exactly j sides (dp_chain recovers the sides).
+
+    Every layer j >= 2 is pruned by b_j, the least of U3 and the profile
+    values dp[j', n] for 2 <= j' < j.  U3 is the cost of the triangle
+    through positions 0, n // 3 and 2n // 3, combined in DP order, so
+    U3 >= dp[3, n] in floating point.  A cell above b_j is stored as
+    +inf, and the layer reads only sides of at most W_j steps, as every
+    wider side costs more than b_j.  The pruning only drops paths, so
+    each value it computes is the cost of a real path.  Costs never fall
+    along a path and b never rises, so a finite dp[m, n] <= b_m bounds
+    every cell on its optimal chain, and every candidate tied with one,
+    by its layer's b_j: the profile value, the chains and every finite
+    cell are the full DP's.  A profile value dp[3:, n] that comes back
+    +inf means the profile rose (or has no polygon), and the solve runs
+    again with every b_j = +inf: the full DP, every reachable cell.
     """
     n = tab.shape[0]
-    # positions below s are curve indices start.., the rest 0..start
-    s = n - start
-    t = tab.T
-    rcost = np.empty((n + 1, n + 1))
-    rcost[:s, :s] = t[start:, start:]
-    rcost[:s, s:] = t[start:, :start + 1]
-    rcost[s:, :s] = t[:start + 1, start:]
-    rcost[s:, s:] = t[:start + 1, :start + 1]
-    rows = np.arange(n + 1)
-    np.copyto(rcost, np.inf, where=rows[None, :] >= rows[:, None])
-    rcost[n, 0] = np.inf
-    return rcost
-
-
-# Entries of one DP layer combined and reduced per block of rows: small
-# enough that the block stays in cache while its rows are reduced.
-_DP_BLOCK = 1 << 15
-
-
-def dp_solve(rcost: np.ndarray, m_max: int, use_max: bool):
-    """Optimal chain costs over a dp_cost_matrix, whose costs must be
-    >= 0 (or +inf).
-
-    rcost[v, u] is the cost of the side from rotated position u to v.
-    dp[j, v] is the best cost of reaching v from 0 with exactly j
-    segments; parents record the first (smallest) predecessor attaining
-    each optimum, and -1 where there is none.
-
-    Every layer j >= 2 is pruned by b_j, the least profile value
-    dp[j', n] over 2 <= j' < j (+inf for j = 2): a cell above b_j is
-    stored as +inf with parent -1, and the layer reads only sides of at
-    most W_j positions, as every wider side costs more than b_j.  The
-    pruning only drops paths, so each value it computes is the cost of a
-    real path.  Costs never fall along a path and b never rises, so a
-    finite dp[m, n] <= b_m bounds every cell on its optimal chain, and
-    every candidate tied with one, by its layer's b_j: the profile value,
-    the chain, and every finite cell and its parent are the full DP's.
-    A profile value dp[3:, n] that comes back +inf means the profile
-    rose (or has no polygon), and the solve runs again with every
-    b_j = +inf: the full DP, whose arrays hold every reachable cell.
-    """
-    dp, parent = _dp_layers(rcost, m_max, use_max, pruned=True)
-    if np.isinf(dp[3:, -1]).any():
-        dp, parent = _dp_layers(rcost, m_max, use_max, pruned=False)
-    return dp, parent
-
-
-def _skew(rcost):
-    """Read-only (n, n) view of an (n + 1, n + 1) dp_cost_matrix whose
-    entry [v - 1, k] is rcost[v, v - n + k]: row v - 1 holds the sides
-    ending at v, by start, with the sides of at most W positions in the
-    last W columns.  A start u < 0 reads the row above, at column
-    n + 1 + u > v - 1: its upper triangle, which dp_cost_matrix sets to
-    +inf."""
-    n1 = rcost.shape[0]
-    size = rcost.itemsize
-    return as_strided(rcost.reshape(-1)[2:], shape=(n1 - 1, n1 - 1),
-                      strides=((n1 + 1) * size, size), writeable=False)
-
-
-def _dp_layers(rcost, m_max, use_max, pruned):
-    """dp_solve's layers, each pruned by the running bound b_j when
-    `pruned`, else with every b_j = +inf.
-
-    The layers read rcost through _skew, with no copy, and the previous
-    layer through the same skew of the flattened dp array: entry
-    [v - 1, k] is dp[j - 1, u] for u = v - n + k, and for u < 0 a cell
-    of the layer before, which meets a +inf side.  In each block of
-    about _DP_BLOCK entries of rows v0..v1 >= j, the last W_j columns
-    with u >= j - 1 on row v1 - 1 (an earlier predecessor is unreachable
-    with j - 1 sides) are one combine and one row argmin; a layer's
-    values are its combine recomputed at the chosen predecessors, the
-    same bits.  A predecessor above b_j needs no mask, as it can only
-    win a cell above b_j.  O(m_max n W) time for bands of at most W
-    columns, one buffer of a block.
-    """
-    n1 = rcost.shape[0]
-    n = n1 - 1
-    dp = np.full((m_max + 1, n1), np.inf)
-    parent = np.full((m_max + 1, n1), -1, dtype=np.int64)
-    dp[1, 1:] = rcost[1:, 0]
-    parent[1, 1:] = 0
-    sides = _skew(rcost)
-    # row (j - 2) n1 + v - 1 is the previous layer's skew row for v
-    prevs = sliding_window_view(dp.reshape(-1)[2:], n)
-    # cheapest[L - 1]: the least cost of a side spanning L or more
-    # positions (column k spans n - k); copied, as searchsorted would
-    # copy a reversed view at every layer
-    cheapest = np.minimum.accumulate(sides.min(axis=0))[::-1].copy()
-    rows = np.arange(n1)
-    cap = min(max(1, _DP_BLOCK // n1), n1) * n1
-    buf = np.empty(cap)
     combine = np.maximum if use_max else np.add
-    bound = np.inf
+    a, b = n // 3, 2 * n // 3
+    u3 = combine(combine(tab[a, (start + a) % n], tab[b - a, (start + b) % n]),
+                 tab[n - b, start])
+    dp = _dp_layers(tab, cheapest, start, m_max, combine, u3)
+    if np.isinf(dp[3:, n]).any():
+        dp = _dp_layers(tab, cheapest, start, m_max, combine, None)
+    return dp
+
+
+def _dp_layers(tab, cheapest, start, m_max, combine, bound):
+    """dp_solve's layers, each pruned by the running bound b_j seeded
+    with `bound`, or, for bound None, with every b_j = +inf.
+
+    In each block of about _DP_BLOCK entries of positions v0..v1 >= j,
+    spans W_j down to 1 are one combine of the previous layer, read as a
+    sliding window over a copy of it padded in front with +inf, and the
+    table rows W_j..1 at the block's ends, sliced in two where the ends
+    pass n - 1; one minimum over the spans gives the layer's cells.  A
+    predecessor u < j - 1 is +inf, as is one above b_j, which can only
+    win a cell above b_j.  O(m_max n W) time for bands of at most W
+    spans, one buffer of a block.
+    """
+    n = tab.shape[0]
+    dp = np.full((m_max + 1, n + 1), np.inf)
+    v = np.arange(1, n)
+    dp[1, 1:n] = tab[v, (start + v) % n]
+    pruned = bound is not None
+    if not pruned:
+        bound = np.inf
+    # prev[n + u] is dp[j - 1, u], +inf around it; preds[k, c] is
+    # prev[k + c], for every k a block reads
+    prev = np.full(3 * n + 1, np.inf)
+    preds = sliding_window_view(prev, n + 1)
+    cap = max(_DP_BLOCK, n)
+    buf = np.empty(cap)
     for j in range(2, m_max + 1):
-        prev = dp[j - 1]
-        preds = prevs[(j - 2) * n1:]
+        prev[n:2 * n + 1] = dp[j - 1]
         # the widest span with a side at most b_j; at least 1, so that a
         # layer with none fills with values above b_j
         width = max(1, int(cheapest.searchsorted(bound, side="right")))
         step = max(1, cap // width)
-        for v0 in range(j, n1, step):
-            v1 = min(v0 + step, n1)
-            k = max(n - width, n + j - v1)
-            block = buf[:(v1 - v0) * (n - k)].reshape(v1 - v0, n - k)
-            combine(preds[v0 - 1:v1 - 1, k:], sides[v0 - 1:v1 - 1, k:], out=block)
-            best = parent[j, v0:v1]
-            block.argmin(axis=1, out=best)
-            best += k - n
-        # from skew column k to u = v - n + k; a u < 0 wraps to a +inf
-        # side of row v, as its skew entry met one in the row above
-        best = parent[j, j:]
-        best += rows[j:]
-        vals = combine(prev[best], rcost[rows[j:], best])
-        vals[vals > bound] = np.inf
-        dp[j, j:] = vals
+        for v0 in range(j, n + 1, step):
+            v1 = min(v0 + step, n + 1)
+            # a span above v1 - j leaves a predecessor below j - 1
+            w = min(width, v1 - j)
+            block = buf[:w * (v1 - v0)].reshape(w, v1 - v0)
+            # row k: span w - k, from u = v - w + k
+            ways = preds[n - w + v0:n + v0]
+            cut = min(max(n - start, v0), v1)
+            for c0, c1, e0 in ((v0, cut, start + v0), (cut, v1, start + cut - n)):
+                if c0 < c1:
+                    combine(ways[:, c0 - v0:c1 - v0], tab[w:0:-1, e0:e0 + c1 - c0],
+                            out=block[:, c0 - v0:c1 - v0])
+            np.minimum.reduce(block, axis=0, out=dp[j, v0:v1])
         if pruned:
+            vals = dp[j, j:]
+            vals[vals > bound] = np.inf
             bound = min(bound, vals[-1])
-    # from layer 2 on, a cell with no finite candidate, or pruned, has no
-    # predecessor
-    parent[2:][np.isinf(dp[2:])] = -1
-    return dp, parent
+    return dp
+
+
+def dp_chain(tab, start, dp, m, use_max):
+    """Positions of the optimal chain of m sides from n back to 0, from
+    dp_solve's array: at each cell the smallest predecessor u whose
+    combine equals the cell, the first minimum of the full DP.  Every
+    cell of the chain, and every tied candidate, is one the band kept,
+    so it is exact."""
+    n = tab.shape[0]
+    combine = np.maximum if use_max else np.add
+    chain = [n]
+    v = n
+    for j in range(m, 1, -1):
+        # spans v - u for u = j - 1 .. v - 1
+        cand = combine(dp[j - 1, j - 1:v], tab[v - j + 1:0:-1, (start + v) % n])
+        v = j - 1 + int(np.flatnonzero(cand == dp[j, v])[0])
+        chain.append(v)
+    chain.append(0)
+    return chain

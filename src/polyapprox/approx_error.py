@@ -58,34 +58,56 @@ def record_e2_table(curve: DigitalCurve, table: np.ndarray) -> None:
 
 class E2Costs:
     """Summed squared deviation over the forward arcs of one curve:
-    arc(u, v) for one arc, as a float, and arcs(u, v) for broadcast index
-    arrays.
+    arc(u, v) for one arc, as a float, arcs(u, v) for broadcast index
+    arrays, and splits(p, q) for the two sides p -> j -> q summed, at
+    every j strictly between p and q in order from p.
 
-    While a SegmentCosts that built the curve's E2 table is alive, both
-    read that table: a lookup and a gather.  Otherwise they evaluate the
-    closed form on moment_tables, arc by arc on Python floats (raising
-    DegenerateSegment for a side between coincident points) and on
-    arrays through e2_arc_costs.  Every table entry is the closed form's
-    value bit for bit, so both paths give the same costs.
+    While a SegmentCosts that built the curve's E2 table is alive, all
+    three read that table (span-major, _kernels.e2_cost_table): a
+    lookup, a gather, and for splits a diagonal, as two strided slices,
+    plus a strided column.  Otherwise they evaluate the closed form on
+    moment_tables, arc by arc on Python floats (raising DegenerateSegment
+    for a side between coincident points) and on arrays through one
+    e2_arc_costs call.  Every table entry is the closed form's value bit
+    for bit, so both paths give the same costs.
     """
 
-    __slots__ = ("arc", "arcs")
+    __slots__ = ("arc", "arcs", "splits")
 
     def __init__(self, curve: DigitalCurve):
+        n = curve.n
         ref = _E2_TABLES.get(curve)
         table = None if ref is None else ref()
         if table is not None:
-            self.arc = table.item
-            self.arcs = lambda u, v: table[u, v]
-            return
-        pts = curve.points_float()
-        xs, ys = pts[:, 0], pts[:, 1]
-        prefixes = moment_tables(curve)
-        # Python floats: one arc at a time is scalar work
-        self.arc = functools.partial(
-            _arc_e2, xs.tolist(), ys.tolist(), tuple(p.tolist() for p in prefixes), curve.n
-        )
-        self.arcs = functools.partial(_kernels.e2_arc_costs, xs, ys, prefixes)
+            item = table.item
+            self.arc = lambda u, v: item((v - u) % n, v)
+            self.arcs = lambda u, v: table[(v - u) % n, v]
+            flat = table.reshape(-1)
+
+            def splits(p, q):
+                # the side p -> p + t is entry [t, (p + t) % n]: flat
+                # entry t (n + 1) + p, less n once p + t passes n - 1
+                k = (q - p) % n
+                cut = min(k, n - p) * (n + 1) + p
+                firsts = np.concatenate((flat[n + 1 + p:cut:n + 1],
+                                         flat[cut - n:k * (n + 1) + p - n:n + 1]))
+                return firsts + table[k - 1:0:-1, q]
+        else:
+            pts = curve.points_float()
+            xs, ys = pts[:, 0], pts[:, 1]
+            prefixes = moment_tables(curve)
+            # Python floats: one arc at a time is scalar work
+            self.arc = functools.partial(
+                _arc_e2, xs.tolist(), ys.tolist(), tuple(p.tolist() for p in prefixes), n
+            )
+            arcs = self.arcs = functools.partial(_kernels.e2_arc_costs, xs, ys, prefixes)
+
+            def splits(p, q):
+                js = (p + np.arange(1, (q - p) % n)) % n
+                sides = arcs(np.stack((np.full_like(js, p), js)),
+                             np.stack((js, np.full_like(js, q))))
+                return sides[0] + sides[1]
+        self.splits = splits
 
 
 class PolygonApprox:

@@ -5,7 +5,8 @@ vertices is found by a DP over rotated indices: states are (vertices
 used, arc endpoint), transitions append one side, and the closing column
 lands back on the start.  Squared error accumulates by addition, max
 error by taking maxima.  One DP sweep yields the whole error-versus-m
-profile up to m_max plus parent pointers for reconstruction.
+profile up to m_max; a polygon's vertices are recovered by walking back
+from its profile cell through the DP's cells.
 
 The start vertex itself is chosen by a three-pass protocol: approximate
 from a provisional start (the point farthest from the centroid), keep
@@ -85,12 +86,13 @@ class OptimalBaseline:
 
 
 # Most memory one curve's cost tables may take: both n x n tables plus
-# two (n+1)^2 arrays for the DP cost matrix and the largest transient,
-# 8 bytes an entry.  About n = 7900 points.  Building the Emax table
-# takes under one more n x n table on lattice contours, but up to about
-# eight on rings whose every point is a vertex of each window's hull
-# and whose long arcs stay under its bound, such as integer points of a
-# thin ellipse: its hull levels then hold about n/2 points a window.
+# two (n+1)^2 arrays of headroom, 8 bytes an entry, about n = 7900
+# points.  The DP reads the tables in place; the headroom covers the
+# Emax build, which takes under one more n x n table on lattice
+# contours, but up to about eight on rings whose every point is a
+# vertex of each window's hull and whose long arcs stay under its
+# bound, such as integer points of a thin ellipse: its hull levels then
+# hold about n/2 points a window.
 MAX_TABLE_BYTES = 2 * 10**9
 
 
@@ -143,6 +145,8 @@ class SegmentCosts:
             )
         self.curve = curve
         self._tables: dict[CostKind, np.ndarray] = {}
+        # per table: _kernels.cheapest_sides, the DP's band widths
+        self._cheapest: dict[CostKind, np.ndarray] = {}
 
     def table(self, kind: CostKind) -> np.ndarray:
         tab = self._tables.get(kind)
@@ -164,31 +168,25 @@ class SegmentCosts:
             raise InvalidCounts(f"start={start} outside [0, {n})")
         if not (3 <= m_max <= n):
             raise InvalidCounts(f"need 3 <= m_max <= n, got m_max={m_max}, n={n}")
-        rcost = _kernels.dp_cost_matrix(self.table(kind), start)
-        return _kernels.dp_solve(rcost, m_max, kind is CostKind.MAX_ERROR)
+        tab = self.table(kind)
+        cheapest = self._cheapest.get(kind)
+        if cheapest is None:
+            cheapest = self._cheapest[kind] = _kernels.cheapest_sides(tab)
+        return _kernels.dp_solve(tab, cheapest, start, m_max, kind is CostKind.MAX_ERROR)
 
     def profile(self, start: int, m_max: int, kind: CostKind) -> ErrorProfile:
-        dp, _ = self._solve(start, m_max, kind)
+        dp = self._solve(start, m_max, kind)
         n = self.curve.n
         values = np.full(m_max + 1, np.nan)
         values[3:] = dp[3 : m_max + 1, n]
         return ErrorProfile(self.curve, start, kind, m_max, values)
 
     def polygon(self, start: int, m: int, kind: CostKind) -> PolygonApprox:
-        dp, parent = self._solve(start, m, kind)
+        dp = self._solve(start, m, kind)
+        chain = _kernels.dp_chain(self.table(kind), start, dp, m, kind is CostKind.MAX_ERROR)
         n = self.curve.n
-        rotated = []
-        v = n
-        j = m
-        while j >= 1:
-            u = int(parent[j, v])
-            rotated.append(u)
-            v = u
-            j -= 1
-        # parent chain ends on the start itself
-        assert rotated[-1] == 0
-        original = [(start + a) % n for a in rotated]
-        return PolygonApprox(self.curve, sorted(original))
+        # the chain runs from position n, the start again, back to 0
+        return PolygonApprox(self.curve, sorted((start + a) % n for a in chain[1:]))
 
 
 def provisional_start_vertex(curve: DigitalCurve) -> int:

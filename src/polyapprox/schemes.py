@@ -154,8 +154,9 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
 
     Round-robin over vertex slots: each vertex may move anywhere
     strictly between its neighbours if that lowers the combined error of
-    its two sides.  All its positions are scored at once by E2Costs, two
-    gathers from the curve's E2 table while a SegmentCosts holds it.  A
+    its two sides.  All its positions are scored at once by
+    E2Costs.splits, a gather and a strided column of the curve's E2 table
+    while a SegmentCosts holds it, else one closed-form call.  A
     vertex moves only to a strictly cheaper position, the lowest curve
     index among equal minima, so a vertex already at a minimum stays
     put.  Stops on the first pass with no movement.
@@ -169,7 +170,7 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
         raise InvalidCounts("polygon does not belong to this curve")
     n = curve.n
     pts = curve.points
-    arcs = E2Costs(curve).arcs
+    splits = E2Costs(curve).splits
     verts = [int(v) for v in poly.indices]
     m = len(verts)
     # slot i needs scoring: it has not been scored since a neighbour moved
@@ -187,7 +188,7 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
                 # every position strictly between the neighbours, the
                 # current one at (verts[i] - p) % n - 1
                 js = (p + np.arange(1, (q - p) % n)) % n
-                cost = arcs(p, js) + arcs(js, q)
+                cost = splits(p, q)
                 if not np.isfinite(cost).all():
                     j = int(js[~np.isfinite(cost)][0])
                     u, v = (p, j) if (pts[p] == pts[j]).all() else (j, q)

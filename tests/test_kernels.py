@@ -1,8 +1,9 @@
 """Equivalence of the kernels with the plain per-entry loops below.
 
 The kernels' tables must equal the loops bit for bit (the Emax table
-after the bound rule of bounded_emax_loops), and so must the DP's
-profile, parent chains and every cell its running bound keeps
+after the bound rule of bounded_emax_loops), read span-major
+(_span_major), and so must the DP's profile, the chains dp_chain walks
+back, and every cell its running bound keeps
 (_assert_dp_matches_loops): the study relies on byte-identical CSV
 output, and the loops state each entry's arithmetic one operation at a
 time.
@@ -77,6 +78,14 @@ def _emax_cost_table_loops(xs, ys):
     return out
 
 
+def _span_major(table):
+    """A table of the loops, entry [u, v] the arc u -> v, in the
+    kernels' layout: entry [L, e] the arc of L steps ending at e."""
+    n = table.shape[0]
+    span, end = np.ogrid[:n, :n]
+    return table[(end - span) % n, end]
+
+
 def _dp_solve_loops(rcost, m_max, use_max):
     n1 = rcost.shape[0]
     dp = np.full((m_max + 1, n1), np.inf)
@@ -112,7 +121,7 @@ def _random_tables(seed):
 
 def _assert_e2_table_is_loops(xs, ys):
     want = _e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys))
-    assert _kernels.e2_cost_table(xs, ys).tobytes() == want.tobytes()
+    assert _kernels.e2_cost_table(xs, ys).tobytes() == _span_major(want).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -217,7 +226,7 @@ def _assert_same_bytes(table, want):
 def test_emax_table_numpy_vs_loops(seed):
     xs, ys = _random_tables(seed)
     a = _kernels.emax_cost_table(xs, ys)
-    _assert_same_bytes(a, bounded_emax_loops(xs, ys))
+    _assert_same_bytes(a, _span_major(bounded_emax_loops(xs, ys)))
 
 
 def _walk(corners):
@@ -280,7 +289,7 @@ def _check_emax_exact(pts, oracle=bounded_emax_loops):
     xs = pts[:, 0].astype(np.float64)
     ys = pts[:, 1].astype(np.float64)
     table = _kernels.emax_cost_table(xs, ys)
-    _assert_same_bytes(table, oracle(xs, ys))
+    _assert_same_bytes(table, _span_major(oracle(xs, ys)))
     return table
 
 
@@ -371,7 +380,7 @@ def test_emax_table_sweeps_all_hull_rings(n):
     assert (side[:, 0] * np.roll(side[:, 1], -1) > side[:, 1] * np.roll(side[:, 0], -1)).all()
     xs, ys = ring[:, 0], ring[:, 1]
     table = _kernels.emax_cost_table(xs, ys)
-    assert table.tobytes() == _scan_bounded(xs, ys).tobytes()
+    assert table.tobytes() == _span_major(_scan_bounded(xs, ys)).tobytes()
     assert _level_rows(ring, 4) == 16
 
 
@@ -485,8 +494,7 @@ def test_emax_table_exact_on_open_long_arcs(pts, oracle):
     # both windows
     table = _check_emax_exact(pts, oracle)
     n = pts.shape[0]
-    length = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    assert np.isfinite(table[length > -(-n // 2)]).any()
+    assert np.isfinite(table[-(-n // 2) + 1:]).any()
 
 
 NON_SIMPLE_RINGS = {
@@ -551,7 +559,8 @@ def test_emax_table_exact_when_n_minus_2_is_a_power_of_two(n, monkeypatch):
         assert ring.shape[0] == n
         xs, ys = (ring[:, k].astype(np.float64) for k in (0, 1))
         want = _emax_cost_table_scan(xs, ys)
-        _assert_same_bytes(_kernels.emax_cost_table(xs, ys), _bounded(want.copy()))
+        _assert_same_bytes(_kernels.emax_cost_table(xs, ys), _span_major(_bounded(want.copy())))
+        want = _span_major(want)
         with monkeypatch.context() as m:
             m.setattr(_kernels, "_side_bound", lambda out: np.inf)
             _assert_same_bytes(_kernels.emax_cost_table(xs, ys), want)
@@ -677,7 +686,7 @@ def test_segment_costs_span_bound(offset):
             continue
         table = SegmentCosts(curve).table(CostKind.MAX_ERROR)
         xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
-        _assert_same_bytes(table, bounded_emax_loops(xs, ys))
+        _assert_same_bytes(table, _span_major(bounded_emax_loops(xs, ys)))
 
 
 @pytest.mark.parametrize("name, pts, simple", [
@@ -721,47 +730,40 @@ def test_ring_is_simple_across_blocks(moved, to, simple):
     assert _is_simple(pts[::-1]) is simple
 
 
-def _random_rcost(seed, n, costs=None):
-    """DP input from a random n x n table (uniform in [0, 10), or costs
-    drawn from the given values) and a random start."""
+def _random_table(seed, n, costs=None):
+    """DP input: a random span-major n x n table (uniform in [0, 10), or
+    costs drawn from the given values) and a random start."""
     rng = np.random.default_rng(seed)
     if costs is None:
         tab = rng.uniform(0.0, 10.0, size=(n, n))
     else:
         tab = rng.choice(np.asarray(costs, dtype=np.float64), size=(n, n))
-    return _kernels.dp_cost_matrix(tab, int(rng.integers(n)))
+    return tab, int(rng.integers(n))
 
 
-def test_dp_cost_matrix_layout():
-    n, start = 5, 3
-    tab = np.arange(n * n, dtype=np.float64).reshape(n, n)
-    rcost = _kernels.dp_cost_matrix(tab, start)
-    assert rcost.shape == (n + 1, n + 1) and rcost.flags.c_contiguous
-    for v in range(n + 1):
-        for u in range(n + 1):
-            if u < v and (u, v) != (0, n):
-                assert rcost[v, u] == tab[(start + u) % n, (start + v) % n]
-            else:
-                assert rcost[v, u] == np.inf
-
-
-def _dp_cost_matrix_gather(tab, start):
-    # one fancy-index gather of the rotated table, then the same masks
+def _rcost(tab, start):
+    """The loops' (n+1, n+1) cost matrix of a span-major table for one
+    start: rotated position r is curve index (start + r) % n, entry
+    [v, u] the side from position u to v, +inf where u >= v and for the
+    side 0 -> n around the whole ring."""
     n = tab.shape[0]
-    ridx = (start + np.arange(n + 1)) % n
-    rcost = tab.T[np.ix_(ridx, ridx)]
-    rows = np.arange(n + 1)
-    rcost[rows[None, :] >= rows[:, None]] = np.inf
-    rcost[n, 0] = np.inf
+    rcost = np.full((n + 1, n + 1), np.inf)
+    for v in range(1, n + 1):
+        for u in range(v):
+            if (u, v) != (0, n):
+                rcost[v, u] = tab[v - u, (start + v) % n]
     return rcost
 
 
-@pytest.mark.parametrize("n", [3, 5, 50, 351])
-def test_dp_cost_matrix_matches_gather(n):
-    tab = np.random.default_rng(n).uniform(0.0, 10.0, size=(n, n))
-    for start in sorted({0, 1, n // 3, n - 1}):
-        got = _kernels.dp_cost_matrix(tab, start)
-        assert got.tobytes() == _dp_cost_matrix_gather(tab, start).tobytes(), start
+def test_rcost_layout():
+    # the side from position u to v spans v - u steps and ends at curve
+    # index (start + v) % n
+    n, start = 5, 3
+    tab = np.arange(n * n, dtype=np.float64).reshape(n, n)
+    rcost = _rcost(tab, start)
+    assert rcost[1, 0] == tab[1, 4] and rcost[4, 2] == tab[2, 2]
+    assert rcost[5, 1] == tab[4, 3] and rcost[3, 0] == tab[3, 1]
+    assert np.isinf(rcost[5, 0]) and np.isinf(rcost[2, 2]) and np.isinf(rcost[1, 3])
 
 
 def _chain(parent, m, v):
@@ -776,114 +778,152 @@ def _chain(parent, m, v):
     return out
 
 
-def _assert_dp_matches_loops(rcost, m_max, use_max):
+def _solve(tab, start, m_max, use_max):
+    return _kernels.dp_solve(tab, _kernels.cheapest_sides(tab), start, m_max, use_max)
+
+
+def _assert_dp_matches_loops(tab, start, m_max, use_max):
     """dp_solve against the full table of the loops: its pruning contract.
 
-    The profile dp[3:, n] is byte-equal, the parent chain from (m, n) is
-    equal for every m, and every finite cell equals the loops' with the
-    same parent.  Every other cell is +inf with parent -1, and where the
-    loops' cell is finite it lies above b_j, the least of the loops'
-    profile values dp[2..j-1, n].  When the loops' profile dp[2:, n]
-    rises, or dp[3:, n] is +inf, the solve falls back to the full DP and
-    the arrays are byte-equal.  Returns whether it fell back, and how
-    many finite cells of the loops' it pruned.
+    U3 is the cost of the triangle through positions 0, n // 3 and
+    2n // 3, and b_j, for j >= 2, the least of U3 and the loops' profile
+    values dp[2..j-1, n].  The profile dp[3:, n] is byte-equal, the chain
+    dp_chain walks back from (m, n) is the loops' parent chain for every
+    m whose profile value is finite, and every finite cell equals the
+    loops'.  Every other cell is +inf, and where the loops' cell is
+    finite it lies above b_j.  When a loops' profile value dp[m, n],
+    m >= 3, is above b_m or +inf, the solve falls back to the full DP
+    and the arrays are byte-equal.  Returns whether it fell back, and
+    how many finite cells of the loops' it pruned.
     """
-    d1, p1 = _kernels.dp_solve(rcost, m_max, use_max)
+    n = tab.shape[0]
+    d1 = _solve(tab, start, m_max, use_max)
+    rcost = _rcost(tab, start)
     d2, p2 = _dp_solve_loops(rcost, m_max, use_max)
-    n = rcost.shape[0] - 1
+    assert d1.shape == d2.shape
     assert d1[3:, n].tobytes() == d2[3:, n].tobytes()
-    for m in range(1, m_max + 1):
-        assert _chain(p1, m, n) == _chain(p2, m, n), m
+    for m in range(2, m_max + 1):
+        if np.isfinite(d1[m, n]):
+            assert _kernels.dp_chain(tab, start, d1, m, use_max) == _chain(p2, m, n), m
     kept = np.isfinite(d1)
     assert d1[kept].tobytes() == d2[kept].tobytes()
-    assert np.array_equal(p1[kept], p2[kept])
-    assert np.all(np.isinf(d1[~kept])) and np.all(p1[2:][~kept[2:]] == -1)
+    combine = max if use_max else (lambda x, y: x + y)
+    a, b = n // 3, 2 * n // 3
+    u3 = combine(combine(rcost[a, 0], rcost[b, a]), rcost[n, b])
     profile = d2[:, n]
     bound = np.full(m_max + 1, np.inf)
-    bound[3:] = np.minimum.accumulate(profile[2:m_max])
+    bound[2:] = np.minimum.accumulate(np.concatenate(([u3], profile[2:m_max])))
     lost = ~kept & np.isfinite(d2)
     j, _ = np.nonzero(lost)
     assert np.all(d2[lost] > bound[j])
-    with np.errstate(invalid="ignore"):
-        fell_back = not (np.all(np.diff(profile[2:]) <= 0)
-                         and np.isfinite(profile[3:]).all())
+    fell_back = not np.all(profile[3:] <= bound[3:])
     if fell_back:
         assert d1.tobytes() == d2.tobytes()
-        assert np.array_equal(p1, p2)
     return fell_back, int(lost.sum())
 
 
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_numpy_vs_loops(use_max):
     for seed in range(6):
-        _assert_dp_matches_loops(_random_rcost(seed, 12), 6, use_max)
+        _assert_dp_matches_loops(*_random_table(seed, 12), 6, use_max)
 
 
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_numpy_vs_loops_on_tied_costs(use_max):
-    # integer costs 0..3 tie on most cells; both paths keep the first
-    # (smallest) predecessor
+    # integer costs 0..3 tie on most cells; dp_chain keeps the loops'
+    # first (smallest) predecessor
     for seed in range(3):
-        _assert_dp_matches_loops(_random_rcost(seed, 40, costs=range(4)), 15, use_max)
+        _assert_dp_matches_loops(*_random_table(seed, 40, costs=range(4)), 15, use_max)
 
 
 @pytest.mark.parametrize("block", [1, 7, 60, 1 << 15])
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_numpy_vs_loops_across_row_blocks(block, use_max, monkeypatch):
-    # one row a block, ragged blocks, and the whole layer in one block;
-    # random costs fall back to the full DP, a ring's costs keep the band
+    # one position (a row of the loops' matrix) a block, ragged blocks,
+    # and the whole layer in one block; random costs fall back to the
+    # full DP, a ring's costs keep the band.  Starts past n / 2 split
+    # many blocks where the ends pass n - 1.
     monkeypatch.setattr(_kernels, "_DP_BLOCK", block)
     for seed in range(2):
-        _assert_dp_matches_loops(_random_rcost(seed, 30, costs=range(3)), 30, use_max)
+        _assert_dp_matches_loops(*_random_table(seed, 30, costs=range(3)), 30, use_max)
     tab = _ring_table(_ellipse("e", 9.0, 5.0, 80).points, use_max)
-    fell_back, _ = _assert_dp_matches_loops(_kernels.dp_cost_matrix(tab, 5), 20, use_max)
-    assert not fell_back
+    for start in (5, tab.shape[0] - 3):
+        fell_back, _ = _assert_dp_matches_loops(tab, start, 20, use_max)
+        assert not fell_back
 
 
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_numpy_vs_loops_with_forbidden_sides(use_max):
     # +inf sides leave some reachable cells without any finite candidate;
-    # both paths give them +inf and parent -1
-    rcost = _random_rcost(5, 25)
+    # both paths give them +inf
+    tab, start = _random_table(5, 25)
     rng = np.random.default_rng(5)
-    rcost[rng.uniform(size=rcost.shape) < 0.6] = np.inf
-    d1, _ = _kernels.dp_solve(rcost, 12, use_max)
+    tab[rng.uniform(size=tab.shape) < 0.6] = np.inf
+    d1 = _solve(tab, start, 12, use_max)
     j, v = np.nonzero(np.isinf(d1))
     assert np.any((j >= 2) & (v >= j))
-    _assert_dp_matches_loops(rcost, 12, use_max)
+    _assert_dp_matches_loops(tab, start, 12, use_max)
 
 
 @pytest.mark.parametrize("use_max", [False, True])
-def test_dp_unreachable_rows_stay_inf_and_minus_one(use_max):
+def test_dp_seeds_no_bound_from_a_forbidden_triangle(use_max):
+    # one +inf side of the seed triangle makes U3 +inf: layer 2 runs at
+    # full width, and the profile, which does not rise, needs no rerun
+    pts = _ellipse("e", 9.0, 5.0, 80).points
+    tab = _ring_table(pts, use_max).copy()
+    n, start = tab.shape[0], 7
+    tab[n // 3, (start + n // 3) % n] = np.inf
+    widths = _traced_widths(tab, start, 20, use_max)
+    assert widths[0] == n - 1 and min(widths) < n // 4
+    fell_back, _ = _assert_dp_matches_loops(tab, start, 20, use_max)
+    assert not fell_back
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_dp_unreachable_rows_stay_inf(use_max):
     n1 = 21
-    rcost = _random_rcost(2, n1 - 1)
-    dp, parent = _kernels.dp_solve(rcost, n1 - 1, use_max)
+    tab, start = _random_table(2, n1 - 1)
+    dp = _solve(tab, start, n1 - 1, use_max)
     rows = np.arange(n1)
     for j in range(1, n1):
         assert np.all(np.isinf(dp[j, rows < j])), j
-        assert np.all(parent[j, rows < j] == -1), j
-    assert np.all(np.isinf(dp[0])) and np.all(parent[0] == -1)
+    assert np.all(np.isinf(dp[0])) and np.isinf(dp[1, n1 - 1])
     # the reachable cells follow the pruning contract
-    _assert_dp_matches_loops(rcost, n1 - 1, use_max)
+    _assert_dp_matches_loops(tab, start, n1 - 1, use_max)
 
 
-@pytest.mark.parametrize("use_max", [False, True])
-def test_dp_falls_back_when_the_profile_rises_past_the_band(use_max):
-    # n = 12: steps of 1 and 4 cost 0, every other side 10 but 3 -> 0 at
-    # 5.  The triangle costs 0, so b_4 = 0 and layer 4's band stops at
-    # 4 positions; the best quadrilateral, 0 1 2 3 at 5, ends on the
-    # 9-position side.  Its banded value is above b_4 and stored as +inf,
-    # so the solve falls back rather than keep a worse quadrilateral.
-    n = 12
+def _rising_table(n):
+    # steps of 1 and 4 cost 0, every other side 10 but the 9-step side
+    # 3 -> 0 at 5
     tab = np.full((n, n), 10.0)
     u = np.arange(n)
     tab[u, (u + 1) % n] = tab[u, (u + 4) % n] = 0.0
     tab[3, 0] = 5.0
-    rcost = _kernels.dp_cost_matrix(tab, 0)
-    fell_back, _ = _assert_dp_matches_loops(rcost, n, use_max)
+    return _span_major(tab)
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_dp_falls_back_when_the_profile_rises_past_the_band(use_max):
+    # n = 12: the seed triangle 0 4 8 costs 0, so U3 = b_4 = 0 and layer
+    # 4's band stops at 4 steps; the best quadrilateral, 0 1 2 3 at 5,
+    # ends on the 9-step side.  Its banded value is above b_4 and stored
+    # as +inf, so the solve falls back rather than keep a worse
+    # quadrilateral.
+    n = 12
+    tab = _rising_table(n)
+    fell_back, _ = _assert_dp_matches_loops(tab, 0, n, use_max)
     assert fell_back
-    dp, parent = _kernels.dp_solve(rcost, 4, use_max)
-    assert dp[4, n] == 5.0 and _chain(parent, 4, n) == [12, 3, 2, 1, 0]
+    dp = _solve(tab, 0, 4, use_max)
+    assert dp[4, n] == 5.0 and _kernels.dp_chain(tab, 0, dp, 4, use_max) == [12, 3, 2, 1, 0]
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_dp_falls_back_on_rising_random_costs(use_max):
+    # uniform random costs: the profile rises, from every start tried
+    for seed in range(4):
+        tab, start = _random_table(10 + seed, 24)
+        fell_back, _ = _assert_dp_matches_loops(tab, start, 24, use_max)
+        assert fell_back, seed
 
 
 def _ring_table(pts, use_max):
@@ -905,66 +945,108 @@ def test_dp_exact_on_tie_heavy_rings(name, use_max):
     n = pts.shape[0]
     tab = _ring_table(pts, use_max)
     for start in sorted({0, 1, n // 3}):
-        rcost = _kernels.dp_cost_matrix(tab, start)
         for m_max in range(3, n + 1):
-            fell_back, _ = _assert_dp_matches_loops(rcost, m_max, use_max)
+            fell_back, _ = _assert_dp_matches_loops(tab, start, m_max, use_max)
             assert not fell_back, (start, m_max)
 
 
 class _CountedReads(np.ndarray):
-    """A view that counts the entries of the 2-D slices taken from it."""
+    """A view that counts the entries of the arrays indexed from it."""
 
     entries = 0
 
     def __getitem__(self, key):
-        out = super().__getitem__(key).view(np.ndarray)
-        if isinstance(key, tuple):
+        out = super().__getitem__(key)
+        if isinstance(out, np.ndarray):
+            out = out.view(np.ndarray)
             _CountedReads.entries += out.size
         return out
+
+
+class _Widths(np.ndarray):
+    """cheapest_sides' array, recording every band width read from it."""
+
+    seen: list = []
+
+    def searchsorted(self, v, side="left"):
+        width = super().searchsorted(v, side=side)
+        _Widths.seen.append(int(width))
+        return width
+
+
+def _traced_widths(tab, start, m_max, use_max):
+    """The band width of each layer 2..m_max of the first pass."""
+    _Widths.seen = []
+    cheapest = _kernels.cheapest_sides(tab).view(_Widths)
+    _kernels.dp_solve(tab, cheapest, start, m_max, use_max)
+    return _Widths.seen[:m_max - 1]
 
 
 @pytest.mark.parametrize("kind", list(CostKind))
 def test_dp_prunes_a_corpus_curve_without_fallback(kind, monkeypatch):
     # the study's solves on blob05 (n = 294): the profile to m_max =
     # 3 m_sub from its start vertex falls, so the banded DP answers alone,
-    # and its bands read well under half the reachable cells
+    # and its bands read well under half the reachable cells; the seed
+    # triangle narrows layer 2, which no profile value bounds yet
     curve = _fourier_blob(5, 40.0, 600)
     m_sub = round(curve.n / 15)
     m_max = 3 * m_sub
     costs = SegmentCosts(curve)
     start = select_start_vertex(curve, m_sub, kind, costs)
-    rcost = _kernels.dp_cost_matrix(costs.table(kind), start)
+    use_max = kind is CostKind.MAX_ERROR
+    tab = costs.table(kind)
     runs = []
-    layers, skew = _kernels._dp_layers, _kernels._skew
+    layers = _kernels._dp_layers
 
-    def counted(costs):
-        return skew(costs).view(_CountedReads)
-
-    def traced(*args, pruned):
-        runs.append(pruned)
-        return layers(*args, pruned=pruned)
+    def traced(*args):
+        runs.append(args[-1] is not None)
+        return layers(*args)
 
     monkeypatch.setattr(_kernels, "_dp_layers", traced)
-    monkeypatch.setattr(_kernels, "_skew", counted)
-    monkeypatch.setattr(_CountedReads, "entries", 0)
-    fell_back, _ = _assert_dp_matches_loops(rcost, m_max, kind is CostKind.MAX_ERROR)
+    fell_back, _ = _assert_dp_matches_loops(tab, start, m_max, use_max)
     assert runs == [True] and not fell_back
+    _CountedReads.entries = 0
+    _kernels.dp_solve(tab.view(_CountedReads), _kernels.cheapest_sides(tab), start, m_max,
+                      use_max)
     n1 = curve.n + 1
     reachable = sum((n1 - j) * (n1 - j + 1) // 2 for j in range(2, m_max + 1))
     assert _CountedReads.entries < 0.5 * reachable
+    assert _traced_widths(tab, start, m_max, use_max)[0] < curve.n // 2
 
 
 def test_dp_tie_breaks_to_smallest_predecessor():
-    # two equal-cost paths into the last column; both paths must pick u=1
-    # (entry [v, u] is the side u -> v)
+    # two equal-cost paths into the last position; both paths must pick
+    # u = 1 (the side u -> v is entry [v - u, v] from start 0)
     n = 4
-    rcost = np.full((n + 1, n + 1), np.inf)
-    rcost[1, 0] = rcost[2, 0] = 1.0
-    rcost[4, 1] = rcost[4, 2] = 1.0
-    rcost[3, 1] = rcost[3, 2] = 1.0
-    rcost[4, 3] = 0.0
-    for solver in (_kernels.dp_solve, _dp_solve_loops):
-        dp, parent = solver(rcost, 3, False)
-        assert dp[2, 4] == 2.0
-        assert parent[2, 4] == 1
-        assert parent[2, 3] == 1
+    tab = np.full((n, n), np.inf)
+    tab[1, 1] = tab[2, 2] = 1.0
+    tab[3, 0] = tab[2, 0] = 1.0
+    tab[2, 3] = tab[1, 3] = 1.0
+    tab[1, 0] = 0.0
+    rcost = _rcost(tab, 0)
+    assert rcost[4, 1] == rcost[4, 2] == rcost[3, 1] == rcost[3, 2] == 1.0
+    dp = _solve(tab, 0, 3, False)
+    _, parent = _dp_solve_loops(rcost, 3, False)
+    assert dp[2, 4] == 2.0
+    assert parent[2, 4] == 1 and parent[2, 3] == 1
+    assert _kernels.dp_chain(tab, 0, dp, 2, False) == [4, 1, 0]
+    assert _kernels.dp_chain(tab, 0, dp, 3, False) == _chain(parent, 3, 4)
+
+
+def test_profile_solve_reads_the_table_in_place():
+    # n = 606: beside its dp array, a profile solve allocates less than
+    # one (n + 1)^2 array, the size of the per-start cost matrix it does
+    # not build
+    curve = _fourier_blob(1, 80.0, 1200)
+    n = curve.n
+    costs = SegmentCosts(curve)
+    m_max = 3 * round(n / 15)
+    costs.profile(0, m_max, CostKind.SUM_SQUARED)
+    tracemalloc.start()
+    try:
+        costs.profile(n // 2, m_max, CostKind.SUM_SQUARED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dp = 8 * (m_max + 1) * (n + 1)
+    assert peak < dp + 8 * (n + 1) ** 2

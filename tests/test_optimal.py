@@ -130,6 +130,20 @@ def test_segment_costs_shared_across_kinds_and_starts():
     assert costs.table(CostKind.SUM_SQUARED) is costs.table(CostKind.SUM_SQUARED)
 
 
+def test_band_widths_are_computed_once_a_table(monkeypatch):
+    # every solve of one kind reads the same cheapest_sides array
+    calls = []
+    real = _kernels.cheapest_sides
+    monkeypatch.setattr(_kernels, "cheapest_sides", lambda tab: calls.append(tab) or real(tab))
+    c = lattice_ring(9)
+    costs = SegmentCosts(c)
+    for kind in CostKind:
+        for start in (0, c.n // 2):
+            costs.profile(start, 6, kind)
+            costs.polygon(start, 4, kind)
+    assert [id(t) for t in calls] == [id(costs.table(kind)) for kind in CostKind]
+
+
 def test_segment_costs_rejects_coincident_points():
     c = DigitalCurve(np.array([[0, 0], [1, 0], [0, 0], [-1, 0]]) + 5)
     with pytest.raises(DegenerateSegment, match="points 0 and 2"):
