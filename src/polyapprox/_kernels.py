@@ -9,12 +9,16 @@ Both cost tables are span-major: entry [L, e] is the cost of the
 forward arc of L steps that ends at point e, so it starts at (e - L) %
 n.  Rows 0 and 1 (a point and an adjacent pair) are 0.  A DP layer
 reads the sides ending at a run of positions as slices of the table's
-rows, with no copy of the table for its start vertex.
+rows, with no copy of the table for its start vertex.  A table may
+store only its first rows, those a bounded solve can read.
 
 The squared-error table evaluates the closed form of e2_arc_costs on
 blocks of about _E2_BLOCK entries, a few dozen spans by all ends: the
 arc starts, and the prefix bound just past them, are reversed sliding
-windows of doubled arrays.
+windows of doubled arrays.  e2_row_bound gives R, the rows worth
+building: every arc of R or more steps costs more than the seed of any
+solve's running bound, by a principal-axis bound on the moments of its
+points (averaging R = 0.66n on the built-in corpus).
 
 The max-error table holds an arc's exact value where it is at most B,
 the largest entry over arcs of at most ceil(n/3) steps, and +inf above
@@ -24,7 +28,8 @@ integers spanning less than EXACT_SPAN, which SegmentCosts checks.  One
 path builds it on every ring, simple or not: a sparse table whose level
 k holds the hull vertices of every window of 2^k points, merged from
 level k-1 by Andrew's monotone chain.  Two windows of one level cover
-any arc, so an entry scans their vertices, not the arc.
+any arc, so an entry scans their vertices, not the arc.  It stores its
+rows up to the last with a finite entry.
 
 Costs are >= 0, so a DP layer may drop every cell above b, the least
 of a seeded triangle's cost and the profile values found so far, and
@@ -32,7 +37,7 @@ every side wider than the widest one costing at most b: what is left
 is a band of W spans.  The profile and every cell the band keeps are
 exact, and dp_chain recovers the chains from them; if the profile
 rises, the band loses a profile value and the solve runs once more
-unpruned (dp_solve says why).
+unpruned, over every row (dp_solve says why).
 
 The kernels evaluate the arithmetic of plain per-entry loops, so their
 tables, and the DP's profile, chains and kept cells, equal the loops'
@@ -113,8 +118,9 @@ def _e2_closed_form(xu, yu, xv, yv, sums, cnt, out=None):
 _E2_BLOCK = 1 << 13
 
 
-def e2_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Summed squared deviation of every forward arc, span-major.
+def e2_cost_table(xs: np.ndarray, ys: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Summed squared deviation of every forward arc, span-major: rows
+    0 to rows - 1 (every row, n, by default).
 
     Entry [L, e] covers the points strictly between u = (e - L) % n and
     e walking forward; rows 0 and 1 are 0.  Blocks of about _E2_BLOCK
@@ -123,9 +129,10 @@ def e2_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     reversed sliding windows of doubled arrays, written straight into
     the table.  The far bound p[u + L] is p[e + n] on arcs that wrap past
     index 0 (e < L) and p[e] on the others, the indices e2_arc_costs
-    uses.
+    uses.  A row's bits do not depend on how many rows are built.
     """
     n = xs.shape[0]
+    rows = n if rows is None else rows
     prefixes = np.stack(doubled_prefixes(xs, ys))
     # starts[n - L, e]: doubled entry e - L + n, the start of arc [L, e]
     starts = [sliding_window_view(np.concatenate((a, a)), n) for a in (xs, ys)]
@@ -133,14 +140,14 @@ def e2_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     near = sliding_window_view(np.tile(prefixes[:, 1:n + 1], 2), n, axis=1)
     lo, hi = prefixes[:, None, :n], prefixes[:, None, n:2 * n]
     ends = np.arange(n)
-    out = np.empty((n, n))
+    out = np.empty((rows, n))
     out[:2] = 0.0
     step = max(1, _E2_BLOCK // n)
-    for l0 in range(2, n, step):
-        l1 = min(l0 + step, n)
-        rows = slice(n - l0, n - l1, -1)
+    for l0 in range(2, rows, step):
+        l1 = min(l0 + step, rows)
+        back = slice(n - l0, n - l1, -1)
         spans = np.arange(l0, l1)[:, None]
-        a = near[:, rows]
+        a = near[:, back]
         sums = np.empty(a.shape)
         # every arc of the block wraps at ends below l0 and none does from
         # l1 - 1 on; between, the arc of L wraps where e < L
@@ -149,9 +156,72 @@ def e2_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         np.subtract(lo[..., mid:], a[..., mid:], out=sums[..., mid:])
         np.subtract(lo[..., l0:mid], a[..., l0:mid], out=sums[..., l0:mid],
                     where=ends[l0:mid] >= spans)
-        _e2_closed_form(starts[0][rows], starts[1][rows], xs, ys, sums, spans - 1.0,
+        _e2_closed_form(starts[0][back], starts[1][back], xs, ys, sums, spans - 1.0,
                         out=out[l0:l1])
     return out
+
+
+def e2_row_bound(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
+    """(G, R): no bounded solve over e2_cost_table(xs, ys) reads a row of
+    R steps or more, so the table may stop at row R.
+
+    G is the largest U3 over every start, the seed of dp_solve's running
+    bound, from the 3n closed-form arcs of the three spans U3 reads (the
+    table's bits), combined in dp_solve's order.  Every b_j of every
+    bounded solve is at most G.
+
+    R is the first span L at which lam(u, L) exceeds G for every start
+    u, with a margin for rounding, or n if there is none: lam(u, L) is
+    the least eigenvalue of M, the second moments about p[u] of the L -
+    1 points strictly inside the arc u -> u + L, the least squared
+    residual of those points over the lines through p[u] (the anchored
+    form of Pearson's principal-axis fit).  An arc of L' >= L steps
+    from u holds those points and its chord passes through p[u], so its
+    cost is at least lam(u, L) > G.  Adding points adds a positive
+    semidefinite matrix to M, so lam never falls with L, and R is found
+    by bisection over (ceil(n/3), n): R > ceil(n/3), as U3 >= each of
+    its sides >= its lam.
+
+    The margin covers rounding in both closed forms.  With P2 the
+    largest x^2 + y^2 of the ring, every term of either one, over the
+    chord's squared length where it divides by it, is at most n P2, and
+    the prefix sums they difference are off by at most 4 n^2 P2 2**-53
+    each; the errors of the entry and of lam sum to under 240 n^2 P2
+    2**-53, so the margin is 2**-44 n^2 P2 (twice that), plus 2**-40 G
+    for the relative rounding of the entry's division and of the
+    comparison.  Rings far from the origin, or very wide, get a margin
+    that can swamp every lam, and keep every row.
+    """
+    n = xs.shape[0]
+    prefixes = doubled_prefixes(xs, ys)
+    a, b = n // 3, 2 * n // 3
+    ends = np.arange(n)
+    spans = np.array([[a], [b - a], [n - b]])
+    # sides[k, e]: entry [spans[k], e] of the table
+    sides = e2_arc_costs(xs, ys, prefixes, (ends - spans) % n, ends)
+    g = ((sides[0, (ends + a) % n] + sides[1, (ends + b) % n]) + sides[2]).max()
+    limit = g * (1.0 + 2.0**-40) + 2.0**-44 * n * n * (xs * xs + ys * ys).max()
+    moments = np.stack(prefixes)
+    xx, yy, xy = xs * xs, ys * ys, xs * ys
+
+    def above(span):
+        # whether lam(u, span) > limit for every u
+        sx, sy, sxx, syy, sxy = moments[:, span:span + n] - moments[:, 1:n + 1]
+        c = span - 1.0
+        mxx = sxx - 2.0 * xs * sx + c * xx
+        myy = syy - 2.0 * ys * sy + c * yy
+        mxy = sxy - xs * sy - ys * sx + c * xy
+        lam = 0.5 * (mxx + myy) - np.hypot(0.5 * (mxx - myy), mxy)
+        return lam.min() > limit
+
+    lo, hi = -(-n // 3), n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(g), hi
 
 
 # Coordinates spanning less than this keep every cross product of two
@@ -200,9 +270,9 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     x, y = xs - xs.min(), ys - ys.min()
     # [L, u]: p[u + L]
     ends_x, ends_y = (sliding_window_view(np.concatenate((a, a)), n) for a in (x, y))
-    out = np.full((n, n), np.inf)
-    out[:2] = 0.0
     third = -(-n // 3)
+    out = np.empty((third + 1, n))
+    out[:2] = 0.0
     levels = _hull_levels(x + 1j * y)
     built, wx, wy = -1, None, None
 
@@ -242,27 +312,36 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     fill(2, third + 1)
     bound = _side_bound(out)
+    # longer arcs: the first to the last length of each block whose
+    # probes come at or under B
     step = max(1, _EMAX_BLOCK // (_PROBES * n))
+    runs = []
     for lo in range(third + 1, n, step):
         at = 1 + np.arange(1, _PROBES + 1) * (lo - 2) // (_PROBES + 1)
         probe = scan(lo, min(lo + step, n), [(ends_x[at, None], ends_y[at, None])])
         near = np.flatnonzero((probe <= bound).any(axis=1))
         if near.size:
-            fill(lo + int(near[0]), lo + int(near[-1]) + 1)
-    out[out > bound] = np.inf
-    return out
+            runs.append((lo + int(near[0]), lo + int(near[-1]) + 1))
+    if runs:
+        out = np.concatenate((out, np.full((runs[-1][1] - third - 1, n), np.inf)))
+        for lo, hi in runs:
+            fill(lo, hi)
+    over = out > bound
+    out[over] = np.inf
+    rows = 1 + int(np.flatnonzero(~over.all(axis=1))[-1])
+    return out if rows == out.shape[0] else out[:rows].copy()
 
 
-def _side_bound(out: np.ndarray) -> float:
+def _side_bound(head: np.ndarray) -> float:
     """B: the largest entry of a max-error table over arcs of 1 to
-    ceil(n/3) steps.
+    ceil(n/3) steps, from its rows 0 to ceil(n/3), `head`.
 
     No polygon of m >= 3 vertices that is optimal, or tied with the
     optimum, can have a side above B: the polygon through s + floor(k n / m)
     has sides of at most ceil(n/3) steps, so the optimal max error from
     any start s is at most B.
     """
-    return out[1:-(-out.shape[0] // 3) + 1].max()
+    return head[1:].max()
 
 
 def _hull_levels(z: np.ndarray):
@@ -347,8 +426,9 @@ def _merged_chains(chain: np.ndarray, width: int, sign: float):
 
 def cheapest_sides(tab: np.ndarray) -> np.ndarray:
     """cheapest[L - 1]: the least cost in a span-major table of a side
-    spanning L or more steps, for L in [1, n).  A table's band widths
-    serve every start, so it is computed once a table."""
+    spanning L or more steps, for L in [1, R) with R the table's stored
+    rows; spans from R on have no entry.  A table's band widths serve
+    every start, so it is computed once a table."""
     return np.minimum.accumulate(tab[:0:-1].min(axis=1))[::-1].copy()
 
 
@@ -359,7 +439,8 @@ _DP_BLOCK = 1 << 16
 
 def dp_solve(tab, cheapest, start, m_max, use_max):
     """Optimal chain costs over a span-major table whose costs are >= 0
-    (or +inf), with cheapest = cheapest_sides(tab).
+    (or +inf), with cheapest = cheapest_sides(tab); None if the profile
+    rose and the table stores fewer than n rows.
 
     Position v is curve index (start + v) % n, so position n is the
     start again, closing the ring, and the side from position u to v is
@@ -377,17 +458,26 @@ def dp_solve(tab, cheapest, start, m_max, use_max):
     along a path and b never rises, so a finite dp[m, n] <= b_m bounds
     every cell on its optimal chain, and every candidate tied with one,
     by its layer's b_j: the profile value, the chains and every finite
-    cell are the full DP's.  A profile value dp[3:, n] that comes back
-    +inf means the profile rose (or has no polygon), and the solve runs
-    again with every b_j = +inf: the full DP, every reachable cell.
+    cell are the full DP's.
+
+    The table may store only rows 0 to R - 1, R > ceil(n/3), if every
+    entry of the rows it leaves out is above U3 or +inf: no cell those
+    sides reach is kept, so this pass reads only the stored rows, and
+    treats the sides beyond them as +inf.  A profile value dp[3:, n]
+    that comes back +inf means the profile rose (or has no polygon),
+    and the solve runs again with every b_j = +inf: the full DP, every
+    reachable cell, which reads every row, so it returns None unless
+    the table stores all n.
     """
-    n = tab.shape[0]
+    rows, n = tab.shape
     combine = np.maximum if use_max else np.add
     a, b = n // 3, 2 * n // 3
     u3 = combine(combine(tab[a, (start + a) % n], tab[b - a, (start + b) % n]),
                  tab[n - b, start])
     dp = _dp_layers(tab, cheapest, start, m_max, combine, u3)
     if np.isinf(dp[3:, n]).any():
+        if rows < n:
+            return None
         dp = _dp_layers(tab, cheapest, start, m_max, combine, None)
     return dp
 
@@ -402,13 +492,14 @@ def _dp_layers(tab, cheapest, start, m_max, combine, bound):
     table rows W_j..1 at the block's ends, sliced in two where the ends
     pass n - 1; one minimum over the spans gives the layer's cells.  A
     predecessor u < j - 1 is +inf, as is one above b_j, which can only
-    win a cell above b_j.  O(m_max n W) time for bands of at most W
-    spans, one buffer of a block.
+    win a cell above b_j.  Layer 1 and the bands read the stored rows
+    only (cheapest has one entry a stored span).  O(m_max n W) time for
+    bands of at most W spans, one buffer of a block.
     """
-    n = tab.shape[0]
+    rows, n = tab.shape
     dp = np.full((m_max + 1, n + 1), np.inf)
-    v = np.arange(1, n)
-    dp[1, 1:n] = tab[v, (start + v) % n]
+    v = np.arange(1, rows)
+    dp[1, 1:rows] = tab[v, (start + v) % n]
     pruned = bound is not None
     if not pruned:
         bound = np.inf
@@ -449,15 +540,17 @@ def dp_chain(tab, start, dp, m, use_max):
     dp_solve's array: at each cell the smallest predecessor u whose
     combine equals the cell, the first minimum of the full DP.  Every
     cell of the chain, and every tied candidate, is one the band kept,
-    so it is exact."""
-    n = tab.shape[0]
+    so it is exact; a side the table does not store costs more than the
+    cell, so only stored spans are read."""
+    rows, n = tab.shape
     combine = np.maximum if use_max else np.add
     chain = [n]
     v = n
     for j in range(m, 1, -1):
-        # spans v - u for u = j - 1 .. v - 1
-        cand = combine(dp[j - 1, j - 1:v], tab[v - j + 1:0:-1, (start + v) % n])
-        v = j - 1 + int(np.flatnonzero(cand == dp[j, v])[0])
+        # spans v - u for u = u0 .. v - 1, every stored one from u = j - 1
+        u0 = max(j - 1, v - rows + 1)
+        cand = combine(dp[j - 1, u0:v], tab[v - u0:0:-1, (start + v) % n])
+        v = u0 + int(np.flatnonzero(cand == dp[j, v])[0])
         chain.append(v)
     chain.append(0)
     return chain

@@ -4,7 +4,8 @@ The deviation of a curve point from a polygon side is its perpendicular
 distance to the infinite line through the side's endpoints, not to the
 clipped segment.  Per-side sums of squared deviations come from moment
 prefix tables in O(1) per query, or, for the schemes, from the curve's
-E2 table while a SegmentCosts holds one (E2Costs).
+E2 table while a SegmentCosts holds one, on the spans it stores
+(E2Costs).
 """
 
 from __future__ import annotations
@@ -63,51 +64,75 @@ class E2Costs:
     every j strictly between p and q in order from p.
 
     While a SegmentCosts that built the curve's E2 table is alive, all
-    three read that table (span-major, _kernels.e2_cost_table): a
-    lookup, a gather, and for splits a diagonal, as two strided slices,
-    plus a strided column.  Otherwise they evaluate the closed form on
-    moment_tables, arc by arc on Python floats (raising DegenerateSegment
-    for a side between coincident points) and on arrays through one
-    e2_arc_costs call.  Every table entry is the closed form's value bit
-    for bit, so both paths give the same costs.
+    three read that table (span-major, _kernels.e2_cost_table) for arcs
+    of fewer than `rows` steps, the rows it stores: a lookup, a gather,
+    and for splits a diagonal, as two strided slices, plus a strided
+    column.  `lookup(span, v)` is the table's own item lookup, for
+    callers that know an arc's span is below `rows` (None, and `rows`
+    0, without a table).  Longer arcs, and every arc without a table,
+    are evaluated by the closed form on moment_tables: arc by arc on
+    Python floats (raising DegenerateSegment for a side between
+    coincident points), and on arrays through one e2_arc_costs call.
+    Every table entry is the closed form's value bit for bit, so both
+    paths give the same costs.
     """
 
-    __slots__ = ("arc", "arcs", "splits")
+    __slots__ = ("rows", "lookup", "arc", "arcs", "splits")
 
     def __init__(self, curve: DigitalCurve):
         n = curve.n
         ref = _E2_TABLES.get(curve)
         table = None if ref is None else ref()
-        if table is not None:
-            item = table.item
-            self.arc = lambda u, v: item((v - u) % n, v)
-            self.arcs = lambda u, v: table[(v - u) % n, v]
-            flat = table.reshape(-1)
-
-            def splits(p, q):
-                # the side p -> p + t is entry [t, (p + t) % n]: flat
-                # entry t (n + 1) + p, less n once p + t passes n - 1
-                k = (q - p) % n
-                cut = min(k, n - p) * (n + 1) + p
-                firsts = np.concatenate((flat[n + 1 + p:cut:n + 1],
-                                         flat[cut - n:k * (n + 1) + p - n:n + 1]))
-                return firsts + table[k - 1:0:-1, q]
-        else:
+        if table is None:
+            rows, item = 0, None
             pts = curve.points_float()
             xs, ys = pts[:, 0], pts[:, 1]
             prefixes = moment_tables(curve)
             # Python floats: one arc at a time is scalar work
-            self.arc = functools.partial(
+            arc = functools.partial(
                 _arc_e2, xs.tolist(), ys.tolist(), tuple(p.tolist() for p in prefixes), n
             )
-            arcs = self.arcs = functools.partial(_kernels.e2_arc_costs, xs, ys, prefixes)
+            arcs = functools.partial(_kernels.e2_arc_costs, xs, ys, prefixes)
+        else:
+            rows, item = table.shape[0], table.item
+            flat = table.reshape(-1)
 
-            def splits(p, q):
-                js = (p + np.arange(1, (q - p) % n)) % n
+            def arc(u, v):
+                span = (v - u) % n
+                if span < rows:
+                    return item(span, v)
+                return arc_sum_sq(curve.points, moment_tables(curve), u, v)
+
+            def arcs(u, v):
+                span = (v - u) % n
+                try:
+                    return table[span, v]
+                except IndexError:
+                    pass
+                # a span past the stored rows: the closed form there
+                u, v, span = np.broadcast_arrays(u, v, span)
+                far = span >= rows
+                out = table[np.where(far, 0, span), v]
+                pts = curve.points_float()
+                out[far] = _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], moment_tables(curve),
+                                                 u[far], v[far])
+                return out
+
+        def splits(p, q):
+            k = (q - p) % n
+            if k > rows:
+                js = (p + np.arange(1, k)) % n
                 sides = arcs(np.stack((np.full_like(js, p), js)),
                              np.stack((js, np.full_like(js, q))))
                 return sides[0] + sides[1]
-        self.splits = splits
+            # the side p -> p + t is entry [t, (p + t) % n]: flat entry
+            # t (n + 1) + p, less n once p + t passes n - 1
+            cut = min(k, n - p) * (n + 1) + p
+            firsts = np.concatenate((flat[n + 1 + p:cut:n + 1],
+                                     flat[cut - n:k * (n + 1) + p - n:n + 1]))
+            return firsts + table[k - 1:0:-1, q]
+
+        self.rows, self.lookup, self.arc, self.arcs, self.splits = rows, item, arc, arcs, splits
 
 
 class PolygonApprox:

@@ -147,17 +147,20 @@ def build_record(
     scheme: str = "",
     nise_variant: str = "printed",
     geometry: CurveGeometry | None = None,
+    errors: tuple[float, float] | None = None,
 ) -> MeasureRecord:
     """Assemble the full record for one polygon.
 
-    fom is stored as +inf for an exact fit; the standalone accessor
-    raises instead, so the distinction stays visible in the API while
-    CSV rows remain writable.
+    `errors` is the polygon's (E2, Emax) if the caller has it, as
+    polygon_errors gives them; they are computed otherwise.  fom is
+    stored as +inf for an exact fit; the standalone accessor raises
+    instead, so the distinction stays visible in the API while CSV rows
+    remain writable.
     """
     n = curve.n
     m = poly.m
     cr = compression_ratio(n, m)
-    e2, emax = polygon_errors(curve, poly)
+    e2, emax = polygon_errors(curve, poly) if errors is None else errors
     fom = figure_of_merit(cr, e2) if e2 > 0.0 else math.inf
     w = weighted_foms(cr, e2, emax)
     if geometry is None:

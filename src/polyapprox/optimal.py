@@ -85,26 +85,35 @@ class OptimalBaseline:
     clamped: bool = False
 
 
-# Most memory one curve's cost tables may take: both n x n tables plus
-# two (n+1)^2 arrays of headroom, 8 bytes an entry, about n = 7900
-# points.  The DP reads the tables in place; the headroom covers the
-# Emax build, which takes under one more n x n table on lattice
-# contours, but up to about eight on rings whose every point is a
-# vertex of each window's hull and whose long arcs stay under its
-# bound, such as integer points of a thin ellipse: its hull levels then
-# hold about n/2 points a window.
+# Most memory one curve's cost tables may take, 8 bytes an entry.  A
+# SegmentCosts holds at most both tables at n rows (a rising profile
+# builds the E2 table in full), and building the Emax table takes its
+# hull levels besides: at most _LEVEL_TABLES n x n tables of them on the
+# rings where they are largest, those whose every point is a vertex of
+# each window's hull and whose long arcs stay under the table's bound,
+# such as integer points of a thin ellipse (tracemalloc: at most 10.2
+# tables for the build, table included, at n = 100 to 1030, highest
+# where n - 2 is a power of two).  So 12 tables of n^2 entries, about
+# n = 4560 points.
 MAX_TABLE_BYTES = 2 * 10**9
+_LEVEL_TABLES = 10
 
 
 class SegmentCosts:
     """Per-curve cache of forward-arc cost tables.
 
-    The n x n tables depend only on the curve, not on the DP start, so
-    one instance serves every start vertex and both cost kinds.  The
+    The span-major tables depend only on the curve, not on the DP start,
+    so one instance serves every start vertex and both cost kinds.  The
     Emax table holds +inf for sides that no optimal polygon of 3 or more
     vertices, nor one tied with it, can use (those above the largest
     Emax of an arc of at most ceil(n/3) steps); its other entries, and
-    so every profile value and polygon, are exact.  Curves are rejected
+    so every profile value and polygon, are exact.  Each table stores
+    only the rows a bounded solve can read: the E2 table rows 0 to R -
+    1, every one of whose longer arcs costs more than any solve's
+    running bound (_kernels.e2_row_bound), the Emax table rows 0 to its
+    last with a finite entry.  A solve whose profile rises reruns
+    unbounded over every row, and the instance keeps that table in full
+    from then on.  Curves are rejected
     up front whose tables would take more than MAX_TABLE_BYTES, whose x
     or y coordinates span 2**26 (_kernels.EXACT_SPAN) or more, beyond
     which float64 cross products lose bits, or whose points coincide
@@ -120,7 +129,7 @@ class SegmentCosts:
 
     def __init__(self, curve: DigitalCurve):
         n = curve.n
-        need = 8 * (2 * n * n + 2 * (n + 1) ** 2)
+        need = 8 * n * n * (2 + _LEVEL_TABLES)
         if need > MAX_TABLE_BYTES:
             raise CurveTooLarge(
                 f"n={n} points need about {need / 1e9:.1f} GB of cost tables,"
@@ -151,16 +160,38 @@ class SegmentCosts:
     def table(self, kind: CostKind) -> np.ndarray:
         tab = self._tables.get(kind)
         if tab is None:
-            xs = self.curve.points[:, 0].astype(np.float64)
-            ys = self.curve.points[:, 1].astype(np.float64)
+            xs, ys = self._coordinates()
             if kind is CostKind.SUM_SQUARED:
-                tab = _kernels.e2_cost_table(xs, ys)
-                record_e2_table(self.curve, tab)
+                _, rows = _kernels.e2_row_bound(xs, ys)
+                tab = _kernels.e2_cost_table(xs, ys, rows)
             else:
                 tab = _kernels.emax_cost_table(xs, ys)
-            tab.setflags(write=False)
-            self._tables[kind] = tab
+            self._keep(kind, tab)
         return tab
+
+    def _coordinates(self):
+        pts = self.curve.points
+        return pts[:, 0].astype(np.float64), pts[:, 1].astype(np.float64)
+
+    def _keep(self, kind: CostKind, tab: np.ndarray) -> None:
+        tab.setflags(write=False)
+        self._tables[kind] = tab
+        self._cheapest.pop(kind, None)
+        if kind is CostKind.SUM_SQUARED:
+            record_e2_table(self.curve, tab)
+
+    def _keep_every_row(self, kind: CostKind) -> None:
+        """Replace the table of `kind` by one of all n rows: the E2 table
+        built in full (its stored rows freed first), the Emax table
+        padded with +inf rows."""
+        n = self.curve.n
+        part = self._tables.pop(kind)
+        if kind is CostKind.SUM_SQUARED:
+            del part
+            tab = _kernels.e2_cost_table(*self._coordinates())
+        else:
+            tab = np.concatenate((part, np.full((n - part.shape[0], n), np.inf)))
+        self._keep(kind, tab)
 
     def _solve(self, start: int, m_max: int, kind: CostKind):
         n = self.curve.n
@@ -168,11 +199,19 @@ class SegmentCosts:
             raise InvalidCounts(f"start={start} outside [0, {n})")
         if not (3 <= m_max <= n):
             raise InvalidCounts(f"need 3 <= m_max <= n, got m_max={m_max}, n={n}")
-        tab = self.table(kind)
-        cheapest = self._cheapest.get(kind)
-        if cheapest is None:
-            cheapest = self._cheapest[kind] = _kernels.cheapest_sides(tab)
-        return _kernels.dp_solve(tab, cheapest, start, m_max, kind is CostKind.MAX_ERROR)
+        use_max = kind is CostKind.MAX_ERROR
+        while True:
+            tab = self.table(kind)
+            cheapest = self._cheapest.get(kind)
+            if cheapest is None:
+                cheapest = self._cheapest[kind] = _kernels.cheapest_sides(tab)
+            dp = _kernels.dp_solve(tab, cheapest, start, m_max, use_max)
+            if dp is not None:
+                return dp
+            # the profile rose past the stored rows: the unbounded rerun
+            # reads every row, and the table keeps them from now on
+            del tab, cheapest
+            self._keep_every_row(kind)
 
     def profile(self, start: int, m_max: int, kind: CostKind) -> ErrorProfile:
         dp = self._solve(start, m_max, kind)

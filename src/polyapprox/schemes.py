@@ -110,10 +110,13 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
     A vertex's deletion cost is the squared-error sum of the arc its
     neighbours would then span; only the two neighbours of a deleted
     vertex need rescoring.  Costs come from E2Costs: the n starting costs
-    are one arcs() call, each rescoring one arc() call, lookups in the
-    curve's E2 table while a SegmentCosts holds it.  A heap of (cost,
-    index) finds the cheapest vertex, ties on the lowest index, and
-    entries whose cost has changed since are skipped.
+    are one arcs() call.  While a SegmentCosts holds the curve's E2
+    table, a rescored arc of a span the table stores is one
+    lookup(span, v) call, with no Python frame between; any other arc is
+    one arc() call.  A heap of (cost, index) finds the cheapest vertex,
+    ties on the lowest index; entries whose cost has changed since are
+    skipped, and the cheapest vertex's entry is replaced by its first
+    rescored neighbour's, one sift instead of a pop and a push.
     """
     _check_m(curve, m)
     n = curve.n
@@ -125,27 +128,33 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
         i = int(np.argmax(coincide))
         raise DegenerateSegment(f"points {int(prv[i])} and {int(nxt[i])} coincide")
     costs = E2Costs(curve)
-    arc = costs.arc
+    arc, lookup, rows = costs.arc, costs.lookup, costs.rows
     cost = costs.arcs(prv, nxt).tolist()
     prv = prv.tolist()
     nxt = nxt.tolist()
     heap = list(zip(cost, range(n)))
     heapq.heapify(heap)
+    heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+    inf = math.inf
     for _ in range(n - m):
         while True:
-            c, i = heapq.heappop(heap)
+            c, i = heap[0]
             # a deleted vertex costs inf; a rescored one has a newer entry
             if c == cost[i]:
                 break
+            heappop(heap)
         p, q = prv[i], nxt[i]
         prv[q] = p
         nxt[p] = q
-        cost[i] = math.inf
-        cost[p] = arc(prv[p], q)
-        cost[q] = arc(p, nxt[q])
-        heapq.heappush(heap, (cost[p], p))
-        heapq.heappush(heap, (cost[q], q))
-    verts = [i for i in range(n) if cost[i] != math.inf]
+        cost[i] = inf
+        a, b = prv[p], nxt[q]
+        span = (q - a) % n
+        cost_p = cost[p] = lookup(span, q) if span < rows else arc(a, q)
+        span = (b - p) % n
+        cost_q = cost[q] = lookup(span, b) if span < rows else arc(p, b)
+        heapreplace(heap, (cost_p, p))
+        heappush(heap, (cost_q, q))
+    verts = [i for i, c in enumerate(cost) if c != inf]
     return PolygonApprox(curve, verts)
 
 

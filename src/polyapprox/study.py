@@ -184,6 +184,7 @@ def evaluate_curve(
             scheme=scheme.value,
             nise_variant=nise_variant,
             geometry=geometry,
+            errors=(e2, emax),
         )
     return out
 

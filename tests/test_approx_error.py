@@ -132,11 +132,14 @@ def test_e2_costs_read_the_table_bit_for_bit():
         costs = SegmentCosts(curve)
         costs.table(CostKind.SUM_SQUARED)
         lookup = E2Costs(curve)
+        # the table stops short of n rows: arcs past it are the closed form's
+        assert lookup.rows < n
         assert lookup.arcs(u, v).tobytes() == want.tobytes()
         assert [lookup.arc(int(a), int(b)) for a, b in zip(u[::61], v[::61])] == scalar
         # both sides at every split point, in order from p, on arcs that
-        # wrap past index 0 or not, short and long
-        for p, q in [(0, n // 2), (n - 5, 7), (3, 5), (4, 3), (n // 3, 2), (n - 1, 0)]:
+        # wrap past index 0 or not, short and long, past the stored rows
+        for p, q in [(0, n // 2), (n - 5, 7), (3, 5), (4, 3), (n // 3, 2), (n - 1, 0),
+                     (7, 7 + lookup.rows), (7, 6 + lookup.rows)]:
             js = (p + np.arange(1, (q - p) % n)) % n
             want = closed.arcs(p, js) + closed.arcs(js, q)
             assert closed.splits(p, q).tobytes() == want.tobytes()

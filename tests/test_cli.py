@@ -129,7 +129,7 @@ def test_profile_of_a_curve_too_large_is_data_error(tmp_path, capsys):
     rc = main(["profile", "--in", str(big), "--m", "100"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "n=20000" in err and "12.8 GB" in err
+    assert "n=20000" in err and "38.4 GB" in err
 
 
 def test_profile_of_a_curve_too_wide_is_data_error(tmp_path, capsys):

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from polyapprox import (
-    CostKind, CurveTooLarge, DigitalCurve, SegmentCosts, _kernels, select_start_vertex,
+    CostKind, CurveTooLarge, DigitalCurve, SegmentCosts, _kernels, optimal, select_start_vertex,
 )
+from polyapprox.approx_error import E2Costs
 from conftest import _ellipse, _fourier_blob, lattice_ring, wide_ring
 
 
@@ -120,8 +121,25 @@ def _random_tables(seed):
 
 
 def _assert_e2_table_is_loops(xs, ys):
-    want = _e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys))
-    assert _kernels.e2_cost_table(xs, ys).tobytes() == _span_major(want).tobytes()
+    """The full table is the loops', bit for bit, and so are the rows
+    0 to R - 1 that e2_row_bound keeps, R > ceil(n/3).  No entry of the
+    rows it leaves out is at or under G, the largest U3 of any start,
+    and the band widths of every b <= G are those of the full table.
+    Returns R."""
+    n = xs.shape[0]
+    want = _span_major(_e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys)))
+    assert _kernels.e2_cost_table(xs, ys).tobytes() == want.tobytes()
+    g, rows = _kernels.e2_row_bound(xs, ys)
+    assert _kernels.e2_cost_table(xs, ys, rows).tobytes() == want[:rows].tobytes()
+    a, b, s = n // 3, 2 * n // 3, np.arange(n)
+    assert g == ((want[a, (s + a) % n] + want[b - a, (s + b) % n]) + want[n - b, s]).max()
+    assert rows > -(-n // 3)
+    assert not (want[rows:] <= g).any()
+    short, full = _kernels.cheapest_sides(want[:rows]), _kernels.cheapest_sides(want)
+    bs = np.append(full[full <= g], g)
+    assert np.array_equal(short.searchsorted(bs, side="right"),
+                          full.searchsorted(bs, side="right"))
+    return rows
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -138,14 +156,17 @@ def test_e2_table_exact_on_small_rings(n):
 @pytest.mark.parametrize("blocks", ["several", "one"])
 def test_e2_table_blocks_match_loops_exactly(blocks):
     if blocks == "several":
-        # n = 606: 13 rows a block, 46 full blocks and a ragged one of 8
+        # n = 606: 13 rows a block, 46 full blocks and a ragged one of 8;
+        # the rows kept end inside a block
         pts = _fourier_blob(1, 80.0, 1200).points
         step = _kernels._E2_BLOCK // pts.shape[0]
         assert pts.shape[0] // step >= 2 and pts.shape[0] % step
     else:
         pts = lattice_ring(3, n_lo=40, n_hi=60).points
         assert _kernels._E2_BLOCK // pts.shape[0] >= pts.shape[0]
-    _assert_e2_table_is_loops(pts[:, 0].astype(np.float64), pts[:, 1].astype(np.float64))
+    rows = _assert_e2_table_is_loops(pts[:, 0].astype(np.float64),
+                                     pts[:, 1].astype(np.float64))
+    assert rows < pts.shape[0]
 
 
 def test_e2_table_exact_on_a_non_integer_ring():
@@ -216,17 +237,21 @@ def _scan_bounded(xs, ys):
     return _bounded(_emax_cost_table_scan(xs, ys))
 
 
-def _assert_same_bytes(table, want):
-    """Bit equality, so -0.0 differs from +0.0."""
-    assert table.dtype == want.dtype and table.shape == want.shape
-    assert table.tobytes() == want.tobytes()
+def _assert_stored_rows(table, want):
+    """The table is the oracle's rows up to the last with a finite entry,
+    bit for bit (so -0.0 differs from +0.0); every row it drops is +inf
+    in the oracle."""
+    rows = table.shape[0]
+    assert table.dtype == want.dtype and table.shape[1:] == want.shape[1:]
+    assert table.tobytes() == want[:rows].tobytes()
+    assert np.isinf(want[rows:]).all() and np.isfinite(want[rows - 1]).any()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_emax_table_numpy_vs_loops(seed):
     xs, ys = _random_tables(seed)
     a = _kernels.emax_cost_table(xs, ys)
-    _assert_same_bytes(a, _span_major(bounded_emax_loops(xs, ys)))
+    _assert_stored_rows(a, _span_major(bounded_emax_loops(xs, ys)))
 
 
 def _walk(corners):
@@ -289,7 +314,7 @@ def _check_emax_exact(pts, oracle=bounded_emax_loops):
     xs = pts[:, 0].astype(np.float64)
     ys = pts[:, 1].astype(np.float64)
     table = _kernels.emax_cost_table(xs, ys)
-    _assert_same_bytes(table, _span_major(oracle(xs, ys)))
+    _assert_stored_rows(table, _span_major(oracle(xs, ys)))
     return table
 
 
@@ -379,8 +404,7 @@ def test_emax_table_sweeps_all_hull_rings(n):
     side = np.roll(ring, -1, axis=0) - ring
     assert (side[:, 0] * np.roll(side[:, 1], -1) > side[:, 1] * np.roll(side[:, 0], -1)).all()
     xs, ys = ring[:, 0], ring[:, 1]
-    table = _kernels.emax_cost_table(xs, ys)
-    assert table.tobytes() == _span_major(_scan_bounded(xs, ys)).tobytes()
+    _assert_stored_rows(_kernels.emax_cost_table(xs, ys), _span_major(_scan_bounded(xs, ys)))
     assert _level_rows(ring, 4) == 16
 
 
@@ -559,11 +583,11 @@ def test_emax_table_exact_when_n_minus_2_is_a_power_of_two(n, monkeypatch):
         assert ring.shape[0] == n
         xs, ys = (ring[:, k].astype(np.float64) for k in (0, 1))
         want = _emax_cost_table_scan(xs, ys)
-        _assert_same_bytes(_kernels.emax_cost_table(xs, ys), _span_major(_bounded(want.copy())))
+        _assert_stored_rows(_kernels.emax_cost_table(xs, ys), _span_major(_bounded(want.copy())))
         want = _span_major(want)
         with monkeypatch.context() as m:
             m.setattr(_kernels, "_side_bound", lambda out: np.inf)
-            _assert_same_bytes(_kernels.emax_cost_table(xs, ys), want)
+            _assert_stored_rows(_kernels.emax_cost_table(xs, ys), want)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -673,6 +697,23 @@ def test_emax_table_merges_hulls_in_blocks_of_starts(n, monkeypatch):
     assert max(extra) < 32 * _kernels._EMAX_BLOCK
 
 
+def test_emax_build_stays_within_the_admitted_memory():
+    # on a thin all-hull ellipse, where the hull levels are largest,
+    # building the Emax table, levels included, takes no more than
+    # SegmentCosts admits for a curve of n points
+    n = 600
+    curve = DigitalCurve(_thin_all_hull(n).astype(np.int64))
+    costs = SegmentCosts(curve)
+    tracemalloc.start()
+    try:
+        assert costs.table(CostKind.MAX_ERROR).shape == (n, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    need = 8 * n * n * (2 + optimal._LEVEL_TABLES)
+    assert 8 * 8 * n * n < peak <= need
+
+
 @pytest.mark.parametrize("offset", [0, 1])
 def test_segment_costs_span_bound(offset):
     # an x span, then a y span, of EXACT_SPAN - 1 + offset: exact tables
@@ -686,7 +727,7 @@ def test_segment_costs_span_bound(offset):
             continue
         table = SegmentCosts(curve).table(CostKind.MAX_ERROR)
         xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
-        _assert_same_bytes(table, _span_major(bounded_emax_loops(xs, ys)))
+        _assert_stored_rows(table, _span_major(bounded_emax_loops(xs, ys)))
 
 
 @pytest.mark.parametrize("name, pts, simple", [
@@ -782,8 +823,10 @@ def _solve(tab, start, m_max, use_max):
     return _kernels.dp_solve(tab, _kernels.cheapest_sides(tab), start, m_max, use_max)
 
 
-def _assert_dp_matches_loops(tab, start, m_max, use_max):
-    """dp_solve against the full table of the loops: its pruning contract.
+def _assert_dp_matches_loops(tab, start, m_max, use_max, rows=None):
+    """dp_solve over the table's rows 0 to rows - 1 (every row by
+    default) against the loops over the full table: its pruning
+    contract.
 
     U3 is the cost of the triangle through positions 0, n // 3 and
     2n // 3, and b_j, for j >= 2, the least of U3 and the loops' profile
@@ -791,32 +834,39 @@ def _assert_dp_matches_loops(tab, start, m_max, use_max):
     dp_chain walks back from (m, n) is the loops' parent chain for every
     m whose profile value is finite, and every finite cell equals the
     loops'.  Every other cell is +inf, and where the loops' cell is
-    finite it lies above b_j.  When a loops' profile value dp[m, n],
-    m >= 3, is above b_m or +inf, the solve falls back to the full DP
-    and the arrays are byte-equal.  Returns whether it fell back, and
-    how many finite cells of the loops' it pruned.
+    finite it lies above b_j (above U3 for a side of layer 1 that the
+    table leaves out).  When a loops' profile value dp[m, n], m >= 3, is
+    above b_m or +inf, the solve falls back to the full DP and the
+    arrays are byte-equal; over fewer rows than n it returns None, and
+    the solve over every row falls back.  Returns whether it fell back,
+    and how many finite cells of the loops' it pruned.
     """
     n = tab.shape[0]
-    d1 = _solve(tab, start, m_max, use_max)
     rcost = _rcost(tab, start)
     d2, p2 = _dp_solve_loops(rcost, m_max, use_max)
-    assert d1.shape == d2.shape
-    assert d1[3:, n].tobytes() == d2[3:, n].tobytes()
-    for m in range(2, m_max + 1):
-        if np.isfinite(d1[m, n]):
-            assert _kernels.dp_chain(tab, start, d1, m, use_max) == _chain(p2, m, n), m
-    kept = np.isfinite(d1)
-    assert d1[kept].tobytes() == d2[kept].tobytes()
     combine = max if use_max else (lambda x, y: x + y)
     a, b = n // 3, 2 * n // 3
     u3 = combine(combine(rcost[a, 0], rcost[b, a]), rcost[n, b])
     profile = d2[:, n]
     bound = np.full(m_max + 1, np.inf)
-    bound[2:] = np.minimum.accumulate(np.concatenate(([u3], profile[2:m_max])))
+    bound[1:] = np.minimum.accumulate(np.concatenate(([u3, u3], profile[2:m_max])))
+    fell_back = not np.all(profile[3:] <= bound[3:])
+    read = tab[:rows]
+    d1 = _solve(read, start, m_max, use_max)
+    if d1 is None:
+        assert fell_back and read.shape[0] < n
+        read = tab
+        d1 = _solve(read, start, m_max, use_max)
+    assert d1.shape == d2.shape
+    assert d1[3:, n].tobytes() == d2[3:, n].tobytes()
+    for m in range(2, m_max + 1):
+        if np.isfinite(d1[m, n]):
+            assert _kernels.dp_chain(read, start, d1, m, use_max) == _chain(p2, m, n), m
+    kept = np.isfinite(d1)
+    assert d1[kept].tobytes() == d2[kept].tobytes()
     lost = ~kept & np.isfinite(d2)
     j, _ = np.nonzero(lost)
     assert np.all(d2[lost] > bound[j])
-    fell_back = not np.all(profile[3:] <= bound[3:])
     if fell_back:
         assert d1.tobytes() == d2.tobytes()
     return fell_back, int(lost.sum())
@@ -846,9 +896,10 @@ def test_dp_numpy_vs_loops_across_row_blocks(block, use_max, monkeypatch):
     monkeypatch.setattr(_kernels, "_DP_BLOCK", block)
     for seed in range(2):
         _assert_dp_matches_loops(*_random_table(seed, 30, costs=range(3)), 30, use_max)
-    tab = _ring_table(_ellipse("e", 9.0, 5.0, 80).points, use_max)
+    tab, rows = _ring_table(_ellipse("e", 9.0, 5.0, 80).points, use_max)
+    assert rows < tab.shape[0]
     for start in (5, tab.shape[0] - 3):
-        fell_back, _ = _assert_dp_matches_loops(tab, start, 20, use_max)
+        fell_back, _ = _assert_dp_matches_loops(tab, start, 20, use_max, rows)
         assert not fell_back
 
 
@@ -870,7 +921,7 @@ def test_dp_seeds_no_bound_from_a_forbidden_triangle(use_max):
     # one +inf side of the seed triangle makes U3 +inf: layer 2 runs at
     # full width, and the profile, which does not rise, needs no rerun
     pts = _ellipse("e", 9.0, 5.0, 80).points
-    tab = _ring_table(pts, use_max).copy()
+    tab, _ = _ring_table(pts, use_max)
     n, start = tab.shape[0], 7
     tab[n // 3, (start + n // 3) % n] = np.inf
     widths = _traced_widths(tab, start, 20, use_max)
@@ -927,8 +978,15 @@ def test_dp_falls_back_on_rising_random_costs(use_max):
 
 
 def _ring_table(pts, use_max):
+    """A ring's table with all n rows, the oracle's input (the Emax table
+    padded with the +inf rows it leaves out), and the rows
+    SegmentCosts stores."""
     xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
-    return (_kernels.emax_cost_table if use_max else _kernels.e2_cost_table)(xs, ys)
+    n = xs.shape[0]
+    if not use_max:
+        return _kernels.e2_cost_table(xs, ys), _kernels.e2_row_bound(xs, ys)[1]
+    tab = _kernels.emax_cost_table(xs, ys)
+    return np.concatenate((tab, np.full((n - tab.shape[0], n), np.inf))), tab.shape[0]
 
 
 @pytest.mark.parametrize("name", ["square8", "rectangle", "thin_rectangle", "big_square"])
@@ -943,10 +1001,10 @@ def test_dp_exact_on_tie_heavy_rings(name, use_max):
         "big_square": _walk([(0, 0), (7, 0), (7, 7), (0, 7)]),
     }[name]
     n = pts.shape[0]
-    tab = _ring_table(pts, use_max)
+    tab, rows = _ring_table(pts, use_max)
     for start in sorted({0, 1, n // 3}):
         for m_max in range(3, n + 1):
-            fell_back, _ = _assert_dp_matches_loops(tab, start, m_max, use_max)
+            fell_back, _ = _assert_dp_matches_loops(tab, start, m_max, use_max, rows)
             assert not fell_back, (start, m_max)
 
 
@@ -995,6 +1053,8 @@ def test_dp_prunes_a_corpus_curve_without_fallback(kind, monkeypatch):
     start = select_start_vertex(curve, m_sub, kind, costs)
     use_max = kind is CostKind.MAX_ERROR
     tab = costs.table(kind)
+    full, rows = _ring_table(curve.points, use_max)
+    assert rows == tab.shape[0] < curve.n
     runs = []
     layers = _kernels._dp_layers
 
@@ -1003,7 +1063,7 @@ def test_dp_prunes_a_corpus_curve_without_fallback(kind, monkeypatch):
         return layers(*args)
 
     monkeypatch.setattr(_kernels, "_dp_layers", traced)
-    fell_back, _ = _assert_dp_matches_loops(tab, start, m_max, use_max)
+    fell_back, _ = _assert_dp_matches_loops(full, start, m_max, use_max, rows)
     assert runs == [True] and not fell_back
     _CountedReads.entries = 0
     _kernels.dp_solve(tab.view(_CountedReads), _kernels.cheapest_sides(tab), start, m_max,
@@ -1012,6 +1072,36 @@ def test_dp_prunes_a_corpus_curve_without_fallback(kind, monkeypatch):
     reachable = sum((n1 - j) * (n1 - j + 1) // 2 for j in range(2, m_max + 1))
     assert _CountedReads.entries < 0.5 * reachable
     assert _traced_widths(tab, start, m_max, use_max)[0] < curve.n // 2
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_a_rising_profile_reruns_over_every_row(kind, monkeypatch):
+    # a bounded pass made to lose a profile value: over the stored rows
+    # dp_solve gives None, the SegmentCosts builds the E2 table in full
+    # (pads the Emax table with its +inf rows) and keeps it, and the
+    # unbounded rerun is the loops' full DP byte for byte; E2Costs then
+    # reads the full table
+    curve = _ellipse("e", 9.0, 5.0, 80)
+    n, start, m_max = curve.n, 5, 20
+    use_max = kind is CostKind.MAX_ERROR
+    full, rows = _ring_table(curve.points, use_max)
+    costs = SegmentCosts(curve)
+    assert costs.table(kind).shape[0] == rows < n
+    layers = _kernels._dp_layers
+
+    def rising(tab, cheapest, start, m_max, combine, bound):
+        dp = layers(tab, cheapest, start, m_max, combine, bound)
+        if bound is not None:
+            dp[3, -1] = np.inf
+        return dp
+
+    monkeypatch.setattr(_kernels, "_dp_layers", rising)
+    dp = costs._solve(start, m_max, kind)
+    want, _ = _dp_solve_loops(_rcost(full, start), m_max, use_max)
+    assert dp.tobytes() == want.tobytes()
+    assert costs.table(kind).tobytes() == full.tobytes()
+    if not use_max:
+        assert E2Costs(curve).rows == n
 
 
 def test_dp_tie_breaks_to_smallest_predecessor():

@@ -19,6 +19,7 @@ from polyapprox import (
     theorem_identity_check,
     weighted_foms,
 )
+from polyapprox import measures, polygon_errors
 from polyapprox.measures import CSV_HEADER, record_to_csv_row
 from polyapprox.schemes import eliminate_to_m
 from conftest import baseline_for, lattice_ring
@@ -157,6 +158,18 @@ def test_build_record_with_explicit_baselines():
     assert rec.rosin.error_optimal == b_e2.error_optimal
     assert rec.rosin_emax.error_optimal == b_em.error_optimal
     assert 0.0 < rec.rosin.merit <= 100.0 + 1e-9
+
+
+def test_build_record_takes_the_errors_it_is_given(monkeypatch):
+    c = lattice_ring(41)
+    poly = eliminate_to_m(c, 5)
+    args = (c, poly, baseline_for(c, poly, CostKind.SUM_SQUARED),
+            baseline_for(c, poly, CostKind.MAX_ERROR))
+    rec = build_record(*args, scheme="elim")
+    with monkeypatch.context() as mp:
+        mp.setattr(measures, "polygon_errors", None)
+        given = build_record(*args, scheme="elim", errors=polygon_errors(c, poly))
+    assert given == rec
 
 
 def test_theorem_identities_on_pipeline_output():

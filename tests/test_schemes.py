@@ -146,22 +146,31 @@ def stabilize_reference(curve, poly):
     return PolygonApprox(curve, sorted(verts))
 
 
-def _closed_form_called(*args):
-    raise AssertionError("a scheme evaluated the closed form beside a live E2 table")
-
-
-def on_both_paths(monkeypatch, curve, run):
+def on_both_paths(monkeypatch, curve, run, far=None):
     """run()'s result on the closed form, then while a SegmentCosts holds
-    the curve's E2 table, with the closed form made to fail, so that
-    only lookups and gathers in the table can answer."""
+    the curve's E2 table, with the closed form made to fail on every arc
+    of a span the table stores, so that only lookups and gathers in the
+    table can answer for those; longer arcs, past its rows, are the
+    closed form's, and each call for them is appended to `far`."""
     ref = approx_error._E2_TABLES.get(curve)
     assert ref is None or ref() is None, "a table outlived its SegmentCosts"
     closed = run()
     costs = SegmentCosts(curve)
-    costs.table(CostKind.SUM_SQUARED)
+    rows = costs.table(CostKind.SUM_SQUARED).shape[0]
+    arc_e2, e2_arc_costs = approx_error._arc_e2, _kernels.e2_arc_costs
+
+    def past_rows(u, v):
+        if np.any((np.asarray(v) - u) % curve.n < rows):
+            raise AssertionError("a scheme evaluated the closed form on a stored span")
+        if far is not None:
+            far.append((u, v))
+        return True
+
     with monkeypatch.context() as mp:
-        mp.setattr(_kernels, "e2_arc_costs", _closed_form_called)
-        mp.setattr(approx_error, "_arc_e2", _closed_form_called)
+        mp.setattr(_kernels, "e2_arc_costs",
+                   lambda xs, ys, pre, u, v: past_rows(u, v) and e2_arc_costs(xs, ys, pre, u, v))
+        mp.setattr(approx_error, "_arc_e2",
+                   lambda xs, ys, pre, n, u, v: past_rows(u, v) and arc_e2(xs, ys, pre, n, u, v))
         table = run()
     return closed, table
 
@@ -326,6 +335,21 @@ def test_stabilize_matches_reference_on_tied_rectangles(monkeypatch):
         want = [stabilize_reference(c, p) for p in starts]
         for got in on_both_paths(monkeypatch, c, lambda: [stabilize(c, p) for p in starts]):
             assert got == want, c.name
+
+
+def test_schemes_read_arcs_past_the_stored_rows():
+    # elimination to a triangle, and stabilize from a triangle with a
+    # slot between far neighbours, rescore arcs longer than the rows the
+    # E2 table stores: the closed form answers those, with the same bits
+    c = build_corpus()[5]
+    n = c.n
+    # slot 0 is scored first, between vertices n - 2 steps apart
+    triangle = PolygonApprox(c, [0, n // 2, n // 2 + 2])
+    for run in (lambda: eliminate_to_m(c, 3), lambda: stabilize(c, triangle)):
+        with pytest.MonkeyPatch.context() as mp:
+            far = []
+            closed, table = on_both_paths(mp, c, run, far)
+        assert far and closed == table
 
 
 def test_e2_table_dies_with_its_segment_costs():

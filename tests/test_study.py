@@ -18,7 +18,7 @@ from polyapprox import (
     scale_for_plot,
     study_series,
 )
-from polyapprox import approx_error, study
+from polyapprox import approx_error, measures, study
 from polyapprox.study import PAIRINGS, correlations_csv, pairing_slug, records_csv
 from polyapprox._kernels import EXACT_SPAN
 from conftest import build_corpus, square_ring, wide_ring
@@ -190,6 +190,24 @@ def test_run_study_skips_degenerate_curve_and_continues():
         assert "DegenerateSegment" in reason
 
 
+def test_run_study_computes_each_polygons_errors_once(monkeypatch):
+    # evaluate_curve hands the errors it scored the baselines with to
+    # build_record, which then computes none
+    calls = []
+    real = study.polygon_errors
+
+    def counted(curve, poly):
+        calls.append((curve.name, poly.m))
+        return real(curve, poly)
+
+    monkeypatch.setattr(study, "polygon_errors", counted)
+    monkeypatch.setattr(measures, "polygon_errors", counted)
+    corpus = build_corpus()[:2]
+    reports = run_study(corpus, target_cr=15.0)
+    assert len(calls) == len(corpus) * len(SchemeId)
+    assert all(len(rep.records) == len(corpus) for rep in reports)
+
+
 def test_run_study_skips_a_curve_too_large_with_one_warning(caplog):
     reports = run_study([scaled_square8(2), square_ring(5000)], target_cr=2.0)
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
@@ -199,7 +217,7 @@ def test_run_study_skips_a_curve_too_large_with_one_warning(caplog):
         assert len(rep.records) == 1
         [(cid, reason)] = rep.skipped_curves
         assert cid == "square5000"
-        assert reason.startswith("CurveTooLarge: n=20000 points need about 12.8 GB")
+        assert reason.startswith("CurveTooLarge: n=20000 points need about 38.4 GB")
 
 
 def test_run_study_skips_a_curve_too_wide_with_one_warning(caplog):
