@@ -8,10 +8,13 @@ that most of its windows are scanned; on 300 integer points of a
 circle of radius 10**6, every one of them a vertex of each window's
 hull, so that its hull levels are as large as they get; and on the
 first ellipse with two points a third of the ring apart swapped, which
-makes its sides cross.  Every Emax row also prints the peak of the
-numpy allocations of one table build (tracemalloc), table included.
-The DP solves the ellipse's span-major E2 and Emax tables from vertex
-0, as the study does, and an n x n table of uniform random costs,
+makes its sides cross.  Every table row also prints the rows the table
+stores, of n, and the peak of the numpy allocations of one build
+(tracemalloc), table included.  "e2 cost table" builds the rows a
+bounded solve can read, bound included, as SegmentCosts does; "e2,
+every row" builds all n.  The DP solves the ellipse's stored E2 and
+Emax tables from vertex 0, as the study does, and an n x n table of
+uniform random costs,
 whose rising profile makes the banded solve fall back to the full DP:
 its worst case.  "polygon solve" is a solve to m = --m-max on the E2
 table plus the walk back along its chain, as an optimal polygon costs.
@@ -20,6 +23,10 @@ Elimination and stabilize are timed twice: on the closed form, as
 ellipse's E2 table, as a study runs them.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
+
+Trace-scale contours run the same way with --n 2000 (n = 2044) and
+--n 4000 (n = 4083): a full table is then 33 and 133 MB, and the
+uniform random table's full DP takes about 1 and 6 s a solve.
 """
 
 import argparse
@@ -53,6 +60,13 @@ def noisy_ellipse(n_target: int, seed: int = 0, aspect: float = 0.6) -> np.ndarr
     _, first = np.unique(pts, axis=0, return_index=True)
     pts = pts[np.sort(first)]
     return pts
+
+
+def stored_e2_table(xs, ys):
+    """The E2 table's rows a bounded solve can read, as SegmentCosts
+    builds it."""
+    _, rows = _kernels.e2_row_bound(xs, ys)
+    return _kernels.e2_cost_table(xs, ys, rows)
 
 
 def timeit(fn, args, repeat: int) -> float:
@@ -99,7 +113,7 @@ def main() -> int:
     crossed[[0, n // 3]] = crossed[[n // 3, 0]]
 
     m_max = min(args.m_max, n)
-    e2_tab = _kernels.e2_cost_table(xs, ys)
+    e2_tab = stored_e2_table(xs, ys)
     emax_tab = _kernels.emax_cost_table(xs, ys)
     # uniform random costs: the profile rises, so the banded solve falls
     # back to the full DP
@@ -113,24 +127,29 @@ def main() -> int:
         dp = _kernels.dp_solve(tab, cheapest, 0, m_max, False)
         return _kernels.dp_chain(tab, 0, dp, m_max, False)
 
-    cases = [
-        ("e2 cost table", _kernels.e2_cost_table, (xs, ys)),
+    tables = [
+        ("e2 cost table", stored_e2_table, (xs, ys)),
+        ("e2, every row", _kernels.e2_cost_table, (xs, ys)),
         ("emax cost table", _kernels.emax_cost_table, (xs, ys)),
         ("emax, elongated", _kernels.emax_cost_table, (txs, tys)),
         ("emax, all-hull", _kernels.emax_cost_table, (circle[:, 0], circle[:, 1])),
         ("emax, non-simple", _kernels.emax_cost_table, (crossed[:, 0], crossed[:, 1])),
+    ]
+    solves = [
         ("dp solve (sum)", *solve(e2_tab, False)),
         ("dp solve (max)", *solve(emax_tab, True)),
         ("dp solve, rising profile", *solve(rising, False)),
         ("polygon solve (sum)", polygon, (e2_tab, _kernels.cheapest_sides(e2_tab))),
     ]
 
-    print(f"{'kernel':<24} {'time':>10} {'peak':>10}")
-    for name, fn, call_args in cases:
-        line = f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms"
-        if fn is _kernels.emax_cost_table:
-            line += f" {peak_mb(fn, call_args):>8.2f}MB"
-        print(line)
+    print(f"{'table':<24} {'time':>10} {'peak':>10} {'rows':>12}")
+    for name, fn, call_args in tables:
+        rows = f"{fn(*call_args).shape[0]}/{call_args[0].shape[0]}"
+        print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms"
+              f" {peak_mb(fn, call_args):>8.2f}MB {rows:>12}")
+    print(f"{'kernel':<24} {'time':>10}")
+    for name, fn, call_args in solves:
+        print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
 
     curve = DigitalCurve(pts)
     m = m_max

@@ -322,14 +322,17 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         near = np.flatnonzero((probe <= bound).any(axis=1))
         if near.size:
             runs.append((lo + int(near[0]), lo + int(near[-1]) + 1))
+    # out is resized in place, grown to the last length a run may fill and
+    # shrunk to the last row with a finite entry: no view of it exists
     if runs:
-        out = np.concatenate((out, np.full((runs[-1][1] - third - 1, n), np.inf)))
+        out.resize((runs[-1][1], n), refcheck=False)
+        out[third + 1:] = np.inf
         for lo, hi in runs:
             fill(lo, hi)
     over = out > bound
     out[over] = np.inf
-    rows = 1 + int(np.flatnonzero(~over.all(axis=1))[-1])
-    return out if rows == out.shape[0] else out[:rows].copy()
+    out.resize((1 + int(np.flatnonzero(~over.all(axis=1))[-1]), n), refcheck=False)
+    return out
 
 
 def _side_bound(head: np.ndarray) -> float:
