@@ -264,7 +264,10 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     A block whose bounds are all above B stays +inf; any other is
     scanned from its first length with a bound at or below B to its
     last.  A level is built when a scan first needs it, and only the
-    latest is kept.
+    latest is kept.  The table holds rows 0 to ceil(n/3) until every
+    block is probed, is then grown in place to the last length a scan
+    may fill, and is shrunk at the end to its last row with a finite
+    entry: rows past it are +inf, and are not stored.
     """
     n = xs.shape[0]
     x, y = xs - xs.min(), ys - ys.min()

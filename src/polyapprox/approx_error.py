@@ -112,15 +112,15 @@ class E2Costs:
                 # a span past the stored rows: the closed form there
                 u, v, span = np.broadcast_arrays(u, v, span)
                 far = span >= rows
-                out = table[np.where(far, 0, span), v]
+                out = np.array(table[np.where(far, 0, span), v])
                 pts = curve.points_float()
                 out[far] = _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], moment_tables(curve),
                                                  u[far], v[far])
-                return out
+                return out[()]
 
         def splits(p, q):
             k = (q - p) % n
-            if k > rows:
+            if table is None or k > rows:
                 js = (p + np.arange(1, k)) % n
                 sides = arcs(np.stack((np.full_like(js, p), js)),
                              np.stack((js, np.full_like(js, q))))

@@ -109,7 +109,7 @@ class SegmentCosts:
     Emax of an arc of at most ceil(n/3) steps); its other entries, and
     so every profile value and polygon, are exact.  Each table stores
     only the rows a bounded solve can read: the E2 table rows 0 to R -
-    1, every one of whose longer arcs costs more than any solve's
+    1, as every arc of R or more steps costs more than any solve's
     running bound (_kernels.e2_row_bound), the Emax table rows 0 to its
     last with a finite entry.  A solve whose profile rises reruns
     unbounded over every row, and the instance keeps that table in full

@@ -135,6 +135,7 @@ def test_e2_costs_read_the_table_bit_for_bit():
         # the table stops short of n rows: arcs past it are the closed form's
         assert lookup.rows < n
         assert lookup.arcs(u, v).tobytes() == want.tobytes()
+        assert lookup.arcs(1, 0) == closed.arcs(1, 0) and lookup.arcs(1, 2) == 0.0
         assert [lookup.arc(int(a), int(b)) for a, b in zip(u[::61], v[::61])] == scalar
         # both sides at every split point, in order from p, on arcs that
         # wrap past index 0 or not, short and long, past the stored rows

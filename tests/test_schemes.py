@@ -337,7 +337,7 @@ def test_stabilize_matches_reference_on_tied_rectangles(monkeypatch):
             assert got == want, c.name
 
 
-def test_schemes_read_arcs_past_the_stored_rows():
+def test_schemes_read_arcs_past_the_stored_rows(monkeypatch):
     # elimination to a triangle, and stabilize from a triangle with a
     # slot between far neighbours, rescore arcs longer than the rows the
     # E2 table stores: the closed form answers those, with the same bits
@@ -346,9 +346,8 @@ def test_schemes_read_arcs_past_the_stored_rows():
     # slot 0 is scored first, between vertices n - 2 steps apart
     triangle = PolygonApprox(c, [0, n // 2, n // 2 + 2])
     for run in (lambda: eliminate_to_m(c, 3), lambda: stabilize(c, triangle)):
-        with pytest.MonkeyPatch.context() as mp:
-            far = []
-            closed, table = on_both_paths(mp, c, run, far)
+        far = []
+        closed, table = on_both_paths(monkeypatch, c, run, far)
         assert far and closed == table
 
 
