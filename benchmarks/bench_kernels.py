@@ -10,7 +10,10 @@ hull, so that its hull levels are as large as they get; and on the
 first ellipse with two points a third of the ring apart swapped, which
 makes its sides cross.  Every table row also prints the rows the table
 stores, of n, and the peak of the numpy allocations of one build
-(tracemalloc), table included.  "e2 cost table" builds the rows a
+(tracemalloc), table included.  "emax hull levels" builds, alone, the
+hull levels the Emax table builds on the ellipse (and "hull levels,
+all-hull" on the circle), as it builds them: its rows column prints
+their count.  "e2 cost table" builds the rows a
 bounded solve can read, bound included, as SegmentCosts does; "e2,
 every row" builds all n.  The DP solves the ellipse's stored E2 and
 Emax tables from vertex 0, as the study does, and an n x n table of
@@ -67,6 +70,34 @@ def stored_e2_table(xs, ys):
     builds it."""
     _, rows = _kernels.e2_row_bound(xs, ys)
     return _kernels.e2_cost_table(xs, ys, rows)
+
+
+def levels_built(xs, ys) -> int:
+    """How many hull levels emax_cost_table builds on the ring: it asks
+    _kernels._hull_levels for each as a scan first needs it."""
+    built = 0
+    levels = _kernels._hull_levels
+
+    def counted(z):
+        nonlocal built
+        for level in levels(z):
+            built += 1
+            yield level
+
+    _kernels._hull_levels = counted
+    try:
+        _kernels.emax_cost_table(xs, ys)
+    finally:
+        _kernels._hull_levels = levels
+    return built
+
+
+def hull_levels(xs, ys, count):
+    """Levels 0 to count - 1 of the Emax table's hull table, from the
+    min corner, each dropped when the next is built, as the table does."""
+    levels = _kernels._hull_levels((xs - xs.min()) + 1j * (ys - ys.min()))
+    for _ in range(count):
+        next(levels)
 
 
 def timeit(fn, args, repeat: int) -> float:
@@ -147,6 +178,11 @@ def main() -> int:
         rows = f"{fn(*call_args).shape[0]}/{call_args[0].shape[0]}"
         print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms"
               f" {peak_mb(fn, call_args):>8.2f}MB {rows:>12}")
+    for name, ring in (("emax hull levels", (xs, ys)),
+                       ("hull levels, all-hull", (circle[:, 0], circle[:, 1]))):
+        call_args = (*ring, levels_built(*ring))
+        print(f"{name:<24} {timeit(hull_levels, call_args, args.repeat) * 1e3:>8.2f}ms"
+              f" {peak_mb(hull_levels, call_args):>8.2f}MB {f'{call_args[2]} levels':>12}")
     print(f"{'kernel':<24} {'time':>10}")
     for name, fn, call_args in solves:
         print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")

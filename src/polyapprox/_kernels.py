@@ -27,9 +27,10 @@ such a side (_side_bound says why).  Its points must be distinct
 integers spanning less than EXACT_SPAN, which SegmentCosts checks.  One
 path builds it on every ring, simple or not: a sparse table whose level
 k holds the hull vertices of every window of 2^k points, merged from
-level k-1 by Andrew's monotone chain.  Two windows of one level cover
-any arc, so an entry scans their vertices, not the arc.  It stores its
-rows up to the last with a finite entry.
+level k-1 by Andrew's monotone chain, one lockstep pass over the lower
+and upper chains together.  Two windows of one level cover any arc, so
+an entry scans their vertices, not the arc, with its arithmetic done
+in place.  It stores its rows up to the last with a finite entry.
 
 Costs are >= 0, so a DP layer may drop every cell above b, the least
 of a seeded triangle's cost and the profile values found so far, and
@@ -95,22 +96,40 @@ def e2_arc_costs(xs, ys, prefixes, u, v):
 def _e2_closed_form(xu, yu, xv, yv, sums, cnt, out=None):
     """E2 of arcs from their chord ends, the interior sums (sx, sy, sxx,
     syy, sxy) and the interior point count; the one order of operations
-    that e2_arc_costs and e2_cost_table share."""
+    that e2_arc_costs and e2_cost_table share.
+
+    The numerator is summed term by term into one buffer (`out` if
+    given), each term formed in a second one, as
+    dy dy sxx + dx dx syy - 2 dx dy sxy + 2 k dy sx - 2 k dx sy + cnt k k
+    evaluates left to right.  Both buffers take the broadcast shape, 0-d
+    for scalar arguments, which then give a scalar."""
     sx, sy, sxx, syy, sxy = sums
     dx = xv - xu
     dy = yv - yu
-    l2 = dx * dx + dy * dy
-    k = yu * dx - xu * dy
-    num = (
-        dy * dy * sxx
-        + dx * dx * syy
-        - 2.0 * dx * dy * sxy
-        + 2.0 * k * dy * sx
-        - 2.0 * k * dx * sy
-        + cnt * k * k
-    )
+    ddx, ddy = dx * dx, dy * dy
+    k = yu * dx
+    k -= xu * dy
+    shape = np.broadcast_shapes(np.shape(k), np.shape(sx), np.shape(cnt))
+    num = np.multiply(ddy, sxx, out=np.empty(shape) if out is None else out)
+    term = np.multiply(ddx, syy, out=np.empty(shape))
+    num += term
+    np.multiply(2.0, dx, out=term)
+    term *= dy
+    term *= sxy
+    num -= term
+    k2 = 2.0 * k
+    np.multiply(k2, dy, out=term)
+    term *= sx
+    num += term
+    np.multiply(k2, dx, out=term)
+    term *= sy
+    num -= term
+    np.multiply(cnt, k, out=term)
+    term *= k
+    num += term
     # cancellation can leave tiny negatives on collinear arcs
-    return np.divide(np.maximum(num, 0.0), l2, out=out)
+    np.maximum(num, 0.0, out=num)
+    return np.divide(num, ddx + ddy, out=num)[()]
 
 
 # Entries of the squared-error table evaluated per block of spans: small
@@ -281,19 +300,32 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     def scan(lo, hi, windows):
         # entries of the arcs of lo..hi-1 steps from the points of
-        # `windows`, (x, y) pairs of shape (rows, lengths or 1, n)
+        # `windows`, (x, y) pairs of shape (rows, lengths or 1, n); every
+        # value before the division is an exact integer
         dx = ends_x[lo:hi] - x
         dy = ends_y[lo:hi] - y
-        top = np.full(dx.shape, -np.inf)
-        bottom = np.full(dx.shape, np.inf)
+        top = bottom = None
         for px, py in windows:
             f = py * dx
             f -= px * dy
-            np.maximum(top, f.max(axis=0), out=top)
-            np.minimum(bottom, f.min(axis=0), out=bottom)
-        c0 = y * dx - x * dy
-        dev = np.maximum(np.abs(top - c0), np.abs(c0 - bottom))
-        return dev / np.sqrt(dx * dx + dy * dy)
+            if top is None:
+                top, bottom = f.max(axis=0), f.min(axis=0)
+            else:
+                np.maximum(top, f.max(axis=0), out=top)
+                np.minimum(bottom, f.min(axis=0), out=bottom)
+        c0 = y * dx
+        c0 -= x * dy
+        top -= c0
+        np.subtract(c0, bottom, out=bottom)
+        np.abs(top, out=top)
+        np.abs(bottom, out=bottom)
+        np.maximum(top, bottom, out=top)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        top /= dx
+        return top
 
     def fill(lo, hi):
         nonlocal built, wx, wy
@@ -356,16 +388,16 @@ def _hull_levels(z: np.ndarray):
     whose [:, s, u] holds every strict hull vertex of p[u+s..u+s+2^k-1],
     padded by repeating one.  Those are the window's lower and upper
     chains.  Level k's are _merged_chains of level k-1's windows u and
-    u + 2^(k-1): a point on neither child's lower chain is on no lower
-    chain of their union, and likewise for upper chains.
+    u + 2^(k-1), both kinds in one pass: a point on neither child's
+    lower chain is on no lower chain of their union, and likewise for
+    upper chains.
     """
     lower = upper = z[None, :]
     n_lower = n_upper = np.ones(z.shape[0], dtype=np.int64)
     width = 1
     while True:
         yield _level_points(lower, n_lower, upper, n_upper, width)
-        lower, n_lower = _merged_chains(lower, width, 1.0)
-        upper, n_upper = _merged_chains(upper, width, -1.0)
+        lower, n_lower, upper, n_upper = _merged_chains(lower, upper, width)
         width *= 2
 
 
@@ -384,50 +416,74 @@ def _level_points(lower, n_lower, upper, n_upper, width):
                  for a in (q.real, q.imag))
 
 
-def _merged_chains(chain: np.ndarray, width: int, sign: float):
-    """Start u's strict lower (sign 1) or upper (sign -1) chain of the
-    union of windows u and u + width, from their chains of the same
-    kind, columns of `chain`.  Returns the chains, padded past each
-    end with its last vertex, and their lengths.
+def _merged_chains(lower: np.ndarray, upper: np.ndarray, width: int):
+    """Start u's strict lower and upper chains of the union of windows u
+    and u + width, from their chains, columns of `lower` and `upper`.
+    Returns (lower, lengths, upper, lengths): each kind's chains, padded
+    past each end with its last vertex, as tall as its longest.
 
-    Each start sorts its points by the exact key x * 2**27 + y (upper
-    chains descending), and Andrew's monotone chain runs over them, all
-    starts in lockstep, over blocks of starts of about _EMAX_BLOCK
-    entries: it pops while the last two points and the next do not turn
-    left.  A stack never passes the point it reads, so it lives in the
-    rows already read.  A repeated point costs one pop and one push, so
-    the padding needs no mask.
+    A block of starts, about _EMAX_BLOCK entries for both kinds
+    together, has two lanes a start: its lower candidates sorted by the
+    exact key x * 2**27 + y, and its upper candidates by descending key,
+    each kind padded to the block's height with its own last point.
+    Andrew's monotone chain runs over every lane in lockstep: it pops
+    while the last two points and the next do not turn left.  A stack
+    never passes the point it reads, so it lives in the rows already
+    read, and a lane's next push goes to flat index `at`, its height
+    times the lanes plus the lane.  A repeated point costs one pop and
+    one push, so the padding needs no mask.  The lanes are split back
+    by kind.
     """
-    rows, n = 2 * chain.shape[0], chain.shape[1]
+    n = lower.shape[1]
+    rows = 2 * max(lower.shape[0], upper.shape[0])
     parts, tops = [], []
-    step = max(1, _EMAX_BLOCK // rows)
+    step = max(1, _EMAX_BLOCK // (2 * rows))
     for a in range(0, n, step):
-        lanes = np.arange(a, min(a + step, n))
-        pts = np.concatenate((chain[:, lanes], chain[:, (lanes + width) % n]))
-        pts = np.take_along_axis(
-            pts, np.argsort(sign * (pts.real * 2.0**27 + pts.imag), axis=0), axis=0)
-        c = lanes.size
-        lane = np.arange(c)
+        starts = np.arange(a, min(a + step, n))
+        k = starts.size
+        c = 2 * k
+        pts = np.empty((rows, c), dtype=complex)
+        for lanes, chain in ((slice(0, k), lower), (slice(k, c), upper)):
+            h = chain.shape[0]
+            pts[:h, lanes] = chain[:, starts]
+            pts[h:2 * h, lanes] = chain[:, (starts + width) % n]
+            pts[2 * h:, lanes] = pts[2 * h - 1, lanes]
+        # the keys, then their order in the same name: no key outlives
+        # the sort
+        order = pts.real * 2.0**27
+        order += pts.imag
+        order[:, k:] *= -1.0
+        order = order.argsort(axis=0)
+        pts = np.take_along_axis(pts, order, axis=0)
         flat = pts.reshape(-1)
-        top = np.full(c, 2)
+        lane = np.arange(c)
+        at = lane + 2 * c
         below, last = pts[0].copy(), pts[1].copy()
         for q in pts[2:]:
             pop = lane[((last - below).conj() * (q - below)).imag <= 0.0]
             while pop.size:
-                top[pop] -= 1
-                last[pop] = below[pop]
-                pop = pop[top[pop] >= 2]
-                below[pop] = flat[(top[pop] - 2) * c + pop]
-                turn = (last[pop] - below[pop]).conj() * (q[pop] - below[pop])
+                head = at[pop] - c
+                at[pop] = head
+                prev = below[pop]
+                last[pop] = prev
+                deep = head >= 2 * c
+                pop, head, prev = pop[deep], head[deep], prev[deep]
+                low = flat[head - 2 * c]
+                below[pop] = low
+                turn = (prev - low).conj() * (q[pop] - low)
                 pop = pop[turn.imag <= 0.0]
-            flat[top * c + lane] = q
-            top += 1
+            flat[at] = q
+            at += c
             below, last = last, q.copy()
+        top = at // c
         np.copyto(pts, last, where=np.arange(rows)[:, None] >= top)
-        parts.append(pts)
-        tops.append(top)
-    top = np.concatenate(tops)
-    return np.concatenate([p[:top.max()] for p in parts], axis=1), top
+        # [row, kind, start]
+        parts.append(pts.reshape(rows, 2, k))
+        tops.append(top.reshape(2, k))
+    top = np.concatenate(tops, axis=1)
+    lower, upper = (np.concatenate([p[:top[kind].max(), kind] for p in parts], axis=1)
+                    for kind in (0, 1))
+    return lower, top[0], upper, top[1]
 
 
 def cheapest_sides(tab: np.ndarray) -> np.ndarray:

@@ -671,21 +671,76 @@ def test_hull_levels_hold_the_strict_hull_vertices(name):
             assert got == _strict_hull(window), (k, u)
 
 
+def _half_disc():
+    # integer points of the upper half of a circle of radius 10**5 (each
+    # a strict hull vertex), then 19 points along the flat side
+    theta = np.pi * np.arange(40) / 39
+    arc = np.rint(1e5 * np.column_stack((np.cos(theta), np.sin(theta))))
+    flat = np.column_stack((np.arange(-90000, 100000, 10000), np.zeros(19)))
+    return np.concatenate((arc, flat))
+
+
+def _chain_lengths(hull):
+    """Lengths of the strict lower and upper chains of a set of points in
+    strictly convex position: the ends, the least and the greatest in
+    (x, y) order, and the points below, or above, the line through
+    them."""
+    pts = sorted(hull)
+    if len(pts) < 3:
+        return len(pts), len(pts)
+    (x0, y0), (x1, y1) = pts[0], pts[-1]
+    side = [np.sign((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)) for x, y in pts[1:-1]]
+    return 2 + side.count(-1), 2 + side.count(1)
+
+
+def test_hull_levels_merge_chains_of_unequal_height(monkeypatch):
+    # on a half-disc a window's upper chain can hold every arc point while
+    # its lower chain holds two or three: each level holds every window's
+    # strict hull vertices, and each kind's chains are as tall as its own
+    # longest, as merging the kinds one at a time made them
+    merge = _kernels._merged_chains
+    merged = []
+
+    def traced(lower, upper, width):
+        merged.append(merge(lower, upper, width))
+        return merged[-1]
+
+    monkeypatch.setattr(_kernels, "_merged_chains", traced)
+    pts = _half_disc()
+    n = pts.shape[0]
+    rel = pts - pts.min(axis=0)
+    levels = _kernels._hull_levels(rel[:, 0] + 1j * rel[:, 1])
+    for k in range(int(np.log2(n - 2)) + 1):
+        wx, wy = next(levels)
+        lengths = []
+        for u in range(n):
+            hull = _strict_hull([tuple(rel[(u + j) % n]) for j in range(2**k)])
+            assert set(zip(wx[:, 0, u].tolist(), wy[:, 0, u].tolist())) == hull, (k, u)
+            lengths.append(_chain_lengths(hull))
+        if k:
+            lower, n_lower, upper, n_upper = merged[k - 1]
+            assert np.array_equal(np.stack((n_lower, n_upper), axis=1), lengths), k
+            assert (lower.shape[0], upper.shape[0]) == (n_lower.max(), n_upper.max()), k
+    assert 4 * n_lower.max() <= n_upper.max()
+    _check_emax_exact(pts, _scan_bounded)
+
+
 @pytest.mark.parametrize("n", [150, 300])
 def test_emax_table_merges_hulls_in_blocks_of_starts(n, monkeypatch):
     # on a ring whose every point is a hull vertex, a level merge takes
-    # its chains and their sorted copy, a block at a time, plus a few
-    # blocks of temporaries, however wide its windows
+    # both kinds' chains and their sorted copy, a block at a time, plus a
+    # few blocks of temporaries, however wide its windows
     merge = _kernels._merged_chains
     extra = []
 
-    def traced(chain, width, sign):
+    def traced(lower, upper, width):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out, top = merge(chain, width, sign)
+        out = merge(lower, upper, width)
         peak = tracemalloc.get_traced_memory()[1]
-        extra.append(peak - before - out.nbytes - 2 * chain.nbytes)
-        return out, top
+        extra.append(peak - before - out[0].nbytes - out[2].nbytes
+                     - 2 * (lower.nbytes + upper.nbytes))
+        return out
 
     monkeypatch.setattr(_kernels, "_merged_chains", traced)
     ring = _thin_all_hull(n)
