@@ -109,7 +109,7 @@ def _e2_closed_form(xu, yu, xv, yv, sums, cnt, out=None):
     ddx, ddy = dx * dx, dy * dy
     k = yu * dx
     k -= xu * dy
-    shape = np.broadcast_shapes(np.shape(k), np.shape(sx), np.shape(cnt))
+    shape = np.broadcast(k, sx, cnt).shape
     num = np.multiply(ddy, sxx, out=np.empty(shape) if out is None else out)
     term = np.multiply(ddx, syy, out=np.empty(shape))
     num += term
@@ -432,7 +432,8 @@ def _merged_chains(lower: np.ndarray, upper: np.ndarray, width: int):
     read, and a lane's next push goes to flat index `at`, its height
     times the lanes plus the lane.  A repeated point costs one pop and
     one push, so the padding needs no mask.  The lanes are split back
-    by kind.
+    by kind, each kind's cut to the block's longest chain of its kind
+    and copied, so no block's sorted candidates outlive it.
     """
     n = lower.shape[1]
     rows = 2 * max(lower.shape[0], upper.shape[0])
@@ -475,15 +476,22 @@ def _merged_chains(lower: np.ndarray, upper: np.ndarray, width: int):
             flat[at] = q
             at += c
             below, last = last, q.copy()
-        top = at // c
-        np.copyto(pts, last, where=np.arange(rows)[:, None] >= top)
-        # [row, kind, start]
-        parts.append(pts.reshape(rows, 2, k))
-        tops.append(top.reshape(2, k))
+        top = (at // c).reshape(2, k)
+        np.copyto(pts, last, where=np.arange(rows)[:, None] >= top.reshape(-1))
+        pts = pts.reshape(rows, 2, k)
+        parts.append([pts[:t.max(), kind].copy() for kind, t in enumerate(top)])
+        tops.append(top)
     top = np.concatenate(tops, axis=1)
-    lower, upper = (np.concatenate([p[:top[kind].max(), kind] for p in parts], axis=1)
-                    for kind in (0, 1))
-    return lower, top[0], upper, top[1]
+    chains = []
+    for kind, t in enumerate(top):
+        out = np.empty((t.max(), n), dtype=complex)
+        for a, part in zip(range(0, n, step), parts):
+            block = part[kind]
+            h, cols = block.shape[0], slice(a, a + block.shape[1])
+            out[:h, cols] = block
+            out[h:, cols] = block[-1]
+        chains.append(out)
+    return chains[0], top[0], chains[1], top[1]
 
 
 def cheapest_sides(tab: np.ndarray) -> np.ndarray:
