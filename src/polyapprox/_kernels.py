@@ -30,7 +30,8 @@ k holds the hull vertices of every window of 2^k points, merged from
 level k-1 by Andrew's monotone chain, one lockstep pass over the lower
 and upper chains together.  Two windows of one level cover any arc, so
 an entry scans their vertices, not the arc, with its arithmetic done
-in place.  It stores its rows up to the last with a finite entry.
+in place.  It stores its rows up to the last with a finite entry, and
+grows only for a block of arcs that holds an entry at or under B.
 
 Costs are >= 0, so a DP layer may drop every cell above b, the least
 of a seeded triangle's cost and the profile values found so far, and
@@ -248,9 +249,12 @@ def e2_row_bound(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
 # 2**53, so float64 evaluates them exactly.
 EXACT_SPAN = 2**26
 
-# Entries the max-error table handles per block: window rows times arc
-# lengths times starts in a scan, chain rows times starts in a merge.
+# Entries the max-error table handles per block: chain rows times starts
+# in a merge, window rows times arc lengths times starts in a scan or a
+# probe.  A scan holds a few arrays of its block's size and a merge many
+# more, so scans take the larger blocks, and fewer numpy calls.
 _EMAX_BLOCK = 1 << 14
+_EMAX_SCAN = 1 << 15
 
 # Points spread along each block of long arcs to bound them from below.
 _PROBES = 5
@@ -283,9 +287,11 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     A block whose bounds are all above B stays +inf; any other is
     scanned from its first length with a bound at or below B to its
     last.  A level is built when a scan first needs it, and only the
-    latest is kept.  The table holds rows 0 to ceil(n/3) until every
-    block is probed, is then grown in place to the last length a scan
-    may fill, and is shrunk at the end to its last row with a finite
+    latest is kept.  Scans and probes take blocks of about _EMAX_SCAN
+    entries.  The table holds rows 0 to ceil(n/3), and grows in place,
+    new rows +inf, only when a scanned block of long arcs has an entry
+    at or under B; a block whose entries all lie above B is not
+    written.  It is shrunk at the end to its last row with a finite
     entry: rows past it are +inf, and are not stored.
     """
     n = xs.shape[0]
@@ -327,8 +333,11 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         top /= dx
         return top
 
-    def fill(lo, hi):
-        nonlocal built, wx, wy
+    def fill(lo, hi, bound=None):
+        # rows lo..hi-1 of the table; with a bound, entries above it are
+        # +inf, a block of lengths with none at or under it is not
+        # written, and the table grows to hold the others
+        nonlocal built, wx, wy, last
         while lo < hi:
             k = (lo - 1).bit_length() - 1
             while built < k:
@@ -336,37 +345,42 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
                 wx = wy = None
                 wx, wy = next(levels)
                 built += 1
-            end = min(hi, 2**(k + 1) + 1, lo + max(1, _EMAX_BLOCK // (wx.shape[0] * n)))
-            first, last = slice(1, 2), slice(lo - 2**k, end - 2**k)
-            val = scan(lo, end, [(wx[:, first], wy[:, first]), (wx[:, last], wy[:, last])])
+            end = min(hi, 2**(k + 1) + 1, lo + max(1, _EMAX_SCAN // (wx.shape[0] * n)))
+            first, rest = slice(1, 2), slice(lo - 2**k, end - 2**k)
+            val = scan(lo, end, [(wx[:, first], wy[:, first]), (wx[:, rest], wy[:, rest])])
+            if bound is not None:
+                over = val > bound
+                kept = np.flatnonzero(~over.all(axis=1))
+                if not kept.size:
+                    lo = end
+                    continue
+                val[over] = np.inf
+                last = lo + int(kept[-1])
+                have = out.shape[0]
+                if have < end:
+                    # in place, new rows +inf: no view of out exists
+                    out.resize((end, n), refcheck=False)
+                    out[have:] = np.inf
             # row u of a length is entry (u + length) % n: a roll
             for length, row in zip(range(lo, end), val):
                 out[length, length:] = row[:n - length]
                 out[length, :length] = row[n - length:]
             lo = end
 
+    # the last row with a finite entry
+    last = third
     fill(2, third + 1)
     bound = _side_bound(out)
     # longer arcs: the first to the last length of each block whose
     # probes come at or under B
-    step = max(1, _EMAX_BLOCK // (_PROBES * n))
-    runs = []
+    step = max(1, _EMAX_SCAN // (_PROBES * n))
     for lo in range(third + 1, n, step):
         at = 1 + np.arange(1, _PROBES + 1) * (lo - 2) // (_PROBES + 1)
         probe = scan(lo, min(lo + step, n), [(ends_x[at, None], ends_y[at, None])])
         near = np.flatnonzero((probe <= bound).any(axis=1))
         if near.size:
-            runs.append((lo + int(near[0]), lo + int(near[-1]) + 1))
-    # out is resized in place, grown to the last length a run may fill and
-    # shrunk to the last row with a finite entry: no view of it exists
-    if runs:
-        out.resize((runs[-1][1], n), refcheck=False)
-        out[third + 1:] = np.inf
-        for lo, hi in runs:
-            fill(lo, hi)
-    over = out > bound
-    out[over] = np.inf
-    out.resize((1 + int(np.flatnonzero(~over.all(axis=1))[-1]), n), refcheck=False)
+            fill(lo + int(near[0]), lo + int(near[-1]) + 1, bound)
+    out.resize((last + 1, n), refcheck=False)
     return out
 
 

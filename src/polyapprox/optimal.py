@@ -87,7 +87,8 @@ class OptimalBaseline:
 
 # Most memory one curve's cost tables may take, 8 bytes an entry.  A
 # SegmentCosts holds at most both tables at n rows (a rising profile
-# builds the E2 table in full), and building the Emax table takes its
+# builds the E2 table in full, and pads the Emax table to n rows with
+# +inf however few its build kept), and building the Emax table takes its
 # hull levels besides: at most _LEVEL_TABLES n x n tables of them on the
 # rings where they are largest, those whose every point is a vertex of
 # each window's hull and whose long arcs stay under the table's bound,

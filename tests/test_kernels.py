@@ -622,11 +622,77 @@ def _thin_all_hull(n):
 
 @pytest.mark.parametrize("block", [1, 100, 1 << 14])
 def test_emax_table_exact_across_blocks(block, monkeypatch):
-    # one start and one length a block, ragged blocks, and the default
+    # one start a merge block, ragged blocks, and the default
     monkeypatch.setattr(_kernels, "_EMAX_BLOCK", block)
     for pts in (_circle(60), _thin_all_hull(40), RUN_RINGS["thin_rectangle"],
                 _lattice_cloud(np.random.default_rng(1), 50, 30)):
         _check_emax_exact(pts, _scan_bounded)
+
+
+def _scan_block_rings():
+    """A few rings of every family above."""
+    rng = np.random.default_rng(7)
+    rings = [lattice_ring(seed, n_lo=4, n_hi=60).points for seed in range(6)]
+    rings += [FUZZ_RINGS[family](rng) for family in sorted(FUZZ_RINGS) for _ in range(4)]
+    rings += [_crossed_blob(), *NON_SIMPLE_RINGS.values()]
+    rings += [_circle(60), _circle(131), _thin_all_hull(40), _convex_polygon(2, QUARTER_20)]
+    rings += [np.roll(ring, shift, axis=0) for ring in RUN_RINGS.values() for shift in (0, 3)]
+    rings += [_ellipse("thin", 50.0, 16.0, 400).points, _half_disc()]
+    for n in range(3, 41):
+        small = np.random.default_rng(n)
+        rings += [_angular_ring(small, n), _lattice_cloud(small, n, 8 + n)]
+    return rings
+
+
+def test_emax_table_exact_at_any_scan_block(monkeypatch):
+    # a scan budget of 1 gives every length a block of its own, and one
+    # of 2**22 puts each level's lengths, and all the long-arc probes, in
+    # one block: neither changes a table
+    for pts in _scan_block_rings():
+        xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
+        want = _span_major(_scan_bounded(xs, ys))
+        for budget in (1, 1 << 22):
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "_EMAX_SCAN", budget)
+                _assert_stored_rows(_kernels.emax_cost_table(xs, ys), want)
+
+
+@pytest.mark.parametrize("ring", [_fourier_blob(1, 40.0, 600), _ellipse("wide", 55.0, 30.0, 700)],
+                         ids=["blob01", "ellipse_wide"])
+def test_emax_table_grows_only_for_blocks_it_keeps(ring, monkeypatch):
+    # on blob01 and ellipse_wide of the corpus (n = 331 and 316) the
+    # probes of arcs up to n - 1 steps come at or under B, so those arcs
+    # are scanned, on the top hull level, though the table keeps about
+    # half its rows: the build holds its hull levels and less than one
+    # n-row table
+    levels = _kernels._hull_levels
+    built = 0
+
+    def counted(z):
+        nonlocal built
+        for level in levels(z):
+            built += 1
+            yield level
+
+    monkeypatch.setattr(_kernels, "_hull_levels", counted)
+    pts = ring.points.astype(np.float64)
+    n = pts.shape[0]
+    rel = pts - pts.min(axis=0)
+    tracemalloc.start()
+    try:
+        table = _kernels.emax_cost_table(pts[:, 0], pts[:, 1])
+        before, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        alone = levels(rel[:, 0] + 1j * rel[:, 1])
+        for _ in range(built):
+            next(alone)
+        del alone
+        own = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert built == int(np.log2(n - 2)) + 1
+    assert table.shape[0] < 0.55 * n
+    assert peak - own < 8 * n * n
 
 
 def _strict_hull(points):
