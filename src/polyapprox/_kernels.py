@@ -39,7 +39,7 @@ every side wider than the widest one costing at most b: what is left
 is a band of W spans.  The profile and every cell the band keeps are
 exact, and dp_chain recovers the chains from them; if the profile
 rises, the band loses a profile value and the solve runs once more
-unpruned, over every row (dp_solve says why).
+unpruned (dp_solve says over which rows).
 
 The kernels evaluate the arithmetic of plain per-entry loops, so their
 tables, and the DP's profile, chains and kept cells, equal the loops'
@@ -83,8 +83,8 @@ def e2_arc_costs(xs, ys, prefixes, u, v):
     strictly between u and v walking forward) is summed in O(1) by
     expanding the squared cross product against the chord into
     prefix-sum differences.  Adjacent pairs cost 0.  The expression and
-    its order of operations are those of the scalar approx_error._arc_e2
-    (arc_sum_sq), so each entry equals its value bit for bit.
+    its order of operations are those of the scalar approx_error._arc_e2,
+    so each entry equals its value bit for bit.
     """
     n = xs.shape[0]
     length = (v - u) % n
@@ -524,7 +524,7 @@ _DP_BLOCK = 1 << 16
 def dp_solve(tab, cheapest, start, m_max, use_max):
     """Optimal chain costs over a span-major table whose costs are >= 0
     (or +inf), with cheapest = cheapest_sides(tab); None if the profile
-    rose and the table stores fewer than n rows.
+    rose and a sum table (use_max False) stores fewer than n rows.
 
     Position v is curve index (start + v) % n, so position n is the
     start again, closing the ring, and the side from position u to v is
@@ -550,8 +550,9 @@ def dp_solve(tab, cheapest, start, m_max, use_max):
     treats the sides beyond them as +inf.  A profile value dp[3:, n]
     that comes back +inf means the profile rose (or has no polygon),
     and the solve runs again with every b_j = +inf: the full DP, every
-    reachable cell, which reads every row, so it returns None unless
-    the table stores all n.
+    reachable cell.  A max-error table leaves out only +inf rows
+    (emax_cost_table), so over its stored rows that is the full DP; a
+    sum table's are finite, so over fewer than n rows it returns None.
     """
     rows, n = tab.shape
     combine = np.maximum if use_max else np.add
@@ -560,7 +561,7 @@ def dp_solve(tab, cheapest, start, m_max, use_max):
                  tab[n - b, start])
     dp = _dp_layers(tab, cheapest, start, m_max, combine, u3)
     if np.isinf(dp[3:, n]).any():
-        if rows < n:
+        if rows < n and not use_max:
             return None
         dp = _dp_layers(tab, cheapest, start, m_max, combine, None)
     return dp

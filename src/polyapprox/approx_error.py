@@ -3,9 +3,9 @@
 The deviation of a curve point from a polygon side is its perpendicular
 distance to the infinite line through the side's endpoints, not to the
 clipped segment.  Per-side sums of squared deviations come from moment
-prefix tables in O(1) per query, or, for the schemes, from the curve's
-E2 table while a SegmentCosts holds one, on the spans it stores
-(E2Costs).
+prefix tables in O(1) per query by one closed form (_kernels.e2_arc_costs,
+and _arc_e2 for one arc), or, for the schemes, from the curve's E2 table
+while a SegmentCosts holds one, on the spans it stores (E2Costs).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "PolygonApprox",
     "moment_tables",
     "E2Costs",
-    "arc_sum_sq",
     "polygon_errors",
     "compression_ratio",
 ]
@@ -101,7 +100,8 @@ class E2Costs:
                 span = (v - u) % n
                 if span < rows:
                     return item(span, v)
-                return arc_sum_sq(curve.points, moment_tables(curve), u, v)
+                pts = curve.points
+                return _arc_e2(pts[:, 0], pts[:, 1], moment_tables(curve), n, u, v)
 
             def arcs(u, v):
                 span = (v - u) % n
@@ -183,8 +183,9 @@ class PolygonApprox:
 
 
 def _arc_e2(xs, ys, prefixes, n: int, u: int, v: int):
-    """arc_sum_sq on any indexable coordinates and doubled prefixes:
-    numpy arrays or Python lists, which give the same bits."""
+    """e2_arc_costs of one arc u -> v on any indexable coordinates and
+    doubled prefixes: numpy arrays or Python lists, which give the same
+    bits."""
     xu = float(xs[u])
     yu = float(ys[u])
     dx = float(xs[v]) - xu
@@ -216,12 +217,6 @@ def _arc_e2(xs, ys, prefixes, n: int, u: int, v: int):
     return max(num, 0.0) / l2
 
 
-def arc_sum_sq(points: np.ndarray, prefixes: tuple, u: int, v: int) -> float:
-    """O(1) sum of squared deviations over the forward arc u -> v, from
-    the points' doubled prefixes (moment_tables)."""
-    return _arc_e2(points[:, 0], points[:, 1], prefixes, points.shape[0], u, v)
-
-
 def _arcs_max_e(points: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Largest deviation over each forward arc u[k] -> v[k].
 
@@ -250,12 +245,17 @@ def _arcs_max_e(points: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.
 
 
 def _polygon_errors(points: np.ndarray, prefixes: tuple, idx) -> tuple[float, float]:
+    """(E2, Emax) of the polygon through points[idx].  Emax comes first,
+    raising DegenerateSegment on a side between coincident points, whose
+    E2 would be 0 / 0; the sides' E2 are summed left to right."""
     u = np.asarray(idx)
     v = np.roll(u, -1)
+    emax = float(_arcs_max_e(points, points.shape[0], u, v).max())
+    pts = points.astype(np.float64, copy=False)
     e2 = 0.0
-    for a, b in zip(u.tolist(), v.tolist()):
-        e2 += arc_sum_sq(points, prefixes, a, b)
-    return e2, float(_arcs_max_e(points, points.shape[0], u, v).max())
+    for side in _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], prefixes, u, v):
+        e2 += side
+    return e2, emax
 
 
 def polygon_errors(curve: DigitalCurve, poly: PolygonApprox) -> tuple[float, float]:

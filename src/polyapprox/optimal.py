@@ -86,9 +86,9 @@ class OptimalBaseline:
 
 
 # Most memory one curve's cost tables may take, 8 bytes an entry.  A
-# SegmentCosts holds at most both tables at n rows (a rising profile
-# builds the E2 table in full, and pads the Emax table to n rows with
-# +inf however few its build kept), and building the Emax table takes its
+# SegmentCosts holds at most both tables at n rows (a rising E2 profile
+# builds the E2 table in full, and an Emax build may keep every row, as
+# on the corpus's ellipse_thin), and building the Emax table takes its
 # hull levels besides: at most _LEVEL_TABLES n x n tables of them on the
 # rings where they are largest, those whose every point is a vertex of
 # each window's hull and whose long arcs stay under the table's bound,
@@ -113,8 +113,9 @@ class SegmentCosts:
     1, as every arc of R or more steps costs more than any solve's
     running bound (_kernels.e2_row_bound), the Emax table rows 0 to its
     last with a finite entry.  A solve whose profile rises reruns
-    unbounded over every row, and the instance keeps that table in full
-    from then on.  Curves are rejected
+    unbounded: over the stored rows of the Emax table, whose other rows
+    are +inf, and over every row of the E2 table, which the instance
+    builds in full and keeps from then on.  Curves are rejected
     up front whose tables would take more than MAX_TABLE_BYTES, whose x
     or y coordinates span 2**26 (_kernels.EXACT_SPAN) or more, beyond
     which float64 cross products lose bits, or whose points coincide
@@ -154,13 +155,11 @@ class SegmentCosts:
                 f" below 2**26"
             )
         self.curve = curve
-        self._tables: dict[CostKind, np.ndarray] = {}
-        # per table: _kernels.cheapest_sides, the DP's band widths
-        self._cheapest: dict[CostKind, np.ndarray] = {}
+        # per kind: the table and its band widths, _kernels.cheapest_sides
+        self._tables: dict[CostKind, tuple[np.ndarray, np.ndarray]] = {}
 
     def table(self, kind: CostKind) -> np.ndarray:
-        tab = self._tables.get(kind)
-        if tab is None:
+        if kind not in self._tables:
             xs, ys = self._coordinates()
             if kind is CostKind.SUM_SQUARED:
                 _, rows = _kernels.e2_row_bound(xs, ys)
@@ -168,7 +167,7 @@ class SegmentCosts:
             else:
                 tab = _kernels.emax_cost_table(xs, ys)
             self._keep(kind, tab)
-        return tab
+        return self._tables[kind][0]
 
     def _coordinates(self):
         pts = self.curve.points
@@ -176,23 +175,15 @@ class SegmentCosts:
 
     def _keep(self, kind: CostKind, tab: np.ndarray) -> None:
         tab.setflags(write=False)
-        self._tables[kind] = tab
-        self._cheapest.pop(kind, None)
+        self._tables[kind] = tab, _kernels.cheapest_sides(tab)
         if kind is CostKind.SUM_SQUARED:
             record_e2_table(self.curve, tab)
 
-    def _keep_every_row(self, kind: CostKind) -> None:
-        """Replace the table of `kind` by one of all n rows: the E2 table
-        built in full (its stored rows freed first), the Emax table
-        padded with +inf rows."""
-        n = self.curve.n
-        part = self._tables.pop(kind)
-        if kind is CostKind.SUM_SQUARED:
-            del part
-            tab = _kernels.e2_cost_table(*self._coordinates())
-        else:
-            tab = np.concatenate((part, np.full((n - part.shape[0], n), np.inf)))
-        self._keep(kind, tab)
+    def _keep_every_row(self) -> None:
+        """Replace the E2 table by one of all n rows, its stored rows
+        freed first (the Emax table leaves out only +inf rows)."""
+        del self._tables[CostKind.SUM_SQUARED]
+        self._keep(CostKind.SUM_SQUARED, _kernels.e2_cost_table(*self._coordinates()))
 
     def _solve(self, start: int, m_max: int, kind: CostKind):
         n = self.curve.n
@@ -201,18 +192,14 @@ class SegmentCosts:
         if not (3 <= m_max <= n):
             raise InvalidCounts(f"need 3 <= m_max <= n, got m_max={m_max}, n={n}")
         use_max = kind is CostKind.MAX_ERROR
-        while True:
-            tab = self.table(kind)
-            cheapest = self._cheapest.get(kind)
-            if cheapest is None:
-                cheapest = self._cheapest[kind] = _kernels.cheapest_sides(tab)
-            dp = _kernels.dp_solve(tab, cheapest, start, m_max, use_max)
-            if dp is not None:
-                return dp
-            # the profile rose past the stored rows: the unbounded rerun
-            # reads every row, and the table keeps them from now on
-            del tab, cheapest
-            self._keep_every_row(kind)
+        dp = _kernels.dp_solve(self.table(kind), self._tables[kind][1], start, m_max, use_max)
+        if dp is None:
+            # the E2 profile rose past the stored rows: the unbounded
+            # rerun reads every row, and the table keeps them from now on
+            self._keep_every_row()
+            dp = _kernels.dp_solve(self.table(kind), self._tables[kind][1], start, m_max,
+                                   use_max)
+        return dp
 
     def profile(self, start: int, m_max: int, kind: CostKind) -> ErrorProfile:
         dp = self._solve(start, m_max, kind)

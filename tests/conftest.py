@@ -1,5 +1,7 @@
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,17 @@ from polyapprox import (
     DigitalCurve,
     SegmentCosts,
     _kernels,
-    arc_sum_sq,
     baseline_from_profile,
     moment_tables,
     polygon_errors,
     select_start_vertex,
 )
-from polyapprox.approx_error import _arcs_max_e, _polygon_errors
+from polyapprox.approx_error import _arc_e2, _arcs_max_e, _polygon_errors
 from polyapprox.exceptions import DegenerateSegment
+
+# the contour corpus is the benchmark's generator at its default seed
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from corpus import _ellipse, build_corpus, fourier_blob  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,14 @@ def perpendicular_distance(p_u, p_v, p_w) -> float:
     if dx == 0.0 and dy == 0.0:
         raise DegenerateSegment(f"segment endpoints coincide at ({xu}, {yu})")
     return abs((xw - xu) * dy - (yw - yu) * dx) / math.hypot(dx, dy)
+
+
+def arc_sum_sq(points: np.ndarray, prefixes: tuple, u: int, v: int) -> float:
+    """Sum of squared deviations over the forward arc u -> v by the
+    library's scalar closed form, from the points' doubled prefixes
+    (moment_tables): the oracle the vector closed form and the E2 table
+    must match bit for bit."""
+    return _arc_e2(points[:, 0], points[:, 1], prefixes, points.shape[0], u, v)
 
 
 def segment_errors(curve: DigitalCurve, u: int, v: int) -> SegmentErrors:
@@ -143,75 +156,9 @@ def wide_ring(w: int) -> DigitalCurve:
     return DigitalCurve(pts, name=f"wide{w}")
 
 
-def _dedup_trace(pts: np.ndarray) -> np.ndarray:
-    """Drop repeated coordinates from a dense rounded trace, keeping first
-    occurrences, until the ring is globally duplicate free."""
-    for _ in range(12):
-        _, idx = np.unique(pts, axis=0, return_index=True)
-        pts = pts[np.sort(idx)]
-        keep = np.any(pts != np.roll(pts, 1, axis=0), axis=1)
-        pts = pts[keep]
-        if len(np.unique(pts, axis=0)) == len(pts):
-            return pts
-    raise AssertionError("trace dedup did not converge")
-
-
-def _radial_curve(name: str, radius_fn, n_theta: int, rotate: float = 0.0) -> DigitalCurve:
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    r = radius_fn(theta)
-    x = np.round(r * np.cos(theta + rotate)).astype(np.int64)
-    y = np.round(r * np.sin(theta + rotate)).astype(np.int64)
-    return DigitalCurve(_dedup_trace(np.stack([x, y], axis=1)), name=name)
-
-
 def _fourier_blob(seed: int, r0: float, n_theta: int) -> DigitalCurve:
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(2, 6))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
-    amps = rng.uniform(2.0, 8.0, size=k)
-
-    def radius(theta):
-        r = np.full_like(theta, r0)
-        for i in range(k):
-            r = r + amps[i] * np.cos((i + 2) * theta + phases[i])
-        return r
-
-    return _radial_curve(f"blob{seed:02d}", radius, n_theta)
-
-
-def _ellipse(name, a, b, n_theta, rotate=0.0):
-    def radius(theta):
-        return (a * b) / np.sqrt((b * np.cos(theta)) ** 2 + (a * np.sin(theta)) ** 2)
-
-    return _radial_curve(name, radius, n_theta, rotate=rotate)
-
-
-def _superellipse(name, a, b, p, n_theta):
-    def radius(theta):
-        return (np.abs(np.cos(theta) / a) ** p + np.abs(np.sin(theta) / b) ** p) ** (
-            -1.0 / p
-        )
-
-    return _radial_curve(name, radius, n_theta)
-
-
-def build_corpus() -> list[DigitalCurve]:
-    """22 dense digitized contours of mixed character."""
-    curves = [_fourier_blob(seed, 40.0, 600) for seed in range(1, 9)]
-    curves += [_fourier_blob(seed, 60.0, 900) for seed in range(11, 15)]
-    curves += [
-        _ellipse("ellipse_wide", 55.0, 30.0, 700),
-        _ellipse("ellipse_round", 48.0, 42.0, 700),
-        _ellipse("ellipse_thin", 60.0, 22.0, 700),
-        _ellipse("ellipse_tilt", 52.0, 33.0, 700, rotate=math.pi / 6.0),
-        _superellipse("box_soft", 45.0, 38.0, 4.0, 700),
-        _superellipse("diamond_soft", 50.0, 40.0, 1.2, 700),
-        _radial_curve("gear", lambda t: 42.0 + 4.0 * np.cos(9.0 * t), 800),
-        _radial_curve("capsule", lambda t: 35.0 + 10.0 * np.abs(np.cos(t)), 700),
-        _radial_curve("egg", lambda t: 40.0 + 8.0 * np.cos(t) + 3.0 * np.cos(2.0 * t), 700),
-        _radial_curve("wobble", lambda t: 45.0 + 3.0 * np.sin(5.0 * t) + 2.0 * np.cos(3.0 * t), 800),
-    ]
-    return curves
+    """The Fourier blob of `seed`, named as in the corpus."""
+    return fourier_blob(f"blob{seed:02d}", seed, r0, n_theta)
 
 
 @pytest.fixture(scope="session")

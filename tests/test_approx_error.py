@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -11,14 +12,19 @@ from polyapprox import (
     DigitalCurve,
     InvalidCounts,
     PolygonApprox,
+    SchemeId,
     SegmentCosts,
+    apply_scheme,
+    auto_target_m,
     compression_ratio,
     moment_tables,
+    parse_chain_code,
     polygon_errors,
 )
 from polyapprox import _kernels
 from polyapprox.approx_error import E2Costs
 from conftest import (
+    arc_sum_sq,
     build_corpus,
     lattice_ring,
     perpendicular_distance,
@@ -242,6 +248,48 @@ def test_emax_matches_scalar_loop_bit_for_bit(corpus):
         want = [_side_emax_reference(c.points, c.n, u, v) for u, v in sides]
         assert polygon_errors(c, p)[1] == max(want), c.name
         assert [segment_errors(c, u, v).max_e for u, v in sides] == want, c.name
+
+
+def _scalar_e2(curve, indices):
+    # arc_sum_sq of each side, the last one wrapping, summed left to right
+    idx = indices.tolist()
+    e2 = 0.0
+    for u, v in zip(idx, idx[1:] + idx[:1]):
+        e2 += arc_sum_sq(curve.points, moment_tables(curve), u, v)
+    return e2
+
+
+def test_polygon_e2_is_the_scalar_sum_bit_for_bit(corpus):
+    # one e2_arc_costs call summed left to right: the scalar sum's value
+    # and its np.float64 type, so the same repr, on every scheme's
+    # polygon of the corpus at cr 8, 15 and 30 and on lattice rings
+    polys = [apply_scheme(scheme, c, auto_target_m(c, cr))
+             for c in corpus for cr in (8, 15, 30) for scheme in SchemeId]
+    rng = np.random.default_rng(17)
+    for seed in range(20):
+        c = lattice_ring(seed + 700)
+        m = int(rng.integers(3, c.n))  # m < n: some side has an interior
+        polys.append(PolygonApprox(c, rng.choice(c.n, size=m, replace=False)))
+    for p in polys:
+        e2 = polygon_errors(p.curve, p)[0]
+        assert repr(e2) == repr(_scalar_e2(p.curve, p.indices)), p.curve.name
+
+
+@pytest.mark.parametrize("indices, message", [
+    ([0, 4, 8, 10], "points 8 and 10 coincide"),
+    ([8, 9, 10], "points 10 and 8 coincide"),
+])
+def test_polygon_errors_reject_a_coincident_side_without_a_warning(indices, message):
+    # a rectangle with a one-pixel spur: points 8 and 10 coincide at
+    # (2, 2), so a side between them has no line; the first such side in
+    # order is named, and no 0 / 0 of the E2 closed form warns
+    c = parse_chain_code("0 0\n00002244264466")
+    p = PolygonApprox(c, indices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSegment) as err:
+            polygon_errors(c, p)
+    assert str(err.value) == message
 
 
 def test_polygon_errors_rejects_foreign_curve(square8):

@@ -958,9 +958,11 @@ def _assert_dp_matches_loops(tab, start, m_max, use_max, rows=None):
     finite it lies above b_j (above U3 for a side of layer 1 that the
     table leaves out).  When a loops' profile value dp[m, n], m >= 3, is
     above b_m or +inf, the solve falls back to the full DP and the
-    arrays are byte-equal; over fewer rows than n it returns None, and
-    the solve over every row falls back.  Returns whether it fell back,
-    and how many finite cells of the loops' it pruned.
+    arrays are byte-equal.  A max table falls back over the rows it
+    reads, every row it leaves out being +inf; a sum table over fewer
+    rows than n returns None, and the solve over every row falls back.
+    Returns whether it fell back, and how many finite cells of the
+    loops' it pruned.
     """
     n = tab.shape[0]
     rcost = _rcost(tab, start)
@@ -975,7 +977,7 @@ def _assert_dp_matches_loops(tab, start, m_max, use_max, rows=None):
     read = tab[:rows]
     d1 = _solve(read, start, m_max, use_max)
     if d1 is None:
-        assert fell_back and read.shape[0] < n
+        assert fell_back and read.shape[0] < n and not use_max
         read = tab
         d1 = _solve(read, start, m_max, use_max)
     assert d1.shape == d2.shape
@@ -1195,19 +1197,9 @@ def test_dp_prunes_a_corpus_curve_without_fallback(kind, monkeypatch):
     assert _traced_widths(tab, start, m_max, use_max)[0] < curve.n // 2
 
 
-@pytest.mark.parametrize("kind", list(CostKind))
-def test_a_rising_profile_reruns_over_every_row(kind, monkeypatch):
-    # a bounded pass made to lose a profile value: over the stored rows
-    # dp_solve gives None, the SegmentCosts builds the E2 table in full
-    # (pads the Emax table with its +inf rows) and keeps it, and the
-    # unbounded rerun is the loops' full DP byte for byte; E2Costs then
-    # reads the full table
-    curve = _ellipse("e", 9.0, 5.0, 80)
-    n, start, m_max = curve.n, 5, 20
-    use_max = kind is CostKind.MAX_ERROR
-    full, rows = _ring_table(curve.points, use_max)
-    costs = SegmentCosts(curve)
-    assert costs.table(kind).shape[0] == rows < n
+def _force_a_rise(monkeypatch):
+    """Make every bounded DP pass lose its profile value at m = 3, as a
+    rising profile does."""
     layers = _kernels._dp_layers
 
     def rising(tab, cheapest, start, m_max, combine, bound):
@@ -1217,12 +1209,55 @@ def test_a_rising_profile_reruns_over_every_row(kind, monkeypatch):
         return dp
 
     monkeypatch.setattr(_kernels, "_dp_layers", rising)
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_a_rising_profile_reruns_over_every_row(kind, monkeypatch):
+    # a bounded pass made to lose a profile value: the unbounded rerun is
+    # the loops' full DP byte for byte.  Over the stored E2 rows dp_solve
+    # gives None, and the SegmentCosts builds that table in full and
+    # keeps it, which E2Costs then reads; the Emax table keeps its stored
+    # rows, as the rows it leaves out are +inf
+    curve = _ellipse("e", 9.0, 5.0, 80)
+    n, start, m_max = curve.n, 5, 20
+    use_max = kind is CostKind.MAX_ERROR
+    full, rows = _ring_table(curve.points, use_max)
+    costs = SegmentCosts(curve)
+    assert costs.table(kind).shape[0] == rows < n
+    _force_a_rise(monkeypatch)
     dp = costs._solve(start, m_max, kind)
     want, _ = _dp_solve_loops(_rcost(full, start), m_max, use_max)
     assert dp.tobytes() == want.tobytes()
-    assert costs.table(kind).tobytes() == full.tobytes()
-    if not use_max:
+    if use_max:
+        assert costs.table(kind).shape[0] == rows
+        assert costs.table(kind).tobytes() == full[:rows].tobytes()
+    else:
+        assert costs.table(kind).tobytes() == full.tobytes()
         assert E2Costs(curve).rows == n
+
+
+def test_a_rising_emax_profile_reruns_on_its_stored_rows(monkeypatch):
+    # n = 606: the rerun reads the stored Emax rows in place, beside its
+    # dp arrays, a block buffer and the band widths, well under one n x n
+    # table (padding the table to n rows would allocate one), and gives
+    # the unbounded DP over the padded table
+    curve = _fourier_blob(1, 80.0, 1200)
+    n, kind = curve.n, CostKind.MAX_ERROR
+    costs = SegmentCosts(curve)
+    rows = costs.table(kind).shape[0]
+    assert rows < n
+    full, _ = _ring_table(curve.points, True)
+    want = _kernels._dp_layers(full, _kernels.cheapest_sides(full), 7, 60, np.maximum, None)
+    _force_a_rise(monkeypatch)
+    tracemalloc.start()
+    try:
+        dp = costs._solve(7, 60, kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+    assert costs.table(kind).shape[0] == rows
+    assert dp.tobytes() == want.tobytes()
 
 
 def test_dp_tie_breaks_to_smallest_predecessor():

@@ -351,7 +351,7 @@ def test_emax_bound_keeps_every_optimum_on_the_corpus(corpus, corpus_emax_tables
         assert min(stored[~finite].min(initial=np.inf), dropped.min(initial=np.inf)) > (
             table[finite].max())
         full = SegmentCosts(curve)
-        full._tables[kind] = exact
+        full._keep(kind, exact)
         m_sub = auto_target_m(curve, cr)
         start = select_start_vertex(curve, m_sub, kind, bounded)
         assert start == select_start_vertex(curve, m_sub, kind, full)

@@ -20,10 +20,16 @@ from polyapprox import (
     stabilize,
 )
 from polyapprox import _kernels, approx_error
-from polyapprox.approx_error import arc_sum_sq, moment_tables
+from polyapprox.approx_error import moment_tables
 from polyapprox.curve import parse_chain_code
 from polyapprox.optimal import provisional_start_vertex
-from conftest import build_corpus, lattice_ring, perpendicular_distance, segment_errors_naive
+from conftest import (
+    arc_sum_sq,
+    build_corpus,
+    lattice_ring,
+    perpendicular_distance,
+    segment_errors_naive,
+)
 
 
 def eliminate_replay(curve, m):
