@@ -552,7 +552,9 @@ def dp_solve(tab, cheapest, start, m_max, use_max):
     and the solve runs again with every b_j = +inf: the full DP, every
     reachable cell.  A max-error table leaves out only +inf rows
     (emax_cost_table), so over its stored rows that is the full DP; a
-    sum table's are finite, so over fewer than n rows it returns None.
+    sum table's are finite, so over fewer than n rows it returns None,
+    and the caller runs the unbounded pass over the table built in full
+    (a bounded pass there would keep the same cells and rise again).
     """
     rows, n = tab.shape
     combine = np.maximum if use_max else np.add

@@ -195,10 +195,13 @@ class SegmentCosts:
         dp = _kernels.dp_solve(self.table(kind), self._tables[kind][1], start, m_max, use_max)
         if dp is None:
             # the E2 profile rose past the stored rows: the unbounded
-            # rerun reads every row, and the table keeps them from now on
+            # rerun reads every row, and the table keeps them from now
+            # on.  A bounded pass over them would keep the same cells as
+            # the one over the stored rows, and rise again, so only the
+            # unbounded pass runs.
             self._keep_every_row()
-            dp = _kernels.dp_solve(self.table(kind), self._tables[kind][1], start, m_max,
-                                   use_max)
+            dp = _kernels._dp_layers(self.table(kind), self._tables[kind][1], start, m_max,
+                                     np.add, None)
         return dp
 
     def profile(self, start: int, m_max: int, kind: CostKind) -> ErrorProfile:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import weakref
 
 import numpy as np
 
@@ -31,6 +32,10 @@ __all__ = [
 # so this cap is a safety net, not the usual stopping reason
 _MAX_STABILIZE_PASSES = 50
 
+# weak keys: a curve's last elimination, (m, vertex indices), dies with
+# the curve; indices only, no table (curves are immutable)
+_ELIMINATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 class SchemeId(enum.Enum):
     SPLIT = "split"
@@ -47,11 +52,12 @@ def split_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
     """Grow a polygon by repeatedly splitting the worst side.
 
     Seeds are the point farthest from the centroid and the point
-    farthest from that one.  Each round scores every side by its largest
-    deviation and inserts the offending point as a new vertex.  A side
-    is scored once, by one array expression over its arc: each point's
-    |cross| against the chord over the chord's hypot; ties take the
-    lowest curve index.
+    farthest from that one.  Each round splits the side of largest
+    deviation at its farthest point, ties on the lowest side start; the
+    scored sides wait in a heap of (-deviation, start, end, split point).
+    A side is scored once, when a split is still to follow, by one array
+    expression over its arc: each point's |cross| against the chord over
+    the chord's hypot; ties take the lowest curve index.
     """
     _check_m(curve, m)
     n = curve.n
@@ -60,47 +66,46 @@ def split_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
     rel = pts - pts[s0]
     d2 = (rel * rel).sum(axis=1)
     s1 = int(np.argmax(d2))
-    verts = sorted((s0, s1))
+    xs = pts[:, 0].tolist()
+    ys = pts[:, 1].tolist()
     x2 = np.concatenate((pts[:, 0], pts[:, 0]))
     y2 = np.concatenate((pts[:, 1], pts[:, 1]))
 
-    def farthest(u, v):
-        """(max deviation, its index) over the open arc u -> v, or
-        (-1.0, -1) for an empty arc."""
+    heap = []
+
+    def score(u, v):
+        """Push side u -> v with its largest deviation and that point,
+        unless its open arc is empty."""
         length = (v - u) % n
         if length <= 1:
-            return -1.0, -1
-        xu, yu = float(x2[u]), float(y2[u])
-        dx = float(x2[v]) - xu
-        dy = float(y2[v]) - yu
+            return
+        xu, yu = xs[u], ys[u]
+        dx = xs[v] - xu
+        dy = ys[v] - yu
         if dx == 0.0 and dy == 0.0:
             raise DegenerateSegment(f"segment endpoints coincide at ({xu}, {yu})")
         arc = slice(u + 1, u + length)
         e = np.abs((x2[arc] - xu) * dy - (y2[arc] - yu) * dx) / math.hypot(dx, dy)
-        best = e.max()
-        w = (np.flatnonzero(e == best) + (u + 1)) % n
-        return float(best), int(w.min())
+        k = int(e.argmax())
+        best = e[k]
+        if u + length <= n:
+            # no wrap: the first maximum has the lowest index
+            w = u + 1 + k
+        else:
+            w = int(((np.flatnonzero(e == best) + (u + 1)) % n).min())
+        heapq.heappush(heap, (-float(best), u, v, w))
 
-    # side score cache: side i runs verts[i] -> verts[i+1] circularly
-    scores = {}
-
+    score(s0, s1)
+    score(s1, s0)
+    verts = [s0, s1]
     while len(verts) < m:
-        best = (-1.0, -1, -1)  # (deviation, split point, side start)
-        k = len(verts)
-        for i in range(k):
-            u = verts[i]
-            v = verts[(i + 1) % k]
-            if (u, v) not in scores:
-                scores[u, v] = farthest(u, v)
-            e, w = scores[u, v]
-            if w < 0:
-                continue
-            if e > best[0] or (e == best[0] and u < best[2]):
-                best = (e, w, u)
-        if best[1] < 0:
+        if not heap:
             raise InvalidCounts("no splittable side left")  # unreachable for m <= n
-        verts.append(best[1])
-        verts.sort()
+        _, u, v, w = heapq.heappop(heap)
+        verts.append(w)
+        if len(verts) < m:
+            score(u, w)
+            score(w, v)
     return PolygonApprox(curve, verts)
 
 
@@ -117,8 +122,20 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
     ties on the lowest index; entries whose cost has changed since are
     skipped, and the cheapest vertex's entry is replaced by its first
     rescored neighbour's, one sift instead of a pop and a push.
+
+    Both cost paths give the same polygon, so the vertex indices of a
+    curve's last elimination are kept with the curve (weakly) and a
+    second call at the same m, as elim-stab's after elim, reuses them.
     """
     _check_m(curve, m)
+    last = _ELIMINATED.get(curve)
+    if last is None or last[0] != m:
+        last = _ELIMINATED[curve] = m, _eliminate(curve, m)
+    return PolygonApprox(curve, last[1])
+
+
+def _eliminate(curve: DigitalCurve, m: int) -> list[int]:
+    """eliminate_to_m's vertex indices, ascending."""
     n = curve.n
     pts = curve.points
     prv = np.arange(-1, n - 1) % n
@@ -154,8 +171,7 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
         cost_q = cost[q] = lookup(span, b) if span < rows else arc(p, b)
         heapreplace(heap, (cost_p, p))
         heappush(heap, (cost_q, q))
-    verts = [i for i, c in enumerate(cost) if c != inf]
-    return PolygonApprox(curve, verts)
+    return [i for i, c in enumerate(cost) if c != inf]
 
 
 def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
@@ -167,7 +183,8 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
     E2Costs.splits, a gather and a strided column of the curve's E2 table
     while a SegmentCosts holds it, else one closed-form call.  A
     vertex moves only to a strictly cheaper position, the lowest curve
-    index among equal minima, so a vertex already at a minimum stays
+    index among equal minima (the first in arc order, unless the arc
+    wraps past index n - 1), so a vertex already at a minimum stays
     put.  Stops on the first pass with no movement.
 
     A vertex's candidate costs depend only on its two neighbours, and
@@ -194,17 +211,21 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
                 stale[i] = False
                 p = verts[(i - 1) % m]
                 q = verts[(i + 1) % m]
-                # every position strictly between the neighbours, the
-                # current one at (verts[i] - p) % n - 1
-                js = (p + np.arange(1, (q - p) % n)) % n
+                # cost[t] scores position (p + 1 + t) % n, strictly
+                # between the neighbours
                 cost = splits(p, q)
                 if not np.isfinite(cost).all():
-                    j = int(js[~np.isfinite(cost)][0])
+                    j = (p + 1 + int(np.argmin(np.isfinite(cost)))) % n
                     u, v = (p, j) if (pts[p] == pts[j]).all() else (j, q)
                     raise DegenerateSegment(f"points {u} and {v} coincide")
-                best = cost.min()
+                t = int(cost.argmin())
+                best = cost[t]
                 if best < cost[(verts[i] - p) % n - 1]:
-                    verts[i] = int(js[cost == best].min())
+                    if p + cost.shape[0] < n:
+                        verts[i] = p + 1 + t
+                    else:
+                        js = (p + np.arange(1, cost.shape[0] + 1)) % n
+                        verts[i] = int(js[cost == best].min())
                     moved = True
                     stale[i - 1] = stale[(i + 1) % m] = True
             if not moved:

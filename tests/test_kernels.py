@@ -1199,16 +1199,20 @@ def test_dp_prunes_a_corpus_curve_without_fallback(kind, monkeypatch):
 
 def _force_a_rise(monkeypatch):
     """Make every bounded DP pass lose its profile value at m = 3, as a
-    rising profile does."""
+    rising profile does; returns the list of the passes run, each
+    "bounded" or "unbounded"."""
     layers = _kernels._dp_layers
+    passes = []
 
     def rising(tab, cheapest, start, m_max, combine, bound):
+        passes.append("unbounded" if bound is None else "bounded")
         dp = layers(tab, cheapest, start, m_max, combine, bound)
         if bound is not None:
             dp[3, -1] = np.inf
         return dp
 
     monkeypatch.setattr(_kernels, "_dp_layers", rising)
+    return passes
 
 
 @pytest.mark.parametrize("kind", list(CostKind))
@@ -1217,15 +1221,18 @@ def test_a_rising_profile_reruns_over_every_row(kind, monkeypatch):
     # the loops' full DP byte for byte.  Over the stored E2 rows dp_solve
     # gives None, and the SegmentCosts builds that table in full and
     # keeps it, which E2Costs then reads; the Emax table keeps its stored
-    # rows, as the rows it leaves out are +inf
+    # rows, as the rows it leaves out are +inf.  Either way one bounded
+    # pass runs, then one unbounded: a bounded pass over the full E2
+    # table would keep the same cells and rise again
     curve = _ellipse("e", 9.0, 5.0, 80)
     n, start, m_max = curve.n, 5, 20
     use_max = kind is CostKind.MAX_ERROR
     full, rows = _ring_table(curve.points, use_max)
     costs = SegmentCosts(curve)
     assert costs.table(kind).shape[0] == rows < n
-    _force_a_rise(monkeypatch)
+    passes = _force_a_rise(monkeypatch)
     dp = costs._solve(start, m_max, kind)
+    assert passes == ["bounded", "unbounded"]
     want, _ = _dp_solve_loops(_rcost(full, start), m_max, use_max)
     assert dp.tobytes() == want.tobytes()
     if use_max:

@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -19,7 +20,7 @@ from polyapprox import (
     split_to_m,
     stabilize,
 )
-from polyapprox import _kernels, approx_error
+from polyapprox import _kernels, approx_error, schemes
 from polyapprox.approx_error import moment_tables
 from polyapprox.curve import parse_chain_code
 from polyapprox.optimal import provisional_start_vertex
@@ -157,10 +158,14 @@ def on_both_paths(monkeypatch, curve, run, far=None):
     the curve's E2 table, with the closed form made to fail on every arc
     of a span the table stores, so that only lookups and gathers in the
     table can answer for those; longer arcs, past its rows, are the
-    closed form's, and each call for them is appended to `far`."""
+    closed form's, and each call for them is appended to `far`.  The
+    curve's kept elimination is dropped before each run, so that both
+    runs eliminate."""
     ref = approx_error._E2_TABLES.get(curve)
     assert ref is None or ref() is None, "a table outlived its SegmentCosts"
+    schemes._ELIMINATED.pop(curve, None)
     closed = run()
+    schemes._ELIMINATED.pop(curve, None)
     costs = SegmentCosts(curve)
     rows = costs.table(CostKind.SUM_SQUARED).shape[0]
     arc_e2, e2_arc_costs = approx_error._arc_e2, _kernels.e2_arc_costs
@@ -276,7 +281,7 @@ def _rectangle(w, h):
     return DigitalCurve(np.array(
         [(x, 0) for x in range(w)] + [(w, y) for y in range(h)]
         + [(w - x, h) for x in range(w)] + [(0, h - y) for y in range(h)]
-    ))
+    ), name=f"rect{w}x{h}")
 
 
 def test_stabilize_matches_reference_on_plateaus_and_ties(square8):
@@ -308,15 +313,29 @@ def test_split_and_eliminate_match_references_on_corpus(corpus, cr, monkeypatch)
             assert got == want, c.name
 
 
+def _rolled(curve, shift):
+    return DigitalCurve(np.roll(curve.points, shift, axis=0), name=f"{curve.name}>>{shift}")
+
+
+def _tied_across_zero(w, h):
+    # the w x h rectangle rolled so that index 0 sits inside its bottom
+    # run, and inside its left run: tied deviations and costs on arcs
+    # that wrap past index n - 1
+    c = _rectangle(w, h)
+    return [_rolled(c, -(w // 2)), _rolled(c, max(1, h // 2))]
+
+
 def _small_cases(square8):
     # square8 and lattice rectangles (collinear plateaus, so many costs
-    # and deviations tie) at every m; lattice rings at a spread of m
-    for m in range(3, square8.n + 1):
-        yield square8, m
-    for w, h in [(4, 2), (6, 3), (9, 5), (7, 7), (12, 4)]:
-        c = _rectangle(w, h)
+    # and deviations tie) at every m, also rolled to put a tied run
+    # across index 0; lattice rings at a spread of m
+    for c in [square8, _rolled(square8, 1), _rolled(square8, -1)]:
         for m in range(3, c.n + 1):
             yield c, m
+    for w, h in [(4, 2), (6, 3), (9, 5), (7, 7), (12, 4)]:
+        for c in [_rectangle(w, h)] + _tied_across_zero(w, h):
+            for m in range(3, c.n + 1):
+                yield c, m
     for seed in range(20):
         c = lattice_ring(seed + 1300)
         for m in sorted({3, 4, max(3, c.n // 3), c.n // 2, c.n - 1, c.n}):
@@ -331,16 +350,20 @@ def test_split_and_eliminate_match_references_on_ties(square8, monkeypatch):
 
 
 def test_stabilize_matches_reference_on_tied_rectangles(monkeypatch):
-    # plateau-heavy rectangles (2 x 2 is square8), from the eliminated
-    # polygon and from every other vertex, where slots see their
-    # neighbours move often
+    # plateau-heavy rectangles (2 x 2 is square8), also rolled to put a
+    # tied run across index 0, from the eliminated polygon, from every
+    # other vertex, where slots see their neighbours move often, and
+    # from random polygons, some of whose moves tie across index 0
+    rng = np.random.default_rng(31)
     for w, h in [(2, 2), (4, 2), (6, 3), (9, 5), (7, 7), (12, 4), (20, 3)]:
-        c = _rectangle(w, h)
-        starts = [eliminate_reference(c, m) for m in range(3, c.n + 1)]
-        starts += [PolygonApprox(c, range(0, c.n, k)) for k in (2, 3)]
-        want = [stabilize_reference(c, p) for p in starts]
-        for got in on_both_paths(monkeypatch, c, lambda: [stabilize(c, p) for p in starts]):
-            assert got == want, c.name
+        for c in [_rectangle(w, h)] + _tied_across_zero(w, h):
+            starts = [eliminate_reference(c, m) for m in range(3, c.n + 1)]
+            starts += [PolygonApprox(c, range(0, c.n, k)) for k in (2, 3)]
+            starts += [PolygonApprox(c, rng.choice(c.n, size=int(rng.integers(3, c.n)),
+                                                   replace=False)) for _ in range(10)]
+            want = [stabilize_reference(c, p) for p in starts]
+            for got in on_both_paths(monkeypatch, c, lambda: [stabilize(c, p) for p in starts]):
+                assert got == want, c.name
 
 
 def test_schemes_read_arcs_past_the_stored_rows(monkeypatch):
@@ -355,6 +378,68 @@ def test_schemes_read_arcs_past_the_stored_rows(monkeypatch):
         far = []
         closed, table = on_both_paths(monkeypatch, c, run, far)
         assert far and closed == table
+
+
+def test_elim_stab_reuses_the_elimination(monkeypatch):
+    # as in a study: elim, then elim-stab, on one curve while a
+    # SegmentCosts holds its E2 table; the heap loop runs once, and
+    # elim-stab's polygon is stabilize's of a fresh curve's elimination
+    eliminated = []
+    eliminate = schemes._eliminate
+
+    def counted(curve, m):
+        eliminated.append(m)
+        return eliminate(curve, m)
+
+    monkeypatch.setattr(schemes, "_eliminate", counted)
+    for c in build_corpus()[:6]:
+        m = auto_target_m(c, 15.0)
+        costs = SegmentCosts(c)
+        costs.table(CostKind.SUM_SQUARED)
+        eliminated.clear()
+        elim = apply_scheme(SchemeId.ELIMINATE, c, m)
+        elim_stab = apply_scheme(SchemeId.ELIMINATE_STABILIZED, c, m)
+        assert eliminated == [m]
+        fresh = DigitalCurve(c.points, name=c.name)
+        assert elim.indices.tolist() == eliminate_to_m(fresh, m).indices.tolist()
+        want = stabilize(fresh, eliminate_to_m(fresh, m))
+        assert elim_stab.indices.tolist() == want.indices.tolist(), c.name
+        # another m eliminates again
+        assert eliminate_to_m(c, m + 1).m == m + 1
+        assert eliminated == [m, m, m + 1]
+
+
+def test_kept_elimination_dies_with_its_curve():
+    c = _rectangle(9, 5)
+    gc.collect()
+    before = len(schemes._ELIMINATED)
+    poly = eliminate_to_m(c, 6)
+    m, kept = schemes._ELIMINATED[c]
+    # indices only: nothing that holds the curve or a table
+    assert m == 6 and kept == poly.indices.tolist()
+    assert all(type(i) is int for i in kept)
+    held = weakref.ref(c)
+    del c, poly
+    gc.collect()
+    assert held() is None
+    assert len(schemes._ELIMINATED) == before
+
+
+def test_elimination_keeps_no_error():
+    # the m check comes before the kept result; an elimination that
+    # raises keeps nothing, so a second call raises again
+    c = parse_chain_code("0 0\n00002244264466")
+    with pytest.raises(InvalidCounts):
+        eliminate_to_m(c, 2)
+    for _ in range(2):
+        with pytest.raises(DegenerateSegment):
+            eliminate_to_m(c, 5)
+    assert c not in schemes._ELIMINATED
+    square = _rectangle(2, 2)
+    eliminate_to_m(square, 4)
+    with pytest.raises(InvalidCounts):
+        eliminate_to_m(square, square.n + 1)
+    assert schemes._ELIMINATED[square][0] == 4
 
 
 def test_e2_table_dies_with_its_segment_costs():
