@@ -19,8 +19,10 @@ every row" builds all n.  The DP solves the ellipse's stored E2 and
 Emax tables from vertex 0, as the study does, and an n x n table of
 uniform random costs,
 whose rising profile makes the banded solve fall back to the full DP:
-its worst case.  "polygon solve" is a solve to m = --m-max on the E2
-table plus the walk back along its chain, as an optimal polygon costs.
+its worst case.  "polygon solve" is a profile solve to m = --m-max on
+the E2 table plus the walk back along its chain; "polygon solve,
+seeded" is the same with the solve seeded by the equally spaced m-gon,
+as SegmentCosts.polygon runs it.
 Elimination and stabilize are timed twice: on the closed form, as
 `polyapprox approx` runs them, and while a SegmentCosts holds the
 ellipse's E2 table, as a study runs them.  Run from the repository root:
@@ -154,8 +156,8 @@ def main() -> int:
         # a study computes a table's band widths once, not once a solve
         return _kernels.dp_solve, (tab, _kernels.cheapest_sides(tab), 0, m_max, use_max)
 
-    def polygon(tab, cheapest):
-        dp = _kernels.dp_solve(tab, cheapest, 0, m_max, False)
+    def polygon(tab, cheapest, seeded=False):
+        dp = _kernels.dp_solve(tab, cheapest, 0, m_max, False, seeded)
         return _kernels.dp_chain(tab, 0, dp, m_max, False)
 
     tables = [
@@ -171,6 +173,7 @@ def main() -> int:
         ("dp solve (max)", *solve(emax_tab, True)),
         ("dp solve, rising profile", *solve(rising, False)),
         ("polygon solve (sum)", polygon, (e2_tab, _kernels.cheapest_sides(e2_tab))),
+        ("polygon solve, seeded", polygon, (e2_tab, _kernels.cheapest_sides(e2_tab), True)),
     ]
 
     print(f"{'table':<24} {'time':>10} {'peak':>10} {'rows':>12}")

@@ -1,4 +1,4 @@
-"""Compare this tree's cost-table kernels and schemes with another checkout's.
+"""Compare this tree's cost-table kernels, schemes or study with another checkout's.
 
 Imports the polyapprox package of this tree and of the checkout at
 --parent side by side, each under its own name, and builds the
@@ -15,10 +15,16 @@ ratios, one fresh curve per ring and ratio with its E2 table held
 them.  For each timing it
 prints each side's median and quartiles over the runs and how many runs
 the change won.  In one process the two sides meet the same host, which
-a comparison of separate runs on a shared machine cannot promise.  Run
-from the repository root:
+a comparison of separate runs on a shared machine cannot promise.
+
+With --mode study it instead checks that both sides' run_study gives the
+same records_csv and correlations_csv on the corpus at each ratio of
+SCHEME_CRS, and then times run_study at each ratio, the two sides in
+alternating order, every run on fresh curves (built untimed), so that no
+per-curve cache outlives a run.  Run from the repository root:
 
     python3 benchmarks/compare_kernels.py --parent ../parent --seed 0 --runs 14
+    python3 benchmarks/compare_kernels.py --parent ../parent --mode study --runs 10
 """
 
 import argparse
@@ -84,6 +90,42 @@ def run_schemes(pkg, rings, with_table=True):
     return secs, polygons
 
 
+def run_study(pkg, corpus, cr):
+    """pkg's run_study over fresh curves of the corpus at ratio cr:
+    (seconds, records_csv, correlations_csv)."""
+    curves = [pkg.DigitalCurve(c.points, name=c.name) for c in corpus]
+    t0 = time.perf_counter()
+    reports = pkg.run_study(curves, target_cr=cr)
+    secs = time.perf_counter() - t0
+    return secs, pkg.study.records_csv(reports), pkg.study.correlations_csv(reports)
+
+
+def compare_study(packages, corpus, seed, runs):
+    """--mode study: equal outputs, then interleaved run_study timings."""
+    for cr in SCHEME_CRS:
+        a, b = (run_study(pkg, corpus, cr)[1:] for pkg in packages.values())
+        if a != b:
+            print(f"run_study outputs differ at cr {cr:g}")
+            return 1
+    print(f"seed {seed}: records_csv and correlations_csv equal at cr"
+          f" {', '.join(f'{cr:g}' for cr in SCHEME_CRS)}")
+    times = {side: defaultdict(list) for side in packages}
+    for i in range(runs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            for cr in SCHEME_CRS:
+                times[side][cr].append(run_study(packages[side], corpus, cr)[0])
+    for side in times.values():
+        side["all"] = [sum(t) for t in zip(*(side[cr] for cr in SCHEME_CRS))]
+    for name in (*SCHEME_CRS, "all"):
+        what = "every ratio" if name == "all" else f"cr {name:g}"
+        print(f"run_study, {len(corpus)} curves, {what}, a run:")
+        for side in times:
+            print(f"  {side:<7} {summary(times[side][name])}")
+        wins = sum(c < p for p, c in zip(times["parent"][name], times["change"][name]))
+        print(f"  change wins {wins}/{runs}")
+    return 0
+
+
 def timed(build, rings):
     """Seconds to build every ring's table."""
     t0 = time.perf_counter()
@@ -102,12 +144,16 @@ def main() -> int:
     ap.add_argument("--parent", type=Path, required=True, help="root of the other checkout")
     ap.add_argument("--seed", type=int, default=0, help="corpus seed")
     ap.add_argument("--runs", type=int, default=14, help="corpus passes a side")
+    ap.add_argument("--mode", choices=("kernels", "study"), default="kernels",
+                    help="tables and schemes, or run_study end to end")
     args = ap.parse_args()
     if args.runs < 2:
         ap.error("--runs must be at least 2, for quartiles")
 
     packages = {"parent": load_package(args.parent.resolve(), "parent_polyapprox"),
                 "change": load_package(ROOT, "change_polyapprox")}
+    if args.mode == "study":
+        return compare_study(packages, build_corpus(args.seed), args.seed, args.runs)
     sides = {side: builders(pkg._kernels) for side, pkg in packages.items()}
     corpus = [c.points for c in build_corpus(args.seed)]
     rings = [(pts[:, 0].astype(np.float64), pts[:, 1].astype(np.float64)) for pts in corpus]

@@ -34,12 +34,13 @@ in place.  It stores its rows up to the last with a finite entry, and
 grows only for a block of arcs that holds an entry at or under B.
 
 Costs are >= 0, so a DP layer may drop every cell above b, the least
-of a seeded triangle's cost and the profile values found so far, and
+of a seed (a triangle's cost, and for a solve that wants one polygon
+that of an equally spaced one) and the profile values found so far, and
 every side wider than the widest one costing at most b: what is left
 is a band of W spans.  The profile and every cell the band keeps are
 exact, and dp_chain recovers the chains from them; if the profile
 rises, the band loses a profile value and the solve runs once more
-unpruned (dp_solve says over which rows).
+unpruned (dp_solve says when, and over which rows).
 
 The kernels evaluate the arithmetic of plain per-entry loops, so their
 tables, and the DP's profile, chains and kept cells, equal the loops'
@@ -521,10 +522,11 @@ def cheapest_sides(tab: np.ndarray) -> np.ndarray:
 _DP_BLOCK = 1 << 16
 
 
-def dp_solve(tab, cheapest, start, m_max, use_max):
+def dp_solve(tab, cheapest, start, m_max, use_max, polygon=False):
     """Optimal chain costs over a span-major table whose costs are >= 0
-    (or +inf), with cheapest = cheapest_sides(tab); None if the profile
-    rose and a sum table (use_max False) stores fewer than n rows.
+    (or +inf), with cheapest = cheapest_sides(tab); None if the solve
+    must rerun unbounded and a sum table (use_max False) stores fewer
+    than n rows.
 
     Position v is curve index (start + v) % n, so position n is the
     start again, closing the ring, and the side from position u to v is
@@ -532,41 +534,56 @@ def dp_solve(tab, cheapest, start, m_max, use_max):
     entry and is +inf.  dp[j, v] is the best cost of reaching v from 0
     with exactly j sides (dp_chain recovers the sides).
 
-    Every layer j >= 2 is pruned by b_j, the least of U3 and the profile
-    values dp[j', n] for 2 <= j' < j.  U3 is the cost of the triangle
-    through positions 0, n // 3 and 2n // 3, combined in DP order, so
-    U3 >= dp[3, n] in floating point.  A cell above b_j is stored as
-    +inf, and the layer reads only sides of at most W_j steps, as every
-    wider side costs more than b_j.  The pruning only drops paths, so
-    each value it computes is the cost of a real path.  Costs never fall
-    along a path and b never rises, so a finite dp[m, n] <= b_m bounds
-    every cell on its optimal chain, and every candidate tied with one,
-    by its layer's b_j: the profile value, the chains and every finite
-    cell are the full DP's.
+    Every layer j >= 2 is pruned by b_j, the least of the seed and the
+    profile values dp[j', n] for 2 <= j' < j.  The seed is U3, or, for a
+    polygon solve, min(U3, U_m) with m = m_max: U_m is the cost of the
+    m-gon through positions floor(i n / m), i = 0..m, combined in DP
+    order, so U_m >= dp[m, n] in floating point, and U3 is the triangle
+    through 0, n // 3 and 2n // 3.  Every side of U_m spans at most
+    ceil(n/3) steps, so the table stores it.  A cell above b_j is stored
+    as +inf, and the layer reads only sides of at most W_j steps, as
+    every wider side costs more than b_j.  The pruning only drops
+    paths, so each value it computes is the cost of a real path.  Costs
+    never fall along a path and b never rises, so a finite dp[m, n] <=
+    b_m bounds every cell on its optimal chain, and every candidate tied
+    with one, by its layer's b_j: the profile value, the chains and
+    every finite cell are the full DP's.
 
     The table may store only rows 0 to R - 1, R > ceil(n/3), if every
-    entry of the rows it leaves out is above U3 or +inf: no cell those
-    sides reach is kept, so this pass reads only the stored rows, and
-    treats the sides beyond them as +inf.  A profile value dp[3:, n]
-    that comes back +inf means the profile rose (or has no polygon),
-    and the solve runs again with every b_j = +inf: the full DP, every
-    reachable cell.  A max-error table leaves out only +inf rows
-    (emax_cost_table), so over its stored rows that is the full DP; a
-    sum table's are finite, so over fewer than n rows it returns None,
+    entry of the rows it leaves out is above U3 or +inf: as b_j <= U3,
+    no cell those sides reach is kept, so this pass reads only the
+    stored rows, and treats the sides beyond them as +inf.  A profile
+    value dp[3:, n] that comes back +inf means the profile rose (or has
+    no polygon), and the solve runs again with every b_j = +inf: the
+    full DP, every reachable cell.  A polygon solve wants only dp[m_max,
+    n] and its chain, and its seed prunes the lower layers' profile
+    values on purpose, so it reruns only when dp[m_max, n] comes back
+    +inf.  A max-error table leaves out only +inf rows
+    (emax_cost_table), so over its stored rows the rerun is the full DP;
+    a sum table's are finite, so over fewer than n rows it returns None,
     and the caller runs the unbounded pass over the table built in full
-    (a bounded pass there would keep the same cells and rise again).
+    (a bounded pass there would keep the same cells and lose the same
+    values again).
     """
     rows, n = tab.shape
     combine = np.maximum if use_max else np.add
-    a, b = n // 3, 2 * n // 3
-    u3 = combine(combine(tab[a, (start + a) % n], tab[b - a, (start + b) % n]),
-                 tab[n - b, start])
-    dp = _dp_layers(tab, cheapest, start, m_max, combine, u3)
-    if np.isinf(dp[3:, n]).any():
+    seed = _gon_cost(tab, start, 3, combine)
+    if polygon:
+        seed = min(seed, _gon_cost(tab, start, m_max, combine))
+    dp = _dp_layers(tab, cheapest, start, m_max, combine, seed)
+    if np.isinf(dp[m_max if polygon else 3:, n]).any():
         if rows < n and not use_max:
             return None
         dp = _dp_layers(tab, cheapest, start, m_max, combine, None)
     return dp
+
+
+def _gon_cost(tab, start, m, combine):
+    """U_m: the cost of the m-gon through positions floor(i n / m), i =
+    0..m, its sides combined left to right, as the DP combines them."""
+    n = tab.shape[1]
+    at = np.arange(m + 1) * n // m
+    return combine.accumulate(tab[np.diff(at), (start + at[1:]) % n])[-1]
 
 
 def _dp_layers(tab, cheapest, start, m_max, combine, bound):

@@ -12,8 +12,10 @@ The start vertex itself is chosen by a three-pass protocol: approximate
 from a provisional start (the point farthest from the centroid), keep
 the second vertex of that polygon as the real start, then profile from
 it.  The profile is then read twice: the error at the suboptimal
-polygon's vertex count, and the fractional vertex count at which the
-optimal error would match the suboptimal polygon's error.
+polygon's vertex count m_sub, and the fractional vertex count at which
+the optimal error would match the suboptimal polygon's error.  The
+second read goes past m_sub only for an error below the profile's at
+m_sub, so study.evaluate_curve solves past m_sub only then.
 """
 
 from __future__ import annotations
@@ -186,19 +188,28 @@ class SegmentCosts:
         self._keep(CostKind.SUM_SQUARED, _kernels.e2_cost_table(*self._coordinates()))
 
     def _solve(self, start: int, m_max: int, kind: CostKind):
+        """The DP array of a profile solve from start to m_max: the entry
+        perfbench/spans.py wraps, with exactly these arguments."""
+        return self._dp(start, m_max, kind, False)
+
+    def _dp(self, start: int, m_max: int, kind: CostKind, polygon: bool):
+        """_kernels.dp_solve for a profile, or (polygon True) for the
+        m_max-gon alone, with its unbounded rerun: the one path that
+        profile and polygon solves share."""
         n = self.curve.n
         if not (0 <= start < n):
             raise InvalidCounts(f"start={start} outside [0, {n})")
         if not (3 <= m_max <= n):
             raise InvalidCounts(f"need 3 <= m_max <= n, got m_max={m_max}, n={n}")
         use_max = kind is CostKind.MAX_ERROR
-        dp = _kernels.dp_solve(self.table(kind), self._tables[kind][1], start, m_max, use_max)
+        dp = _kernels.dp_solve(self.table(kind), self._tables[kind][1], start, m_max, use_max,
+                               polygon)
         if dp is None:
-            # the E2 profile rose past the stored rows: the unbounded
-            # rerun reads every row, and the table keeps them from now
-            # on.  A bounded pass over them would keep the same cells as
-            # the one over the stored rows, and rise again, so only the
-            # unbounded pass runs.
+            # the bounded pass lost a value it needs past the stored E2
+            # rows: the unbounded rerun reads every row, and the table
+            # keeps them from now on.  A bounded pass over them would
+            # keep the same cells as the one over the stored rows, and
+            # lose the same value again, so only the unbounded pass runs.
             self._keep_every_row()
             dp = _kernels._dp_layers(self.table(kind), self._tables[kind][1], start, m_max,
                                      np.add, None)
@@ -212,7 +223,9 @@ class SegmentCosts:
         return ErrorProfile(self.curve, start, kind, m_max, values)
 
     def polygon(self, start: int, m: int, kind: CostKind) -> PolygonApprox:
-        dp = self._solve(start, m, kind)
+        """The optimal m-gon through start, by a solve seeded for that
+        polygon alone (_kernels.dp_solve)."""
+        dp = self._dp(start, m, kind, True)
         chain = _kernels.dp_chain(self.table(kind), start, dp, m, kind is CostKind.MAX_ERROR)
         n = self.curve.n
         # the chain runs from position n, the start again, back to 0

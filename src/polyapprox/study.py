@@ -158,23 +158,31 @@ def evaluate_curve(
     """Every measure of each scheme's m_sub-vertex polygon on one curve.
 
     The optimal baselines come from one SegmentCosts: per cost kind, one
-    start vertex and one profile up to 3 * m_sub, shared by the schemes.
+    start vertex and one profile, shared by the schemes.  The schemes
+    run first.  Each profile is solved to m_sub, and again to 3 * m_sub
+    (at most n) only if some scheme's error of its kind is below the
+    optimal error at m_sub: only then can a baseline read past m_sub.
     A curve_id of None names the record after the curve.
     """
     n = curve.n
     geometry = curve_geometry(curve)
     costs = SegmentCosts(curve)
-    m_max = min(n, 3 * m_sub)
-    profiles = {}
-    for kind in (CostKind.SUM_SQUARED, CostKind.MAX_ERROR):
-        start = select_start_vertex(curve, m_sub, kind, costs)
-        profiles[kind] = costs.profile(start, m_max, kind)
-    out = {}
+    kinds = (CostKind.SUM_SQUARED, CostKind.MAX_ERROR)
+    starts = [select_start_vertex(curve, m_sub, kind, costs) for kind in kinds]
+    scored = []
     for scheme in schemes:
         poly = apply_scheme(scheme, curve, m_sub)
-        e2, emax = polygon_errors(curve, poly)
-        b_e2 = baseline_from_profile(profiles[CostKind.SUM_SQUARED], m_sub, e2)
-        b_em = baseline_from_profile(profiles[CostKind.MAX_ERROR], m_sub, emax)
+        scored.append((scheme, poly, polygon_errors(curve, poly)))
+    m_max = min(n, 3 * m_sub)
+    profiles = []
+    for k, (kind, start) in enumerate(zip(kinds, starts)):
+        profile = costs.profile(start, m_sub, kind)
+        if m_sub < m_max and any(errors[k] < profile.values[m_sub] for *_, errors in scored):
+            profile = costs.profile(start, m_max, kind)
+        profiles.append(profile)
+    out = {}
+    for scheme, poly, errors in scored:
+        b_e2, b_em = (baseline_from_profile(p, m_sub, e) for p, e in zip(profiles, errors))
         out[scheme] = build_record(
             curve,
             poly,
@@ -184,7 +192,7 @@ def evaluate_curve(
             scheme=scheme.value,
             nise_variant=nise_variant,
             geometry=geometry,
-            errors=(e2, emax),
+            errors=errors,
         )
     return out
 

@@ -127,9 +127,11 @@ def polygon_errors_naive(curve: DigitalCurve, poly) -> tuple[float, float]:
 
 
 def baseline_for(curve: DigitalCurve, poly, kind: CostKind, costs=None):
-    """Optimal baseline of any polygon on the curve, by the steps that
-    study.evaluate_curve takes for a scheme's polygon: start vertex at
-    poly.m vertices, profile up to 3 * poly.m, read at poly's error."""
+    """Optimal baseline of any polygon on the curve at full depth: start
+    vertex at poly.m vertices, profile up to 3 * poly.m (at most n),
+    read at poly's error.  study.evaluate_curve solves a profile past
+    m_sub only where some scheme's error is below it there, and
+    tests/test_study.py checks that its records equal this reference's."""
     if costs is None:
         costs = SegmentCosts(curve)
     start = select_start_vertex(curve, poly.m, kind, costs)

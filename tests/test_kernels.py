@@ -1155,11 +1155,11 @@ class _Widths(np.ndarray):
         return width
 
 
-def _traced_widths(tab, start, m_max, use_max):
+def _traced_widths(tab, start, m_max, use_max, polygon=False):
     """The band width of each layer 2..m_max of the first pass."""
     _Widths.seen = []
     cheapest = _kernels.cheapest_sides(tab).view(_Widths)
-    _kernels.dp_solve(tab, cheapest, start, m_max, use_max)
+    _kernels.dp_solve(tab, cheapest, start, m_max, use_max, polygon)
     return _Widths.seen[:m_max - 1]
 
 
@@ -1198,9 +1198,9 @@ def test_dp_prunes_a_corpus_curve_without_fallback(kind, monkeypatch):
 
 
 def _force_a_rise(monkeypatch):
-    """Make every bounded DP pass lose its profile value at m = 3, as a
-    rising profile does; returns the list of the passes run, each
-    "bounded" or "unbounded"."""
+    """Make every bounded DP pass lose its last profile value, dp[m_max,
+    n], as a rising profile does; returns the list of the passes run,
+    each "bounded" or "unbounded"."""
     layers = _kernels._dp_layers
     passes = []
 
@@ -1208,7 +1208,7 @@ def _force_a_rise(monkeypatch):
         passes.append("unbounded" if bound is None else "bounded")
         dp = layers(tab, cheapest, start, m_max, combine, bound)
         if bound is not None:
-            dp[3, -1] = np.inf
+            dp[m_max, -1] = np.inf
         return dp
 
     monkeypatch.setattr(_kernels, "_dp_layers", rising)
@@ -1265,6 +1265,149 @@ def test_a_rising_emax_profile_reruns_on_its_stored_rows(monkeypatch):
     assert peak < 8 * n * n
     assert costs.table(kind).shape[0] == rows
     assert dp.tobytes() == want.tobytes()
+
+
+def _assert_polygon_matches_loops(tab, start, ms, use_max, rows=None):
+    """The seeded solve of each m in ms over the table's rows 0 to rows
+    - 1 (every row by default), rerun as SegmentCosts reruns it, against
+    the loops over the full table: dp[m, n], the chain dp_chain walks
+    back from it, and every finite cell are the loops'."""
+    n = tab.shape[0]
+    d2, p2 = _dp_solve_loops(_rcost(tab, start), max(ms), use_max)
+    for m in ms:
+        read = tab[:rows]
+        cheapest = _kernels.cheapest_sides(read)
+        dp = _kernels.dp_solve(read, cheapest, start, m, use_max, True)
+        if dp is None:
+            assert read.shape[0] < n and not use_max
+            read = tab
+            dp = _kernels._dp_layers(read, _kernels.cheapest_sides(read), start, m, np.add,
+                                     None)
+        want = d2[:m + 1]
+        assert dp[m, n].tobytes() == want[m, n].tobytes(), m
+        if np.isfinite(dp[m, n]):
+            assert _kernels.dp_chain(read, start, dp, m, use_max) == _chain(p2, m, n), m
+        kept = np.isfinite(dp)
+        assert dp[kept].tobytes() == want[kept].tobytes(), m
+
+
+def _polygon_families():
+    """(name, table, start, m values, rows) for every family of tables
+    the profile tests above solve; for rows "ring" the table is the
+    ring's points, for _ring_table."""
+    out = []
+    for seed in range(3):
+        tab, start = _random_table(seed, 12)
+        out.append((f"random{seed}", tab, start, range(3, 9), None))
+        tab, start = _random_table(seed, 40, costs=range(4))
+        out.append((f"tied{seed}", tab, start, (3, 5, 9, 15), None))
+    tab, start = _random_table(5, 25)
+    tab[np.random.default_rng(5).uniform(size=tab.shape) < 0.6] = np.inf
+    out.append(("forbidden", tab, start, range(3, 13), None))
+    out.append(("rising", _rising_table(12), 0, range(3, 13), None))
+    # a cheap seed triangle, a cheaper hexagon 0 1 8 9 16 17, and rows
+    # 10 and up left out, every entry of them above U3 but cheaper than
+    # most stored sides: a seed above U3, such as the equally spaced
+    # hexagon's cost, would keep cells whose best path takes a side left
+    # out
+    tab, start = _random_table(7, 24)
+    for at in (8, 16, 24):
+        tab[8, (start + at) % 24] = 0.001
+        tab[1, (start + at - 7) % 24] = tab[7, (start + at) % 24] = 0.0005
+    tab[10:] = 0.01 + np.random.default_rng(7).uniform(0.0, 1.0, size=(14, 24))
+    out.append(("rows", tab, start, (3, 6, 12, 20), 10))
+    for name in ("square8", "rectangle", "big_square"):
+        pts = {
+            "square8": _walk([(0, 0), (2, 0), (2, 2), (0, 2)]),
+            "rectangle": RUN_RINGS["rectangle"],
+            "big_square": _walk([(0, 0), (7, 0), (7, 7), (0, 7)]),
+        }[name]
+        out.append((name, pts, 1, range(3, pts.shape[0] + 1), "ring"))
+    out.append(("ellipse", _ellipse("e", 9.0, 5.0, 80).points, 5, (3, 4, 7, 12, 20), "ring"))
+    out.append(("blob05", _fourier_blob(5, 40.0, 600).points, 11, (3, 20), "ring"))
+    return out
+
+
+@pytest.mark.parametrize("family", range(len(_polygon_families())))
+@pytest.mark.parametrize("use_max", [False, True])
+def test_seeded_polygon_solve_matches_loops(family, use_max):
+    # seeded with the equally spaced m-gon as well as the triangle, the
+    # solve keeps the loops' dp[m, n] and chain, on random, tied,
+    # forbidden and rising costs and on rings' stored rows
+    name, tab, start, ms, rows = _polygon_families()[family]
+    if rows == "ring":
+        tab, rows = _ring_table(tab, use_max)
+    elif use_max:
+        rows = None  # a max table leaves out only +inf rows (dp_solve)
+    _assert_polygon_matches_loops(tab, start, ms, use_max, rows)
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_seeded_polygon_solve_reruns_only_for_its_own_value(kind, monkeypatch):
+    # blob05 at m_sub = 20: the seed prunes the lower layers' profile
+    # values, which a profile solve would rerun for, but keeps dp[m, n],
+    # so one bounded pass answers
+    curve = _fourier_blob(5, 40.0, 600)
+    m = round(curve.n / 15)
+    use_max = kind is CostKind.MAX_ERROR
+    tab = SegmentCosts(curve).table(kind)
+    start = optimal.provisional_start_vertex(curve)
+    passes = []
+    layers = _kernels._dp_layers
+
+    def traced(*args):
+        passes.append(args[-1] is not None)
+        return layers(*args)
+
+    monkeypatch.setattr(_kernels, "_dp_layers", traced)
+    dp = _kernels.dp_solve(tab, _kernels.cheapest_sides(tab), start, m, use_max, True)
+    assert passes == [True]
+    assert np.isinf(dp[3:m, -1]).any() and np.isfinite(dp[m, -1])
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_a_lost_polygon_value_reruns_over_every_row(kind, monkeypatch):
+    # dp[m, n] forced to +inf: one bounded pass, then one unbounded one;
+    # the E2 table is built in full first and kept, the Emax table keeps
+    # its stored rows, and the polygon is the loops'
+    curve = _ellipse("e", 9.0, 5.0, 80)
+    n, start, m = curve.n, 5, 12
+    use_max = kind is CostKind.MAX_ERROR
+    full, rows = _ring_table(curve.points, use_max)
+    costs = SegmentCosts(curve)
+    assert costs.table(kind).shape[0] == rows < n
+    passes = _force_a_rise(monkeypatch)
+    poly = costs.polygon(start, m, kind)
+    assert passes == ["bounded", "unbounded"]
+    _, parent = _dp_solve_loops(_rcost(full, start), m, use_max)
+    assert poly.indices.tolist() == sorted((start + a) % n for a in _chain(parent, m, n)[1:])
+    assert costs.table(kind).shape[0] == (rows if use_max else n)
+    assert costs.table(kind).tobytes() == full[:costs.table(kind).shape[0]].tobytes()
+
+
+def _band_cells(widths, n):
+    """Cells a first pass reads, from its band widths of layers 2.."""
+    return sum(w * (n + 1 - j) for j, w in enumerate(widths, start=2))
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_seeded_polygon_solve_narrows_the_band(kind):
+    # blob05 (n = 294) at m_sub = 20 from its provisional start: the
+    # seed of SegmentCosts.polygon widens no layer's band past the
+    # profile solve's and holds fewer cells in all
+    curve = _fourier_blob(5, 40.0, 600)
+    m = round(curve.n / 15)
+    use_max = kind is CostKind.MAX_ERROR
+    costs = SegmentCosts(curve)
+    tab = costs.table(kind)
+    start = optimal.provisional_start_vertex(curve)
+    costs._tables[kind] = tab, costs._tables[kind][1].view(_Widths)
+    _Widths.seen = []
+    costs.polygon(start, m, kind)
+    seeded = _Widths.seen[:m - 1]
+    plain = _traced_widths(tab, start, m, use_max)
+    assert all(a <= b for a, b in zip(seeded, plain))
+    assert _band_cells(seeded, curve.n) < _band_cells(plain, curve.n)
 
 
 def test_dp_tie_breaks_to_smallest_predecessor():

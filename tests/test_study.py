@@ -7,12 +7,19 @@ import pytest
 from polyapprox import (
     AllZero,
     ConstantSeries,
+    CostKind,
     DigitalCurve,
     LengthMismatch,
     MeasureSeries,
+    PolyApproxError,
     SchemeId,
+    SegmentCosts,
+    apply_scheme,
+    auto_target_m,
+    build_record,
     direction_agreement,
     emit_svg_line_diagram,
+    evaluate_curve,
     pearson,
     run_study,
     scale_for_plot,
@@ -21,7 +28,7 @@ from polyapprox import (
 from polyapprox import approx_error, measures, study
 from polyapprox.study import PAIRINGS, correlations_csv, pairing_slug, records_csv
 from polyapprox._kernels import EXACT_SPAN
-from conftest import build_corpus, square_ring, wide_ring
+from conftest import baseline_for, build_corpus, lattice_ring, square_ring, wide_ring
 
 
 def scaled_square8(scale):
@@ -144,6 +151,89 @@ def test_run_study_calls_apply_scheme_with_three_positional_arguments(monkeypatc
     # the study keeps no curve's E2 table once it returns
     for curve in corpus:
         assert approx_error._E2_TABLES[curve]() is None
+
+
+def _profile_depths(monkeypatch, corpus, cr):
+    """(m_max, m_sub, n) of every profile solve a study at cr asks for,
+    through a wrapper of SegmentCosts._solve with exactly the positional
+    arguments perfbench/spans.py traces it with; another argument would
+    crash every traced run."""
+    original = SegmentCosts._solve
+    asked = []
+
+    def wrapper(self, start, m_max, kind):
+        asked.append((self.curve, m_max))
+        return original(self, start, m_max, kind)
+
+    monkeypatch.setattr(SegmentCosts, "_solve", wrapper)
+    reports = run_study(corpus, target_cr=cr)
+    monkeypatch.undo()
+    assert not reports[0].skipped_curves
+    return [(m_max, auto_target_m(c, cr), c.n) for c, m_max in asked]
+
+
+def test_profiles_solve_to_m_sub_unless_a_scheme_beats_it(monkeypatch):
+    # each kind's profile goes to m_sub, and again to 3 m_sub only where
+    # some scheme's error is below the optimal error at m_sub: at cr 15
+    # no scheme does on the seed-0 corpus, at cr 30 a few do
+    corpus = build_corpus()
+    at15 = _profile_depths(monkeypatch, corpus, 15.0)
+    assert len(at15) == 2 * len(corpus)
+    assert all(m_max == m_sub for m_max, m_sub, _ in at15)
+    at30 = _profile_depths(monkeypatch, corpus, 30.0)
+    deep = [(m_max, m_sub, n) for m_max, m_sub, n in at30 if m_max != m_sub]
+    assert len(at30) - len(deep) == 2 * len(corpus)
+    assert 0 < len(deep) < len(corpus)
+    assert all(m_max == min(n, 3 * m_sub) > m_sub for m_max, m_sub, n in deep)
+
+
+def _full_depth_records(curve, m_sub):
+    """evaluate_curve's records with every profile solved to 3 m_sub (at
+    most n), by baseline_for."""
+    costs = SegmentCosts(curve)
+    out = {}
+    for scheme in SchemeId:
+        poly = apply_scheme(scheme, curve, m_sub)
+        b_e2, b_em = (baseline_for(curve, poly, kind, costs) for kind in CostKind)
+        out[scheme] = build_record(curve, poly, b_e2, b_em, curve_id=curve.name,
+                                   scheme=scheme.value)
+    return out
+
+
+def _outcome(evaluate, curve, m_sub):
+    """Each record's repr (exact floats, NaN equal to NaN), or the name
+    of the error the evaluation raised."""
+    try:
+        return {scheme: repr(rec) for scheme, rec in evaluate(curve, m_sub).items()}
+    except PolyApproxError as exc:
+        return type(exc).__name__
+
+
+def _study_records(curve, m_sub):
+    return evaluate_curve(curve, None, tuple(SchemeId), m_sub, "printed")
+
+
+@pytest.mark.parametrize("cr", [8.0, 15.0, 30.0])
+def test_evaluate_curve_matches_the_full_depth_profiles_on_the_corpus(cr):
+    for curve in build_corpus():
+        m_sub = auto_target_m(curve, cr)
+        got = _outcome(_study_records, curve, m_sub)
+        assert isinstance(got, dict)
+        assert got == _outcome(_full_depth_records, curve, m_sub), curve.name
+
+
+@pytest.mark.parametrize("cr", [3.0, 5.0])
+def test_evaluate_curve_matches_the_full_depth_profiles_on_lattice_rings(cr):
+    # small rings whose rows clamp at both ends of the profile
+    clamped = 0
+    for seed in range(40):
+        curve = lattice_ring(seed)
+        m_sub = auto_target_m(curve, cr)
+        got = _outcome(_study_records, curve, m_sub)
+        assert got == _outcome(_full_depth_records, curve, m_sub), seed
+        if isinstance(got, dict):
+            clamped += sum("clamped=True" in rec for rec in got.values())
+    assert clamped
 
 
 def test_run_study_thread_count_does_not_change_results():
