@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .approx_error import polygon_errors
-from .curve import load_curve
+from .curve import FORMATS, load_curve
 from .exceptions import PolyApproxError
 from .measures import CSV_HEADER, record_to_csv_row
 from .optimal import CostKind, SegmentCosts, select_start_vertex
@@ -63,8 +63,8 @@ def _write_atomic(path: Path, data: bytes):
 
 
 def _add_common(p: _Parser):
-    p.add_argument("--format", choices=("auto", "pts", "chn"), default="auto",
-                   help="input format, otherwise by extension")
+    p.add_argument("--format", choices=["auto", *(e[1:] for e in FORMATS)],
+                   default="auto", help="input format, otherwise by extension")
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -110,7 +110,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_m(parser: _Parser, args, curve) -> int:
+def _load_with_m(parser: _Parser, args):
+    curve = load_curve(args.infile, args.format)
     if args.m is not None and args.target_cr is not None:
         parser.error("pass either --m or --target-cr, not both")
     if args.m is not None:
@@ -118,11 +119,11 @@ def _resolve_m(parser: _Parser, args, curve) -> int:
             parser.error("m must be >= 3")
         if args.m > curve.n:
             parser.error(f"m must be <= n ({curve.n})")
-        return args.m
+        return curve, args.m
     target = args.target_cr if args.target_cr is not None else 15.0
-    if target < 1.0:
+    if not target >= 1.0:  # NaN too
         parser.error("target-cr must be >= 1")
-    return auto_target_m(curve, target)
+    return curve, auto_target_m(curve, target)
 
 
 def _threads_arg(parser: _Parser, value: str) -> int:
@@ -136,8 +137,7 @@ def _threads_arg(parser: _Parser, value: str) -> int:
 
 
 def _cmd_approx(parser, args) -> int:
-    curve = load_curve(args.infile, args.format)
-    m = _resolve_m(parser, args, curve)
+    curve, m = _load_with_m(parser, args)
     scheme = _SCHEMES[args.scheme]
     poly = apply_scheme(scheme, curve, m)
     e2, emax = polygon_errors(curve, poly)
@@ -151,8 +151,7 @@ def _cmd_approx(parser, args) -> int:
 
 
 def _cmd_profile(parser, args) -> int:
-    curve = load_curve(args.infile, args.format)
-    m_sub = _resolve_m(parser, args, curve)
+    curve, m_sub = _load_with_m(parser, args)
     kind = _COSTS[args.cost]
     costs = SegmentCosts(curve)
     start = select_start_vertex(curve, m_sub, kind, costs)
@@ -166,8 +165,7 @@ def _cmd_profile(parser, args) -> int:
 
 
 def _cmd_merit(parser, args) -> int:
-    curve = load_curve(args.infile, args.format)
-    m = _resolve_m(parser, args, curve)
+    curve, m = _load_with_m(parser, args)
     scheme = _SCHEMES[args.scheme]
     record = evaluate_curve(curve, curve.name, (scheme,), m, args.nise_variant)[scheme]
     print(CSV_HEADER)
@@ -177,16 +175,14 @@ def _cmd_merit(parser, args) -> int:
 
 def _cmd_study(parser, args) -> int:
     threads = _threads_arg(parser, args.threads)
-    if args.target_cr < 1.0:
+    if not args.target_cr >= 1.0:  # NaN too
         parser.error("target-cr must be >= 1")
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise PolyApproxError(f"corpus directory not found: {corpus_dir}")
-    paths = sorted(
-        p for p in corpus_dir.iterdir() if p.suffix.lower() in (".pts", ".chn")
-    )
+    paths = sorted(p for p in corpus_dir.iterdir() if p.suffix.lower() in FORMATS)
     if not paths:
-        raise PolyApproxError(f"no .pts or .chn files in {corpus_dir}")
+        raise PolyApproxError(f"no {' or '.join(FORMATS)} files in {corpus_dir}")
     corpus = [load_curve(p) for p in paths]
     reports = run_study(
         corpus,
@@ -232,10 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](parser, args)
-    except PolyApproxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PolyApproxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

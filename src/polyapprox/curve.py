@@ -47,8 +47,10 @@ _ISOTROPY_RTOL = 1e-12
 class DigitalCurve:
     """Ring of integer points with circular indexing.
 
-    ``points`` is an (n, 2) int array; it is frozen on construction so a
-    curve can be shared safely between caches and polygons.
+    ``points`` is anything that converts to an (n, 2) array of integer
+    values within int64; the parsers pass lists of int pairs.  It is
+    stored as an int64 array, frozen so a curve can be shared safely
+    between caches and polygons.
     """
 
     points: np.ndarray
@@ -56,8 +58,20 @@ class DigitalCurve:
 
     def __post_init__(self):
         pts = np.asarray(self.points)
+        if pts.size == 0:
+            pts = pts.reshape(0, 2)  # an empty list has no second axis
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise MalformedLine("points must be an (n, 2) array")
+        if not np.can_cast(pts.dtype, np.int64):
+            # floats, uint64 and Python ints past int64 must survive the cast
+            try:
+                with np.errstate(invalid="ignore"):
+                    cast = pts.astype(np.int64)
+            except (OverflowError, TypeError, ValueError):
+                cast = None
+            if cast is None or not np.array_equal(cast, pts):
+                raise MalformedLine("coordinates must be 64-bit integers")
+            pts = cast
         pts = np.ascontiguousarray(pts, dtype=np.int64)
         if pts.shape[0] < 3:
             raise TooFewPoints(f"need at least 3 points, got {pts.shape[0]}")
@@ -117,32 +131,43 @@ class CurveGeometry:
         return self.d1 + self.d2
 
 
+def _content_lines(text: str | bytes) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line that is not blank or a
+    '#' comment.  Bytes are decoded as UTF-8."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and line[0] != "#"
+    ]
+
+
+def _int_pairs(lines: list[tuple[int, str]]) -> list[tuple[int, int]]:
+    pts = []
+    for lineno, line in lines:
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise MalformedLine(f"line {lineno}: expected 'x y', got {line!r}")
+        try:
+            pts.append((int(tokens[0]), int(tokens[1])))
+        except ValueError:
+            raise MalformedLine(
+                f"line {lineno}: coordinates must be integers, got {line!r}"
+            ) from None
+    return pts
+
+
 def parse_point_list(text: str | bytes) -> DigitalCurve:
     """Parse "x y" integer lines into a curve.
 
     Blank lines and lines starting with '#' are skipped.  Real-valued
     coordinates are rejected: the model is a lattice curve.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    pts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise MalformedLine(f"line {lineno}: expected 'x y', got {line!r}")
-        try:
-            x, y = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise MalformedLine(
-                f"line {lineno}: coordinates must be integers, got {line!r}"
-            ) from None
-        pts.append((x, y))
-    if len(pts) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    return DigitalCurve(np.array(pts, dtype=np.int64))
+    return DigitalCurve(_int_pairs(_content_lines(text)))
 
 
 def parse_chain_code(text: str | bytes) -> DigitalCurve:
@@ -152,27 +177,12 @@ def parse_chain_code(text: str | bytes) -> DigitalCurve:
     The trace must land back on the start point, which is not repeated
     in the returned curve.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if len(lines) < 2:
         raise MalformedLine("chain-code input needs a start line and a code line")
-    tokens = lines[0].split()
-    if len(tokens) != 2:
-        raise MalformedLine(f"start line must be 'x0 y0', got {lines[0]!r}")
-    try:
-        x, y = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise MalformedLine(
-            f"start coordinates must be integers, got {lines[0]!r}"
-        ) from None
-    codes = lines[1]
-    pts = [(x, y)]
-    for pos, ch in enumerate(codes):
+    pts = _int_pairs(lines[:1])
+    x, y = pts[0]
+    for pos, ch in enumerate(lines[1][1]):
         if ch not in "01234567":
             raise InvalidDigit(f"code position {pos}: {ch!r} is not in 0..7")
         dx, dy = _CHAIN_STEPS[int(ch)]
@@ -182,10 +192,7 @@ def parse_chain_code(text: str | bytes) -> DigitalCurve:
         raise NotClosed(
             f"trace ends at ({x}, {y}), start is ({pts[0][0]}, {pts[0][1]})"
         )
-    pts = pts[:-1]
-    if len(pts) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    return DigitalCurve(np.array(pts, dtype=np.int64))
+    return DigitalCurve(pts[:-1])
 
 
 def chain_code_of(curve: DigitalCurve) -> str:
@@ -201,29 +208,25 @@ def chain_code_of(curve: DigitalCurve) -> str:
     return "".join(out)
 
 
-def load_curve(path: str | Path, fmt: str = "auto") -> DigitalCurve:
-    """Load a curve file, dispatching on extension unless fmt overrides.
+# Curve file formats by suffix; `load_curve` and the CLI read this table.
+FORMATS = {".pts": parse_point_list, ".chn": parse_chain_code}
 
-    ".pts" files hold point lists, ".chn" files hold chain codes.
+
+def load_curve(path: str | Path, fmt: str = "auto") -> DigitalCurve:
+    """Load a curve file and name it after the file's stem.
+
+    ``fmt`` is a `FORMATS` suffix without its dot ("pts", "chn"), or
+    "auto" to take the format from the file's extension.  The parser
+    gets the file's bytes; text formats are UTF-8.
     """
     path = Path(path)
-    if fmt == "auto":
-        ext = path.suffix.lower()
-        if ext == ".pts":
-            fmt = "pts"
-        elif ext == ".chn":
-            fmt = "chn"
-        else:
-            raise MalformedLine(
-                f"{path}: unknown extension {ext!r}; pass an explicit format"
-            )
-    text = path.read_text(encoding="utf-8")
-    if fmt == "pts":
-        curve = parse_point_list(text)
-    elif fmt == "chn":
-        curve = parse_chain_code(text)
-    else:
-        raise MalformedLine(f"unknown curve format {fmt!r}")
+    ext = path.suffix.lower() if fmt == "auto" else "." + fmt
+    if ext not in FORMATS:
+        raise MalformedLine(
+            f"{path}: unknown extension {ext!r}; pass an explicit format"
+            if fmt == "auto" else f"unknown curve format {fmt!r}"
+        )
+    curve = FORMATS[ext](path.read_bytes())
     curve.name = path.stem
     return curve
 

@@ -11,7 +11,8 @@ class PolyApproxError(Exception):
 
 
 class MalformedLine(PolyApproxError):
-    """A point-list line is not a pair of integers."""
+    """Curve input is malformed: a line is not a pair of integers, the
+    bytes are not UTF-8, or a coordinate is not a 64-bit integer."""
 
 
 class TooFewPoints(PolyApproxError):

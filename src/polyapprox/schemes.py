@@ -248,7 +248,7 @@ def apply_scheme(scheme: SchemeId, curve: DigitalCurve, m: int) -> PolygonApprox
 def auto_target_m(curve: DigitalCurve, target_cr: float) -> int:
     """Vertex budget hitting a target compression ratio, clamped to
     the valid range."""
-    if target_cr < 1.0:
+    if not target_cr >= 1.0:  # NaN too
         raise InvalidCounts(f"target compression ratio must be >= 1, got {target_cr}")
     m = round(curve.n / target_cr)
     return max(3, min(curve.n, m))

@@ -274,3 +274,38 @@ def test_target_cr_validation(square_pts):
     with pytest.raises(SystemExit) as e:
         main(["approx", "--in", str(square_pts), "--target-cr", "0.5"])
     assert e.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["approx", "profile", "study"])
+def test_nan_target_cr_is_a_usage_error(square_pts, command, capsys):
+    where = ["--corpus", str(square_pts.parent)] if command == "study" else [
+        "--in", str(square_pts)]
+    with pytest.raises(SystemExit) as e:
+        main([command, *where, "--target-cr", "nan"])
+    assert e.value.code == 1
+    assert "target-cr must be >= 1" in capsys.readouterr().err
+
+
+def test_coordinate_past_int64_is_data_error(tmp_path, capsys):
+    big = tmp_path / "big.pts"
+    big.write_text("100000000000000000000 0\n1 1\n2 0\n")
+    assert main(["approx", "--in", str(big)]) == 2
+    assert "64-bit integers" in capsys.readouterr().err
+
+
+def test_study_with_a_file_that_is_not_utf8_is_data_error(corpus_dir, tmp_path, capsys):
+    (corpus_dir / "cafe.pts").write_bytes(b"# caf\xe9\n0 0\n4 0\n4 4\n")
+    assert main(["study", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 2
+    assert "byte 5: not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_formats_come_from_the_curve_table(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["approx", "--help"])
+    assert "--format {auto,pts,chn}" in capsys.readouterr().out
+    d = tmp_path / "none"
+    d.mkdir()
+    (d / "square.txt").write_text(SQUARE)
+    assert main(["study", "--corpus", str(d)]) == 2
+    assert "no .pts or .chn files" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from polyapprox import (
     chain_code_of,
     curve_geometry,
     inertia_line,
+    curve,
     load_curve,
     parse_chain_code,
     parse_point_list,
@@ -56,6 +58,33 @@ def test_curve_rejects_consecutive_duplicates():
         DigitalCurve(np.array([[0, 0], [1, 0], [1, 1], [0, 0]]))
 
 
+@pytest.mark.parametrize("bad", [
+    [[0.5, 0.0], [4.9, 0.0], [4.0, 4.7], [0.0, 4.0]],   # would truncate to a square
+    [[1e19, 0.0], [1.0, 1.0], [2.0, 0.0]],              # would wrap past int64
+    [[math.nan, 0.0], [1.0, 1.0], [2.0, 0.0]],
+    np.array([[2**63, 0], [1, 1], [2, 0]], dtype=np.uint64),
+    [[10**20, 0], [1, 1], [2, 0]],                     # a Python int past int64
+])
+def test_curve_rejects_coordinates_that_are_not_int64(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedLine, match="64-bit integers"):
+            DigitalCurve(bad)
+
+
+def test_curve_accepts_integral_floats_and_int_pairs():
+    square = [[0, 0], [4, 0], [4, 4], [0, 4]]
+    for pts in (np.array(square, dtype=np.float64), square, np.array(square, np.uint64)):
+        c = DigitalCurve(pts)
+        assert c.points.dtype == np.int64
+        assert c.points.tolist() == square
+
+
+def test_curve_keeps_an_int64_array_without_copying():
+    pts = np.array([[0, 0], [4, 0], [4, 4]], dtype=np.int64)
+    assert DigitalCurve(pts).points is pts
+
+
 def test_parse_point_list():
     c = parse_point_list("0 0\n4 0\n4 4\n0 4")
     assert c.n == 4
@@ -72,12 +101,31 @@ def test_parse_point_list_errors():
         parse_point_list("0 0\n0 0\n1 1")
     with pytest.raises(TooFewPoints):
         parse_point_list("0 0\n1 0")
+    for empty in ("", b"", "# only a comment\n\n"):
+        with pytest.raises(TooFewPoints, match="got 0"):
+            parse_point_list(empty)
     with pytest.raises(MalformedLine, match="line 2"):
         parse_point_list("0 0\n1\n2 2")
     with pytest.raises(MalformedLine, match="line 3"):
         parse_point_list("0 0\n1 0\n2.5 1")
     with pytest.raises(MalformedLine, match="line 1"):
         parse_point_list("a b\n1 0\n2 2")
+
+
+def test_parse_point_list_rejects_bytes_that_are_not_utf8():
+    with pytest.raises(MalformedLine, match="byte 5: not UTF-8"):
+        parse_point_list(b"# caf\xe9\n0 0\n4 0\n4 4\n")
+    # a UTF-8 comment is fine
+    assert parse_point_list("# café\n0 0\n4 0\n4 4\n".encode()).n == 3
+
+
+def test_parse_point_list_rejects_coordinates_past_int64():
+    with pytest.raises(MalformedLine, match="64-bit integers"):
+        parse_point_list("100000000000000000000 0\n1 1\n2 0\n")
+    with pytest.raises(MalformedLine, match="64-bit integers"):
+        parse_chain_code("9223372036854775807 0\n0246")
+    top = 2**63 - 1
+    assert parse_point_list(f"{top} 0\n{top} 1\n0 0\n").point(0) == (top, 0)
 
 
 def test_parse_chain_code_unit_square():
@@ -138,6 +186,25 @@ def test_load_curve_dispatch(tmp_path):
         load_curve(r)
     with pytest.raises(MalformedLine):
         load_curve(r, fmt="xyz")
+
+
+def test_load_curve_reads_every_format_in_the_table(tmp_path):
+    bodies = {".pts": "0 0\n1 0\n1 1\n0 1\n", ".chn": "0 0\n0246\n"}
+    assert set(curve.FORMATS) == set(bodies)
+    for ext, body in bodies.items():
+        by_ext = tmp_path / f"sq{ext}"
+        by_ext.write_text(body)
+        named = tmp_path / "sq.txt"
+        named.write_text(body)
+        for c in (load_curve(by_ext), load_curve(named, fmt=ext[1:])):
+            assert c.points.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+def test_load_curve_rejects_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "cafe.pts"
+    p.write_bytes(b"# caf\xe9\n0 0\n4 0\n4 4\n")
+    with pytest.raises(MalformedLine, match="not UTF-8"):
+        load_curve(p)
 
 
 def test_centroid_hand_values():

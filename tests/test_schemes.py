@@ -442,6 +442,12 @@ def test_elimination_keeps_no_error():
     assert schemes._ELIMINATED[square][0] == 4
 
 
+@pytest.mark.parametrize("cr", [0.5, float("nan")])
+def test_auto_target_m_rejects_ratios_not_at_least_one(square8, cr):
+    with pytest.raises(InvalidCounts):
+        auto_target_m(square8, cr)
+
+
 def test_e2_table_dies_with_its_segment_costs():
     c = build_corpus()[0]
     m = auto_target_m(c, 15.0)

@@ -280,6 +280,14 @@ def test_run_study_skips_degenerate_curve_and_continues():
         assert "DegenerateSegment" in reason
 
 
+def test_run_study_at_a_nan_ratio_skips_every_curve_as_below_one():
+    corpus = [scaled_square8(2), scaled_square8(3)]
+    nan = run_study(corpus, target_cr=float("nan"))
+    half = run_study(corpus, target_cr=0.5)
+    assert all(len(rep.skipped_curves) == 2 for rep in nan)
+    assert repr(nan) == repr(half).replace("got 0.5", "got nan")
+
+
 def test_run_study_computes_each_polygons_errors_once(monkeypatch):
     # evaluate_curve hands the errors it scored the baselines with to
     # build_record, which then computes none
