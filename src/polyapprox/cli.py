@@ -24,17 +24,7 @@ from .exceptions import PolyApproxError
 from .measures import CSV_HEADER, record_to_csv_row
 from .optimal import CostKind, SegmentCosts, select_start_vertex
 from .schemes import SchemeId, apply_scheme, auto_target_m
-from .study import (
-    PAIRINGS,
-    correlations_csv,
-    emit_svg_line_diagram,
-    evaluate_curve,
-    pairing_slug,
-    records_csv,
-    run_study,
-    scale_for_plot,
-    study_series,
-)
+from .study import evaluate_curve, run_study, study_outputs
 
 _SCHEMES = {s.value: s for s in SchemeId}
 _COSTS = {"e2": CostKind.SUM_SQUARED, "emax": CostKind.MAX_ERROR}
@@ -191,19 +181,8 @@ def _cmd_study(parser, args) -> int:
         threads=threads,
     )
     out = Path(args.out)
-    _write_atomic(out / "records.csv", records_csv(reports).encode("ascii"))
-    _write_atomic(out / "correlations.csv", correlations_csv(reports).encode("ascii"))
-    for report in reports:
-        for key, *_ in PAIRINGS:
-            if key in report.skipped_pairings or key not in report.agreement:
-                continue
-            weighted, merit = study_series(report, key)
-            svg = emit_svg_line_diagram(
-                scale_for_plot(weighted),
-                scale_for_plot(merit),
-                report.agreement[key],
-            )
-            _write_atomic(out / f"{report.scheme.value}_{pairing_slug(key)}.svg", svg)
+    for name, data in study_outputs(reports).items():
+        _write_atomic(out / name, data)
     # run_study has logged each skipped curve once
     kept = len(reports[0].records) if reports else 0
     skipped = len(reports[0].skipped_curves) if reports else 0

@@ -18,9 +18,9 @@ import numpy as np
 from .exceptions import (
     DuplicateConsecutive,
     InvalidDigit,
-    InvalidGeometry,
     MalformedLine,
     NotClosed,
+    PolyApproxError,
     TooFewPoints,
 )
 
@@ -49,15 +49,15 @@ class DigitalCurve:
 
     ``points`` is anything that converts to an (n, 2) array of integer
     values within int64; the parsers pass lists of int pairs.  It is
-    stored as an int64 array, frozen so a curve can be shared safely
-    between caches and polygons.
+    stored as the curve's own int64 array, a copy of the caller's,
+    frozen so a curve can be shared safely between caches and polygons.
     """
 
     points: np.ndarray
     name: str | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points)
+        pts = np.array(self.points)
         if pts.size == 0:
             pts = pts.reshape(0, 2)  # an empty list has no second axis
         if pts.ndim != 2 or pts.shape[1] != 2:
@@ -217,7 +217,8 @@ def load_curve(path: str | Path, fmt: str = "auto") -> DigitalCurve:
 
     ``fmt`` is a `FORMATS` suffix without its dot ("pts", "chn"), or
     "auto" to take the format from the file's extension.  The parser
-    gets the file's bytes; text formats are UTF-8.
+    gets the file's bytes; text formats are UTF-8.  A parse error keeps
+    its type, and its message starts with the path.
     """
     path = Path(path)
     ext = path.suffix.lower() if fmt == "auto" else "." + fmt
@@ -226,19 +227,22 @@ def load_curve(path: str | Path, fmt: str = "auto") -> DigitalCurve:
             f"{path}: unknown extension {ext!r}; pass an explicit format"
             if fmt == "auto" else f"unknown curve format {fmt!r}"
         )
-    curve = FORMATS[ext](path.read_bytes())
+    try:
+        curve = FORMATS[ext](path.read_bytes())
+    except PolyApproxError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     curve.name = path.stem
     return curve
 
 
-def centroid_of_points(points: np.ndarray) -> tuple[float, float]:
-    pts = np.asarray(points, dtype=np.float64)
-    c = pts.mean(axis=0)
+def centroid(curve: DigitalCurve) -> tuple[float, float]:
+    c = curve.points_float().mean(axis=0)
     return float(c[0]), float(c[1])
 
 
-def inertia_line_of_points(points: np.ndarray) -> InertiaLine:
-    """Minimum-inertia axis of a point set.
+def inertia_line(curve: DigitalCurve) -> InertiaLine:
+    """Minimum-inertia axis of a curve's points.
 
     The direction is the eigenvector of the larger eigenvalue of the
     second central moment matrix; maximizing the spread captured along
@@ -246,17 +250,14 @@ def inertia_line_of_points(points: np.ndarray) -> InertiaLine:
     relative tolerance of isotropic has no preferred axis and maps to
     direction (1, 0).  The sign is canonical: positive x, or (0, 1).
     """
-    pts = np.asarray(points, dtype=np.float64)
-    cx, cy = centroid_of_points(pts)
+    pts = curve.points_float()
+    cx, cy = centroid(curve)
     dx = pts[:, 0] - cx
     dy = pts[:, 1] - cy
     mxx = float(dx @ dx)
     myy = float(dy @ dy)
     mxy = float(dx @ dy)
     scale = mxx + myy
-    if scale <= 0.0:
-        # all points coincide; any axis works
-        return InertiaLine((cx, cy), (1.0, 0.0))
     if abs(mxx - myy) <= _ISOTROPY_RTOL * scale and abs(mxy) <= _ISOTROPY_RTOL * scale:
         return InertiaLine((cx, cy), (1.0, 0.0))
     half = 0.5 * (mxx - myy)
@@ -272,28 +273,11 @@ def inertia_line_of_points(points: np.ndarray) -> InertiaLine:
     return InertiaLine((cx, cy), (vx, vy))
 
 
-def point_set_geometry(points: np.ndarray) -> CurveGeometry:
-    """CurveGeometry of a raw (n, 2) point array."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-        raise InvalidGeometry("need an (n, 2) point array")
-    cx, cy = centroid_of_points(pts)
-    rel = pts - (cx, cy)
+def curve_geometry(curve: DigitalCurve) -> CurveGeometry:
+    axis = inertia_line(curve)
+    (cx, cy), (ux, uy) = axis.point, axis.direction
+    rel = curve.points_float() - (cx, cy)
     d1 = float(np.sqrt((rel * rel).sum(axis=1).max()))
-    axis = inertia_line_of_points(pts)
-    ux, uy = axis.direction
     # perpendicular distance to the axis is the cross product with u
     d2 = float(np.abs(rel[:, 0] * uy - rel[:, 1] * ux).max())
     return CurveGeometry((cx, cy), d1, axis, d2)
-
-
-def centroid(curve: DigitalCurve) -> tuple[float, float]:
-    return centroid_of_points(curve.points)
-
-
-def inertia_line(curve: DigitalCurve) -> InertiaLine:
-    return inertia_line_of_points(curve.points)
-
-
-def curve_geometry(curve: DigitalCurve) -> CurveGeometry:
-    return point_set_geometry(curve.points)

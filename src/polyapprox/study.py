@@ -49,18 +49,21 @@ __all__ = [
     "PAIRINGS",
     "correlations_csv",
     "records_csv",
+    "study_outputs",
 ]
 
 logger = logging.getLogger(__name__)
 
-# key, weighted source column, transform, compare-inverted, merit column
+# key, weighted source column, transform, compare-inverted, merit column,
+# the slug that names the pairing in correlations.csv and the SVG files
 PAIRINGS = (
-    ("we", "we", "reciprocal", False, "merit"),
-    ("we2", "we2", "reciprocal", False, "merit"),
-    ("we3", "we3", "direct", True, "merit"),
-    ("we_inf", "we_inf", "reciprocal", False, "merit_emax"),
-    ("fg", "fg", "direct", False, "merit"),
+    ("we", "we", "reciprocal", False, "merit", "merit_vs_recip_we"),
+    ("we2", "we2", "reciprocal", False, "merit", "merit_vs_recip_we2"),
+    ("we3", "we3", "direct", True, "merit", "merit_vs_we3"),
+    ("we_inf", "we_inf", "reciprocal", False, "merit_emax", "meritemax_vs_recip_weinf"),
+    ("fg", "fg", "direct", False, "merit", "merit_vs_fg"),
 )
+_PAIRING_ROWS = {row[0]: row for row in PAIRINGS}
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ def _pairing_values(records, row) -> tuple[list[float], list[float]]:
 
     Raises ZeroError where a reciprocal meets a zero weighted value.
     """
-    _, source, transform, _, merit_col = row
+    _, source, transform, _, merit_col, _ = row
     weighted = [getattr(r, source) for r in records]
     if transform == "reciprocal":
         if any(v == 0.0 for v in weighted):
@@ -262,7 +265,7 @@ def run_study(
         agree: dict[str, list[bool]] = {}
         skips: dict[str, str] = {}
         for row in PAIRINGS:
-            key, _, _, inverted, _ = row
+            key, _, _, inverted, *_ = row
             try:
                 weighted, merit = _pairing_values(records, row)
             except ZeroError:
@@ -291,8 +294,8 @@ def run_study(
 
 def study_series(report: StudyReport, key: str) -> tuple[MeasureSeries, MeasureSeries]:
     """(weighted, merit) series for one pairing, transformed as compared."""
-    row = next(p for p in PAIRINGS if p[0] == key)
-    _, source, transform, _, merit_col = row
+    row = _PAIRING_ROWS[key]
+    _, source, transform, _, merit_col, _ = row
     ids = tuple(r.curve_id for r in report.records)
     weighted, merit = _pairing_values(report.records, row)
     label = f"1/{source}" if transform == "reciprocal" else source
@@ -385,17 +388,8 @@ def records_csv(reports: list[StudyReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PAIRING_SLUGS = {
-    "we": "merit_vs_recip_we",
-    "we2": "merit_vs_recip_we2",
-    "we3": "merit_vs_we3",
-    "we_inf": "meritemax_vs_recip_weinf",
-    "fg": "merit_vs_fg",
-}
-
-
 def pairing_slug(key: str) -> str:
-    return _PAIRING_SLUGS[key]
+    return _PAIRING_ROWS[key][-1]
 
 
 def correlations_csv(reports: list[StudyReport]) -> str:
@@ -407,3 +401,22 @@ def correlations_csv(reports: list[StudyReport]) -> str:
                 f"{report.scheme.value},{pairing_slug(key)},{r},{len(report.records)}"
             )
     return "\n".join(lines) + "\n"
+
+
+def study_outputs(reports: list[StudyReport]) -> dict[str, bytes]:
+    """The study's output files by name, in the order they are written:
+    records.csv, correlations.csv, then per scheme one line diagram for
+    each pairing that was compared."""
+    out = {
+        "records.csv": records_csv(reports).encode("ascii"),
+        "correlations.csv": correlations_csv(reports).encode("ascii"),
+    }
+    for report in reports:
+        for key, *_ in PAIRINGS:
+            if key in report.skipped_pairings or key not in report.agreement:
+                continue
+            weighted, merit = study_series(report, key)
+            out[f"{report.scheme.value}_{pairing_slug(key)}.svg"] = emit_svg_line_diagram(
+                scale_for_plot(weighted), scale_for_plot(merit), report.agreement[key]
+            )
+    return out

@@ -28,15 +28,7 @@ from polyapprox import (
     stabilize,
     theorem_identity_check,
 )
-from polyapprox.study import (
-    PAIRINGS,
-    correlations_csv,
-    emit_svg_line_diagram,
-    pairing_slug,
-    records_csv,
-    scale_for_plot,
-    study_series,
-)
+from polyapprox.study import PAIRINGS, study_outputs
 from conftest import baseline_for, lattice_ring, perpendicular_distance, polygon_errors_points
 from test_optimal import brute_force_values
 
@@ -234,29 +226,10 @@ def test_08_schemes_emit_exact_vertex_counts(corpus):
     )
 
 
-def _render_study(reports):
-    blobs = {
-        "records.csv": records_csv(reports).encode("ascii"),
-        "correlations.csv": correlations_csv(reports).encode("ascii"),
-    }
-    for report in reports:
-        for key, *_ in PAIRINGS:
-            if key in report.skipped_pairings or key not in report.agreement:
-                continue
-            weighted, merit = study_series(report, key)
-            svg = emit_svg_line_diagram(
-                scale_for_plot(weighted),
-                scale_for_plot(merit),
-                report.agreement[key],
-            )
-            blobs[f"{report.scheme.value}_{pairing_slug(key)}.svg"] = svg
-    return blobs
-
-
 def test_09_study_outputs_are_reproducible(corpus, study_reports):
     again = run_study(corpus, threads=4)
-    first = _render_study(study_reports)
-    second = _render_study(again)
+    first = study_outputs(study_reports)
+    second = study_outputs(again)
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], name

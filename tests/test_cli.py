@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from polyapprox import cli, parse_point_list
+from polyapprox import cli, load_curve, parse_point_list, run_study
 from polyapprox.cli import main
 from polyapprox._kernels import EXACT_SPAN
+from polyapprox.study import study_outputs
 from conftest import build_corpus, lattice_ring, square_ring, wide_ring
 
 
@@ -184,6 +185,9 @@ def test_study_writes_outputs(corpus_dir, tmp_path, capsys):
     assert "elim_merit_vs_recip_we.svg" in svgs
     header = (out / "records.csv").read_text().split("\n")[0]
     assert header.startswith("curve,scheme,")
+    corpus = [load_curve(p) for p in sorted(corpus_dir.iterdir())]
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert written == study_outputs(run_study(corpus))
 
 
 def test_study_rerun_is_byte_identical(corpus_dir, tmp_path):
@@ -296,7 +300,7 @@ def test_coordinate_past_int64_is_data_error(tmp_path, capsys):
 def test_study_with_a_file_that_is_not_utf8_is_data_error(corpus_dir, tmp_path, capsys):
     (corpus_dir / "cafe.pts").write_bytes(b"# caf\xe9\n0 0\n4 0\n4 4\n")
     assert main(["study", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 2
-    assert "byte 5: not UTF-8" in capsys.readouterr().err
+    assert f"{corpus_dir / 'cafe.pts'}: byte 5: not UTF-8" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

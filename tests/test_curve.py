@@ -8,7 +8,6 @@ from polyapprox import (
     DigitalCurve,
     DuplicateConsecutive,
     InvalidDigit,
-    InvalidGeometry,
     MalformedLine,
     NotClosed,
     TooFewPoints,
@@ -20,7 +19,6 @@ from polyapprox import (
     load_curve,
     parse_chain_code,
     parse_point_list,
-    point_set_geometry,
 )
 from conftest import lattice_ring
 
@@ -80,9 +78,12 @@ def test_curve_accepts_integral_floats_and_int_pairs():
         assert c.points.tolist() == square
 
 
-def test_curve_keeps_an_int64_array_without_copying():
+def test_curve_copies_a_callers_int64_array():
     pts = np.array([[0, 0], [4, 0], [4, 4]], dtype=np.int64)
-    assert DigitalCurve(pts).points is pts
+    c = DigitalCurve(pts)
+    assert c.points is not pts
+    pts[0, 0] = 9  # the caller's array stays writable
+    assert c.point(0) == (0, 0)
 
 
 def test_parse_point_list():
@@ -203,8 +204,9 @@ def test_load_curve_reads_every_format_in_the_table(tmp_path):
 def test_load_curve_rejects_a_file_that_is_not_utf8(tmp_path):
     p = tmp_path / "cafe.pts"
     p.write_bytes(b"# caf\xe9\n0 0\n4 0\n4 4\n")
-    with pytest.raises(MalformedLine, match="not UTF-8"):
+    with pytest.raises(MalformedLine) as e:
         load_curve(p)
+    assert str(e.value).startswith(f"{p}: byte 5: not UTF-8")
 
 
 def test_centroid_hand_values():
@@ -264,7 +266,7 @@ def test_inertia_direction_is_unit_and_canonical():
 
 def test_geometry_cross_shape():
     # (+-2, 0), (0, +-1): axis x, d1 = 2, d2 = 1
-    g = point_set_geometry(np.array([[2, 0], [0, 1], [-2, 0], [0, -1]]))
+    g = curve_geometry(DigitalCurve(np.array([[2, 0], [0, 1], [-2, 0], [0, -1]])))
     assert g.centroid == (0.0, 0.0)
     assert g.inertia.direction == (1.0, 0.0)
     assert g.d1 == pytest.approx(2.0, abs=1e-12)
@@ -273,22 +275,17 @@ def test_geometry_cross_shape():
 
 
 def test_geometry_d1_circle_radius():
-    k = np.arange(12)
-    pts = np.stack(
-        [np.cos(k * np.pi / 6), np.sin(k * np.pi / 6)], axis=1
-    ) * 7.0
-    g = point_set_geometry(pts)
-    assert g.d1 == pytest.approx(7.0, rel=1e-12)
+    # the 12 lattice points at distance 5 from the origin, in angle order
+    quarter = np.array([[5, 0], [4, 3], [3, 4]])
+    turn = np.array([[0, 1], [-1, 0]])  # row vector times this turns by 90°
+    pts = np.concatenate([quarter @ np.linalg.matrix_power(turn, k) for k in range(4)])
+    g = curve_geometry(DigitalCurve(pts))
+    assert g.centroid == (0.0, 0.0)
+    assert g.d1 == 5.0
 
 
-def test_geometry_rejects_bad_input():
-    with pytest.raises(InvalidGeometry):
-        point_set_geometry(np.zeros((0, 2)))
-    with pytest.raises(InvalidGeometry):
-        point_set_geometry(np.zeros((4, 3)))
-
-
-def test_curve_geometry_matches_point_set(square8):
-    g1 = curve_geometry(square8)
-    g2 = point_set_geometry(square8.points)
-    assert g1 == g2
+def test_curve_geometry_matches_centroid_and_inertia_line(corpus):
+    for c in corpus:
+        g = curve_geometry(c)
+        assert g.centroid == centroid(c)
+        assert g.inertia == inertia_line(c)

@@ -1,6 +1,9 @@
 """Invariance oracle on the corpus blobs: the optimal error profiles and
 polygons do not move under the lattice's eight symmetries, a
-translation, or a change of the ring's first point.
+translation, or a change of the ring's first point; the schemes'
+polygons do not move under the symmetries or the translation; and a
+trace-scale blob's profiles do not move under a turn, a transpose or
+the translation.
 
 Each symmetry permutes or negates coordinates and the translation is by
 integers, so the cost tables see the same arithmetic; the profiles are
@@ -10,9 +13,17 @@ compared byte for byte.
 import numpy as np
 import pytest
 
-from polyapprox import CostKind, DigitalCurve, SegmentCosts
+from polyapprox import (
+    CostKind,
+    DigitalCurve,
+    SchemeId,
+    SegmentCosts,
+    apply_scheme,
+    auto_target_m,
+)
+from conftest import fourier_blob
 
-START, M_MAX, M_POLY, SHIFT = 7, 40, 20, 13
+START, M_MAX, M_POLY, SHIFT, CR = 7, 40, 20, 13, 15.0
 
 
 def _grid(k: int, swap: bool):
@@ -77,3 +88,46 @@ def test_optimal_solves_are_invariant(blobs, reference, name):
             poly = costs.polygon(start, M_POLY, kind)
             assert sorted((int(i) + shift) % n for i in poly.indices) == vertices, (
                 blob.name, kind)
+
+
+@pytest.fixture(scope="module")
+def scheme_reference(blobs):
+    """Per blob and scheme: the polygon's vertices at the study's budget."""
+    return [
+        {s: apply_scheme(s, blob, auto_target_m(blob, CR)).indices.tolist() for s in SchemeId}
+        for blob in blobs
+    ]
+
+
+# The roll is left out: the schemes break ties by index order, so a ring
+# that starts elsewhere can pick the other of two equal candidates.
+@pytest.mark.parametrize("name", [name for name, (_, shift) in TRANSFORMS.items() if not shift])
+def test_scheme_polygons_are_invariant(blobs, scheme_reference, name):
+    move, _ = TRANSFORMS[name]
+    for blob, ref in zip(blobs, scheme_reference):
+        moved = DigitalCurve(move(blob.points))
+        m = auto_target_m(moved, CR)
+        for scheme in SchemeId:
+            assert apply_scheme(scheme, moved, m).indices.tolist() == ref[scheme], (
+                blob.name, scheme)
+
+
+def _profile_bytes(curve: DigitalCurve, m_max: int) -> dict:
+    costs = SegmentCosts(curve)
+    return {kind: costs.profile(START, m_max, kind).values.tobytes() for kind in CostKind}
+
+
+@pytest.fixture(scope="module")
+def trace_blob():
+    """A blob at trace scale, with its profiles to the study's depth."""
+    blob = fourier_blob("trace", 21, 170.0, 3000)
+    assert blob.n == 1280
+    m_max = auto_target_m(blob, CR)
+    return blob, m_max, _profile_bytes(blob, m_max)
+
+
+@pytest.mark.parametrize("name", ["rot90", "rot0_swap", "translate"])
+def test_trace_scale_profiles_are_invariant(trace_blob, name):
+    blob, m_max, ref = trace_blob
+    move, _ = TRANSFORMS[name]
+    assert _profile_bytes(DigitalCurve(move(blob.points)), m_max) == ref

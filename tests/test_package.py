@@ -1,11 +1,16 @@
-"""Every module's public surface imports cleanly."""
+"""Every module's public surface imports cleanly, and pyproject.toml
+names the package's version and its console script."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import polyapprox
+import polyapprox.cli
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 MODULES = ["polyapprox"] + [
     f"polyapprox.{info.name}" for info in pkgutil.iter_modules(polyapprox.__path__)
@@ -21,7 +26,6 @@ def test_all_names_resolve(name):
     exec(f"from {name} import *", namespace)
 
 
-
 def test_package_names_are_in_their_module_all():
     missing = []
     for attr in polyapprox.__all__:
@@ -29,3 +33,27 @@ def test_package_names_are_in_their_module_all():
         if attr not in getattr(module, "__all__", (attr,)):
             missing.append(f"{module.__name__}.{attr}")
     assert not missing, f"re-exported but missing from their module's __all__: {missing}"
+
+
+def _pyproject_strings(table: str) -> dict[str, str]:
+    """The `key = "value"` lines of one pyproject.toml table.  Read line
+    by line: tomllib is new in Python 3.11, and the project allows 3.10."""
+    current, out = None, {}
+    for line in PYPROJECT.read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == table and "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            if len(value) > 1 and value[0] == value[-1] == '"':
+                out[key] = value[1:-1]
+    return out
+
+
+def test_version_matches_pyproject():
+    assert polyapprox.__version__ == _pyproject_strings("project")["version"]
+
+
+def test_console_script_resolves_to_cli_main():
+    module, _, attr = _pyproject_strings("project.scripts")["polyapprox"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is polyapprox.cli.main

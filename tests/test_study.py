@@ -26,7 +26,13 @@ from polyapprox import (
     study_series,
 )
 from polyapprox import approx_error, measures, study
-from polyapprox.study import PAIRINGS, correlations_csv, pairing_slug, records_csv
+from polyapprox.study import (
+    PAIRINGS,
+    correlations_csv,
+    pairing_slug,
+    records_csv,
+    study_outputs,
+)
 from polyapprox._kernels import EXACT_SPAN
 from conftest import baseline_for, build_corpus, lattice_ring, square_ring, wide_ring
 
@@ -257,6 +263,8 @@ def test_run_study_exact_fit_corpus_skips_pairings():
             assert math.isnan(rep.pearson[key])
         for key in ("we3", "fg"):
             assert "ConstantSeries" in rep.skipped_pairings[key]
+    # a skipped pairing gets no line diagram
+    assert list(study_outputs(reports)) == ["records.csv", "correlations.csv"]
 
 
 def test_run_study_names_unnamed_curves():
@@ -398,3 +406,15 @@ def test_csv_emitters():
     assert clines[0] == "scheme,pairing,r,n_curves"
     assert len(clines) == 1 + len(SchemeId) * len(PAIRINGS)
     assert pairing_slug("we_inf") == "meritemax_vs_recip_weinf"
+    files = study_outputs(reports)
+    slugs = ["merit_vs_recip_we", "merit_vs_recip_we2", "merit_vs_we3",
+             "meritemax_vs_recip_weinf", "merit_vs_fg"]
+    assert list(files) == ["records.csv", "correlations.csv"] + [
+        f"{scheme}_{slug}.svg" for scheme in ("split", "elim", "elim-stab") for slug in slugs
+    ]
+    assert files["records.csv"] == rcsv.encode("ascii")
+    assert files["correlations.csv"] == ccsv.encode("ascii")
+    weighted, merit = study_series(reports[1], "we3")
+    assert files["elim_merit_vs_we3.svg"] == emit_svg_line_diagram(
+        scale_for_plot(weighted), scale_for_plot(merit), reports[1].agreement["we3"]
+    )
