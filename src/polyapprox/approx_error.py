@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 
 from . import _kernels
-from .curve import DigitalCurve
+from .curve import DigitalCurve, exact_int64
 from .exceptions import DegenerateSegment, InvalidCounts
 
 __all__ = [
@@ -135,6 +135,13 @@ class E2Costs:
         self.rows, self.lookup, self.arc, self.arcs, self.splits = rows, item, arc, arcs, splits
 
 
+def check_count(m: int, n: int, name: str = "m") -> None:
+    """The vertex-count rule: a polygon on n curve points has 3 to n
+    vertices."""
+    if not (3 <= m <= n):
+        raise InvalidCounts(f"need 3 <= {name} <= n, got {name}={m}, n={n}")
+
+
 class PolygonApprox:
     """A polygon whose vertices are a subset of the curve's points.
 
@@ -145,13 +152,14 @@ class PolygonApprox:
     __slots__ = ("curve", "indices")
 
     def __init__(self, curve: DigitalCurve, indices):
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = exact_int64(np.asarray(indices))
+        if idx is None:
+            raise InvalidCounts("vertex indices must be 64-bit integers")
         if idx.ndim != 1:
             raise InvalidCounts("vertex indices must be one-dimensional")
         m = idx.shape[0]
         n = curve.n
-        if not (3 <= m <= n):
-            raise InvalidCounts(f"need 3 <= m <= n, got m={m}, n={n}")
+        check_count(m, n)
         if idx.min() < 0 or idx.max() >= n:
             raise InvalidCounts("vertex index out of range")
         idx = np.sort(idx)
@@ -267,6 +275,5 @@ def polygon_errors(curve: DigitalCurve, poly: PolygonApprox) -> tuple[float, flo
 
 def compression_ratio(n: int, m: int) -> float:
     """Curve points per polygon vertex."""
-    if n < 3 or m < 3 or m > n:
-        raise InvalidCounts(f"need 3 <= m <= n, got n={n}, m={m}")
+    check_count(m, n)
     return n / m

@@ -43,6 +43,20 @@ _STEP_TO_CODE = {step: code for code, step in enumerate(_CHAIN_STEPS)}
 _ISOTROPY_RTOL = 1e-12
 
 
+def exact_int64(arr: np.ndarray) -> np.ndarray | None:
+    """arr as int64, or None if a value would not survive the cast
+    unchanged.  Only arrays that do not cast safely (floats, uint64,
+    Python ints past int64) are cast and compared."""
+    if np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            cast = arr.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return cast if np.array_equal(cast, arr) else None
+
+
 @dataclass(eq=False)
 class DigitalCurve:
     """Ring of integer points with circular indexing.
@@ -57,22 +71,14 @@ class DigitalCurve:
     name: str | None = None
 
     def __post_init__(self):
-        pts = np.array(self.points)
+        pts = np.array(self.points, order="C")  # the curve's own copy
         if pts.size == 0:
             pts = pts.reshape(0, 2)  # an empty list has no second axis
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise MalformedLine("points must be an (n, 2) array")
-        if not np.can_cast(pts.dtype, np.int64):
-            # floats, uint64 and Python ints past int64 must survive the cast
-            try:
-                with np.errstate(invalid="ignore"):
-                    cast = pts.astype(np.int64)
-            except (OverflowError, TypeError, ValueError):
-                cast = None
-            if cast is None or not np.array_equal(cast, pts):
-                raise MalformedLine("coordinates must be 64-bit integers")
-            pts = cast
-        pts = np.ascontiguousarray(pts, dtype=np.int64)
+        pts = exact_int64(pts)
+        if pts is None:
+            raise MalformedLine("coordinates must be 64-bit integers")
         if pts.shape[0] < 3:
             raise TooFewPoints(f"need at least 3 points, got {pts.shape[0]}")
         same = np.all(pts == np.roll(pts, -1, axis=0), axis=1)
@@ -173,13 +179,16 @@ def parse_point_list(text: str | bytes) -> DigitalCurve:
 def parse_chain_code(text: str | bytes) -> DigitalCurve:
     """Parse a start point plus Freeman chain-code string.
 
-    First content line is "x0 y0", second is a digit string over 0..7.
+    Exactly two content lines: "x0 y0", then a digit string over 0..7.
     The trace must land back on the start point, which is not repeated
     in the returned curve.
     """
     lines = _content_lines(text)
     if len(lines) < 2:
         raise MalformedLine("chain-code input needs a start line and a code line")
+    if len(lines) > 2:
+        lineno, line = lines[2]
+        raise MalformedLine(f"line {lineno}: the code must be one line, got {line!r}")
     pts = _int_pairs(lines[:1])
     x, y = pts[0]
     for pos, ch in enumerate(lines[1][1]):

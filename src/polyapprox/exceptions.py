@@ -47,17 +47,6 @@ class ZeroError(PolyApproxError):
     """A ratio against a zero approximation error is undefined."""
 
 
-class OutOfRange(PolyApproxError):
-    """A query error lies outside the range spanned by a profile."""
-
-    def __init__(self, message, side):
-        super().__init__(message)
-        # side is "low" when the query error exceeds the m=3 value
-        # (fewer than 3 vertices would be needed) and "high" when it
-        # falls below the m_max value (more than m_max needed).
-        self.side = side
-
-
 class ConstantSeries(PolyApproxError):
     """Correlation of a zero-variance series is undefined."""
 

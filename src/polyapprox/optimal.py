@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .approx_error import PolygonApprox, record_e2_table
+from .approx_error import PolygonApprox, check_count, record_e2_table
 from .curve import DigitalCurve, centroid
-from .exceptions import CurveTooLarge, DegenerateSegment, InvalidCounts, OutOfRange
+from .exceptions import CurveTooLarge, DegenerateSegment, InvalidCounts
 
 __all__ = [
     "CostKind",
@@ -38,7 +38,6 @@ __all__ = [
     "provisional_start_vertex",
     "select_start_vertex",
     "optimal_profile",
-    "interpolate_m_optimal",
     "baseline_from_profile",
 ]
 
@@ -199,8 +198,7 @@ class SegmentCosts:
         n = self.curve.n
         if not (0 <= start < n):
             raise InvalidCounts(f"start={start} outside [0, {n})")
-        if not (3 <= m_max <= n):
-            raise InvalidCounts(f"need 3 <= m_max <= n, got m_max={m_max}, n={n}")
+        check_count(m_max, n, "m_max")
         use_max = kind is CostKind.MAX_ERROR
         dp = _kernels.dp_solve(self.table(kind), self._tables[kind][1], start, m_max, use_max,
                                polygon)
@@ -252,8 +250,7 @@ def select_start_vertex(
     start and hand back the second vertex of that polygon in circular
     order, which tends to sit on a genuine corner of the contour.
     """
-    if not (3 <= m_sub <= curve.n):
-        raise InvalidCounts(f"need 3 <= m_sub <= n, got m_sub={m_sub}, n={curve.n}")
+    check_count(m_sub, curve.n, "m_sub")
     p0 = provisional_start_vertex(curve)
     poly = costs.polygon(p0, m_sub, kind)
     idx = poly.indices
@@ -273,44 +270,33 @@ def optimal_profile(
     return costs.profile(start, m_max, kind)
 
 
-def interpolate_m_optimal(profile: ErrorProfile, error_sub: float) -> float:
-    """Fractional vertex count at which the profile crosses error_sub.
+def baseline_from_profile(
+    profile: ErrorProfile, m_sub: int, error_sub: float
+) -> OptimalBaseline:
+    """Read one profile twice: the error at m_sub, and the fractional
+    vertex count at which the profile comes down to error_sub.
 
-    Returns the smallest m with values[m] == error_sub when the query
+    That count clamps to 3 when error_sub is above the profile's value
+    at 3 (tested first: on a rising profile an error can meet both), and
+    to m_max when error_sub is below the value at m_max.  Otherwise
+    it is the smallest m with values[m] == error_sub when the error
     lands exactly on the profile (plateaus resolve toward fewer
-    vertices, which credits the suboptimal polygon least); otherwise
-    interpolates linearly inside the bracketing strict descent.
+    vertices, which credits the suboptimal polygon least), else a
+    linear interpolation inside the bracketing strict descent.
     """
-    vals = profile.values
-    m_max = profile.m_max
+    error_optimal = profile.value(m_sub)
+    vals, m_max = profile.values, profile.m_max
     if error_sub > vals[3]:
-        raise OutOfRange(
-            f"error {error_sub} above profile start {vals[3]}", side="low"
-        )
+        return OptimalBaseline(error_optimal, 3.0, profile.start_index, True)
     if error_sub < vals[m_max]:
-        raise OutOfRange(
-            f"error {error_sub} below profile end {vals[m_max]}", side="high"
-        )
+        return OptimalBaseline(error_optimal, float(m_max), profile.start_index, True)
     # smallest m whose optimal error does not exceed error_sub
     m_lo = 3
     while vals[m_lo] > error_sub:
         m_lo += 1
     if vals[m_lo] == error_sub:
-        return float(m_lo)
-    upper = vals[m_lo - 1]
-    lower = vals[m_lo]
-    return (m_lo - 1) + (upper - error_sub) / (upper - lower)
-
-
-def baseline_from_profile(
-    profile: ErrorProfile, m_sub: int, error_sub: float
-) -> OptimalBaseline:
-    """Read one profile twice: error at m_sub, vertex count at error_sub."""
-    error_optimal = profile.value(m_sub)
-    try:
-        m_optimal = interpolate_m_optimal(profile, error_sub)
-        clamped = False
-    except OutOfRange as exc:
-        m_optimal = 3.0 if exc.side == "low" else float(profile.m_max)
-        clamped = True
-    return OptimalBaseline(error_optimal, m_optimal, profile.start_index, clamped)
+        m_optimal = float(m_lo)
+    else:
+        upper, lower = vals[m_lo - 1], vals[m_lo]
+        m_optimal = (m_lo - 1) + (upper - error_sub) / (upper - lower)
+    return OptimalBaseline(error_optimal, m_optimal, profile.start_index)

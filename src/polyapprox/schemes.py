@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 
-from .approx_error import E2Costs, PolygonApprox
+from .approx_error import E2Costs, PolygonApprox, check_count
 from .curve import DigitalCurve
 from .exceptions import DegenerateSegment, InvalidCounts
 from .optimal import provisional_start_vertex
@@ -43,9 +43,13 @@ class SchemeId(enum.Enum):
     ELIMINATE_STABILIZED = "elim-stab"
 
 
-def _check_m(curve: DigitalCurve, m: int):
-    if not (3 <= m <= curve.n):
-        raise InvalidCounts(f"need 3 <= m <= n, got m={m}, n={curve.n}")
+def _lowest_index(vals: np.ndarray, t: int, first: int, n: int) -> int:
+    """Lowest curve index among the entries equal to vals[t], entry k
+    being point (first + k) % n: first + t, for t the first extreme,
+    unless the arc wraps past index n - 1."""
+    if first + len(vals) <= n:
+        return first + t
+    return int(((np.flatnonzero(vals == vals[t]) + first) % n).min())
 
 
 def split_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
@@ -59,7 +63,7 @@ def split_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
     expression over its arc: each point's |cross| against the chord over
     the chord's hypot; ties take the lowest curve index.
     """
-    _check_m(curve, m)
+    check_count(m, curve.n)
     n = curve.n
     pts = curve.points_float()
     s0 = provisional_start_vertex(curve)
@@ -87,13 +91,7 @@ def split_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
         arc = slice(u + 1, u + length)
         e = np.abs((x2[arc] - xu) * dy - (y2[arc] - yu) * dx) / math.hypot(dx, dy)
         k = int(e.argmax())
-        best = e[k]
-        if u + length <= n:
-            # no wrap: the first maximum has the lowest index
-            w = u + 1 + k
-        else:
-            w = int(((np.flatnonzero(e == best) + (u + 1)) % n).min())
-        heapq.heappush(heap, (-float(best), u, v, w))
+        heapq.heappush(heap, (-float(e[k]), u, v, _lowest_index(e, k, u + 1, n)))
 
     score(s0, s1)
     score(s1, s0)
@@ -127,7 +125,7 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
     curve's last elimination are kept with the curve (weakly) and a
     second call at the same m, as elim-stab's after elim, reuses them.
     """
-    _check_m(curve, m)
+    check_count(m, curve.n)
     last = _ELIMINATED.get(curve)
     if last is None or last[0] != m:
         last = _ELIMINATED[curve] = m, _eliminate(curve, m)
@@ -183,9 +181,8 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
     E2Costs.splits, a gather and a strided column of the curve's E2 table
     while a SegmentCosts holds it, else one closed-form call.  A
     vertex moves only to a strictly cheaper position, the lowest curve
-    index among equal minima (the first in arc order, unless the arc
-    wraps past index n - 1), so a vertex already at a minimum stays
-    put.  Stops on the first pass with no movement.
+    index among equal minima (_lowest_index), so a vertex already at a
+    minimum stays put.  Stops on the first pass with no movement.
 
     A vertex's candidate costs depend only on its two neighbours, and
     once scored it sits where no candidate is strictly cheaper, so only
@@ -219,13 +216,8 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
                     u, v = (p, j) if (pts[p] == pts[j]).all() else (j, q)
                     raise DegenerateSegment(f"points {u} and {v} coincide")
                 t = int(cost.argmin())
-                best = cost[t]
-                if best < cost[(verts[i] - p) % n - 1]:
-                    if p + cost.shape[0] < n:
-                        verts[i] = p + 1 + t
-                    else:
-                        js = (p + np.arange(1, cost.shape[0] + 1)) % n
-                        verts[i] = int(js[cost == best].min())
+                if cost[t] < cost[(verts[i] - p) % n - 1]:
+                    verts[i] = _lowest_index(cost, t, p + 1, n)
                     moved = True
                     stale[i - 1] = stale[(i + 1) % m] = True
             if not moved:

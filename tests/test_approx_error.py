@@ -175,6 +175,18 @@ def test_polygon_validation(square8):
         PolygonApprox(square8, [[0, 2], [4, 6]])
 
 
+def test_polygon_rejects_indices_the_int64_cast_would_change(square8):
+    with pytest.raises(InvalidCounts, match="64-bit integers"):
+        PolygonApprox(square8, [0.5, 2.7, 4.2, 6.9])
+    with pytest.raises(InvalidCounts, match="64-bit integers"):
+        PolygonApprox(square8, [0, 2, 2**64])
+    with pytest.raises(InvalidCounts, match="64-bit integers"):
+        PolygonApprox(square8, np.array([0.0, 2.0, np.nan]))
+    # whole floats and unsigned ints survive the cast unchanged
+    assert list(PolygonApprox(square8, [0.0, 2.0, 4.0]).indices) == [0, 2, 4]
+    assert list(PolygonApprox(square8, np.array([6, 2, 4], np.uint64)).indices) == [2, 4, 6]
+
+
 def test_polygon_equality(square8):
     a = PolygonApprox(square8, [0, 2, 4])
     b = PolygonApprox(square8, [4, 2, 0])

@@ -152,6 +152,16 @@ def test_parse_chain_code_malformed_header():
         parse_chain_code("zero zero\n0246")
 
 
+def test_parse_chain_code_rejects_content_after_the_code_line():
+    # a second code line was once dropped, leaving a closed square
+    with pytest.raises(MalformedLine, match="line 3: .*'0000'"):
+        parse_chain_code("0 0\n0246\n0000\n")
+    # a code wrapped over two lines was once read as an open trace
+    with pytest.raises(MalformedLine, match="line 3: .*'4466'"):
+        parse_chain_code("0 0\n0022\n4466\n")
+    assert parse_chain_code("0 0\n0246\n# done\n\n").n == 4
+
+
 def test_chain_code_round_trip():
     code = "001122334455667700224466"
     c = parse_chain_code(f"3 -2\n{code}")

@@ -2,8 +2,8 @@
 polygons do not move under the lattice's eight symmetries, a
 translation, or a change of the ring's first point; the schemes'
 polygons do not move under the symmetries or the translation; and a
-trace-scale blob's profiles do not move under a turn, a transpose or
-the translation.
+trace-scale blob's profiles and optimal polygons do not move under a
+turn, a transpose or the translation.
 
 Each symmetry permutes or negates coordinates and the translation is by
 integers, so the cost tables see the same arithmetic; the profiles are
@@ -112,22 +112,30 @@ def test_scheme_polygons_are_invariant(blobs, scheme_reference, name):
                 blob.name, scheme)
 
 
-def _profile_bytes(curve: DigitalCurve, m_max: int) -> dict:
+def _trace_solves(curve: DigitalCurve, m_max: int) -> dict:
+    """Per kind: the profile's bytes and the optimal m_max-gon's vertices."""
     costs = SegmentCosts(curve)
-    return {kind: costs.profile(START, m_max, kind).values.tobytes() for kind in CostKind}
+    return {
+        kind: (
+            costs.profile(START, m_max, kind).values.tobytes(),
+            costs.polygon(START, m_max, kind).indices.tolist(),
+        )
+        for kind in CostKind
+    }
 
 
 @pytest.fixture(scope="module")
 def trace_blob():
-    """A blob at trace scale, with its profiles to the study's depth."""
+    """A blob at trace scale, with its profiles and chains to the study's
+    depth."""
     blob = fourier_blob("trace", 21, 170.0, 3000)
     assert blob.n == 1280
     m_max = auto_target_m(blob, CR)
-    return blob, m_max, _profile_bytes(blob, m_max)
+    return blob, m_max, _trace_solves(blob, m_max)
 
 
 @pytest.mark.parametrize("name", ["rot90", "rot0_swap", "translate"])
 def test_trace_scale_profiles_are_invariant(trace_blob, name):
     blob, m_max, ref = trace_blob
     move, _ = TRANSFORMS[name]
-    assert _profile_bytes(DigitalCurve(move(blob.points)), m_max) == ref
+    assert _trace_solves(DigitalCurve(move(blob.points)), m_max) == ref

@@ -12,10 +12,8 @@ from polyapprox import (
     DigitalCurve,
     ErrorProfile,
     InvalidCounts,
-    OutOfRange,
     SegmentCosts,
     baseline_from_profile,
-    interpolate_m_optimal,
     polygon_errors,
     provisional_start_vertex,
     select_start_vertex,
@@ -229,33 +227,43 @@ def test_select_start_range_check(square8):
         select_start_vertex(square8, 2, CostKind.SUM_SQUARED, SegmentCosts(square8))
 
 
+def m_optimal(prof, error_sub):
+    """The vertex count a baseline reads off prof for error_sub (m_sub 3)."""
+    return baseline_from_profile(prof, 3, error_sub).m_optimal
+
+
 def test_interpolate_linear_midpoint(square8):
     prof = synthetic_profile(square8, {3: 90, 4: 85, 5: 80, 6: 75, 7: 70,
                                        8: 65, 9: 60, 10: 50, 11: 30})
-    assert interpolate_m_optimal(prof, 40.0) == pytest.approx(10.5, abs=1e-12)
+    assert m_optimal(prof, 40.0) == pytest.approx(10.5, abs=1e-12)
 
 
 def test_interpolate_exact_hit(square8):
     prof = synthetic_profile(square8, {3: 90, 4: 85, 5: 80, 6: 75, 7: 70,
                                        8: 65, 9: 60, 10: 50, 11: 30})
-    assert interpolate_m_optimal(prof, 70.0) == 7.0
+    assert m_optimal(prof, 70.0) == 7.0
 
 
 def test_interpolate_plateau_resolves_to_fewer_vertices(square8):
     prof = synthetic_profile(square8, {3: 90, 4: 60, 5: 60, 6: 60, 7: 20})
-    assert interpolate_m_optimal(prof, 60.0) == 4.0
+    assert m_optimal(prof, 60.0) == 4.0
     # just under the plateau interpolates inside the next strict descent
-    assert 6.0 < interpolate_m_optimal(prof, 59.0) < 7.0
+    assert 6.0 < m_optimal(prof, 59.0) < 7.0
 
 
 def test_interpolate_out_of_range_sides(square8):
     prof = synthetic_profile(square8, {3: 90, 4: 50, 5: 30})
-    with pytest.raises(OutOfRange) as lo:
-        interpolate_m_optimal(prof, 90.5)
-    assert lo.value.side == "low"
-    with pytest.raises(OutOfRange) as hi:
-        interpolate_m_optimal(prof, 29.0)
-    assert hi.value.side == "high"
+    low = baseline_from_profile(prof, 3, 90.5)
+    assert (low.m_optimal, low.clamped) == (3.0, True)
+    high = baseline_from_profile(prof, 3, 29.0)
+    assert (high.m_optimal, high.clamped) == (5.0, True)
+    # the ends themselves are on the profile, not clamped
+    assert not baseline_from_profile(prof, 3, 90.0).clamped
+    assert not baseline_from_profile(prof, 3, 30.0).clamped
+    # a rising profile that meets both tests clamps low: that test is first
+    rising = synthetic_profile(square8, {3: 50, 4: 40, 5: 60})
+    both = baseline_from_profile(rising, 3, 55.0)
+    assert (both.m_optimal, both.clamped) == (3.0, True)
 
 
 def test_interpolate_random_bracketing_oracle(square8):
@@ -269,7 +277,7 @@ def test_interpolate_random_bracketing_oracle(square8):
     prof = synthetic_profile(square8, vals)
     for _ in range(50):
         q = float(rng.uniform(vals[11], vals[3]))
-        got = interpolate_m_optimal(prof, q)
+        got = m_optimal(prof, q)
         bracket = [m for m in range(3, 12) if vals[m] <= q]
         lo = min(bracket)
         if vals[lo] == q:
@@ -291,6 +299,13 @@ def test_baseline_from_profile_reads_and_clamps(square8):
 
     better = baseline_from_profile(prof, 4, 10.0)
     assert better.m_optimal == 5.0 and better.clamped
+
+    # m_sub is read first, so a bad one raises even where the error clamps
+    with pytest.raises(InvalidCounts):
+        baseline_from_profile(prof, 6, 95.0)
+    # a NaN error meets neither clamp and reads as NaN
+    nan = baseline_from_profile(prof, 4, math.nan)
+    assert math.isnan(nan.m_optimal) and not nan.clamped
 
 
 def test_baseline_square_corners_self_evaluation(square8):
