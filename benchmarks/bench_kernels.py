@@ -25,7 +25,10 @@ seeded" is the same with the solve seeded by the equally spaced m-gon,
 as SegmentCosts.polygon runs it.
 Elimination and stabilize are timed twice: on the closed form, as
 `polyapprox approx` runs them, and while a SegmentCosts holds the
-ellipse's E2 table, as a study runs them.  Run from the repository root:
+ellipse's E2 table, as a study runs them.  Each elimination row drops
+the curve's kept last elimination before the call, so it times
+elimination, not the reuse of its vertex indices.  Run from the
+repository root:
 
     python3 benchmarks/bench_kernels.py --n 600 --m-max 60 --repeat 3
 
@@ -43,6 +46,7 @@ import numpy as np
 from polyapprox import (
     CostKind, DigitalCurve, SegmentCosts, _kernels, eliminate_to_m, split_to_m, stabilize,
 )
+from polyapprox.schemes import _ELIMINATED
 
 
 def noisy_ellipse(n_target: int, seed: int = 0, aspect: float = 0.6) -> np.ndarray:
@@ -100,6 +104,13 @@ def hull_levels(xs, ys, count):
     levels = _kernels._hull_levels((xs - xs.min()) + 1j * (ys - ys.min()))
     for _ in range(count):
         next(levels)
+
+
+def eliminate_afresh(curve, m):
+    """eliminate_to_m with the curve's last elimination forgotten, so
+    that the call eliminates rather than reusing it."""
+    _ELIMINATED.pop(curve, None)
+    return eliminate_to_m(curve, m)
 
 
 def timeit(fn, args, repeat: int) -> float:
@@ -195,7 +206,7 @@ def main() -> int:
     eliminated = eliminate_to_m(curve, m)
     schemes = [
         ("split_to_m", split_to_m, (curve, m)),
-        ("eliminate_to_m", eliminate_to_m, (curve, m)),
+        ("eliminate_to_m", eliminate_afresh, (curve, m)),
         ("stabilize", stabilize, (curve, eliminated)),
     ]
     print(f"{'scheme (m=' + str(m) + ')':<24} {'time':>10}")

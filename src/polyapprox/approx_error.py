@@ -11,6 +11,7 @@ while a SegmentCosts holds one, on the spans it stores (E2Costs).
 from __future__ import annotations
 
 import functools
+import operator
 import weakref
 
 import numpy as np
@@ -38,10 +39,7 @@ def moment_tables(curve: DigitalCurve) -> tuple:
     prefixes = _MOMENT_CACHE.get(curve)
     if prefixes is None:
         pts = curve.points.astype(np.float64)
-        # setdefault keeps the first build when two threads race
-        prefixes = _MOMENT_CACHE.setdefault(
-            curve, _kernels.doubled_prefixes(pts[:, 0], pts[:, 1])
-        )
+        prefixes = _MOMENT_CACHE[curve] = _kernels.doubled_prefixes(pts[:, 0], pts[:, 1])
     return prefixes
 
 
@@ -136,10 +134,14 @@ class E2Costs:
 
 
 def check_count(m: int, n: int, name: str = "m") -> None:
-    """The vertex-count rule: a polygon on n curve points has 3 to n
-    vertices."""
+    """The vertex-count rule: a polygon on n curve points has a whole
+    number of vertices, 3 to n."""
+    try:
+        operator.index(m)
+    except TypeError:
+        raise InvalidCounts(f"{name} must be an integer, got {name}={m!r}") from None
     if not (3 <= m <= n):
-        raise InvalidCounts(f"need 3 <= {name} <= n, got {name}={m}, n={n}")
+        raise InvalidCounts(f"need 3 <= {name} <= {n}, got {name}={m}")
 
 
 class PolygonApprox:

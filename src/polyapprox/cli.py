@@ -18,9 +18,9 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .approx_error import polygon_errors
+from .approx_error import check_count, polygon_errors
 from .curve import FORMATS, load_curve
-from .exceptions import PolyApproxError
+from .exceptions import InvalidCounts, PolyApproxError
 from .measures import CSV_HEADER, record_to_csv_row
 from .optimal import CostKind, SegmentCosts, select_start_vertex
 from .schemes import SchemeId, apply_scheme, auto_target_m
@@ -94,8 +94,6 @@ def build_parser() -> _Parser:
     p_study.add_argument("--target-cr", type=float, default=15.0)
     p_study.add_argument("--nise-variant", choices=("printed", "unit"),
                          default="printed")
-    p_study.add_argument("--threads", default="1",
-                         help="worker threads, an integer >= 1 (default 1)")
     p_study.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -105,25 +103,15 @@ def _load_with_m(parser: _Parser, args):
     if args.m is not None and args.target_cr is not None:
         parser.error("pass either --m or --target-cr, not both")
     if args.m is not None:
-        if args.m < 3:
-            parser.error("m must be >= 3")
-        if args.m > curve.n:
-            parser.error(f"m must be <= n ({curve.n})")
+        try:
+            check_count(args.m, curve.n)
+        except InvalidCounts as exc:
+            parser.error(str(exc))
         return curve, args.m
     target = args.target_cr if args.target_cr is not None else 15.0
     if not target >= 1.0:  # NaN too
         parser.error("target-cr must be >= 1")
     return curve, auto_target_m(curve, target)
-
-
-def _threads_arg(parser: _Parser, value: str) -> int:
-    try:
-        t = int(value)
-    except ValueError:
-        parser.error(f"--threads must be an integer, got {value!r}")
-    if t < 1:
-        parser.error("--threads must be >= 1")
-    return t
 
 
 def _cmd_approx(parser, args) -> int:
@@ -164,7 +152,6 @@ def _cmd_merit(parser, args) -> int:
 
 
 def _cmd_study(parser, args) -> int:
-    threads = _threads_arg(parser, args.threads)
     if not args.target_cr >= 1.0:  # NaN too
         parser.error("target-cr must be >= 1")
     corpus_dir = Path(args.corpus)
@@ -174,12 +161,7 @@ def _cmd_study(parser, args) -> int:
     if not paths:
         raise PolyApproxError(f"no {' or '.join(FORMATS)} files in {corpus_dir}")
     corpus = [load_curve(p) for p in paths]
-    reports = run_study(
-        corpus,
-        target_cr=args.target_cr,
-        nise_variant=args.nise_variant,
-        threads=threads,
-    )
+    reports = run_study(corpus, target_cr=args.target_cr, nise_variant=args.nise_variant)
     out = Path(args.out)
     for name, data in study_outputs(reports).items():
         _write_atomic(out / name, data)

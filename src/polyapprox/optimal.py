@@ -64,8 +64,7 @@ class ErrorProfile:
     values: np.ndarray
 
     def value(self, m: int) -> float:
-        if not (3 <= m <= self.m_max):
-            raise InvalidCounts(f"m={m} outside [3, {self.m_max}]")
+        check_count(m, self.m_max)
         return float(self.values[m])
 
     def items(self):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,35 +227,22 @@ def run_study(
 ) -> list[StudyReport]:
     """Evaluate every scheme over a corpus and correlate the measures.
 
-    Curves are processed independently, optionally in a thread pool, and
-    reduced in corpus order, so results do not depend on the thread
-    count.  The kernels hold the GIL through many small numpy calls: on
-    the built-in corpus at 2 vCPUs, threads=2 was slower than threads=1
-    in each of 8 alternating pairs (2.44 to 2.87 s against 2.14 to
-    2.58 s).  A curve that fails to evaluate is logged and skipped
-    rather than aborting the study.
+    Curves are evaluated one at a time, in corpus order.  A curve that
+    fails to evaluate is logged and skipped rather than aborting the
+    study.  `threads` is ignored: it is kept only because perfbench
+    passes it, and the next change to the benchmark (ROADMAP D1) drops
+    it.
     """
-    ids = []
+    evaluated = []
+    skipped = []
     for i, curve in enumerate(corpus):
-        ids.append(curve.name or f"curve{i:03d}")
-
-    def job(pair):
-        i, curve = pair
+        curve_id = curve.name or f"curve{i:03d}"
         try:
             m_sub = auto_target_m(curve, target_cr)
-            return evaluate_curve(curve, ids[i], schemes, m_sub, nise_variant)
+            evaluated.append(evaluate_curve(curve, curve_id, schemes, m_sub, nise_variant))
         except PolyApproxError as exc:
-            logger.warning("skipping %s: %s", ids[i], exc)
-            return (ids[i], f"{type(exc).__name__}: {exc}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, enumerate(corpus)))
-    else:
-        results = [job(p) for p in enumerate(corpus)]
-
-    skipped = [r for r in results if isinstance(r, tuple)]
-    evaluated = [r for r in results if isinstance(r, dict)]
+            logger.warning("skipping %s: %s", curve_id, exc)
+            skipped.append((curve_id, f"{type(exc).__name__}: {exc}"))
 
     reports = []
     for scheme in schemes:

@@ -37,7 +37,7 @@ BOTH_KINDS = (CostKind.SUM_SQUARED, CostKind.MAX_ERROR)
 
 @pytest.fixture(scope="module")
 def study_reports(corpus):
-    return run_study(corpus, threads=4)
+    return run_study(corpus)
 
 
 def _passed(what: str, detail: str):
@@ -227,7 +227,7 @@ def test_08_schemes_emit_exact_vertex_counts(corpus):
 
 
 def test_09_study_outputs_are_reproducible(corpus, study_reports):
-    again = run_study(corpus, threads=4)
+    again = run_study(corpus)
     first = study_outputs(study_reports)
     second = study_outputs(again)
     assert first.keys() == second.keys()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyapprox import cli, load_curve, parse_point_list, run_study
+from polyapprox import load_curve, parse_point_list, run_study
 from polyapprox.cli import main
 from polyapprox._kernels import EXACT_SPAN
 from polyapprox.study import study_outputs
@@ -58,16 +58,18 @@ def test_approx_square(square_pts, tmp_path, capsys):
     assert np.array_equal(poly.points, [[0, 0], [2, 0], [2, 2], [0, 2]])
 
 
-def test_approx_m_too_small(square_pts):
+def test_approx_m_too_small(square_pts, capsys):
     with pytest.raises(SystemExit) as e:
         main(["approx", "--in", str(square_pts), "--m", "2"])
     assert e.value.code == 1
+    assert "error: need 3 <= m <= 8, got m=2" in capsys.readouterr().err
 
 
-def test_approx_m_exceeding_n(square_pts):
+def test_approx_m_exceeding_n(square_pts, capsys):
     with pytest.raises(SystemExit) as e:
         main(["approx", "--in", str(square_pts), "--m", "9"])
     assert e.value.code == 1
+    assert "error: need 3 <= m <= 8, got m=9" in capsys.readouterr().err
 
 
 def test_approx_conflicting_budgets(square_pts):
@@ -159,7 +161,7 @@ def test_merit_prints_the_study_row(tmp_path, capsys):
     for c in build_corpus()[:3]:
         (d / f"{c.name}.pts").write_text("".join(f"{x} {y}\n" for x, y in c.points))
     out = tmp_path / "out"
-    assert main(["study", "--corpus", str(d), "--out", str(out), "--threads", "1"]) == 0
+    assert main(["study", "--corpus", str(d), "--out", str(out)]) == 0
     header, *rows = (out / "records.csv").read_text().splitlines()
     capsys.readouterr()
     checked = 0
@@ -175,8 +177,7 @@ def test_merit_prints_the_study_row(tmp_path, capsys):
 
 def test_study_writes_outputs(corpus_dir, tmp_path, capsys):
     out = tmp_path / "out"
-    rc = main(["study", "--corpus", str(corpus_dir), "--out", str(out),
-               "--threads", "2"])
+    rc = main(["study", "--corpus", str(corpus_dir), "--out", str(out)])
     assert rc == 0
     assert (out / "records.csv").is_file()
     assert (out / "correlations.csv").is_file()
@@ -204,8 +205,7 @@ def test_study_rerun_is_byte_identical(corpus_dir, tmp_path):
 def test_study_logs_a_skipped_curve_once(corpus_dir, tmp_path, capsys, caplog):
     # a rectangle with a one-pixel spur: the schemes reject its revisited point
     (corpus_dir / "spur.chn").write_text("0 0\n00002244264466")
-    rc = main(["study", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
-               "--threads", "1"])
+    rc = main(["study", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")])
     assert rc == 0
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
@@ -223,8 +223,7 @@ def test_study_summary_counts_clamped_rows(tmp_path, capsys):
         c = lattice_ring(seed, 10, 30)
         (d / f"ring{seed}.pts").write_text("".join(f"{x} {y}\n" for x, y in c.points))
     out = tmp_path / "out"
-    rc = main(["study", "--corpus", str(d), "--out", str(out), "--target-cr", "5",
-               "--threads", "1"])
+    rc = main(["study", "--corpus", str(d), "--out", str(out), "--target-cr", "5"])
     assert rc == 0
     rows = (out / "records.csv").read_text().splitlines()[1:]
     clamped = sum(row.endswith(",true") for row in rows)
@@ -245,33 +244,11 @@ def test_study_empty_corpus_is_data_error(tmp_path):
     assert rc == 2
 
 
-def test_study_bad_threads(corpus_dir):
+def test_study_has_no_threads_option(corpus_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
-        main(["study", "--corpus", str(corpus_dir), "--threads", "zero"])
+        main(["study", "--corpus", str(corpus_dir), "--out", str(tmp_path), "--threads", "2"])
     assert e.value.code == 1
-    with pytest.raises(SystemExit) as e2:
-        main(["study", "--corpus", str(corpus_dir), "--threads", "0"])
-    assert e2.value.code == 1
-
-
-def test_study_threads_auto_is_a_usage_error(corpus_dir, capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["study", "--corpus", str(corpus_dir), "--threads", "auto"])
-    assert e.value.code == 1
-    assert "--threads must be an integer" in capsys.readouterr().err
-
-
-def test_study_runs_on_one_thread_by_default(corpus_dir, tmp_path, monkeypatch):
-    threads = []
-    real = cli.run_study
-
-    def run_study(corpus, **kwargs):
-        threads.append(kwargs["threads"])
-        return real(corpus, **kwargs)
-
-    monkeypatch.setattr(cli, "run_study", run_study)
-    assert main(["study", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 0
-    assert threads == [1]
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_target_cr_validation(square_pts):

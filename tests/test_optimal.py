@@ -19,7 +19,7 @@ from polyapprox import (
     select_start_vertex,
 )
 from polyapprox import _kernels
-from polyapprox.schemes import auto_target_m, split_to_m
+from polyapprox.schemes import auto_target_m, eliminate_to_m, split_to_m
 from conftest import baseline_for, lattice_ring, segment_errors_naive, square_ring
 
 
@@ -192,6 +192,24 @@ def test_solve_range_checks():
         costs.profile(0, 2, CostKind.SUM_SQUARED)
     with pytest.raises(InvalidCounts):
         costs.profile(0, c.n + 1, CostKind.SUM_SQUARED)
+
+
+def test_vertex_counts_must_be_integers(square8):
+    costs = SegmentCosts(square8)
+    profile = costs.profile(0, 6, CostKind.SUM_SQUARED)
+    for call in (
+        lambda: split_to_m(square8, 3.5),
+        lambda: eliminate_to_m(square8, 3.5),
+        lambda: costs.profile(0, 4.5, CostKind.SUM_SQUARED),
+        lambda: profile.value(3.5),
+    ):
+        with pytest.raises(InvalidCounts, match="must be an integer"):
+            call()
+    four = np.int64(4)
+    assert split_to_m(square8, four).m == 4
+    assert eliminate_to_m(square8, four).m == 4
+    assert costs.profile(0, four, CostKind.SUM_SQUARED).m_max == 4
+    assert profile.value(four) == profile.value(4)
 
 
 def test_provisional_start_square_tie_breaks_low(square8):

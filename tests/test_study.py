@@ -242,14 +242,6 @@ def test_evaluate_curve_matches_the_full_depth_profiles_on_lattice_rings(cr):
     assert clamped
 
 
-def test_run_study_thread_count_does_not_change_results():
-    corpus = build_corpus()[:4]
-    seq = run_study(corpus, target_cr=15.0, threads=1)
-    par = run_study(corpus, target_cr=15.0, threads=4)
-    assert records_csv(seq) == records_csv(par)
-    assert correlations_csv(seq) == correlations_csv(par)
-
-
 def test_run_study_exact_fit_corpus_skips_pairings():
     # squares at three scales: every scheme lands on the 4 corners
     corpus = [scaled_square8(s) for s in (1, 2, 3)]
