@@ -2,10 +2,12 @@
 
 The deviation of a curve point from a polygon side is its perpendicular
 distance to the infinite line through the side's endpoints, not to the
-clipped segment.  Per-side sums of squared deviations come from moment
-prefix tables in O(1) per query by one closed form (_kernels.e2_arc_costs,
-and _arc_e2 for one arc), or, for the schemes, from the curve's E2 table
-while a SegmentCosts holds one, on the spans it stores (E2Costs).
+clipped segment.  Per-side sums of squared deviations (E2) are read by
+one rule (E2Costs): an arc of a span the curve's E2 table stores is read
+from that table while a SegmentCosts holds it, and every other arc is
+evaluated in O(1) from doubled moment prefixes by one closed form
+(_kernels.e2_arc_costs, and _arc_e2 for one arc).  Every table entry is
+its arc's closed-form value bit for bit.
 """
 
 from __future__ import annotations
@@ -22,25 +24,10 @@ from .exceptions import DegenerateSegment, InvalidCounts
 
 __all__ = [
     "PolygonApprox",
-    "moment_tables",
     "E2Costs",
     "polygon_errors",
     "compression_ratio",
 ]
-
-
-# weak keys: a cached curve is freed, with its tables, once unreferenced
-_MOMENT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def moment_tables(curve: DigitalCurve) -> tuple:
-    """Per-curve cached (px, py, pxx, pyy, pxy) of
-    _kernels.doubled_prefixes (curves are immutable)."""
-    prefixes = _MOMENT_CACHE.get(curve)
-    if prefixes is None:
-        pts = curve.points.astype(np.float64)
-        prefixes = _MOMENT_CACHE[curve] = _kernels.doubled_prefixes(pts[:, 0], pts[:, 1])
-    return prefixes
 
 
 # weak keys and weak values: a curve's E2 table lives as long as the
@@ -60,18 +47,19 @@ class E2Costs:
     arrays, and splits(p, q) for the two sides p -> j -> q summed, at
     every j strictly between p and q in order from p.
 
-    While a SegmentCosts that built the curve's E2 table is alive, all
-    three read that table (span-major, _kernels.e2_cost_table) for arcs
-    of fewer than `rows` steps, the rows it stores: a lookup, a gather,
-    and for splits a diagonal, as two strided slices, plus a strided
-    column.  `lookup(span, v)` is the table's own item lookup, for
-    callers that know an arc's span is below `rows` (None, and `rows`
-    0, without a table).  Longer arcs, and every arc without a table,
-    are evaluated by the closed form on moment_tables: arc by arc on
-    Python floats (raising DegenerateSegment for a side between
-    coincident points), and on arrays through one e2_arc_costs call.
+    All three read by one rule.  An arc of fewer than `rows` steps is
+    read from the curve's E2 table (span-major, _kernels.e2_cost_table)
+    that a live SegmentCosts holds: a lookup, a gather, and for splits a
+    diagonal, as two strided slices, plus a strided column.  Every other
+    arc is evaluated by the closed form: arc by arc on Python floats
+    (raising DegenerateSegment for a side between coincident points),
+    and on arrays through one e2_arc_costs call.  With no table held,
+    `rows` is 0.  `lookup(span, v)` is the table's own item lookup, for
+    callers that know an arc's span is below `rows`.  The closed form's
+    doubled prefixes are built on the first arc read past the stored
+    rows, and its Python floats on the first such arc read by arc().
     Every table entry is the closed form's value bit for bit, so both
-    paths give the same costs.
+    give the same costs.
     """
 
     __slots__ = ("rows", "lookup", "arc", "arcs", "splits")
@@ -79,49 +67,53 @@ class E2Costs:
     def __init__(self, curve: DigitalCurve):
         n = curve.n
         ref = _E2_TABLES.get(curve)
-        table = None if ref is None else ref()
-        if table is None:
-            rows, item = 0, None
+        held = None if ref is None else ref()
+        table = np.empty((0, n)) if held is None else held
+        rows, item, flat = table.shape[0], table.item, table.reshape(-1)
+
+        @functools.cache
+        def closed():
             pts = curve.points_float()
             xs, ys = pts[:, 0], pts[:, 1]
-            prefixes = moment_tables(curve)
+            return functools.partial(_kernels.e2_arc_costs, xs, ys,
+                                     _kernels.doubled_prefixes(xs, ys))
+
+        @functools.cache
+        def closed_arc():
             # Python floats: one arc at a time is scalar work
-            arc = functools.partial(
-                _arc_e2, xs.tolist(), ys.tolist(), tuple(p.tolist() for p in prefixes), n
-            )
-            arcs = functools.partial(_kernels.e2_arc_costs, xs, ys, prefixes)
-        else:
-            rows, item = table.shape[0], table.item
-            flat = table.reshape(-1)
+            xs, ys, prefixes = closed().args
+            return functools.partial(_arc_e2, xs.tolist(), ys.tolist(),
+                                     tuple(p.tolist() for p in prefixes), n)
 
-            def arc(u, v):
-                span = (v - u) % n
-                if span < rows:
-                    return item(span, v)
-                pts = curve.points
-                return _arc_e2(pts[:, 0], pts[:, 1], moment_tables(curve), n, u, v)
+        def arc(u, v):
+            span = (v - u) % n
+            if span < rows:
+                return item(span, v)
+            return closed_arc()(u, v)
 
-            def arcs(u, v):
-                span = (v - u) % n
-                try:
-                    return table[span, v]
-                except IndexError:
-                    pass
-                # a span past the stored rows: the closed form there
-                u, v, span = np.broadcast_arrays(u, v, span)
-                far = span >= rows
-                out = np.array(table[np.where(far, 0, span), v])
-                pts = curve.points_float()
-                out[far] = _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], moment_tables(curve),
-                                                 u[far], v[far])
-                return out[()]
+        def arcs(u, v):
+            span = np.subtract(v, u) % n
+            far = span >= rows
+            count = np.count_nonzero(far)
+            if count == 0:
+                return table[span, v]
+            if count == far.size:
+                return closed()(u, v)
+            # a gather of the stored spans (row 0 in place of the others),
+            # then the closed form past the rows
+            u, v, span, far = np.broadcast_arrays(u, v, span, far)
+            out = table[np.where(far, 0, span), v]
+            out[far] = closed()(u[far], v[far])
+            return out[()]
 
         def splits(p, q):
             k = (q - p) % n
-            if table is None or k > rows:
-                js = (p + np.arange(1, k)) % n
-                sides = arcs(np.stack((np.full_like(js, p), js)),
-                             np.stack((js, np.full_like(js, q))))
+            if k > rows:
+                # ends holds rows p, j and q: the sides p -> j and
+                # j -> q run from ends[:2] to ends[1:]
+                ends = np.empty((3, k - 1), dtype=np.int64)
+                ends[0], ends[1], ends[2] = p, np.arange(p + 1, p + k) % n, q
+                sides = arcs(ends[:2], ends[1:])
                 return sides[0] + sides[1]
             # the side p -> p + t is entry [t, (p + t) % n]: flat entry
             # t (n + 1) + p, less n once p + t passes n - 1
@@ -193,13 +185,14 @@ class PolygonApprox:
 
 
 def _arc_e2(xs, ys, prefixes, n: int, u: int, v: int):
-    """e2_arc_costs of one arc u -> v on any indexable coordinates and
-    doubled prefixes: numpy arrays or Python lists, which give the same
-    bits."""
-    xu = float(xs[u])
-    yu = float(ys[u])
-    dx = float(xs[v]) - xu
-    dy = float(ys[v]) - yu
+    """e2_arc_costs of one arc u -> v on float coordinates and their
+    doubled prefixes, as numpy arrays or Python lists, which give the
+    same bits.  It calls no builtin (no float(), no max()): elimination
+    calls it once per rescored arc."""
+    xu = xs[u]
+    yu = ys[u]
+    dx = xs[v] - xu
+    dy = ys[v] - yu
     l2 = dx * dx + dy * dy
     if l2 == 0.0:
         raise DegenerateSegment(f"points {u} and {v} coincide")
@@ -215,7 +208,7 @@ def _arc_e2(xs, ys, prefixes, n: int, u: int, v: int):
     syy = pyy[b] - pyy[a]
     sxy = pxy[b] - pxy[a]
     k = yu * dx - xu * dy
-    cnt = float(length - 1)
+    cnt = length - 1.0
     num = (
         dy * dy * sxx
         + dx * dx * syy
@@ -224,7 +217,10 @@ def _arc_e2(xs, ys, prefixes, n: int, u: int, v: int):
         - 2.0 * k * dx * sy
         + cnt * k * k
     )
-    return max(num, 0.0) / l2
+    # cancellation can leave tiny negatives on collinear arcs
+    if num < 0.0:
+        num = 0.0
+    return num / l2
 
 
 def _arcs_max_e(points: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -254,25 +250,20 @@ def _arcs_max_e(points: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.
     return best / np.sqrt(l2)
 
 
-def _polygon_errors(points: np.ndarray, prefixes: tuple, idx) -> tuple[float, float]:
-    """(E2, Emax) of the polygon through points[idx].  Emax comes first,
-    raising DegenerateSegment on a side between coincident points, whose
-    E2 would be 0 / 0; the sides' E2 are summed left to right."""
-    u = np.asarray(idx)
-    v = np.roll(u, -1)
-    emax = float(_arcs_max_e(points, points.shape[0], u, v).max())
-    pts = points.astype(np.float64, copy=False)
-    e2 = 0.0
-    for side in _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], prefixes, u, v):
-        e2 += side
-    return e2, emax
-
-
 def polygon_errors(curve: DigitalCurve, poly: PolygonApprox) -> tuple[float, float]:
-    """(E2, Emax) of a polygon on its curve."""
+    """(E2, Emax) of a polygon on its curve.  Emax comes first, raising
+    DegenerateSegment on a side between coincident points, whose E2
+    would be 0 / 0; the sides' E2, read by E2Costs, are summed left to
+    right."""
     if poly.curve is not curve:
         raise InvalidCounts("polygon does not belong to this curve")
-    return _polygon_errors(curve.points, moment_tables(curve), poly.indices)
+    u = poly.indices
+    v = np.roll(u, -1)
+    emax = float(_arcs_max_e(curve.points, curve.n, u, v).max())
+    e2 = 0.0
+    for side in E2Costs(curve).arcs(u, v):
+        e2 += side
+    return e2, emax
 
 
 def compression_ratio(n: int, m: int) -> float:

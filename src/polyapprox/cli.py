@@ -99,19 +99,21 @@ def build_parser() -> _Parser:
 
 
 def _load_with_m(parser: _Parser, args):
-    curve = load_curve(args.infile, args.format)
+    """The curve and its vertex count.  Usage is checked before the file
+    is read, except --m against n, which needs the curve."""
     if args.m is not None and args.target_cr is not None:
         parser.error("pass either --m or --target-cr, not both")
-    if args.m is not None:
-        try:
-            check_count(args.m, curve.n)
-        except InvalidCounts as exc:
-            parser.error(str(exc))
-        return curve, args.m
     target = args.target_cr if args.target_cr is not None else 15.0
     if not target >= 1.0:  # NaN too
         parser.error("target-cr must be >= 1")
-    return curve, auto_target_m(curve, target)
+    curve = load_curve(args.infile, args.format)
+    if args.m is None:
+        return curve, auto_target_m(curve, target)
+    try:
+        check_count(args.m, curve.n)
+    except InvalidCounts as exc:
+        parser.error(str(exc))
+    return curve, args.m
 
 
 def _cmd_approx(parser, args) -> int:

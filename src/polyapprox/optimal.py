@@ -123,10 +123,11 @@ class SegmentCosts:
     defining line.
 
     Tables are read-only.  While an instance holds the curve's E2 table,
-    elimination and stabilize look their costs up in it
-    (approx_error.E2Costs).  Only a weak reference to it is recorded, so
-    the table goes with the instance: a study keeps one curve's tables
-    at a time.
+    approx_error.E2Costs reads every arc of a span it stores from it, so
+    elimination, stabilize and polygon_errors evaluate the closed form
+    only past its rows.  Only a weak reference to it is recorded, so the
+    table goes with the instance: a study keeps one curve's tables at a
+    time.
     """
 
     def __init__(self, curve: DigitalCurve):

@@ -112,14 +112,15 @@ def eliminate_to_m(curve: DigitalCurve, m: int) -> PolygonApprox:
 
     A vertex's deletion cost is the squared-error sum of the arc its
     neighbours would then span; only the two neighbours of a deleted
-    vertex need rescoring.  Costs come from E2Costs: the n starting costs
-    are one arcs() call.  While a SegmentCosts holds the curve's E2
-    table, a rescored arc of a span the table stores is one
-    lookup(span, v) call, with no Python frame between; any other arc is
-    one arc() call.  A heap of (cost, index) finds the cheapest vertex,
-    ties on the lowest index; entries whose cost has changed since are
-    skipped, and the cheapest vertex's entry is replaced by its first
-    rescored neighbour's, one sift instead of a pop and a push.
+    vertex need rescoring.  Costs come from E2Costs, by its one rule: the
+    n starting costs are one arcs() call, and a rescored arc of a span
+    the held E2 table stores is one lookup(span, v) call, with no Python
+    frame between; any other arc, every one with no table held, is one
+    arc() call, the closed form.  A heap of (cost, index) finds the
+    cheapest vertex, ties on the lowest index; entries whose cost has
+    changed since are skipped, and the cheapest vertex's entry is
+    replaced by its first rescored neighbour's, one sift instead of a
+    pop and a push.
 
     Both cost paths give the same polygon, so the vertex indices of a
     curve's last elimination are kept with the curve (weakly) and a
@@ -178,11 +179,12 @@ def stabilize(curve: DigitalCurve, poly: PolygonApprox) -> PolygonApprox:
     Round-robin over vertex slots: each vertex may move anywhere
     strictly between its neighbours if that lowers the combined error of
     its two sides.  All its positions are scored at once by
-    E2Costs.splits, a gather and a strided column of the curve's E2 table
-    while a SegmentCosts holds it, else one closed-form call.  A
-    vertex moves only to a strictly cheaper position, the lowest curve
-    index among equal minima (_lowest_index), so a vertex already at a
-    minimum stays put.  Stops on the first pass with no movement.
+    E2Costs.splits: a gather and a strided column of the curve's E2 table
+    when the table a SegmentCosts holds stores every side, else one
+    arcs() call.  A vertex moves only to a strictly cheaper position,
+    the lowest curve index among equal minima (_lowest_index), so a
+    vertex already at a minimum stays put.  Stops on the first pass with
+    no movement.
 
     A vertex's candidate costs depend only on its two neighbours, and
     once scored it sits where no candidate is strictly cheaper, so only

@@ -12,11 +12,10 @@ from polyapprox import (
     SegmentCosts,
     _kernels,
     baseline_from_profile,
-    moment_tables,
     polygon_errors,
     select_start_vertex,
 )
-from polyapprox.approx_error import _arc_e2, _arcs_max_e, _polygon_errors
+from polyapprox.approx_error import _arc_e2, _arcs_max_e
 from polyapprox.exceptions import DegenerateSegment
 
 # the contour corpus is the benchmark's generator at its default seed
@@ -45,12 +44,19 @@ def perpendicular_distance(p_u, p_v, p_w) -> float:
     return abs((xw - xu) * dy - (yw - yu) * dx) / math.hypot(dx, dy)
 
 
+def prefixes_of(points: np.ndarray) -> tuple:
+    """_kernels.doubled_prefixes of a point array's float coordinates."""
+    pts = np.asarray(points, dtype=np.float64)
+    return _kernels.doubled_prefixes(pts[:, 0], pts[:, 1])
+
+
 def arc_sum_sq(points: np.ndarray, prefixes: tuple, u: int, v: int) -> float:
     """Sum of squared deviations over the forward arc u -> v by the
     library's scalar closed form, from the points' doubled prefixes
-    (moment_tables): the oracle the vector closed form and the E2 table
+    (prefixes_of): the oracle the vector closed form and the E2 table
     must match bit for bit."""
-    return _arc_e2(points[:, 0], points[:, 1], prefixes, points.shape[0], u, v)
+    pts = np.asarray(points, dtype=np.float64)
+    return _arc_e2(pts[:, 0], pts[:, 1], prefixes, pts.shape[0], u, v)
 
 
 def segment_errors(curve: DigitalCurve, u: int, v: int) -> SegmentErrors:
@@ -66,18 +72,25 @@ def segment_errors(curve: DigitalCurve, u: int, v: int) -> SegmentErrors:
         raise DegenerateSegment(f"u and v are the same index {u}")
     pts = curve.points
     return SegmentErrors(
-        sum_sq=arc_sum_sq(pts, moment_tables(curve), u, v),
+        sum_sq=arc_sum_sq(pts, prefixes_of(pts), u, v),
         max_e=float(_arcs_max_e(pts, n, np.array([u]), np.array([v]))[0]),
     )
 
 
 def polygon_errors_points(points: np.ndarray, indices) -> tuple[float, float]:
     """(E2, Emax) of a polygon over a raw point array, by the arithmetic
-    of polygon_errors, so invariance checks can feed transformed float
-    points."""
+    of polygon_errors with no E2 table held, so invariance checks can
+    feed transformed float points: Emax first, raising DegenerateSegment
+    on a side between coincident points, then the sides' E2 by one
+    e2_arc_costs call, summed left to right."""
     pts = np.asarray(points, dtype=np.float64)
-    idx = np.asarray(indices, dtype=np.int64)
-    return _polygon_errors(pts, _kernels.doubled_prefixes(pts[:, 0], pts[:, 1]), idx)
+    u = np.asarray(indices, dtype=np.int64)
+    v = np.roll(u, -1)
+    emax = float(_arcs_max_e(pts, pts.shape[0], u, v).max())
+    e2 = 0.0
+    for side in _kernels.e2_arc_costs(pts[:, 0], pts[:, 1], prefixes_of(pts), u, v):
+        e2 += side
+    return e2, emax
 
 
 def lattice_ring(seed: int, n_lo: int = 6, n_hi: int = 12) -> DigitalCurve:

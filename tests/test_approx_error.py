@@ -1,7 +1,5 @@
-import gc
 import math
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from polyapprox import (
     apply_scheme,
     auto_target_m,
     compression_ratio,
-    moment_tables,
     parse_chain_code,
     polygon_errors,
 )
@@ -30,6 +27,7 @@ from conftest import (
     perpendicular_distance,
     polygon_errors_naive,
     polygon_errors_points,
+    prefixes_of,
     segment_errors,
     segment_errors_naive,
 )
@@ -97,10 +95,10 @@ def test_segment_errors_matches_naive_everywhere():
 
 
 def test_moment_tables_prefix_structure(square8):
-    px, py, pxx, pyy, pxy = moment_tables(square8)
-    n = square8.n
     x = square8.points[:, 0].astype(float)
     y = square8.points[:, 1].astype(float)
+    px, py, pxx, pyy, pxy = _kernels.doubled_prefixes(x, y)
+    n = square8.n
     assert all(len(p) == 2 * n + 1 and p[0] == 0.0 for p in (px, py, pxx, pyy, pxy))
     assert px[2 * n] == pytest.approx(2.0 * x.sum())
     assert py[n] == pytest.approx(y.sum())
@@ -109,44 +107,47 @@ def test_moment_tables_prefix_structure(square8):
     assert pxy[n] == pytest.approx((x * y).sum())
 
 
-def test_moment_tables_cached_per_curve(square8):
-    assert moment_tables(square8) is moment_tables(square8)
-    other = DigitalCurve(square8.points.copy())
-    assert moment_tables(other) is not moment_tables(square8)
-
-
-def test_moment_tables_do_not_keep_curves_alive(square8):
-    curve = DigitalCurve(square8.points.copy())
-    moment_tables(curve)
-    ref = weakref.ref(curve)
-    del curve
-    gc.collect()
-    assert ref() is None
-
-
 def test_e2_costs_read_the_table_bit_for_bit():
     # every arc u != v of the closed form, array and scalar, against the
-    # lookups and gathers in a live SegmentCosts' E2 table
+    # lookups and gathers in a live SegmentCosts' E2 table: every arc at
+    # once, single arcs, and arrays whose spans straddle the stored rows
     corpus = build_corpus()
     for curve in (corpus[3], corpus[11]):
         n = curve.n
+        pts = curve.points
         u, v = np.nonzero(~np.eye(n, dtype=bool))
         closed = E2Costs(curve)
+        # no table held: no rows, so every arc is the closed form's
+        assert closed.rows == 0
         want = closed.arcs(u, v)
         scalar = [closed.arc(int(a), int(b)) for a, b in zip(u[::61], v[::61])]
         assert np.array(scalar).tobytes() == want[::61].tobytes()
         costs = SegmentCosts(curve)
         costs.table(CostKind.SUM_SQUARED)
         lookup = E2Costs(curve)
+        rows = lookup.rows
         # the table stops short of n rows: arcs past it are the closed form's
-        assert lookup.rows < n
+        assert 0 < rows < n
         assert lookup.arcs(u, v).tobytes() == want.tobytes()
         assert lookup.arcs(1, 0) == closed.arcs(1, 0) and lookup.arcs(1, 2) == 0.0
         assert [lookup.arc(int(a), int(b)) for a, b in zip(u[::61], v[::61])] == scalar
+        # scalar u, v to arcs, on both sides of the rows and with none
+        for e2 in (closed, lookup):
+            got = [e2.arcs(int(a), int(b)) for a, b in zip(u[::61], v[::61])]
+            assert np.array(got).tobytes() == want[::61].tobytes()
+        # starts 7 and n - 2 against ends whose spans from 7 straddle the
+        # rows, broadcast, against the scalar closed form
+        starts = np.array([[7], [n - 2]])
+        ends = (7 + np.arange(rows - 3, rows + 3)) % n
+        prefixes = prefixes_of(pts)
+        expect = np.array([[arc_sum_sq(pts, prefixes, int(a), int(b)) for b in ends]
+                           for a in starts[:, 0]])
+        for e2 in (closed, lookup):
+            assert e2.arcs(starts, ends).tobytes() == expect.tobytes()
         # both sides at every split point, in order from p, on arcs that
         # wrap past index 0 or not, short and long, past the stored rows
         for p, q in [(0, n // 2), (n - 5, 7), (3, 5), (4, 3), (n // 3, 2), (n - 1, 0),
-                     (7, 7 + lookup.rows), (7, 6 + lookup.rows)]:
+                     (7, 7 + rows), (7, 6 + rows)]:
             js = (p + np.arange(1, (q - p) % n)) % n
             want = closed.arcs(p, js) + closed.arcs(js, q)
             assert closed.splits(p, q).tobytes() == want.tobytes()
@@ -267,24 +268,34 @@ def _scalar_e2(curve, indices):
     idx = indices.tolist()
     e2 = 0.0
     for u, v in zip(idx, idx[1:] + idx[:1]):
-        e2 += arc_sum_sq(curve.points, moment_tables(curve), u, v)
+        e2 += arc_sum_sq(curve.points, prefixes_of(curve.points), u, v)
     return e2
 
 
 def test_polygon_e2_is_the_scalar_sum_bit_for_bit(corpus):
-    # one e2_arc_costs call summed left to right: the scalar sum's value
-    # and its np.float64 type, so the same repr, on every scheme's
-    # polygon of the corpus at cr 8, 15 and 30 and on lattice rings
+    # the sides' E2 summed left to right: the scalar sum's value and its
+    # np.float64 type, so the same repr, with no E2 table held and while
+    # a SegmentCosts holds it, on every scheme's polygon of the corpus at
+    # cr 8, 15 and 30, on a triangle whose long side lies past the
+    # table's rows, and on lattice rings
     polys = [apply_scheme(scheme, c, auto_target_m(c, cr))
              for c in corpus for cr in (8, 15, 30) for scheme in SchemeId]
+    polys += [PolygonApprox(c, [0, 1, 2]) for c in corpus]
     rng = np.random.default_rng(17)
     for seed in range(20):
         c = lattice_ring(seed + 700)
         m = int(rng.integers(3, c.n))  # m < n: some side has an interior
         polys.append(PolygonApprox(c, rng.choice(c.n, size=m, replace=False)))
+    by_curve = {}
     for p in polys:
-        e2 = polygon_errors(p.curve, p)[0]
-        assert repr(e2) == repr(_scalar_e2(p.curve, p.indices)), p.curve.name
+        by_curve.setdefault(p.curve, []).append(p)
+    for curve, group in by_curve.items():
+        want = [repr(_scalar_e2(curve, p.indices)) for p in group]
+        assert [repr(polygon_errors(curve, p)[0]) for p in group] == want, curve.name
+        costs = SegmentCosts(curve)
+        costs.table(CostKind.SUM_SQUARED)
+        assert [repr(polygon_errors(curve, p)[0]) for p in group] == want, curve.name
+        del costs
 
 
 @pytest.mark.parametrize("indices, message", [

@@ -78,6 +78,17 @@ def test_approx_conflicting_budgets(square_pts):
     assert e.value.code == 1
 
 
+@pytest.mark.parametrize("budget, message", [
+    (["--m", "4", "--target-cr", "5"], "pass either --m or --target-cr, not both"),
+    (["--target-cr", "0.5"], "target-cr must be >= 1"),
+], ids=["m-and-target-cr", "target-cr-below-1"])
+def test_approx_usage_is_checked_before_the_file_is_read(tmp_path, capsys, budget, message):
+    with pytest.raises(SystemExit) as e:
+        main(["approx", "--in", str(tmp_path / "missing.pts"), *budget])
+    assert e.value.code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_approx_missing_file_is_data_error(tmp_path, capsys):
     rc = main(["approx", "--in", str(tmp_path / "nope.pts")])
     assert rc == 2

@@ -21,7 +21,6 @@ from polyapprox import (
     stabilize,
 )
 from polyapprox import _kernels, approx_error, schemes
-from polyapprox.approx_error import moment_tables
 from polyapprox.curve import parse_chain_code
 from polyapprox.optimal import provisional_start_vertex
 from conftest import (
@@ -29,6 +28,7 @@ from conftest import (
     build_corpus,
     lattice_ring,
     perpendicular_distance,
+    prefixes_of,
     segment_errors_naive,
 )
 
@@ -60,7 +60,7 @@ def eliminate_reference(curve, m):
     on the lowest index), the two neighbours rescored by arc_sum_sq."""
     n = curve.n
     pts = curve.points
-    prefixes = moment_tables(curve)
+    prefixes = prefixes_of(pts)
     nxt = np.arange(1, n + 1) % n
     prv = np.arange(-1, n - 1) % n
     cost = np.empty(n)
@@ -124,7 +124,7 @@ def stabilize_reference(curve, poly):
     arc_sum_sq calls, visited in arc order."""
     n = curve.n
     pts = curve.points
-    prefixes = moment_tables(curve)
+    prefixes = prefixes_of(pts)
     verts = [int(v) for v in poly.indices]
     m = len(verts)
     for _ in range(50):

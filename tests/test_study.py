@@ -1,5 +1,9 @@
+import gc
 import math
 import statistics
+import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from polyapprox import (
     scale_for_plot,
     study_series,
 )
-from polyapprox import approx_error, measures, study
+from polyapprox import _kernels, approx_error, measures, schemes, study
 from polyapprox.study import (
     PAIRINGS,
     correlations_csv,
@@ -304,6 +308,68 @@ def test_run_study_computes_each_polygons_errors_once(monkeypatch):
     reports = run_study(corpus, target_cr=15.0)
     assert len(calls) == len(corpus) * len(SchemeId)
     assert all(len(rep.records) == len(corpus) for rep in reports)
+
+
+def test_evaluate_curve_reads_every_e2_from_the_held_table(monkeypatch):
+    # evaluate_curve holds each curve's E2 table while the schemes and
+    # polygon_errors run, and every arc they read has a span the table
+    # stores: approx_error builds no doubled prefixes and evaluates no
+    # arc by the closed form, on any corpus curve at cr 8, 15 or 30
+    from_approx_error = []
+    for name in ("doubled_prefixes", "e2_arc_costs"):
+        def spy(*args, kernel=getattr(_kernels, name), name=name):
+            if sys._getframe(1).f_globals["__name__"] == approx_error.__name__:
+                from_approx_error.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, spy)
+
+    def scalar(*args):
+        raise AssertionError("approx_error._arc_e2 evaluated an arc")
+
+    monkeypatch.setattr(approx_error, "_arc_e2", scalar)
+    for curve in build_corpus():
+        for cr in (8.0, 15.0, 30.0):
+            evaluate_curve(curve, None, tuple(SchemeId), auto_target_m(curve, cr), "printed")
+    assert from_approx_error == []
+
+
+def test_back_to_back_studies_keep_no_per_curve_state():
+    # five studies of fresh curves, each dropped after its study: no
+    # curve's E2 table or elimination outlives it, and the traced memory
+    # grows by less than `bound` over the four rounds after the first.
+    # Those rounds grew by 17-27 KB on python 3.11 with numpy 2.4, in
+    # numpy's small internal allocations, 1.5-8 KB a round and falling.
+    # A curve of this subset holds about 5.5 KB of points, 28 KB of
+    # doubled prefixes and 0.6 MB of E2 table, so leaking every round's
+    # curves, their prefixes or any one table crosses the bound
+    bound = 64_000
+    subset = [(c.points, c.name) for c in build_corpus()[:4]]
+    maps = (approx_error._E2_TABLES, schemes._ELIMINATED)
+    gc.collect()
+    # entries of curves other tests keep alive, as session fixtures: none
+    # when this test runs alone
+    before = [len(m) for m in maps]
+
+    def one_round():
+        curves = [DigitalCurve(pts, name=name) for pts, name in subset]
+        run_study(curves, target_cr=15.0)
+        alive = [weakref.ref(c) for c in curves]
+        del curves
+        gc.collect()
+        assert [r() for r in alive] == [None] * len(alive)
+        assert all(len(m) <= k for m, k in zip(maps, before))
+
+    tracemalloc.start()
+    try:
+        one_round()
+        first = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            one_round()
+        growth = tracemalloc.get_traced_memory()[0] - first
+    finally:
+        tracemalloc.stop()
+    assert growth < bound
 
 
 def test_run_study_skips_a_curve_too_large_with_one_warning(caplog):
