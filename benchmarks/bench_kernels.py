@@ -15,11 +15,12 @@ hull levels the Emax table builds on the ellipse (and "hull levels,
 all-hull" on the circle), as it builds them: its rows column prints
 their count.  "e2 cost table" builds the rows a
 bounded solve can read, bound included, as SegmentCosts does; "e2,
-every row" builds all n.  The DP solves the ellipse's stored E2 and
-Emax tables from vertex 0, as the study does, and an n x n table of
-uniform random costs,
-whose rising profile makes the banded solve fall back to the full DP:
-its worst case.  "polygon solve" is a profile solve to m = --m-max on
+every row" builds all n.  "e2, to U_m" and "emax, to U_m" build the
+tables as a study does, only up to U_m, the cost of the equally spaced
+m-gon through the provisional start with m = n / 15, bound included.
+The DP solves the ellipse's stored E2 and Emax tables from vertex 0,
+and an n x n table of uniform random costs, whose rising profile makes
+the banded solve fall back to the full DP: its worst case.  "polygon solve" is a profile solve to m = --m-max on
 the E2 table plus the walk back along its chain; "polygon solve,
 seeded" is the same with the solve seeded by the equally spaced m-gon,
 as SegmentCosts.polygon runs it.
@@ -44,7 +45,8 @@ import tracemalloc
 import numpy as np
 
 from polyapprox import (
-    CostKind, DigitalCurve, SegmentCosts, _kernels, eliminate_to_m, split_to_m, stabilize,
+    CostKind, DigitalCurve, SegmentCosts, _kernels, eliminate_to_m, provisional_start_vertex,
+    split_to_m, stabilize,
 )
 from polyapprox.schemes import _ELIMINATED
 
@@ -71,10 +73,10 @@ def noisy_ellipse(n_target: int, seed: int = 0, aspect: float = 0.6) -> np.ndarr
     return pts
 
 
-def stored_e2_table(xs, ys):
-    """The E2 table's rows a bounded solve can read, as SegmentCosts
-    builds it."""
-    _, rows = _kernels.e2_row_bound(xs, ys)
+def stored_e2_table(xs, ys, bound=None):
+    """The E2 table's rows a solve seeded with U3, or with `bound`, can
+    read, as SegmentCosts builds it."""
+    _, rows = _kernels.e2_row_bound(xs, ys, bound)
     return _kernels.e2_cost_table(xs, ys, rows)
 
 
@@ -158,6 +160,10 @@ def main() -> int:
 
     m_max = min(args.m_max, n)
     e2_tab = stored_e2_table(xs, ys)
+    # the bounds a study builds the tables to, at cr 15
+    curve = DigitalCurve(pts)
+    p0, m_sub = provisional_start_vertex(curve), round(n / 15)
+    u_e2, u_emax = (SegmentCosts(curve).gon_cost(p0, m_sub, kind) for kind in CostKind)
     emax_tab = _kernels.emax_cost_table(xs, ys)
     # uniform random costs: the profile rises, so the banded solve falls
     # back to the full DP
@@ -174,7 +180,9 @@ def main() -> int:
     tables = [
         ("e2 cost table", stored_e2_table, (xs, ys)),
         ("e2, every row", _kernels.e2_cost_table, (xs, ys)),
+        ("e2, to U_m", stored_e2_table, (xs, ys, u_e2)),
         ("emax cost table", _kernels.emax_cost_table, (xs, ys)),
+        ("emax, to U_m", _kernels.emax_cost_table, (xs, ys, u_emax)),
         ("emax, elongated", _kernels.emax_cost_table, (txs, tys)),
         ("emax, all-hull", _kernels.emax_cost_table, (circle[:, 0], circle[:, 1])),
         ("emax, non-simple", _kernels.emax_cost_table, (crossed[:, 0], crossed[:, 1])),
@@ -201,7 +209,6 @@ def main() -> int:
     for name, fn, call_args in solves:
         print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms")
 
-    curve = DigitalCurve(pts)
     m = m_max
     eliminated = eliminate_to_m(curve, m)
     schemes = [

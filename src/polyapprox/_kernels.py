@@ -10,37 +10,46 @@ forward arc of L steps that ends at point e, so it starts at (e - L) %
 n.  Rows 0 and 1 (a point and an adjacent pair) are 0.  A DP layer
 reads the sides ending at a run of positions as slices of the table's
 rows, with no copy of the table for its start vertex.  A table may
-store only its first rows, those a bounded solve can read.
+store only its first rows, those a bounded solve can read.  Either
+table can be built to a caller's bound b in place of its own: it then
+stores every entry at or under b, and a solve seeded with b reads
+nothing else.  A study builds both to U_m, the cost of the equally
+spaced m-gon through one start; at m = n / 15 that keeps 0.20n rows of
+the E2 table and 0.16n of the Emax table on the built-in corpus.
 
 The squared-error table evaluates the closed form of e2_arc_costs on
 blocks of about _E2_BLOCK entries, a few dozen spans by all ends: the
 arc starts, and the prefix bound just past them, are reversed sliding
 windows of doubled arrays.  e2_row_bound gives R, the rows worth
 building: every arc of R or more steps costs more than the seed of any
-solve's running bound, by a principal-axis bound on the moments of its
-points (averaging R = 0.66n on the built-in corpus).
+solve's running bound, or than the caller's bound, by a principal-axis
+bound on the moments of its points (averaging R = 0.66n on the built-in
+corpus).
 
 The max-error table holds an arc's exact value where it is at most B,
-the largest entry over arcs of at most ceil(n/3) steps, and +inf above
-B: no optimal polygon of 3 or more vertices, and no tie with one, has
-such a side (_side_bound says why).  Its points must be distinct
-integers spanning less than EXACT_SPAN, which SegmentCosts checks.  One
-path builds it on every ring, simple or not: a sparse table whose level
-k holds the hull vertices of every window of 2^k points, merged from
-level k-1 by Andrew's monotone chain, one lockstep pass over the lower
-and upper chains together.  Two windows of one level cover any arc, so
-an entry scans their vertices, not the arc, with its arithmetic done
-in place.  It stores its rows up to the last with a finite entry, and
-grows only for a block of arcs that holds an entry at or under B.
+the largest entry over arcs of at most ceil(n/3) steps, or the caller's
+bound, and +inf above it: no optimal polygon of 3 or more vertices, and
+no tie with one, has a side above B (_side_bound says why).  Its points
+must be distinct integers spanning less than EXACT_SPAN, which
+SegmentCosts checks.  One path builds it on every ring, simple or not:
+a sparse table whose level k holds the hull vertices of every window of
+2^k points, merged from level k-1 by Andrew's monotone chain, one
+lockstep pass over the lower and upper chains together.  Two windows of
+one level cover any arc, so an entry scans their vertices, not the arc,
+with its arithmetic done in place.  It stores its rows up to the last with a finite entry, and
+grows only for a block of arcs that holds an entry at or under the
+bound; points spread along a block's arcs skip the others.
 
 Costs are >= 0, so a DP layer may drop every cell above b, the least
 of a seed (a triangle's cost, and for a solve that wants one polygon
-that of an equally spaced one) and the profile values found so far, and
-every side wider than the widest one costing at most b: what is left
-is a band of W spans.  The profile and every cell the band keeps are
-exact, and dp_chain recovers the chains from them; if the profile
-rises, the band loses a profile value and the solve runs once more
-unpruned (dp_solve says when, and over which rows).
+that of an equally spaced one, or the caller's bound) and the profile
+values found so far, and every side wider than the widest one costing
+at most b: what is left is a band of W spans.  The profile and every
+cell the band keeps are exact, and dp_chain recovers the chains from
+them; if the profile rises, the band loses a profile value and the
+solve runs once more unpruned (dp_solve says when, and over which
+rows).  Under a caller's bound, a value above it comes back +inf and
+asks for no rerun.
 
 The kernels evaluate the arithmetic of plain per-entry loops, so their
 tables, and the DP's profile, chains and kept cells, equal the loops'
@@ -182,14 +191,17 @@ def e2_cost_table(xs: np.ndarray, ys: np.ndarray, rows: int | None = None) -> np
     return out
 
 
-def e2_row_bound(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
-    """(G, R): no bounded solve over e2_cost_table(xs, ys) reads a row of
-    R steps or more, so the table may stop at row R.
+def e2_row_bound(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
+                 ) -> tuple[float, int]:
+    """(G, R): every entry of e2_cost_table(xs, ys) in a row of R steps or
+    more is above G, so a solve whose running bound never passes G reads
+    no such row, and the table may stop at row R.
 
-    G is the largest U3 over every start, the seed of dp_solve's running
-    bound, from the 3n closed-form arcs of the three spans U3 reads (the
-    table's bits), combined in dp_solve's order.  Every b_j of every
-    bounded solve is at most G.
+    G is the caller's bound if given.  By default it is the largest U3
+    over every start, the seed of dp_solve's running bound, from the 3n
+    closed-form arcs of the three spans U3 reads (the table's bits),
+    combined in dp_solve's order, so that every b_j of every solve seeded
+    with U3 is at most G.
 
     R is the first span L at which lam(u, L) exceeds G for every start
     u, with a margin for rounding, or n if there is none: lam(u, L) is
@@ -200,8 +212,9 @@ def e2_row_bound(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
     from u holds those points and its chord passes through p[u], so its
     cost is at least lam(u, L) > G.  Adding points adds a positive
     semidefinite matrix to M, so lam never falls with L, and R is found
-    by bisection over (ceil(n/3), n): R > ceil(n/3), as U3 >= each of
-    its sides >= its lam.
+    by bisection: over (ceil(n/3), n) by default, as U3 >= each of its
+    sides >= its lam, and over (1, n) for a caller's bound (lam(u, 1) =
+    0), so R >= 2.
 
     The margin covers rounding in both closed forms.  With P2 the
     largest x^2 + y^2 of the ring, every term of either one, over the
@@ -215,12 +228,16 @@ def e2_row_bound(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
     """
     n = xs.shape[0]
     prefixes = doubled_prefixes(xs, ys)
-    a, b = n // 3, 2 * n // 3
-    ends = np.arange(n)
-    spans = np.array([[a], [b - a], [n - b]])
-    # sides[k, e]: entry [spans[k], e] of the table
-    sides = e2_arc_costs(xs, ys, prefixes, (ends - spans) % n, ends)
-    g = ((sides[0, (ends + a) % n] + sides[1, (ends + b) % n]) + sides[2]).max()
+    if bound is None:
+        a, b = n // 3, 2 * n // 3
+        ends = np.arange(n)
+        spans = np.array([[a], [b - a], [n - b]])
+        # sides[k, e]: entry [spans[k], e] of the table
+        sides = e2_arc_costs(xs, ys, prefixes, (ends - spans) % n, ends)
+        g = ((sides[0, (ends + a) % n] + sides[1, (ends + b) % n]) + sides[2]).max()
+        lo = -(-n // 3)
+    else:
+        g, lo = bound, 1
     limit = g * (1.0 + 2.0**-40) + 2.0**-44 * n * n * (xs * xs + ys * ys).max()
     moments = np.stack(prefixes)
     xx, yy, xy = xs * xs, ys * ys, xs * ys
@@ -235,7 +252,7 @@ def e2_row_bound(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
         lam = 0.5 * (mxx + myy) - np.hypot(0.5 * (mxx - myy), mxy)
         return lam.min() > limit
 
-    lo, hi = -(-n // 3), n
+    hi = n
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):
@@ -261,10 +278,11 @@ _EMAX_SCAN = 1 << 15
 _PROBES = 5
 
 
-def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
+                    ) -> np.ndarray:
     """Largest deviation of every forward arc from its chord, span-major
-    as e2_cost_table, or +inf where that exceeds B, the bound of
-    _side_bound.
+    as e2_cost_table, or +inf where that exceeds the caller's bound, or
+    by default B, the bound of _side_bound.
 
     The points must be distinct integers spanning less than EXACT_SPAN:
     relative to the min corner, every coordinate is then below 2**26,
@@ -282,25 +300,27 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     scan of every arc point, +0.0 on a straight arc.  A block of lengths
     reads both windows as slices of the level, with no gather.
 
-    Arcs of at most ceil(n/3) steps come first and give B.  Longer arcs
-    go in blocks of lengths: _PROBES points spread along the block's
-    shortest arc lie inside all of its arcs and bound each from below.
-    A block whose bounds are all above B stays +inf; any other is
-    scanned from its first length with a bound at or below B to its
-    last.  A level is built when a scan first needs it, and only the
-    latest is kept.  Scans and probes take blocks of about _EMAX_SCAN
-    entries.  The table holds rows 0 to ceil(n/3), and grows in place,
-    new rows +inf, only when a scanned block of long arcs has an entry
-    at or under B; a block whose entries all lie above B is not
-    written.  It is shrunk at the end to its last row with a finite
-    entry: rows past it are +inf, and are not stored.
+    By default, arcs of at most ceil(n/3) steps come first, every one
+    scanned, and give B.  The longer arcs, or with a caller's bound every
+    arc of 2 or more steps, go in blocks of lengths: _PROBES points
+    spread along the block's shortest arc lie inside all of its arcs and
+    bound each from below.  A block whose bounds are all above the bound
+    stays +inf; any other is scanned from its first length with a bound
+    at or under it to its last.  A level is built when a scan first
+    needs it, and only the latest is kept.  Scans and probes take blocks
+    of about _EMAX_SCAN entries.  The table holds rows 0 to ceil(n/3) by
+    default, rows 0 and 1 with a caller's bound, and grows in place, new
+    rows +inf, only when a probed block has an entry at or under the
+    bound; a block whose entries all lie above it is not written.  It is
+    shrunk at the end to its last row with a finite entry: rows past it
+    are +inf, and are not stored.
     """
     n = xs.shape[0]
     x, y = xs - xs.min(), ys - ys.min()
     # [L, u]: p[u + L]
     ends_x, ends_y = (sliding_window_view(np.concatenate((a, a)), n) for a in (x, y))
     third = -(-n // 3)
-    out = np.empty((third + 1, n))
+    out = np.empty((third + 1 if bound is None else 2, n))
     out[:2] = 0.0
     levels = _hull_levels(x + 1j * y)
     built, wx, wy = -1, None, None
@@ -368,14 +388,17 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
                 out[length, :length] = row[n - length:]
             lo = end
 
-    # the last row with a finite entry
-    last = third
-    fill(2, third + 1)
-    bound = _side_bound(out)
-    # longer arcs: the first to the last length of each block whose
-    # probes come at or under B
+    # the last row with a finite entry, and the first length to probe
+    if bound is None:
+        last, first = third, third + 1
+        fill(2, third + 1)
+        bound = _side_bound(out)
+    else:
+        last, first = 1, 2
+    # the first to the last length of each block whose probes come at or
+    # under the bound
     step = max(1, _EMAX_SCAN // (_PROBES * n))
-    for lo in range(third + 1, n, step):
+    for lo in range(first, n, step):
         at = 1 + np.arange(1, _PROBES + 1) * (lo - 2) // (_PROBES + 1)
         probe = scan(lo, min(lo + step, n), [(ends_x[at, None], ends_y[at, None])])
         near = np.flatnonzero((probe <= bound).any(axis=1))
@@ -522,11 +545,11 @@ def cheapest_sides(tab: np.ndarray) -> np.ndarray:
 _DP_BLOCK = 1 << 16
 
 
-def dp_solve(tab, cheapest, start, m_max, use_max, polygon=False):
+def dp_solve(tab, cheapest, start, m_max, use_max, polygon=False, bound=None):
     """Optimal chain costs over a span-major table whose costs are >= 0
     (or +inf), with cheapest = cheapest_sides(tab); None if the solve
-    must rerun unbounded and a sum table (use_max False) stores fewer
-    than n rows.
+    must rerun unbounded and a sum table (use_max False) built with no
+    bound stores fewer than n rows.
 
     Position v is curve index (start + v) % n, so position n is the
     start again, closing the ring, and the side from position u to v is
@@ -536,45 +559,69 @@ def dp_solve(tab, cheapest, start, m_max, use_max, polygon=False):
 
     Every layer j >= 2 is pruned by b_j, the least of the seed and the
     profile values dp[j', n] for 2 <= j' < j.  The seed is U3, or, for a
-    polygon solve, min(U3, U_m) with m = m_max: U_m is the cost of the
-    m-gon through positions floor(i n / m), i = 0..m, combined in DP
-    order, so U_m >= dp[m, n] in floating point, and U3 is the triangle
-    through 0, n // 3 and 2n // 3.  Every side of U_m spans at most
-    ceil(n/3) steps, so the table stores it.  A cell above b_j is stored
-    as +inf, and the layer reads only sides of at most W_j steps, as
-    every wider side costs more than b_j.  The pruning only drops
-    paths, so each value it computes is the cost of a real path.  Costs
-    never fall along a path and b never rises, so a finite dp[m, n] <=
-    b_m bounds every cell on its optimal chain, and every candidate tied
-    with one, by its layer's b_j: the profile value, the chains and
-    every finite cell are the full DP's.
+    polygon solve, min(U3, U_m) with m = m_max, and a caller's bound b
+    in place of either: U_m is the cost of the m-gon through positions
+    floor(i n / m), i = 0..m, combined in DP order, so U_m >= dp[m, n] in
+    floating point, and U3 is the triangle through 0, n // 3 and 2n //
+    3.  Every side of U_m spans at most ceil(n/3) steps, so a table
+    built with no bound stores it.  A cell above b_j is stored as +inf,
+    and the layer
+    reads only sides of at most W_j steps, as every wider side costs
+    more than b_j.  The pruning only drops paths, so each value it
+    computes is the cost of a real path.  Costs never fall along a path
+    and b never rises, so a finite dp[m, n] <= b_m bounds every cell on
+    its optimal chain, and every candidate tied with one, by its layer's
+    b_j: the profile value, the chains and every finite cell are the
+    full DP's.
 
-    The table may store only rows 0 to R - 1, R > ceil(n/3), if every
-    entry of the rows it leaves out is above U3 or +inf: as b_j <= U3,
-    no cell those sides reach is kept, so this pass reads only the
-    stored rows, and treats the sides beyond them as +inf.  A profile
-    value dp[3:, n] that comes back +inf means the profile rose (or has
-    no polygon), and the solve runs again with every b_j = +inf: the
-    full DP, every reachable cell.  A polygon solve wants only dp[m_max,
-    n] and its chain, and its seed prunes the lower layers' profile
-    values on purpose, so it reruns only when dp[m_max, n] comes back
-    +inf.  A max-error table leaves out only +inf rows
-    (emax_cost_table), so over its stored rows the rerun is the full DP;
-    a sum table's are finite, so over fewer than n rows it returns None,
-    and the caller runs the unbounded pass over the table built in full
-    (a bounded pass there would keep the same cells and lose the same
-    values again).
+    The table may store only rows 0 to R - 1 if every entry of the rows
+    it leaves out is above the seed or +inf (for U3, R > ceil(n/3)): as
+    b_j <= the seed, no cell those sides reach is kept, so this pass
+    reads only the stored rows, and treats the sides beyond them as
+    +inf.  With no bound, a profile value dp[3:, n] that comes back +inf
+    means the profile rose (or has no polygon), and the solve runs again
+    with every b_j = +inf: the full DP, every reachable cell.  A polygon
+    solve wants only dp[m_max, n] and its chain, and its seed prunes the
+    lower layers' profile values on purpose, so it reruns only when
+    dp[m_max, n] comes back +inf.  A max-error table leaves out only
+    +inf rows (emax_cost_table), so over its stored rows the rerun is
+    the full DP; a sum table's are finite, so over fewer than n rows it
+    returns None, and the caller runs the unbounded pass over the table
+    built in full (a bounded pass there would keep the same cells and
+    lose the same values again).
+
+    With a bound b, the table need store only the entries at or under
+    b (emax_cost_table and e2_row_bound given b), and a value above b
+    comes back +inf, which asks for no rerun: a profile value is lost
+    only where it is +inf though b_j < b, as a profile that rises past a
+    lower value does, and a polygon solve only where dp[m_max, n] is.
+    The rerun is the unbounded pass over the stored rows with every cell
+    above b then set to +inf: every cell at or under b is the full DP's,
+    as a path that takes a side left out costs more than b.
     """
     rows, n = tab.shape
     combine = np.maximum if use_max else np.add
-    seed = _gon_cost(tab, start, 3, combine)
-    if polygon:
-        seed = min(seed, _gon_cost(tab, start, m_max, combine))
+    if bound is None:
+        seed = _gon_cost(tab, start, 3, combine)
+        if polygon:
+            seed = min(seed, _gon_cost(tab, start, m_max, combine))
+    else:
+        seed = bound
     dp = _dp_layers(tab, cheapest, start, m_max, combine, seed)
-    if np.isinf(dp[m_max if polygon else 3:, n]).any():
-        if rows < n and not use_max:
+    vals = dp[:, n]
+    if polygon:
+        lost = np.isinf(vals[m_max])
+    elif bound is None:
+        lost = np.isinf(vals[3:]).any()
+    else:
+        # b_j < b where some earlier profile value is below b
+        lost = (np.isinf(vals[3:]) & (np.minimum.accumulate(vals[2:-1]) < bound)).any()
+    if lost:
+        if rows < n and not use_max and bound is None:
             return None
         dp = _dp_layers(tab, cheapest, start, m_max, combine, None)
+        if bound is not None:
+            dp[dp > bound] = np.inf
     return dp
 
 

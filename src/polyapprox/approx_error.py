@@ -35,10 +35,13 @@ __all__ = [
 _E2_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def record_e2_table(curve: DigitalCurve, table: np.ndarray) -> None:
-    """Let E2Costs read `table`, the curve's E2 cost table, for as long
-    as its owner keeps it; only a weak reference is recorded."""
-    _E2_TABLES[curve] = weakref.ref(table)
+def record_e2_table(curve: DigitalCurve, held) -> None:
+    """Let E2Costs read the curve's E2 cost table through `held`, a
+    method of its owner, for as long as the owner lives: held(rows) is
+    the table, or None if the owner keeps none, first grown to store
+    `rows` rows if the owner grows it.  Only a weak reference is
+    recorded."""
+    _E2_TABLES[curve] = weakref.WeakMethod(held)
 
 
 class E2Costs:
@@ -50,8 +53,12 @@ class E2Costs:
     All three read by one rule.  An arc of fewer than `rows` steps is
     read from the curve's E2 table (span-major, _kernels.e2_cost_table)
     that a live SegmentCosts holds: a lookup, a gather, and for splits a
-    diagonal, as two strided slices, plus a strided column.  Every other
-    arc is evaluated by the closed form: arc by arc on Python floats
+    diagonal, as two strided slices, plus a strided column.  The first
+    read past the rows asks the owner to grow the table to store it,
+    which one built to a bound does (SegmentCosts.set_bound); `rows` and
+    `lookup` stay those of the table as it was, whose entries the grown
+    one keeps.  Every other arc, once the owner has not grown the table,
+    is evaluated by the closed form: arc by arc on Python floats
     (raising DegenerateSegment for a side between coincident points),
     and on arrays through one e2_arc_costs call.  With no table held,
     `rows` is 0.  `lookup(span, v)` is the table's own item lookup, for
@@ -68,8 +75,21 @@ class E2Costs:
         n = curve.n
         ref = _E2_TABLES.get(curve)
         held = None if ref is None else ref()
-        table = np.empty((0, n)) if held is None else held
+        table = None if held is None else held(0)
+        if table is None:
+            table, held = np.empty((0, n)), None
         rows, item, flat = table.shape[0], table.item, table.reshape(-1)
+
+        def reach(span):
+            # whether the table stores the span once its owner is asked to
+            # grow it; an owner that does not is not asked again
+            nonlocal held, table, rows, item, flat
+            grown = None if held is None else held(span + 1)
+            if grown is None or grown.shape[0] <= span:
+                held = None
+                return False
+            table, rows, item, flat = grown, grown.shape[0], grown.item, grown.reshape(-1)
+            return True
 
         @functools.cache
         def closed():
@@ -87,7 +107,7 @@ class E2Costs:
 
         def arc(u, v):
             span = (v - u) % n
-            if span < rows:
+            if span < rows or reach(span):
                 return item(span, v)
             return closed_arc()(u, v)
 
@@ -95,6 +115,8 @@ class E2Costs:
             span = np.subtract(v, u) % n
             far = span >= rows
             count = np.count_nonzero(far)
+            if count and reach(int(span.max())):
+                count = 0
             if count == 0:
                 return table[span, v]
             if count == far.size:
@@ -108,7 +130,7 @@ class E2Costs:
 
         def splits(p, q):
             k = (q - p) % n
-            if k > rows:
+            if k > rows and not reach(k - 1):
                 # ends holds rows p, j and q: the sides p -> j and
                 # j -> q run from ends[:2] to ends[1:]
                 ends = np.empty((3, k - 1), dtype=np.int64)

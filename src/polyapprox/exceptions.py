@@ -43,6 +43,16 @@ class InvalidCounts(PolyApproxError):
     """A vertex or size argument is out of its allowed range."""
 
 
+class AboveBound(PolyApproxError):
+    """A read needs optimal values, or compares a scheme error, above the
+    bound its cost table was built to; `counts` are the vertex counts
+    whose values are needed, none for the error."""
+
+    def __init__(self, message: str, counts: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.counts = counts
+
+
 class ZeroError(PolyApproxError):
     """A ratio against a zero approximation error is undefined."""
 

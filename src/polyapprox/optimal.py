@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .approx_error import PolygonApprox, check_count, record_e2_table
+from .approx_error import PolygonApprox, _arcs_max_e, check_count, record_e2_table
 from .curve import DigitalCurve, centroid
-from .exceptions import CurveTooLarge, DegenerateSegment, InvalidCounts
+from .exceptions import AboveBound, CurveTooLarge, DegenerateSegment, InvalidCounts
 
 __all__ = [
     "CostKind",
@@ -54,7 +54,8 @@ class ErrorProfile:
     """Optimal error for every vertex count m in [3, m_max].
 
     values[m] is indexed directly by m; slots below 3 are NaN.  All
-    polygons counted contain the start vertex.
+    polygons counted contain the start vertex.  A profile solved under a
+    bound (SegmentCosts.set_bound) holds +inf for each value above it.
     """
 
     curve: DigitalCurve
@@ -62,6 +63,7 @@ class ErrorProfile:
     cost_kind: CostKind
     m_max: int
     values: np.ndarray
+    bound: float | None = None
 
     def value(self, m: int) -> float:
         check_count(m, self.m_max)
@@ -109,25 +111,34 @@ class SegmentCosts:
     vertices, nor one tied with it, can use (those above the largest
     Emax of an arc of at most ceil(n/3) steps); its other entries, and
     so every profile value and polygon, are exact.  Each table stores
-    only the rows a bounded solve can read: the E2 table rows 0 to R -
-    1, as every arc of R or more steps costs more than any solve's
-    running bound (_kernels.e2_row_bound), the Emax table rows 0 to its
-    last with a finite entry.  A solve whose profile rises reruns
+    only the rows a solve seeded with U3 can read: the E2 table rows 0
+    to R - 1, as every arc of R or more steps costs more than any such
+    solve's running bound (_kernels.e2_row_bound), the Emax table rows 0
+    to its last with a finite entry.  A solve whose profile rises reruns
     unbounded: over the stored rows of the Emax table, whose other rows
     are +inf, and over every row of the E2 table, which the instance
-    builds in full and keeps from then on.  Curves are rejected
-    up front whose tables would take more than MAX_TABLE_BYTES, whose x
-    or y coordinates span 2**26 (_kernels.EXACT_SPAN) or more, beyond
-    which float64 cross products lose bits, or whose points coincide
-    (non-consecutively), which would leave some table entry without a
-    defining line.
+    builds in full and keeps from then on.
+
+    set_bound(kind, b) builds that kind's table only up to b, in place
+    of B and G, and every solve on it is seeded with b (_kernels.dp_solve
+    given a bound): each value at or under b is exact, and each value
+    above it comes back +inf, which starts no unbounded rerun; a polygon
+    above b raises AboveBound.  A new bound drops the table, and the
+    next solve builds it again.
+
+    Curves are rejected up front whose tables would take more than
+    MAX_TABLE_BYTES, whose x or y coordinates span 2**26
+    (_kernels.EXACT_SPAN) or more, beyond which float64 cross products
+    lose bits, or whose points coincide (non-consecutively), which would
+    leave some table entry without a defining line.
 
     Tables are read-only.  While an instance holds the curve's E2 table,
     approx_error.E2Costs reads every arc of a span it stores from it, so
     elimination, stabilize and polygon_errors evaluate the closed form
-    only past its rows.  Only a weak reference to it is recorded, so the
-    table goes with the instance: a study keeps one curve's tables at a
-    time.
+    only past its rows; a table built to a bound is grown instead, to
+    store the arc (_held_e2).  Only a weak reference to the instance is
+    recorded, so the table goes with it: a study keeps one curve's
+    tables at a time.
     """
 
     def __init__(self, curve: DigitalCurve):
@@ -158,15 +169,39 @@ class SegmentCosts:
         self.curve = curve
         # per kind: the table and its band widths, _kernels.cheapest_sides
         self._tables: dict[CostKind, tuple[np.ndarray, np.ndarray]] = {}
+        # per kind: the bound its table is built to, if any
+        self._bounds: dict[CostKind, float] = {}
+
+    def set_bound(self, kind: CostKind, bound: float) -> None:
+        """Build the kind's table, and solve on it, only up to `bound`."""
+        if self._bounds.get(kind) != bound:
+            self._bounds[kind] = bound
+            self._tables.pop(kind, None)
+
+    def gon_cost(self, start: int, m: int, kind: CostKind) -> float:
+        """U_m from start: the cost of the m-gon through start + floor(i
+        n / m), i = 0..m, from its m arcs, needing no table.  Its sides
+        are the table's bits (e2_arc_costs, and the Emax tables' one
+        division of the exact largest |cross|), combined left to right as
+        the DP combines them, so it equals U_m over any table storing
+        them bit for bit."""
+        n = self.curve.n
+        at = (start + np.arange(m + 1) * n // m) % n
+        if kind is CostKind.MAX_ERROR:
+            return float(_arcs_max_e(self.curve.points, n, at[:-1], at[1:]).max())
+        xs, ys = self._coordinates()
+        sides = _kernels.e2_arc_costs(xs, ys, _kernels.doubled_prefixes(xs, ys), at[:-1], at[1:])
+        return float(np.add.accumulate(sides)[-1])
 
     def table(self, kind: CostKind) -> np.ndarray:
         if kind not in self._tables:
             xs, ys = self._coordinates()
+            bound = self._bounds.get(kind)
             if kind is CostKind.SUM_SQUARED:
-                _, rows = _kernels.e2_row_bound(xs, ys)
+                _, rows = _kernels.e2_row_bound(xs, ys, bound)
                 tab = _kernels.e2_cost_table(xs, ys, rows)
             else:
-                tab = _kernels.emax_cost_table(xs, ys)
+                tab = _kernels.emax_cost_table(xs, ys, bound)
             self._keep(kind, tab)
         return self._tables[kind][0]
 
@@ -178,7 +213,21 @@ class SegmentCosts:
         tab.setflags(write=False)
         self._tables[kind] = tab, _kernels.cheapest_sides(tab)
         if kind is CostKind.SUM_SQUARED:
-            record_e2_table(self.curve, tab)
+            record_e2_table(self.curve, self._held_e2)
+
+    def _held_e2(self, rows: int):
+        """The E2 table, for approx_error.E2Costs, or None if none is
+        held.  One built to a bound is first grown to at least `rows` rows
+        (a quarter more than it stores, at most n): the rows it adds hold
+        no entry at or under the bound, so no solve on it changes."""
+        held = self._tables.get(CostKind.SUM_SQUARED)
+        if held is None:
+            return None
+        have = held[0].shape[0]
+        if have < rows and CostKind.SUM_SQUARED in self._bounds:
+            rows = min(self.curve.n, max(rows, have + have // 4))
+            self._keep(CostKind.SUM_SQUARED, _kernels.e2_cost_table(*self._coordinates(), rows))
+        return self._tables[CostKind.SUM_SQUARED][0]
 
     def _keep_every_row(self) -> None:
         """Replace the E2 table by one of all n rows, its stored rows
@@ -201,7 +250,7 @@ class SegmentCosts:
         check_count(m_max, n, "m_max")
         use_max = kind is CostKind.MAX_ERROR
         dp = _kernels.dp_solve(self.table(kind), self._tables[kind][1], start, m_max, use_max,
-                               polygon)
+                               polygon, self._bounds.get(kind))
         if dp is None:
             # the bounded pass lost a value it needs past the stored E2
             # rows: the unbounded rerun reads every row, and the table
@@ -218,12 +267,15 @@ class SegmentCosts:
         n = self.curve.n
         values = np.full(m_max + 1, np.nan)
         values[3:] = dp[3 : m_max + 1, n]
-        return ErrorProfile(self.curve, start, kind, m_max, values)
+        return ErrorProfile(self.curve, start, kind, m_max, values, self._bounds.get(kind))
 
     def polygon(self, start: int, m: int, kind: CostKind) -> PolygonApprox:
         """The optimal m-gon through start, by a solve seeded for that
         polygon alone (_kernels.dp_solve)."""
         dp = self._dp(start, m, kind, True)
+        if np.isinf(dp[m, -1]):
+            raise AboveBound(f"the optimal {m}-gon lies above the bound"
+                             f" {self._bounds.get(kind)}", (m,))
         chain = _kernels.dp_chain(self.table(kind), start, dp, m, kind is CostKind.MAX_ERROR)
         n = self.curve.n
         # the chain runs from position n, the start again, back to 0
@@ -283,20 +335,36 @@ def baseline_from_profile(
     lands exactly on the profile (plateaus resolve toward fewer
     vertices, which credits the suboptimal polygon least), else a
     linear interpolation inside the bracketing strict descent.
+
+    A profile with a bound holds +inf for each value above it, which
+    compares with an error at or under the bound as the value does.  So
+    it raises AboveBound for an error_sub above the bound, and where the
+    value at m_sub, or the upper end of the descent, lies above it,
+    naming both counts where both do.
     """
     error_optimal = profile.value(m_sub)
-    vals, m_max = profile.values, profile.m_max
+    vals, m_max, bound = profile.values, profile.m_max, profile.bound
+    if bound is not None and error_sub > bound:
+        raise AboveBound(f"error {error_sub!r} above the profile's bound {bound!r}")
+    # vertex counts whose values are read
+    reads = [m_sub]
     if error_sub > vals[3]:
-        return OptimalBaseline(error_optimal, 3.0, profile.start_index, True)
-    if error_sub < vals[m_max]:
-        return OptimalBaseline(error_optimal, float(m_max), profile.start_index, True)
-    # smallest m whose optimal error does not exceed error_sub
-    m_lo = 3
-    while vals[m_lo] > error_sub:
-        m_lo += 1
-    if vals[m_lo] == error_sub:
-        m_optimal = float(m_lo)
+        m_optimal, clamped = 3.0, True
+    elif error_sub < vals[m_max]:
+        m_optimal, clamped = float(m_max), True
     else:
+        clamped = False
+        # smallest m whose optimal error does not exceed error_sub
+        m_lo = 3
+        while vals[m_lo] > error_sub:
+            m_lo += 1
+        m_optimal = float(m_lo)
+        if vals[m_lo] != error_sub:
+            reads.append(m_lo - 1)
+    above = tuple(m for m in reads if np.isinf(vals[m]))
+    if bound is not None and above:
+        raise AboveBound(f"the values at m={above} lie above the bound {bound!r}", above)
+    if len(reads) > 1:
         upper, lower = vals[m_lo - 1], vals[m_lo]
         m_optimal = (m_lo - 1) + (upper - error_sub) / (upper - lower)
-    return OptimalBaseline(error_optimal, m_optimal, profile.start_index)
+    return OptimalBaseline(error_optimal, m_optimal, profile.start_index, clamped)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .curve import DigitalCurve, curve_geometry
 from .exceptions import (
+    AboveBound,
     AllZero,
     ConstantSeries,
     LengthMismatch,
@@ -28,8 +29,10 @@ from .exceptions import (
 from .measures import CSV_HEADER, MeasureRecord, build_record, record_to_csv_row
 from .optimal import (
     CostKind,
+    OptimalBaseline,
     SegmentCosts,
     baseline_from_profile,
+    provisional_start_vertex,
     select_start_vertex,
 )
 from .approx_error import polygon_errors
@@ -160,31 +163,32 @@ def evaluate_curve(
     """Every measure of each scheme's m_sub-vertex polygon on one curve.
 
     The optimal baselines come from one SegmentCosts: per cost kind, one
-    start vertex and one profile, shared by the schemes.  The schemes
-    run first.  Each profile is solved to m_sub, and again to 3 * m_sub
-    (at most n) only if some scheme's error of its kind is below the
-    optimal error at m_sub: only then can a baseline read past m_sub.
-    A curve_id of None names the record after the curve.
+    start vertex and one profile, shared by the schemes.  Each kind's
+    table is built only up to U_m(p0), the cost of the equally spaced
+    m_sub-gon through the provisional start p0, which bounds the
+    select-start solve from p0, and to more only where a baseline reads
+    past it (_kind_baselines).  The schemes run on the held E2 table.  A
+    curve_id of None names the record after the curve.
     """
     n = curve.n
     geometry = curve_geometry(curve)
     costs = SegmentCosts(curve)
     kinds = (CostKind.SUM_SQUARED, CostKind.MAX_ERROR)
+    p0 = provisional_start_vertex(curve)
+    for kind in kinds:
+        costs.set_bound(kind, costs.gon_cost(p0, m_sub, kind))
     starts = [select_start_vertex(curve, m_sub, kind, costs) for kind in kinds]
     scored = []
     for scheme in schemes:
         poly = apply_scheme(scheme, curve, m_sub)
         scored.append((scheme, poly, polygon_errors(curve, poly)))
     m_max = min(n, 3 * m_sub)
-    profiles = []
-    for k, (kind, start) in enumerate(zip(kinds, starts)):
-        profile = costs.profile(start, m_sub, kind)
-        if m_sub < m_max and any(errors[k] < profile.values[m_sub] for *_, errors in scored):
-            profile = costs.profile(start, m_max, kind)
-        profiles.append(profile)
+    baselines = [
+        _kind_baselines(costs, kind, start, m_sub, m_max, [errors[k] for *_, errors in scored])
+        for k, (kind, start) in enumerate(zip(kinds, starts))
+    ]
     out = {}
-    for scheme, poly, errors in scored:
-        b_e2, b_em = (baseline_from_profile(p, m_sub, e) for p, e in zip(profiles, errors))
+    for (scheme, poly, errors), b_e2, b_em in zip(scored, *baselines):
         out[scheme] = build_record(
             curve,
             poly,
@@ -197,6 +201,43 @@ def evaluate_curve(
             errors=errors,
         )
     return out
+
+
+def _kind_baselines(costs: SegmentCosts, kind: CostKind, start: int, m_sub: int, m_max: int,
+                    errors: list[float]) -> list[OptimalBaseline]:
+    """The baseline of each error of one kind, from the profile from
+    start on costs' bounded table.
+
+    The profile is solved to m_sub.  If an error lies above the bound,
+    the table is rebuilt at the larger of the errors and U_m(start),
+    which bounds the value at m_sub, and the profile solved again.  With
+    every error at or under the bound, a value above it compares with
+    each error as a number does, so the profile is solved on to m_max
+    exactly where some error is below the value at m_sub: only then can
+    a baseline read past m_sub.  If a value that a baseline reads, at
+    m_sub or at m_lo - 1, lies above the bound, the table is rebuilt
+    once at the largest U_m(start) of those counts m, and the profile
+    solved again to the same depth.
+    """
+    if not errors:
+        return []
+    profile = costs.profile(start, m_sub, kind)
+    if max(errors) > profile.bound:
+        costs.set_bound(kind, max(max(errors), costs.gon_cost(start, m_sub, kind)))
+        profile = costs.profile(start, m_sub, kind)
+    if m_sub < m_max and min(errors) < profile.values[m_sub]:
+        profile = costs.profile(start, m_max, kind)
+    out, needed = [], set()
+    for error in errors:
+        try:
+            out.append(baseline_from_profile(profile, m_sub, error))
+        except AboveBound as exc:
+            needed.update(exc.counts)
+    if not needed:
+        return out
+    costs.set_bound(kind, max(costs.gon_cost(start, m, kind) for m in needed))
+    profile = costs.profile(start, profile.m_max, kind)
+    return [baseline_from_profile(profile, m_sub, error) for error in errors]
 
 
 def _pairing_values(records, row) -> tuple[list[float], list[float]]:

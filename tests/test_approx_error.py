@@ -18,7 +18,7 @@ from polyapprox import (
     parse_chain_code,
     polygon_errors,
 )
-from polyapprox import _kernels
+from polyapprox import _kernels, approx_error
 from polyapprox.approx_error import E2Costs
 from conftest import (
     arc_sum_sq,
@@ -152,6 +152,48 @@ def test_e2_costs_read_the_table_bit_for_bit():
             want = closed.arcs(p, js) + closed.arcs(js, q)
             assert closed.splits(p, q).tobytes() == want.tobytes()
             assert lookup.splits(p, q).tobytes() == want.tobytes()
+
+
+
+def test_a_table_built_to_a_bound_grows_for_reads_past_its_rows(monkeypatch):
+    # a SegmentCosts whose E2 table is built to a bound grows it, and
+    # keeps it, when E2Costs reads an arc past its rows, by a quarter at
+    # least: arc, arcs and splits then read it, bit for bit the full
+    # table's, and no closed form is evaluated.  Its rows and lookup stay
+    # those of the table as it was.  A table built to no bound does not
+    # grow, and arcs past it are the closed form's
+    curve = build_corpus()[5]
+    n = curve.n
+    pts = curve.points.astype(np.float64)
+    full = _kernels.e2_cost_table(pts[:, 0], pts[:, 1])
+    costs = SegmentCosts(curve)
+    costs.set_bound(CostKind.SUM_SQUARED, 0.0)
+    rows = costs.table(CostKind.SUM_SQUARED).shape[0]
+    assert 2 <= rows < n // 4
+
+    def closed(*args):
+        raise AssertionError("the closed form evaluated an arc")
+
+    e2 = E2Costs(curve)
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "e2_arc_costs", closed)
+        mp.setattr(approx_error, "_arc_e2", closed)
+        assert e2.arc(3, 3 + rows) == full[rows, 3 + rows]
+        grown = costs.table(CostKind.SUM_SQUARED).shape[0]
+        assert grown == max(rows + 1, rows + rows // 4)
+        assert (e2.rows, e2.lookup(1, 5)) == (rows, 0.0)
+        u, v = np.array([0, 5]), np.array([n // 3, 5 + n // 2])
+        assert e2.arcs(u, v).tobytes() == full[v - u, v].tobytes()
+        assert costs.table(CostKind.SUM_SQUARED).shape[0] == n // 2 + 1
+        k = n - 10
+        t = np.arange(1, k)
+        want = full[t, t] + full[k - t, k]
+        assert e2.splits(0, k).tobytes() == want.tobytes()
+        assert costs.table(CostKind.SUM_SQUARED).tobytes() == full[:k].tobytes()
+    plain = SegmentCosts(curve)
+    stored = plain.table(CostKind.SUM_SQUARED).shape[0]
+    assert E2Costs(curve).arc(0, stored) == full[stored, stored]
+    assert plain.table(CostKind.SUM_SQUARED).shape[0] == stored
 
 
 def test_moment_tables_build_accepts_floats():

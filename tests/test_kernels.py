@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from polyapprox import (
-    CostKind, CurveTooLarge, DigitalCurve, SegmentCosts, _kernels, optimal, select_start_vertex,
+    AboveBound, CostKind, CurveTooLarge, DigitalCurve, ErrorProfile, SegmentCosts, _kernels,
+    baseline_from_profile, optimal, select_start_vertex,
 )
 from polyapprox.approx_error import E2Costs
-from conftest import _ellipse, _fourier_blob, lattice_ring, wide_ring
+from conftest import _ellipse, _fourier_blob, build_corpus, lattice_ring, wide_ring
 
 
 def _e2_cost_table_loops(xs, ys, px, py, pxx, pyy, pxy):
@@ -1446,3 +1447,193 @@ def test_profile_solve_reads_the_table_in_place():
         tracemalloc.stop()
     dp = 8 * (m_max + 1) * (n + 1)
     assert peak < dp + 8 * (n + 1) ** 2
+
+
+def _bounds(full, combine):
+    """0, and U_m from position 0 of a full span-major table for a few
+    m: the bounds a table is built to below."""
+    n = full.shape[0]
+    ms = sorted({3, 5, n // 10, n // 4} & set(range(3, n + 1)))
+    return [0.0] + [float(_kernels._gon_cost(full, 0, m, combine)) for m in ms]
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_bounded_emax_table_is_the_full_table_at_or_under_its_bound(budget, monkeypatch):
+    # on a few rings of every family, the non-simple rings and the thin
+    # ellipse among them, built to 0 and to U_m: every entry at or under
+    # the bound is the scan's bit for bit, every other one +inf, and the
+    # rows stop at the last with an entry at or under it.  A scan budget
+    # of 1 probes and scans every length on its own
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_EMAX_SCAN", budget)
+    for pts in _scan_block_rings():
+        xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
+        full = _span_major(_emax_cost_table_scan(xs, ys))
+        for bound in _bounds(full, np.maximum):
+            want = np.where(full <= bound, full, np.inf)
+            _assert_stored_rows(_kernels.emax_cost_table(xs, ys, bound), want)
+
+
+def test_e2_row_bound_keeps_every_row_with_an_entry_at_or_under_the_bound():
+    # the same rings and some corpus curves, bounds 0 and U_m: no row
+    # left out holds an entry at or under the bound, and the bound keeps
+    # fewer rows than G on most rings, and at most a third of them on
+    # many (G keeps more, always)
+    rings = _scan_block_rings() + [c.points for c in build_corpus()[::4]]
+    fewer = third = 0
+    for pts in rings:
+        xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
+        n = xs.shape[0]
+        full = _kernels.e2_cost_table(xs, ys)
+        _, default = _kernels.e2_row_bound(xs, ys)
+        for bound in _bounds(full, np.add):
+            g, rows = _kernels.e2_row_bound(xs, ys, bound)
+            assert g == bound and 2 <= rows <= n
+            assert (full[rows:] > bound).all()
+            fewer += rows < default
+            third += rows <= n // 3
+    assert fewer > 2 * len(rings) and third > len(rings) // 2
+
+
+def _built_to(full, bound, use_max):
+    """A full span-major table as a table built to `bound` stores it: a
+    max table +inf above the bound, to its last row with an entry at or
+    under it, a sum table to that row (rows 0 and 1 at least)."""
+    rows = max(2, 1 + int(np.flatnonzero((full <= bound).any(axis=1)).max(initial=0)))
+    tab = np.where(full <= bound, full, np.inf) if use_max else full
+    return tab[:rows]
+
+
+def _bounded_families():
+    """(name, full table, start, m_max, use_max) for the bounded solves
+    below: random, tied and rising costs for either kind, and rings'
+    tables for their own."""
+    out = []
+    for use_max in (False, True):
+        for seed in range(3):
+            tab, start = _random_table(seed, 14)
+            out.append((f"random{seed}", tab, start, 14, use_max))
+            tab, start = _random_table(seed, 30, costs=range(4))
+            out.append((f"tied{seed}", tab, start, 12, use_max))
+        out.append(("rising", _rising_table(12), 0, 12, use_max))
+        for name, pts in (("rectangle", RUN_RINGS["rectangle"]),
+                          ("ellipse", _ellipse("e", 9.0, 5.0, 80).points),
+                          ("lattice", lattice_ring(3, n_lo=30, n_hi=40).points)):
+            out.append((name, _ring_table(pts, use_max)[0], 2, pts.shape[0] // 2, use_max))
+    return out
+
+
+@pytest.mark.parametrize("family", range(len(_bounded_families())))
+def test_bounded_solve_is_the_full_dp_at_or_under_its_bound(family):
+    # a profile solve seeded with a bound b over a table built to b:
+    # every profile value and cell at or under b is the loops', with its
+    # chain, and every profile value above b is +inf, on random, tied and
+    # rising costs (whose lost values rerun) and on rings' tables
+    name, full, start, m_max, use_max = _bounded_families()[family]
+    n = full.shape[0]
+    combine = np.maximum if use_max else np.add
+    d2, p2 = _dp_solve_loops(_rcost(full, start), m_max, use_max)
+    for bound in _bounds(full, combine) + [float(d2[m_max, n])]:
+        tab = _built_to(full, bound, use_max)
+        dp = _kernels.dp_solve(tab, _kernels.cheapest_sides(tab), start, m_max, use_max,
+                               False, bound)
+        want = np.where(d2[3:, n] <= bound, d2[3:, n], np.inf)
+        assert dp[3:, n].tobytes() == want.tobytes(), (name, bound)
+        kept = np.isfinite(dp)
+        kept[1] = False
+        assert dp[kept].tobytes() == d2[kept].tobytes() and (dp[kept] <= bound).all()
+        for m in range(3, m_max + 1):
+            if np.isfinite(dp[m, n]):
+                assert _kernels.dp_chain(tab, start, dp, m, use_max) == _chain(p2, m, n), m
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_bounded_solve_reruns_only_for_a_value_it_lost(kind, monkeypatch):
+    # blob05 (n = 294) with its tables built to U_m from the provisional
+    # start, m = n / 15: the profile from the selected start holds +inf
+    # above the bound, which asks for no rerun, so one pass answers.  A
+    # value forced lost below an earlier one under the bound reruns once
+    # over the stored rows, and every cell at or under the bound is the
+    # full table's DP
+    curve = _fourier_blob(5, 40.0, 600)
+    n, m = curve.n, round(curve.n / 15)
+    use_max = kind is CostKind.MAX_ERROR
+    costs = SegmentCosts(curve)
+    bound = costs.gon_cost(optimal.provisional_start_vertex(curve), m, kind)
+    costs.set_bound(kind, bound)
+    start = select_start_vertex(curve, m, kind, costs)
+    rows = costs.table(kind).shape[0]
+    full, stored = _ring_table(curve.points, use_max)
+    assert rows < stored
+    want = _kernels._dp_layers(full, _kernels.cheapest_sides(full), start, 3 * m,
+                               np.maximum if use_max else np.add, None)
+    want[want > bound] = np.inf
+    passes = []
+    layers = _kernels._dp_layers
+
+    def traced(*args):
+        passes.append(args[-1] is not None)
+        return layers(*args)
+
+    monkeypatch.setattr(_kernels, "_dp_layers", traced)
+    profile = costs.profile(start, 3 * m, kind)
+    assert passes == [True] and profile.bound == bound
+    assert np.isinf(profile.values[3]) and np.isfinite(profile.values[3 * m])
+    assert profile.values[3:].tobytes() == want[3:, n].tobytes()
+    monkeypatch.undo()
+    passes = _force_a_rise(monkeypatch)
+    dp = costs._solve(start, 3 * m, kind)
+    assert passes == ["bounded", "unbounded"] and costs.table(kind).shape[0] == rows
+    assert dp[2:].tobytes() == want[2:].tobytes()
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_a_polygon_above_the_bound_raises(kind):
+    # the optimal m-gon above the bound its table is built to comes back
+    # +inf, after one rerun, and is not walked back
+    curve = _ellipse("e", 9.0, 5.0, 80)
+    costs = SegmentCosts(curve)
+    best = costs.profile(5, 6, kind).values[6]
+    assert best > 0.0
+    costs.set_bound(kind, 0.5 * best)
+    with pytest.raises(AboveBound) as exc:
+        costs.polygon(5, 6, kind)
+    assert exc.value.counts == (6,)
+
+
+def test_baseline_from_profile_raises_for_reads_above_the_bound(square8):
+    # values 9 8 5 4 3 at m = 3..7 under a bound of 6: those at 3 and 4
+    # are +inf.  An error above the bound, and a value read above it at
+    # m_sub or at m_lo - 1, raise with the counts read; every other read
+    # is the unbounded profile's
+    vals = np.array([np.nan] * 3 + [9.0, 8.0, 5.0, 4.0, 3.0])
+    full = ErrorProfile(square8, 0, CostKind.SUM_SQUARED, 7, vals)
+    cut = ErrorProfile(square8, 0, CostKind.SUM_SQUARED, 7, np.where(vals > 6.0, np.inf, vals),
+                       6.0)
+    for m_sub, error, counts in [(5, 6.5, ()), (4, 4.5, (4,)), (5, 5.5, (4,)), (3, 5.5, (3, 4)),
+                                 (6, 6.0, (4,))]:
+        with pytest.raises(AboveBound) as exc:
+            baseline_from_profile(cut, m_sub, error)
+        assert exc.value.counts == counts, (m_sub, error)
+    for m_sub, error in [(5, 4.5), (6, 4.0), (7, 2.0), (5, 3.0), (5, 5.0), (6, 3.5)]:
+        assert baseline_from_profile(cut, m_sub, error) == baseline_from_profile(full, m_sub, error)
+    # with no bound, +inf is a value like any other
+    assert baseline_from_profile(ErrorProfile(square8, 0, CostKind.SUM_SQUARED, 7, cut.values),
+                                 7, 3.5).m_optimal == 6.5
+
+
+def test_gon_cost_is_the_tables_bit_for_bit():
+    # U_m from its arcs, with no table, against _gon_cost over the full
+    # tables, on every fifth start of each corpus curve at its m for cr
+    # 8, 15 and 30, and at m = 3
+    for curve in build_corpus():
+        n = curve.n
+        costs = SegmentCosts(curve)
+        for kind in CostKind:
+            use_max = kind is CostKind.MAX_ERROR
+            full, _ = _ring_table(curve.points, use_max)
+            combine = np.maximum if use_max else np.add
+            for m in {3, round(n / 8), round(n / 15), round(n / 30)}:
+                for start in range(0, n, 5):
+                    assert costs.gon_cost(start, m, kind) == _kernels._gon_cost(full, start, m,
+                                                                                 combine)

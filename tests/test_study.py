@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import statistics
 import sys
@@ -29,7 +30,7 @@ from polyapprox import (
     scale_for_plot,
     study_series,
 )
-from polyapprox import _kernels, approx_error, measures, schemes, study
+from polyapprox import _kernels, approx_error, measures, optimal, schemes, study
 from polyapprox.study import (
     PAIRINGS,
     correlations_csv,
@@ -163,38 +164,50 @@ def test_run_study_calls_apply_scheme_with_three_positional_arguments(monkeypatc
         assert approx_error._E2_TABLES[curve]() is None
 
 
-def _profile_depths(monkeypatch, corpus, cr):
-    """(m_max, m_sub, n) of every profile solve a study at cr asks for,
-    through a wrapper of SegmentCosts._solve with exactly the positional
-    arguments perfbench/spans.py traces it with; another argument would
-    crash every traced run."""
+def _profile_solves(monkeypatch, corpus, cr):
+    """Per (curve, kind), in order, the (m_max, bound) of every profile
+    solve a study at cr asks for, through a wrapper of
+    SegmentCosts._solve with exactly the positional arguments
+    perfbench/spans.py traces it with; another argument would crash
+    every traced run."""
     original = SegmentCosts._solve
-    asked = []
+    asked = {}
 
     def wrapper(self, start, m_max, kind):
-        asked.append((self.curve, m_max))
+        asked.setdefault((self.curve, kind), []).append((m_max, self._bounds[kind]))
         return original(self, start, m_max, kind)
 
     monkeypatch.setattr(SegmentCosts, "_solve", wrapper)
     reports = run_study(corpus, target_cr=cr)
     monkeypatch.undo()
     assert not reports[0].skipped_curves
-    return [(m_max, auto_target_m(c, cr), c.n) for c, m_max in asked]
+    return asked
 
 
 def test_profiles_solve_to_m_sub_unless_a_scheme_beats_it(monkeypatch):
-    # each kind's profile goes to m_sub, and again to 3 m_sub only where
-    # some scheme's error is below the optimal error at m_sub: at cr 15
-    # no scheme does on the seed-0 corpus, at cr 30 a few do
+    # each kind's profile goes to m_sub on a table built to U_m(p0), and
+    # on to 3 m_sub only where some scheme's error is below the optimal
+    # error at m_sub; a solve is repeated at its depth only on a table
+    # rebuilt at a larger bound, for an error or a value read above the
+    # bound.  On the seed-0 corpus, at cr 15 no scheme beats m_sub and 3
+    # of the 44 profiles are rebuilt once; at cr 30, 5 go deeper and 14
+    # are rebuilt, 7 of them twice
     corpus = build_corpus()
-    at15 = _profile_depths(monkeypatch, corpus, 15.0)
-    assert len(at15) == 2 * len(corpus)
-    assert all(m_max == m_sub for m_max, m_sub, _ in at15)
-    at30 = _profile_depths(monkeypatch, corpus, 30.0)
-    deep = [(m_max, m_sub, n) for m_max, m_sub, n in at30 if m_max != m_sub]
-    assert len(at30) - len(deep) == 2 * len(corpus)
-    assert 0 < len(deep) < len(corpus)
-    assert all(m_max == min(n, 3 * m_sub) > m_sub for m_max, m_sub, n in deep)
+    for cr, total, deep, rebuilt in ((15.0, 47, 0, 3), (30.0, 70, 5, 14)):
+        solves = _profile_solves(monkeypatch, corpus, cr)
+        assert len(solves) == 2 * len(corpus)
+        assert sum(map(len, solves.values())) == total
+        deeper = again = 0
+        for (curve, kind), seq in solves.items():
+            m_sub = auto_target_m(curve, cr)
+            p0 = optimal.provisional_start_vertex(curve)
+            assert seq[0] == (m_sub, SegmentCosts(curve).gon_cost(p0, m_sub, kind))
+            for (m0, b0), (m1, b1) in zip(seq, seq[1:]):
+                assert (m1 == min(curve.n, 3 * m_sub) > m0 == m_sub and b1 == b0
+                        or m1 == m0 and b1 > b0), (curve.name, kind)
+            deeper += any(m != m_sub for m, _ in seq)
+            again += seq[-1][1] != seq[0][1]
+        assert (deeper, again) == (deep, rebuilt), cr
 
 
 def _full_depth_records(curve, m_sub):
@@ -223,13 +236,65 @@ def _study_records(curve, m_sub):
     return evaluate_curve(curve, None, tuple(SchemeId), m_sub, "printed")
 
 
-@pytest.mark.parametrize("cr", [8.0, 15.0, 30.0])
-def test_evaluate_curve_matches_the_full_depth_profiles_on_the_corpus(cr):
-    for curve in build_corpus():
+def _assert_full_depth_records(corpus, cr):
+    for curve in corpus:
         m_sub = auto_target_m(curve, cr)
         got = _outcome(_study_records, curve, m_sub)
         assert isinstance(got, dict)
         assert got == _outcome(_full_depth_records, curve, m_sub), curve.name
+
+
+@pytest.mark.parametrize("cr", [8.0, 15.0, 30.0])
+def test_evaluate_curve_matches_the_full_depth_profiles_on_the_corpus(cr):
+    _assert_full_depth_records(build_corpus(), cr)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_evaluate_curve_matches_the_full_depth_profiles_on_held_out_corpora(seed):
+    # cr 30, where a table is rebuilt at a larger bound most often
+    _assert_full_depth_records(build_corpus(seed), 30.0)
+
+
+@pytest.mark.parametrize("lowered", ["below_the_errors", "to_the_errors"])
+def test_evaluate_curve_rebuilds_for_reads_above_the_bound(lowered, monkeypatch):
+    # each kind's profile solved on a table rebuilt, after the
+    # select-start solves, at half the largest scheme error, so that it
+    # is rebuilt for the errors, or at that error, so that it is rebuilt
+    # for the values read above it: the records are still the full-depth
+    # ones
+    original = study._kind_baselines
+    rebuilds = []
+
+    def lower(costs, kind, start, m_sub, m_max, errors):
+        bound = max(errors) * (0.5 if lowered == "below_the_errors" else 1.0)
+        costs.set_bound(kind, bound)
+        out = original(costs, kind, start, m_sub, m_max, errors)
+        rebuilds.append(costs._bounds[kind] != bound)
+        return out
+
+    monkeypatch.setattr(study, "_kind_baselines", lower)
+    for cr in (8.0, 15.0, 30.0):
+        rebuilds.clear()
+        _assert_full_depth_records(build_corpus()[::3], cr)
+        assert all(rebuilds) if lowered == "below_the_errors" else any(rebuilds), cr
+
+
+# sha256 of the seed-0 corpus study's records.csv and correlations.csv;
+# perfbench/digests.json pins them at cr 15
+STUDY_DIGESTS = {
+    8.0: ("26b219e6018cd200c5962061624e4efaab9cdfaee6c7329c768a6fb655af6009",
+          "411aca05ed949df2c03d42df3fa26de5c6e421f5e18c990891c438646eb7992e"),
+    30.0: ("ed2a0d416316374c3c2460b2edfe8528798be19299712a5a1ff9b7fec8c4696e",
+           "84325ed08c5ab467fb611f494196556d37f56d4edcff2ba522c413ed916bc9aa"),
+}
+
+
+@pytest.mark.parametrize("cr", sorted(STUDY_DIGESTS))
+def test_study_outputs_keep_their_digests_at_other_ratios(cr):
+    reports = run_study(build_corpus(), target_cr=cr)
+    got = tuple(hashlib.sha256(emit(reports).encode("ascii")).hexdigest()
+                for emit in (records_csv, correlations_csv))
+    assert got == STUDY_DIGESTS[cr]
 
 
 @pytest.mark.parametrize("cr", [3.0, 5.0])
@@ -244,6 +309,10 @@ def test_evaluate_curve_matches_the_full_depth_profiles_on_lattice_rings(cr):
         if isinstance(got, dict):
             clamped += sum("clamped=True" in rec for rec in got.values())
     assert clamped
+
+
+def test_run_study_with_no_schemes_reports_nothing():
+    assert run_study(build_corpus()[:2], schemes=()) == []
 
 
 def test_run_study_exact_fit_corpus_skips_pairings():
