@@ -6,8 +6,9 @@ clipped segment.  Per-side sums of squared deviations (E2) are read by
 one rule (E2Costs): an arc of a span the curve's E2 table stores is read
 from that table while a SegmentCosts holds it, and every other arc is
 evaluated in O(1) from doubled moment prefixes by one closed form
-(_kernels.e2_arc_costs, and _arc_e2 for one arc).  Every table entry is
-its arc's closed-form value bit for bit.
+(_kernels.e2_arc_costs, and _arc_e2 for one arc).  A held table is never
+grown: a table built to a bound leaves the longer arcs to the closed
+form.  Every table entry is its arc's closed-form value bit for bit.
 """
 
 from __future__ import annotations
@@ -35,13 +36,10 @@ __all__ = [
 _E2_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def record_e2_table(curve: DigitalCurve, held) -> None:
-    """Let E2Costs read the curve's E2 cost table through `held`, a
-    method of its owner, for as long as the owner lives: held(rows) is
-    the table, or None if the owner keeps none, first grown to store
-    `rows` rows if the owner grows it.  Only a weak reference is
-    recorded."""
-    _E2_TABLES[curve] = weakref.WeakMethod(held)
+def record_e2_table(curve: DigitalCurve, table: np.ndarray) -> None:
+    """Let E2Costs read `table`, the curve's E2 cost table, for as long
+    as its owner keeps it; only a weak reference is recorded."""
+    _E2_TABLES[curve] = weakref.ref(table)
 
 
 class E2Costs:
@@ -53,20 +51,17 @@ class E2Costs:
     All three read by one rule.  An arc of fewer than `rows` steps is
     read from the curve's E2 table (span-major, _kernels.e2_cost_table)
     that a live SegmentCosts holds: a lookup, a gather, and for splits a
-    diagonal, as two strided slices, plus a strided column.  The first
-    read past the rows asks the owner to grow the table to store it,
-    which one built to a bound does (SegmentCosts.set_bound); `rows` and
-    `lookup` stay those of the table as it was, whose entries the grown
-    one keeps.  Every other arc, once the owner has not grown the table,
-    is evaluated by the closed form: arc by arc on Python floats
+    diagonal, as two strided slices, plus a strided column.  Every other
+    arc is evaluated by the closed form: arc by arc on Python floats
     (raising DegenerateSegment for a side between coincident points),
     and on arrays through one e2_arc_costs call.  With no table held,
-    `rows` is 0.  `lookup(span, v)` is the table's own item lookup, for
-    callers that know an arc's span is below `rows`.  The closed form's
-    doubled prefixes are built on the first arc read past the stored
-    rows, and its Python floats on the first such arc read by arc().
-    Every table entry is the closed form's value bit for bit, so both
-    give the same costs.
+    `rows` is 0.  An instance reads the table held when it is made, to
+    the end, even once its owner drops it for another.  `lookup(span,
+    v)` is the table's own item lookup, for callers that know an arc's
+    span is below `rows`.  The closed form's doubled prefixes are built
+    on the first arc read past the stored rows, and its Python floats on
+    the first such arc read by arc().  Every table entry is the closed
+    form's value bit for bit, so both give the same costs.
     """
 
     __slots__ = ("rows", "lookup", "arc", "arcs", "splits")
@@ -75,21 +70,8 @@ class E2Costs:
         n = curve.n
         ref = _E2_TABLES.get(curve)
         held = None if ref is None else ref()
-        table = None if held is None else held(0)
-        if table is None:
-            table, held = np.empty((0, n)), None
+        table = np.empty((0, n)) if held is None else held
         rows, item, flat = table.shape[0], table.item, table.reshape(-1)
-
-        def reach(span):
-            # whether the table stores the span once its owner is asked to
-            # grow it; an owner that does not is not asked again
-            nonlocal held, table, rows, item, flat
-            grown = None if held is None else held(span + 1)
-            if grown is None or grown.shape[0] <= span:
-                held = None
-                return False
-            table, rows, item, flat = grown, grown.shape[0], grown.item, grown.reshape(-1)
-            return True
 
         @functools.cache
         def closed():
@@ -107,7 +89,7 @@ class E2Costs:
 
         def arc(u, v):
             span = (v - u) % n
-            if span < rows or reach(span):
+            if span < rows:
                 return item(span, v)
             return closed_arc()(u, v)
 
@@ -115,8 +97,6 @@ class E2Costs:
             span = np.subtract(v, u) % n
             far = span >= rows
             count = np.count_nonzero(far)
-            if count and reach(int(span.max())):
-                count = 0
             if count == 0:
                 return table[span, v]
             if count == far.size:
@@ -130,7 +110,7 @@ class E2Costs:
 
         def splits(p, q):
             k = (q - p) % n
-            if k > rows and not reach(k - 1):
+            if k > rows:
                 # ends holds rows p, j and q: the sides p -> j and
                 # j -> q run from ends[:2] to ends[1:]
                 ends = np.empty((3, k - 1), dtype=np.int64)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .approx_error import PolygonApprox, _arcs_max_e, check_count, record_e2_table
+from .approx_error import E2Costs, PolygonApprox, _arcs_max_e, check_count, record_e2_table
 from .curve import DigitalCurve, centroid
 from .exceptions import AboveBound, CurveTooLarge, DegenerateSegment, InvalidCounts
 
@@ -135,10 +135,11 @@ class SegmentCosts:
     Tables are read-only.  While an instance holds the curve's E2 table,
     approx_error.E2Costs reads every arc of a span it stores from it, so
     elimination, stabilize and polygon_errors evaluate the closed form
-    only past its rows; a table built to a bound is grown instead, to
-    store the arc (_held_e2).  Only a weak reference to the instance is
-    recorded, so the table goes with it: a study keeps one curve's
-    tables at a time.
+    only past its rows, those of a table built to a bound included: a
+    table is never grown, only built again for a new bound or with
+    every row (_keep_every_row).  Only a weak reference to it is
+    recorded, so the table goes with the instance: a study keeps one
+    curve's tables at a time.
     """
 
     def __init__(self, curve: DigitalCurve):
@@ -180,8 +181,8 @@ class SegmentCosts:
 
     def gon_cost(self, start: int, m: int, kind: CostKind) -> float:
         """U_m from start: the cost of the m-gon through start + floor(i
-        n / m), i = 0..m, from its m arcs, needing no table.  Its sides
-        are the table's bits (e2_arc_costs, and the Emax tables' one
+        n / m), i = 0..m, from its m arcs, needing no table of its own.
+        Its sides are the table's bits (E2Costs, and the Emax tables' one
         division of the exact largest |cross|), combined left to right as
         the DP combines them, so it equals U_m over any table storing
         them bit for bit."""
@@ -189,8 +190,7 @@ class SegmentCosts:
         at = (start + np.arange(m + 1) * n // m) % n
         if kind is CostKind.MAX_ERROR:
             return float(_arcs_max_e(self.curve.points, n, at[:-1], at[1:]).max())
-        xs, ys = self._coordinates()
-        sides = _kernels.e2_arc_costs(xs, ys, _kernels.doubled_prefixes(xs, ys), at[:-1], at[1:])
+        sides = E2Costs(self.curve).arcs(at[:-1], at[1:])
         return float(np.add.accumulate(sides)[-1])
 
     def table(self, kind: CostKind) -> np.ndarray:
@@ -213,21 +213,7 @@ class SegmentCosts:
         tab.setflags(write=False)
         self._tables[kind] = tab, _kernels.cheapest_sides(tab)
         if kind is CostKind.SUM_SQUARED:
-            record_e2_table(self.curve, self._held_e2)
-
-    def _held_e2(self, rows: int):
-        """The E2 table, for approx_error.E2Costs, or None if none is
-        held.  One built to a bound is first grown to at least `rows` rows
-        (a quarter more than it stores, at most n): the rows it adds hold
-        no entry at or under the bound, so no solve on it changes."""
-        held = self._tables.get(CostKind.SUM_SQUARED)
-        if held is None:
-            return None
-        have = held[0].shape[0]
-        if have < rows and CostKind.SUM_SQUARED in self._bounds:
-            rows = min(self.curve.n, max(rows, have + have // 4))
-            self._keep(CostKind.SUM_SQUARED, _kernels.e2_cost_table(*self._coordinates(), rows))
-        return self._tables[CostKind.SUM_SQUARED][0]
+            record_e2_table(self.curve, tab)
 
     def _keep_every_row(self) -> None:
         """Replace the E2 table by one of all n rows, its stored rows

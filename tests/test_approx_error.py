@@ -18,7 +18,7 @@ from polyapprox import (
     parse_chain_code,
     polygon_errors,
 )
-from polyapprox import _kernels, approx_error
+from polyapprox import _kernels
 from polyapprox.approx_error import E2Costs
 from conftest import (
     arc_sum_sq,
@@ -109,8 +109,10 @@ def test_moment_tables_prefix_structure(square8):
 
 def test_e2_costs_read_the_table_bit_for_bit():
     # every arc u != v of the closed form, array and scalar, against the
-    # lookups and gathers in a live SegmentCosts' E2 table: every arc at
-    # once, single arcs, and arrays whose spans straddle the stored rows
+    # lookups and gathers in a live SegmentCosts' E2 table, built with no
+    # bound and built to the bound 0: every arc at once, single arcs, and
+    # arrays whose spans straddle the stored rows.  Arcs past the rows
+    # are the closed form's, and reading them leaves the table as it was
     corpus = build_corpus()
     for curve in (corpus[3], corpus[11]):
         n = curve.n
@@ -122,78 +124,41 @@ def test_e2_costs_read_the_table_bit_for_bit():
         want = closed.arcs(u, v)
         scalar = [closed.arc(int(a), int(b)) for a, b in zip(u[::61], v[::61])]
         assert np.array(scalar).tobytes() == want[::61].tobytes()
-        costs = SegmentCosts(curve)
-        costs.table(CostKind.SUM_SQUARED)
-        lookup = E2Costs(curve)
-        rows = lookup.rows
-        # the table stops short of n rows: arcs past it are the closed form's
-        assert 0 < rows < n
-        assert lookup.arcs(u, v).tobytes() == want.tobytes()
-        assert lookup.arcs(1, 0) == closed.arcs(1, 0) and lookup.arcs(1, 2) == 0.0
-        assert [lookup.arc(int(a), int(b)) for a, b in zip(u[::61], v[::61])] == scalar
-        # scalar u, v to arcs, on both sides of the rows and with none
-        for e2 in (closed, lookup):
-            got = [e2.arcs(int(a), int(b)) for a, b in zip(u[::61], v[::61])]
-            assert np.array(got).tobytes() == want[::61].tobytes()
-        # starts 7 and n - 2 against ends whose spans from 7 straddle the
-        # rows, broadcast, against the scalar closed form
-        starts = np.array([[7], [n - 2]])
-        ends = (7 + np.arange(rows - 3, rows + 3)) % n
         prefixes = prefixes_of(pts)
-        expect = np.array([[arc_sum_sq(pts, prefixes, int(a), int(b)) for b in ends]
-                           for a in starts[:, 0]])
-        for e2 in (closed, lookup):
-            assert e2.arcs(starts, ends).tobytes() == expect.tobytes()
-        # both sides at every split point, in order from p, on arcs that
-        # wrap past index 0 or not, short and long, past the stored rows
-        for p, q in [(0, n // 2), (n - 5, 7), (3, 5), (4, 3), (n // 3, 2), (n - 1, 0),
-                     (7, 7 + rows), (7, 6 + rows)]:
-            js = (p + np.arange(1, (q - p) % n)) % n
-            want = closed.arcs(p, js) + closed.arcs(js, q)
-            assert closed.splits(p, q).tobytes() == want.tobytes()
-            assert lookup.splits(p, q).tobytes() == want.tobytes()
-
-
-
-def test_a_table_built_to_a_bound_grows_for_reads_past_its_rows(monkeypatch):
-    # a SegmentCosts whose E2 table is built to a bound grows it, and
-    # keeps it, when E2Costs reads an arc past its rows, by a quarter at
-    # least: arc, arcs and splits then read it, bit for bit the full
-    # table's, and no closed form is evaluated.  Its rows and lookup stay
-    # those of the table as it was.  A table built to no bound does not
-    # grow, and arcs past it are the closed form's
-    curve = build_corpus()[5]
-    n = curve.n
-    pts = curve.points.astype(np.float64)
-    full = _kernels.e2_cost_table(pts[:, 0], pts[:, 1])
-    costs = SegmentCosts(curve)
-    costs.set_bound(CostKind.SUM_SQUARED, 0.0)
-    rows = costs.table(CostKind.SUM_SQUARED).shape[0]
-    assert 2 <= rows < n // 4
-
-    def closed(*args):
-        raise AssertionError("the closed form evaluated an arc")
-
-    e2 = E2Costs(curve)
-    with monkeypatch.context() as mp:
-        mp.setattr(_kernels, "e2_arc_costs", closed)
-        mp.setattr(approx_error, "_arc_e2", closed)
-        assert e2.arc(3, 3 + rows) == full[rows, 3 + rows]
-        grown = costs.table(CostKind.SUM_SQUARED).shape[0]
-        assert grown == max(rows + 1, rows + rows // 4)
-        assert (e2.rows, e2.lookup(1, 5)) == (rows, 0.0)
-        u, v = np.array([0, 5]), np.array([n // 3, 5 + n // 2])
-        assert e2.arcs(u, v).tobytes() == full[v - u, v].tobytes()
-        assert costs.table(CostKind.SUM_SQUARED).shape[0] == n // 2 + 1
-        k = n - 10
-        t = np.arange(1, k)
-        want = full[t, t] + full[k - t, k]
-        assert e2.splits(0, k).tobytes() == want.tobytes()
-        assert costs.table(CostKind.SUM_SQUARED).tobytes() == full[:k].tobytes()
-    plain = SegmentCosts(curve)
-    stored = plain.table(CostKind.SUM_SQUARED).shape[0]
-    assert E2Costs(curve).arc(0, stored) == full[stored, stored]
-    assert plain.table(CostKind.SUM_SQUARED).shape[0] == stored
+        for bound in (None, 0.0):
+            costs = SegmentCosts(curve)
+            if bound is not None:
+                costs.set_bound(CostKind.SUM_SQUARED, bound)
+            table = costs.table(CostKind.SUM_SQUARED)
+            lookup = E2Costs(curve)
+            rows = lookup.rows
+            # the table stops short of n rows: arcs past it are the closed form's
+            assert 0 < rows == table.shape[0] < n
+            assert lookup.arcs(u, v).tobytes() == want.tobytes()
+            assert lookup.arcs(1, 0) == closed.arcs(1, 0) and lookup.arcs(1, 2) == 0.0
+            assert [lookup.arc(int(a), int(b)) for a, b in zip(u[::61], v[::61])] == scalar
+            # scalar u, v to arcs, on both sides of the rows and with none
+            for e2 in (closed, lookup):
+                got = [e2.arcs(int(a), int(b)) for a, b in zip(u[::61], v[::61])]
+                assert np.array(got).tobytes() == want[::61].tobytes()
+            # starts 7 and n - 2 against ends whose spans from 7 straddle
+            # the rows, broadcast, against the scalar closed form
+            starts = np.array([[7], [n - 2]])
+            ends = (7 + np.arange(rows - 3, rows + 3)) % n
+            expect = np.array([[arc_sum_sq(pts, prefixes, int(a), int(b)) for b in ends]
+                               for a in starts[:, 0]])
+            for e2 in (closed, lookup):
+                assert e2.arcs(starts, ends).tobytes() == expect.tobytes()
+            # both sides at every split point, in order from p, on arcs
+            # that wrap past index 0 or not, short and long, past the rows
+            for p, q in [(0, n // 2), (n - 5, 7), (3, 5), (4, 3), (n // 3, 2), (n - 1, 0),
+                         (7, 7 + rows), (7, 6 + rows)]:
+                js = (p + np.arange(1, (q - p) % n)) % n
+                sides = closed.arcs(p, js) + closed.arcs(js, q)
+                assert closed.splits(p, q).tobytes() == sides.tobytes()
+                assert lookup.splits(p, q).tobytes() == sides.tobytes()
+            assert costs.table(CostKind.SUM_SQUARED) is table
+            assert lookup.rows == rows
 
 
 def test_moment_tables_build_accepts_floats():

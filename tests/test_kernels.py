@@ -1623,17 +1623,25 @@ def test_baseline_from_profile_raises_for_reads_above_the_bound(square8):
 
 
 def test_gon_cost_is_the_tables_bit_for_bit():
-    # U_m from its arcs, with no table, against _gon_cost over the full
-    # tables, on every fifth start of each corpus curve at its m for cr
-    # 8, 15 and 30, and at m = 3
+    # U_m from its arcs, with no table and then while the instance holds
+    # its E2 table (read through E2Costs), against _gon_cost over the
+    # full tables, on every fifth start of each corpus curve at its m
+    # for cr 8, 15 and 30, and at m = 3
     for curve in build_corpus():
         n = curve.n
-        costs = SegmentCosts(curve)
+        keys = [(start, m) for m in {3, round(n / 8), round(n / 15), round(n / 30)}
+                for start in range(0, n, 5)]
+        want = {}
         for kind in CostKind:
             use_max = kind is CostKind.MAX_ERROR
             full, _ = _ring_table(curve.points, use_max)
             combine = np.maximum if use_max else np.add
-            for m in {3, round(n / 8), round(n / 15), round(n / 30)}:
-                for start in range(0, n, 5):
-                    assert costs.gon_cost(start, m, kind) == _kernels._gon_cost(full, start, m,
-                                                                                 combine)
+            want[kind] = [_kernels._gon_cost(full, start, m, combine) for start, m in keys]
+        costs = SegmentCosts(curve)
+        for held in (False, True):
+            if held:
+                costs.table(CostKind.SUM_SQUARED)
+            assert (E2Costs(curve).rows > 0) == held
+            for kind in CostKind:
+                got = [costs.gon_cost(start, m, kind) for start, m in keys]
+                assert got == want[kind], (curve.name, kind, held)

@@ -153,37 +153,43 @@ def stabilize_reference(curve, poly):
     return PolygonApprox(curve, sorted(verts))
 
 
-def on_both_paths(monkeypatch, curve, run, far=None):
-    """run()'s result on the closed form, then while a SegmentCosts holds
-    the curve's E2 table, with the closed form made to fail on every arc
-    of a span the table stores, so that only lookups and gathers in the
-    table can answer for those; longer arcs, past its rows, are the
-    closed form's, and each call for them is appended to `far`.  The
-    curve's kept elimination is dropped before each run, so that both
-    runs eliminate."""
+def on_both_paths(monkeypatch, curve, run, m, far=None):
+    """run()'s results on the closed form, then twice while a
+    SegmentCosts holds the curve's E2 table: built with no bound, and
+    built to U_m(p0), as evaluate_curve builds it for m vertices.  While
+    a table is held the closed form is made to fail on every arc of a
+    span it stores, so that only lookups and gathers in the table can
+    answer for those; longer arcs, past its rows, are the closed form's,
+    and each call for them is appended to `far`.  The curve's kept
+    elimination is dropped before each run, so that every run
+    eliminates."""
     ref = approx_error._E2_TABLES.get(curve)
     assert ref is None or ref() is None, "a table outlived its SegmentCosts"
     schemes._ELIMINATED.pop(curve, None)
-    closed = run()
-    schemes._ELIMINATED.pop(curve, None)
-    costs = SegmentCosts(curve)
-    rows = costs.table(CostKind.SUM_SQUARED).shape[0]
+    results = [run()]
     arc_e2, e2_arc_costs = approx_error._arc_e2, _kernels.e2_arc_costs
+    kind = CostKind.SUM_SQUARED
+    for bounded in (False, True):
+        schemes._ELIMINATED.pop(curve, None)
+        costs = SegmentCosts(curve)
+        if bounded:
+            costs.set_bound(kind, costs.gon_cost(provisional_start_vertex(curve), m, kind))
+        rows = costs.table(kind).shape[0]
 
-    def past_rows(u, v):
-        if np.any((np.asarray(v) - u) % curve.n < rows):
-            raise AssertionError("a scheme evaluated the closed form on a stored span")
-        if far is not None:
-            far.append((u, v))
-        return True
+        def past_rows(u, v):
+            if np.any((np.asarray(v) - u) % curve.n < rows):
+                raise AssertionError("a scheme evaluated the closed form on a stored span")
+            if far is not None:
+                far.append((u, v))
+            return True
 
-    with monkeypatch.context() as mp:
-        mp.setattr(_kernels, "e2_arc_costs",
-                   lambda xs, ys, pre, u, v: past_rows(u, v) and e2_arc_costs(xs, ys, pre, u, v))
-        mp.setattr(approx_error, "_arc_e2",
-                   lambda xs, ys, pre, n, u, v: past_rows(u, v) and arc_e2(xs, ys, pre, n, u, v))
-        table = run()
-    return closed, table
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "e2_arc_costs", lambda xs, ys, pre, u, v:
+                       past_rows(u, v) and e2_arc_costs(xs, ys, pre, u, v))
+            mp.setattr(approx_error, "_arc_e2", lambda xs, ys, pre, n, u, v:
+                       past_rows(u, v) and arc_e2(xs, ys, pre, n, u, v))
+            results.append(run())
+    return results
 
 
 def test_split_square_finds_corners(square8):
@@ -269,7 +275,7 @@ def test_stabilize_matches_reference_on_corpus(cr, monkeypatch):
     for c in build_corpus():
         p = eliminate_to_m(c, auto_target_m(c, cr))
         want = stabilize_reference(c, p)
-        for q in on_both_paths(monkeypatch, c, lambda: stabilize(c, p)):
+        for q in on_both_paths(monkeypatch, c, lambda: stabilize(c, p), p.m):
             assert q == want, c.name
         moved += want != p
     assert moved > 0
@@ -309,7 +315,7 @@ def test_split_and_eliminate_match_references_on_corpus(corpus, cr, monkeypatch)
     for c in corpus:
         m = auto_target_m(c, cr)
         want = [split_reference(c, m), eliminate_reference(c, m)]
-        for got in on_both_paths(monkeypatch, c, lambda: _split_and_eliminate(c, m)):
+        for got in on_both_paths(monkeypatch, c, lambda: _split_and_eliminate(c, m), m):
             assert got == want, c.name
 
 
@@ -345,7 +351,7 @@ def _small_cases(square8):
 def test_split_and_eliminate_match_references_on_ties(square8, monkeypatch):
     for c, m in _small_cases(square8):
         want = [split_reference(c, m), eliminate_reference(c, m)]
-        for got in on_both_paths(monkeypatch, c, lambda: _split_and_eliminate(c, m)):
+        for got in on_both_paths(monkeypatch, c, lambda: _split_and_eliminate(c, m), m):
             assert got == want, (c.name, m)
 
 
@@ -362,7 +368,7 @@ def test_stabilize_matches_reference_on_tied_rectangles(monkeypatch):
             starts += [PolygonApprox(c, rng.choice(c.n, size=int(rng.integers(3, c.n)),
                                                    replace=False)) for _ in range(10)]
             want = [stabilize_reference(c, p) for p in starts]
-            for got in on_both_paths(monkeypatch, c, lambda: [stabilize(c, p) for p in starts]):
+            for got in on_both_paths(monkeypatch, c, lambda: [stabilize(c, p) for p in starts], 3):
                 assert got == want, c.name
 
 
@@ -376,8 +382,8 @@ def test_schemes_read_arcs_past_the_stored_rows(monkeypatch):
     triangle = PolygonApprox(c, [0, n // 2, n // 2 + 2])
     for run in (lambda: eliminate_to_m(c, 3), lambda: stabilize(c, triangle)):
         far = []
-        closed, table = on_both_paths(monkeypatch, c, run, far)
-        assert far and closed == table
+        closed, *held = on_both_paths(monkeypatch, c, run, 3, far)
+        assert far and held == [closed, closed]
 
 
 def test_elim_stab_reuses_the_elimination(monkeypatch):

@@ -379,36 +379,55 @@ def test_run_study_computes_each_polygons_errors_once(monkeypatch):
     assert all(len(rep.records) == len(corpus) for rep in reports)
 
 
-def test_evaluate_curve_reads_every_e2_from_the_held_table(monkeypatch):
-    # evaluate_curve holds each curve's E2 table while the schemes and
-    # polygon_errors run, and every arc they read has a span the table
-    # stores: approx_error builds no doubled prefixes and evaluates no
-    # arc by the closed form, on any corpus curve at cr 8, 15 or 30
-    from_approx_error = []
-    for name in ("doubled_prefixes", "e2_arc_costs"):
-        def spy(*args, kernel=getattr(_kernels, name), name=name):
-            if sys._getframe(1).f_globals["__name__"] == approx_error.__name__:
-                from_approx_error.append(name)
-            return kernel(*args)
+def test_evaluate_curve_reads_past_the_held_rows_by_the_closed_form(monkeypatch):
+    # one rule for every E2 that approx_error evaluates during
+    # evaluate_curve, on any corpus curve at cr 8, 15 or 30: each arc the
+    # closed form is given, on arrays or one at a time, has a span at or
+    # past the rows of the E2 table held at that moment (0 with none
+    # held).  At cr 30 some scheme reads past the rows of a held table,
+    # so the check is not vacuous
+    curve, past_held = None, []
 
-        monkeypatch.setattr(_kernels, name, spy)
+    def held_rows():
+        ref = approx_error._E2_TABLES.get(curve)
+        table = None if ref is None else ref()
+        return 0 if table is None else table.shape[0]
 
-    def scalar(*args):
-        raise AssertionError("approx_error._arc_e2 evaluated an arc")
+    def check(u, v, cr):
+        rows = held_rows()
+        assert np.all((np.asarray(v) - u) % curve.n >= rows), (curve.name, cr)
+        if rows:
+            past_held.append(cr)
 
-    monkeypatch.setattr(approx_error, "_arc_e2", scalar)
+    e2_arc_costs, arc_e2 = _kernels.e2_arc_costs, approx_error._arc_e2
+
+    def arrays(xs, ys, prefixes, u, v):
+        if sys._getframe(1).f_globals["__name__"] == approx_error.__name__:
+            check(u, v, cr)
+        return e2_arc_costs(xs, ys, prefixes, u, v)
+
+    def one(xs, ys, prefixes, n, u, v):
+        check(u, v, cr)
+        return arc_e2(xs, ys, prefixes, n, u, v)
+
+    monkeypatch.setattr(_kernels, "e2_arc_costs", arrays)
+    monkeypatch.setattr(approx_error, "_arc_e2", one)
     for curve in build_corpus():
         for cr in (8.0, 15.0, 30.0):
             evaluate_curve(curve, None, tuple(SchemeId), auto_target_m(curve, cr), "printed")
-    assert from_approx_error == []
+    assert 30.0 in past_held
 
 
 def test_back_to_back_studies_keep_no_per_curve_state():
     # five studies of fresh curves, each dropped after its study: no
     # curve's E2 table or elimination outlives it, and the traced memory
     # grows by less than `bound` over the four rounds after the first.
-    # Those rounds grew by 17-27 KB on python 3.11 with numpy 2.4, in
-    # numpy's small internal allocations, 1.5-8 KB a round and falling.
+    # Those rounds grew by 17-27 KB on python 3.11 with numpy 2.4, 1.5-8
+    # KB a round and falling, in small blocks (tuples among them) that
+    # the interpreter keeps on its free lists, which tracemalloc still
+    # counts.  A loop of plain tuple builds, with no numpy, creeps alike
+    # and stops once the lists are full (about 96 KB after 500 rounds),
+    # and back-to-back studies level off at about 47 KB after 125 rounds.
     # A curve of this subset holds about 5.5 KB of points, 28 KB of
     # doubled prefixes and 0.6 MB of E2 table, so leaking every round's
     # curves, their prefixes or any one table crosses the bound
