@@ -17,7 +17,10 @@ their count.  "e2 cost table" builds the rows a
 bounded solve can read, bound included, as SegmentCosts does; "e2,
 every row" builds all n.  "e2, to U_m" and "emax, to U_m" build the
 tables as a study does, only up to U_m, the cost of the equally spaced
-m-gon through the provisional start with m = n / 15, bound included.
+m-gon through the provisional start with m = n / 15, bound included;
+the rows of "emax, to U_m" print stored / cut / n, the cut being the
+span from which the anchored-moment bound proves every arc above U_m,
+and "emax cut, to U_m" times finding it alone.
 The DP solves the ellipse's stored E2 and Emax tables from vertex 0,
 and an n x n table of uniform random costs, whose rising profile makes
 the banded solve fall back to the full DP: its worst case.  "polygon solve" is a profile solve to m = --m-max on
@@ -78,6 +81,13 @@ def stored_e2_table(xs, ys, bound=None):
     read, as SegmentCosts builds it."""
     _, rows = _kernels.e2_row_bound(xs, ys, bound)
     return _kernels.e2_cost_table(xs, ys, rows)
+
+
+def emax_cut(xs, ys, bound):
+    """The span from which emax_cost_table(xs, ys, bound) probes no
+    length: found on the ring shifted to its min corner, as the table
+    finds it."""
+    return _kernels._emax_cut(xs - xs.min(), ys - ys.min(), bound)
 
 
 def levels_built(xs, ys) -> int:
@@ -188,6 +198,7 @@ def main() -> int:
         ("emax, non-simple", _kernels.emax_cost_table, (crossed[:, 0], crossed[:, 1])),
     ]
     solves = [
+        ("emax cut, to U_m", emax_cut, (xs, ys, u_emax)),
         ("dp solve (sum)", *solve(e2_tab, False)),
         ("dp solve (max)", *solve(emax_tab, True)),
         ("dp solve, rising profile", *solve(rising, False)),
@@ -195,9 +206,10 @@ def main() -> int:
         ("polygon solve, seeded", polygon, (e2_tab, _kernels.cheapest_sides(e2_tab), True)),
     ]
 
+    cuts = {"emax, to U_m": f"{emax_cut(xs, ys, u_emax)}/"}
     print(f"{'table':<24} {'time':>10} {'peak':>10} {'rows':>12}")
     for name, fn, call_args in tables:
-        rows = f"{fn(*call_args).shape[0]}/{call_args[0].shape[0]}"
+        rows = f"{fn(*call_args).shape[0]}/{cuts.get(name, '')}{call_args[0].shape[0]}"
         print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms"
               f" {peak_mb(fn, call_args):>8.2f}MB {rows:>12}")
     for name, ring in (("emax hull levels", (xs, ys)),

@@ -24,7 +24,12 @@ windows of doubled arrays.  e2_row_bound gives R, the rows worth
 building: every arc of R or more steps costs more than the seed of any
 solve's running bound, or than the caller's bound, by a principal-axis
 bound on the moments of its points (averaging R = 0.66n on the built-in
-corpus).
+corpus).  The same moments give the max-error table its cut: an arc
+of L or more steps from u holds the L - 1 points inside u -> u + L and
+its chord passes through p[u], so its largest squared distance is at
+least their mean over the best line through p[u], lam(u, L) / (L - 1);
+where that passes b^2 at every start, with e2_row_bound's margin,
+every longer arc lies above b (_emax_cut).
 
 The max-error table holds an arc's exact value where it is at most B,
 the largest entry over arcs of at most ceil(n/3) steps, or the caller's
@@ -36,9 +41,13 @@ a sparse table whose level k holds the hull vertices of every window of
 2^k points, merged from level k-1 by Andrew's monotone chain, one
 lockstep pass over the lower and upper chains together.  Two windows of
 one level cover any arc, so an entry scans their vertices, not the arc,
-with its arithmetic done in place.  It stores its rows up to the last with a finite entry, and
-grows only for a block of arcs that holds an entry at or under the
-bound; points spread along a block's arcs skip the others.
+with its arithmetic done in place.  It stores its rows up to the last
+with a finite entry, and grows only for a block of arcs that holds an
+entry at or under the bound; points spread along a block's arcs skip
+the others, and no length from the cut on is probed.  A study's bound
+U_m cuts at 0.23n on average (at most 0.31n) on the built-in corpus at
+m = n / 15, against 0.16n rows stored; B cuts little (at n on most
+rings).
 
 Costs are >= 0, so a DP layer may drop every cell above b, the least
 of a seed (a triangle's cost, and for a solve that wants one polygon
@@ -204,17 +213,14 @@ def e2_row_bound(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
     with U3 is at most G.
 
     R is the first span L at which lam(u, L) exceeds G for every start
-    u, with a margin for rounding, or n if there is none: lam(u, L) is
-    the least eigenvalue of M, the second moments about p[u] of the L -
-    1 points strictly inside the arc u -> u + L, the least squared
-    residual of those points over the lines through p[u] (the anchored
-    form of Pearson's principal-axis fit).  An arc of L' >= L steps
-    from u holds those points and its chord passes through p[u], so its
-    cost is at least lam(u, L) > G.  Adding points adds a positive
-    semidefinite matrix to M, so lam never falls with L, and R is found
-    by bisection: over (ceil(n/3), n) by default, as U3 >= each of its
-    sides >= its lam, and over (1, n) for a caller's bound (lam(u, 1) =
-    0), so R >= 2.
+    u, with a margin for rounding, or n if there is none (_anchored_cut):
+    an arc of L' >= L steps from u holds the points lam(u, L) sums and
+    its chord passes through p[u], so its cost is at least lam(u, L) >
+    G.  Adding points adds a positive semidefinite matrix to the
+    moments, so lam never falls with L, and the bisection finds the
+    first such span: over (ceil(n/3), n) by default, as U3 >= each of
+    its sides >= its lam, and over (1, n) for a caller's bound (lam(u,
+    1) = 0), so R >= 2.
 
     The margin covers rounding in both closed forms.  With P2 the
     largest x^2 + y^2 of the ring, every term of either one, over the
@@ -238,19 +244,37 @@ def e2_row_bound(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
         lo = -(-n // 3)
     else:
         g, lo = bound, 1
-    limit = g * (1.0 + 2.0**-40) + 2.0**-44 * n * n * (xs * xs + ys * ys).max()
+    return float(g), _anchored_cut(xs, ys, prefixes, lo, g, False)
+
+
+def _anchored_cut(xs, ys, prefixes, lo, g, mean):
+    """A span R in (lo, n] found by bisection at which lam(u, R) >
+    w G (1 + 2**-40) + 2**-44 n^2 P2 for every start u, or n if the
+    bisection meets none: w is 1, or R - 1 if `mean`, and P2 the
+    largest x^2 + y^2 of the ring.
+
+    lam(u, L) is the least eigenvalue of M, the second moments about
+    p[u] of the L - 1 points strictly inside the arc u -> u + L, from
+    the ring's doubled_prefixes: the least squared residual of those
+    points over the lines through p[u] (the anchored form of Pearson's
+    principal-axis fit).  The bisection keeps hi at a span where the
+    test holds, or n, so R is such a span whether or not the test is
+    monotone in L.
+    """
+    n = xs.shape[0]
+    margin = 2.0**-44 * n * n * (xs * xs + ys * ys).max()
     moments = np.stack(prefixes)
     xx, yy, xy = xs * xs, ys * ys, xs * ys
 
     def above(span):
-        # whether lam(u, span) > limit for every u
+        # whether lam(u, span) passes the test for every u
         sx, sy, sxx, syy, sxy = moments[:, span:span + n] - moments[:, 1:n + 1]
         c = span - 1.0
         mxx = sxx - 2.0 * xs * sx + c * xx
         myy = syy - 2.0 * ys * sy + c * yy
         mxy = sxy - xs * sy - ys * sx + c * xy
         lam = 0.5 * (mxx + myy) - np.hypot(0.5 * (mxx - myy), mxy)
-        return lam.min() > limit
+        return lam.min() > (c if mean else 1.0) * g * (1.0 + 2.0**-40) + margin
 
     hi = n
     while hi - lo > 1:
@@ -259,7 +283,7 @@ def e2_row_bound(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
             hi = mid
         else:
             lo = mid
-    return float(g), hi
+    return hi
 
 
 # Coordinates spanning less than this keep every cross product of two
@@ -301,19 +325,27 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
     reads both windows as slices of the level, with no gather.
 
     By default, arcs of at most ceil(n/3) steps come first, every one
-    scanned, and give B.  The longer arcs, or with a caller's bound every
-    arc of 2 or more steps, go in blocks of lengths: _PROBES points
-    spread along the block's shortest arc lie inside all of its arcs and
-    bound each from below.  A block whose bounds are all above the bound
-    stays +inf; any other is scanned from its first length with a bound
-    at or under it to its last.  A level is built when a scan first
-    needs it, and only the latest is kept.  Scans and probes take blocks
-    of about _EMAX_SCAN entries.  The table holds rows 0 to ceil(n/3) by
-    default, rows 0 and 1 with a caller's bound, and grows in place, new
-    rows +inf, only when a probed block has an entry at or under the
-    bound; a block whose entries all lie above it is not written.  It is
-    shrunk at the end to its last row with a finite entry: rows past it
-    are +inf, and are not stored.
+    scanned, and give B.  Then _emax_cut gives R, a span from which
+    every arc is proven above the bound: an arc of R or more steps from
+    u holds the R - 1 points inside u -> u + R and its chord passes
+    through p[u], so its largest squared distance is at least their
+    mean, and that is at least lam(u, R) / (R - 1), their least mean
+    squared residual over the lines through p[u] (_anchored_cut).  R is
+    a span where that passes b^2 at every start, by e2_row_bound's
+    margin on the shifted coordinates.  Rows from R on are +inf, and no
+    length from R on is probed or scanned.  The longer arcs below R, or
+    with a caller's bound every arc of 2 to R - 1 steps, go in blocks of
+    lengths: _PROBES points spread along the block's shortest arc lie
+    inside all of its arcs and bound each from below.  A block whose
+    bounds are all above the bound stays +inf; any other is scanned from
+    its first length with a bound at or under it to its last.  A level
+    is built when a scan first needs it, and only the latest is kept.
+    Scans and probes take blocks of about _EMAX_SCAN entries.  The table
+    holds rows 0 to ceil(n/3) by default, rows 0 and 1 with a caller's
+    bound, and grows in place, new rows +inf, only when a probed block
+    has an entry at or under the bound; a block whose entries all lie
+    above it is not written.  It is shrunk at the end to its last row
+    with a finite entry: rows past it are +inf, and are not stored.
     """
     n = xs.shape[0]
     x, y = xs - xs.min(), ys - ys.min()
@@ -395,17 +427,35 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
         bound = _side_bound(out)
     else:
         last, first = 1, 2
-    # the first to the last length of each block whose probes come at or
-    # under the bound
+    # the first to the last length of each block below the cut whose
+    # probes come at or under the bound
+    cut = _emax_cut(x, y, bound)
     step = max(1, _EMAX_SCAN // (_PROBES * n))
-    for lo in range(first, n, step):
+    for lo in range(first, cut, step):
         at = 1 + np.arange(1, _PROBES + 1) * (lo - 2) // (_PROBES + 1)
-        probe = scan(lo, min(lo + step, n), [(ends_x[at, None], ends_y[at, None])])
+        probe = scan(lo, min(lo + step, cut), [(ends_x[at, None], ends_y[at, None])])
         near = np.flatnonzero((probe <= bound).any(axis=1))
         if near.size:
             fill(lo + int(near[0]), lo + int(near[-1]) + 1, bound)
     out.resize((last + 1, n), refcheck=False)
     return out
+
+
+def _emax_cut(x: np.ndarray, y: np.ndarray, bound: float) -> int:
+    """R, emax_cost_table's cut: every arc of R or more steps of the
+    ring (x, y), shifted to its min corner as the table shifts it, has
+    an entry above `bound` b; R = n if none is proven.
+
+    R is a span where every lam(u, R) > (R - 1) b^2 (1 + 2**-40) +
+    2**-44 n^2 P2 (_anchored_cut), e2_row_bound's margin: lam's rounding
+    is within 2**-44 n^2 P2, and the entry is the exact largest |cross|
+    rounded twice, by the square root and the division, which the
+    relative 2**-40 covers (b = 0 included: a positive integer over a
+    chord length stays positive).  The mean lam(u, L) / (L - 1) need
+    not grow with L, so R is where the bisection over (1, n) ends, a
+    span at which the test held, or n; a smaller span may pass it too.
+    """
+    return _anchored_cut(x, y, doubled_prefixes(x, y), 1, bound * bound, True)
 
 
 def _side_bound(head: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import pytest
 
 from polyapprox import (
     AboveBound, CostKind, CurveTooLarge, DigitalCurve, ErrorProfile, SegmentCosts, _kernels,
-    baseline_from_profile, optimal, select_start_vertex,
+    auto_target_m, baseline_from_profile, optimal, provisional_start_vertex, select_start_vertex,
 )
 from polyapprox.approx_error import E2Costs
 from conftest import _ellipse, _fourier_blob, build_corpus, lattice_ring, wide_ring
@@ -236,6 +236,12 @@ def bounded_emax_loops(xs, ys):
 def _scan_bounded(xs, ys):
     # the O(n^3) scan stands in for the loops on larger rings
     return _bounded(_emax_cost_table_scan(xs, ys))
+
+
+def _emax_cut(xs, ys, bound):
+    # the cut on the coordinates emax_cost_table gives it: shifted to
+    # the min corner
+    return _kernels._emax_cut(xs - xs.min(), ys - ys.min(), bound)
 
 
 def _assert_stored_rows(table, want):
@@ -603,14 +609,24 @@ def test_emax_table_exact_on_lattice_clouds(seed):
 
 def test_emax_table_exact_at_the_span_bound():
     # x and y spans of EXACT_SPAN - 1, far from the origin: the largest
-    # relative coordinates, sort keys and cross products the table takes
+    # relative coordinates, sort keys and cross products the table takes.
+    # Built to 0 and to U_m as well, for the cut's margin: at 0 the cut
+    # leaves out rows, and every U_m has entries at or under it up to
+    # n - 1 steps
     top = _kernels.EXACT_SPAN - 1
     rng = np.random.default_rng(3)
     pts = np.concatenate((
         [[0, 5], [top, 9], [7, 0], [11, top]], _lattice_cloud(rng, 56, top)))
     assert np.unique(pts, axis=0).shape == pts.shape
     assert (pts.max(axis=0) - pts.min(axis=0) == top).all()
-    _check_emax_exact(pts - 3 * 2**40, _scan_bounded)
+    pts = pts - 3 * 2**40
+    _check_emax_exact(pts, _scan_bounded)
+    xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
+    full = _span_major(_emax_cost_table_scan(xs, ys))
+    assert _emax_cut(xs, ys, 0.0) < xs.shape[0]
+    for bound in _bounds(full, np.maximum):
+        want = np.where(full <= bound, full, np.inf)
+        _assert_stored_rows(_kernels.emax_cost_table(xs, ys, bound), want)
 
 
 def _thin_all_hull(n):
@@ -1472,6 +1488,30 @@ def test_bounded_emax_table_is_the_full_table_at_or_under_its_bound(budget, monk
         for bound in _bounds(full, np.maximum):
             want = np.where(full <= bound, full, np.inf)
             _assert_stored_rows(_kernels.emax_cost_table(xs, ys, bound), want)
+
+
+def test_emax_cut_leaves_out_only_arcs_above_the_bound():
+    # the rings above and some corpus curves, at 0, at U_m and at B:
+    # every arc of the cut's span or more lies strictly above the bound
+    for pts in _scan_block_rings() + [c.points for c in build_corpus()[::4]]:
+        xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
+        n = xs.shape[0]
+        full = _span_major(_emax_cost_table_scan(xs, ys))
+        side_bound = float(full[1:-(-n // 3) + 1].max())
+        for bound in _bounds(full, np.maximum) + [side_bound]:
+            cut = _emax_cut(xs, ys, bound)
+            assert 2 <= cut <= n and (full[cut:] > bound).all(), (n, bound, cut)
+
+
+def test_emax_cut_is_short_at_the_study_bound():
+    # the study's cr-15 bound U_m(p0) on the corpus: the cut leaves at
+    # most 0.35n lengths to probe (0.313n at most, measured)
+    for curve in build_corpus():
+        m_sub = auto_target_m(curve, 15.0)
+        bound = SegmentCosts(curve).gon_cost(provisional_start_vertex(curve), m_sub,
+                                             CostKind.MAX_ERROR)
+        xs, ys = (curve.points[:, k].astype(np.float64) for k in (0, 1))
+        assert _emax_cut(xs, ys, bound) <= 0.35 * curve.n, curve.name
 
 
 def test_e2_row_bound_keeps_every_row_with_an_entry_at_or_under_the_bound():
