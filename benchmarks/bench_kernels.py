@@ -13,20 +13,24 @@ stores, of n, and the peak of the numpy allocations of one build
 (tracemalloc), table included.  "emax hull levels" builds, alone, the
 hull levels the Emax table builds on the ellipse (and "hull levels,
 all-hull" on the circle), as it builds them: its rows column prints
-their count.  "e2 cost table" builds the rows a
-bounded solve can read, bound included, as SegmentCosts does; "e2,
-every row" builds all n.  "e2, to U_m" and "emax, to U_m" build the
+their count.  "e2 cost table" builds the rows a solve to G, the
+largest U3 of any start, can read, G included, as SegmentCosts does
+with no bound set; "e2, every row" builds all n.  "e2, to U_m" and
+"emax, to U_m" build the
 tables as a study does, only up to U_m, the cost of the equally spaced
 m-gon through the provisional start with m = n / 15, bound included;
 the rows of "emax, to U_m" print stored / cut / n, the cut being the
 span from which the anchored-moment bound proves every arc above U_m,
 and "emax cut, to U_m" times finding it alone.
-The DP solves the ellipse's stored E2 and Emax tables from vertex 0,
-and an n x n table of uniform random costs, whose rising profile makes
-the banded solve fall back to the full DP: its worst case.  "polygon solve" is a profile solve to m = --m-max on
-the E2 table plus the walk back along its chain; "polygon solve,
-seeded" is the same with the solve seeded by the equally spaced m-gon,
-as SegmentCosts.polygon runs it.
+The DP solves the ellipse's stored E2 and Emax tables from vertex 0
+to U3, the cost of the triangle through it, n // 3 and 2n // 3, as
+SegmentCosts runs a profile solve with no bound set, and an n x n table
+of uniform random costs to its U3, whose rising profile makes the
+banded solve fall back to the full DP: its worst case.  "polygon solve"
+is a profile solve to m = --m-max on the E2 table plus the walk back
+along its chain; "polygon solve, seeded" is the same with the solve run
+to U_m, the cost of the equally spaced m-gon, as SegmentCosts.polygon
+runs it.
 Elimination and stabilize are timed twice: on the closed form, as
 `polyapprox approx` runs them, and while a SegmentCosts holds the
 ellipse's E2 table, as a study runs them.  Each elimination row drops
@@ -76,11 +80,25 @@ def noisy_ellipse(n_target: int, seed: int = 0, aspect: float = 0.6) -> np.ndarr
     return pts
 
 
-def stored_e2_table(xs, ys, bound=None):
-    """The E2 table's rows a solve seeded with U3, or with `bound`, can
-    read, as SegmentCosts builds it."""
-    _, rows = _kernels.e2_row_bound(xs, ys, bound)
-    return _kernels.e2_cost_table(xs, ys, rows)
+def stored_e2_table(xs, ys, bound):
+    """The E2 table's rows a solve to `bound` can read, as SegmentCosts
+    builds it."""
+    return _kernels.e2_cost_table(xs, ys, _kernels.e2_row_bound(xs, ys, bound))
+
+
+def default_e2_table(curve, xs, ys):
+    """The E2 table SegmentCosts builds with no bound set: to G, the
+    largest U3 of any start."""
+    g = SegmentCosts(curve).gon_cost(np.arange(curve.n), 3, CostKind.SUM_SQUARED)
+    return stored_e2_table(xs, ys, g)
+
+
+def u3(tab):
+    """U3 from position 0 of a span-major sum table: the triangle
+    through 0, n // 3 and 2n // 3, summed in the DP's order."""
+    n = tab.shape[1]
+    at = np.arange(4) * n // 3
+    return np.add.accumulate(tab[np.diff(at), at[1:] % n])[-1]
 
 
 def emax_cut(xs, ys, bound):
@@ -169,26 +187,31 @@ def main() -> int:
     crossed[[0, n // 3]] = crossed[[n // 3, 0]]
 
     m_max = min(args.m_max, n)
-    e2_tab = stored_e2_table(xs, ys)
-    # the bounds a study builds the tables to, at cr 15
     curve = DigitalCurve(pts)
+    e2_tab = default_e2_table(curve, xs, ys)
+    # the bounds a study builds the tables to, at cr 15
     p0, m_sub = provisional_start_vertex(curve), round(n / 15)
     u_e2, u_emax = (SegmentCosts(curve).gon_cost(p0, m_sub, kind) for kind in CostKind)
     emax_tab = _kernels.emax_cost_table(xs, ys)
     # uniform random costs: the profile rises, so the banded solve falls
     # back to the full DP
     rising = np.random.default_rng(0).uniform(0.0, 10.0, size=(n, n))
+    # the bounds of the solves from vertex 0
+    u3_e2, u3_emax = (SegmentCosts(curve).gon_cost(0, 3, kind) for kind in CostKind)
+    um_e2 = SegmentCosts(curve).gon_cost(0, m_max, CostKind.SUM_SQUARED)
 
-    def solve(tab, use_max):
+    def solve(tab, use_max, bound):
         # a study computes a table's band widths once, not once a solve
-        return _kernels.dp_solve, (tab, _kernels.cheapest_sides(tab), 0, m_max, use_max)
+        return _kernels.dp_solve, (tab, _kernels.cheapest_sides(tab), 0, m_max, use_max,
+                                   False, bound)
 
     def polygon(tab, cheapest, seeded=False):
-        dp = _kernels.dp_solve(tab, cheapest, 0, m_max, False, seeded)
+        dp = _kernels.dp_solve(tab, cheapest, 0, m_max, False, seeded,
+                               um_e2 if seeded else u3_e2)
         return _kernels.dp_chain(tab, 0, dp, m_max, False)
 
     tables = [
-        ("e2 cost table", stored_e2_table, (xs, ys)),
+        ("e2 cost table", default_e2_table, (curve, xs, ys)),
         ("e2, every row", _kernels.e2_cost_table, (xs, ys)),
         ("e2, to U_m", stored_e2_table, (xs, ys, u_e2)),
         ("emax cost table", _kernels.emax_cost_table, (xs, ys)),
@@ -199,9 +222,9 @@ def main() -> int:
     ]
     solves = [
         ("emax cut, to U_m", emax_cut, (xs, ys, u_emax)),
-        ("dp solve (sum)", *solve(e2_tab, False)),
-        ("dp solve (max)", *solve(emax_tab, True)),
-        ("dp solve, rising profile", *solve(rising, False)),
+        ("dp solve (sum)", *solve(e2_tab, False, u3_e2)),
+        ("dp solve (max)", *solve(emax_tab, True, u3_emax)),
+        ("dp solve, rising profile", *solve(rising, False, u3(rising))),
         ("polygon solve (sum)", polygon, (e2_tab, _kernels.cheapest_sides(e2_tab))),
         ("polygon solve, seeded", polygon, (e2_tab, _kernels.cheapest_sides(e2_tab), True)),
     ]
@@ -209,7 +232,8 @@ def main() -> int:
     cuts = {"emax, to U_m": f"{emax_cut(xs, ys, u_emax)}/"}
     print(f"{'table':<24} {'time':>10} {'peak':>10} {'rows':>12}")
     for name, fn, call_args in tables:
-        rows = f"{fn(*call_args).shape[0]}/{cuts.get(name, '')}{call_args[0].shape[0]}"
+        stored, ring = fn(*call_args).shape
+        rows = f"{stored}/{cuts.get(name, '')}{ring}"
         print(f"{name:<24} {timeit(fn, call_args, args.repeat) * 1e3:>8.2f}ms"
               f" {peak_mb(fn, call_args):>8.2f}MB {rows:>12}")
     for name, ring in (("emax hull levels", (xs, ys)),

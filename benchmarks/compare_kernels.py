@@ -3,8 +3,9 @@
 Imports the polyapprox package of this tree and of the checkout at
 --parent side by side, each under its own name, and builds the
 benchmark corpus at --seed (perfbench/corpus.py).  It checks that both
-sides' E2 tables (the rows a bounded solve reads, as SegmentCosts builds
-them) and Emax tables are equal byte for byte on every ring, and that
+sides' E2 and Emax tables, as a fresh SegmentCosts builds them with no
+bound set (the E2 table's stored rows included), are equal byte for
+byte on every ring, and that
 both sides' split, elim and elim-stab polygons are equal on every ring
 at compression ratios 8, 15 and 30, with and without a SegmentCosts
 holding the curve's E2 table.  It then times each side --runs times,
@@ -35,7 +36,6 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -55,14 +55,13 @@ def load_package(checkout: Path, name: str):
     return module
 
 
-def builders(kernels):
-    """A side's table builders by name: the E2 table's stored rows, bound
-    included, as SegmentCosts builds them, and the Emax table."""
-    def e2(xs, ys):
-        _, rows = kernels.e2_row_bound(xs, ys)
-        return kernels.e2_cost_table(xs, ys, rows)
+def builders(pkg):
+    """A side's table builders by name, each taking a ring's points: the
+    table of that kind a fresh SegmentCosts builds with no bound set."""
+    def build(kind):
+        return lambda pts: pkg.SegmentCosts(pkg.DigitalCurve(pts)).table(kind)
 
-    return {"e2": e2, "emax": kernels.emax_cost_table}
+    return {"e2": build(pkg.CostKind.SUM_SQUARED), "emax": build(pkg.CostKind.MAX_ERROR)}
 
 
 SCHEME_CRS = (8.0, 15.0, 30.0)
@@ -129,8 +128,8 @@ def compare_study(packages, corpus, seed, runs):
 def timed(build, rings):
     """Seconds to build every ring's table."""
     t0 = time.perf_counter()
-    for xs, ys in rings:
-        build(xs, ys)
+    for pts in rings:
+        build(pts)
     return time.perf_counter() - t0
 
 
@@ -154,16 +153,15 @@ def main() -> int:
                 "change": load_package(ROOT, "change_polyapprox")}
     if args.mode == "study":
         return compare_study(packages, build_corpus(args.seed), args.seed, args.runs)
-    sides = {side: builders(pkg._kernels) for side, pkg in packages.items()}
+    sides = {side: builders(pkg) for side, pkg in packages.items()}
     corpus = [c.points for c in build_corpus(args.seed)]
-    rings = [(pts[:, 0].astype(np.float64), pts[:, 1].astype(np.float64)) for pts in corpus]
-    for xs, ys in rings:
+    for pts in corpus:
         for name in ("e2", "emax"):
-            a, b = (side[name](xs, ys) for side in sides.values())
+            a, b = (side[name](pts) for side in sides.values())
             if a.shape != b.shape or a.tobytes() != b.tobytes():
-                print(f"{name} tables differ at n = {xs.shape[0]}")
+                print(f"{name} tables differ at n = {pts.shape[0]}")
                 return 1
-    print(f"seed {args.seed}: {len(rings)} rings, every E2 and Emax table equal byte for byte")
+    print(f"seed {args.seed}: {len(corpus)} rings, every E2 and Emax table equal byte for byte")
     for with_table in (False, True):
         a, b = (run_schemes(pkg, corpus, with_table)[1] for pkg in packages.values())
         if a != b:
@@ -176,15 +174,15 @@ def main() -> int:
     for i in range(args.runs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             for name, build in sides[side].items():
-                runs[side][name].append(timed(build, rings))
+                runs[side][name].append(timed(build, corpus))
             secs, _ = run_schemes(packages[side], corpus)
             for name, t in secs.items():
                 runs[side][name].append(t)
             runs[side]["schemes"].append(sum(secs.values()))
     for side in runs.values():
         side["both"] = [a + b for a, b in zip(side["e2"], side["emax"])]
-    report = [(f"{name} tables, {len(rings)} rings", name) for name in ("e2", "emax", "both")]
-    report += [(f"{name}, {len(rings)} rings at {len(SCHEME_CRS)} ratios", name)
+    report = [(f"{name} tables, {len(corpus)} rings", name) for name in ("e2", "emax", "both")]
+    report += [(f"{name}, {len(corpus)} rings at {len(SCHEME_CRS)} ratios", name)
                for name in ("split", "elim", "elim-stab", "schemes")]
     for what, name in report:
         print(f"{what} a run:")

@@ -9,27 +9,26 @@ Both cost tables are span-major: entry [L, e] is the cost of the
 forward arc of L steps that ends at point e, so it starts at (e - L) %
 n.  Rows 0 and 1 (a point and an adjacent pair) are 0.  A DP layer
 reads the sides ending at a run of positions as slices of the table's
-rows, with no copy of the table for its start vertex.  A table may
-store only its first rows, those a bounded solve can read.  Either
-table can be built to a caller's bound b in place of its own: it then
-stores every entry at or under b, and a solve seeded with b reads
-nothing else.  A study builds both to U_m, the cost of the equally
-spaced m-gon through one start; at m = n / 15 that keeps 0.20n rows of
-the E2 table and 0.16n of the Emax table on the built-in corpus.
+rows, with no copy of the table for its start vertex.  Every solve
+runs to a bound b and reads no entry above it, so a table built to b
+stores every entry at or under b and only its first rows, those that
+hold one.  A study builds both to U_m, the cost of the equally spaced
+m-gon through one start; at m = n / 15 that keeps 0.20n rows of the E2
+table and 0.16n of the Emax table on the built-in corpus.
 
 The squared-error table evaluates the closed form of e2_arc_costs on
 blocks of about _E2_BLOCK entries, a few dozen spans by all ends: the
 arc starts, and the prefix bound just past them, are reversed sliding
 windows of doubled arrays.  e2_row_bound gives R, the rows worth
-building: every arc of R or more steps costs more than the seed of any
-solve's running bound, or than the caller's bound, by a principal-axis
-bound on the moments of its points (averaging R = 0.66n on the built-in
-corpus).  The same moments give the max-error table its cut: an arc
-of L or more steps from u holds the L - 1 points inside u -> u + L and
-its chord passes through p[u], so its largest squared distance is at
-least their mean over the best line through p[u], lam(u, L) / (L - 1);
-where that passes b^2 at every start, with e2_row_bound's margin,
-every longer arc lies above b (_emax_cut).
+building: every arc of R or more steps costs more than the bound, by a
+principal-axis bound on the moments of its points (averaging R = 0.66n
+on the built-in corpus for the largest U3 of any start).  The same
+moments give the max-error table its cut: an arc of L or more steps
+from u holds the L - 1 points inside u -> u + L and its chord passes
+through p[u], so its largest squared distance is at least their mean
+over the best line through p[u], lam(u, L) / (L - 1); where that passes
+b^2 at every start, with e2_row_bound's margin, every longer arc lies
+above b (_emax_cut).
 
 The max-error table holds an arc's exact value where it is at most B,
 the largest entry over arcs of at most ceil(n/3) steps, or the caller's
@@ -49,16 +48,14 @@ U_m cuts at 0.23n on average (at most 0.31n) on the built-in corpus at
 m = n / 15, against 0.16n rows stored; B cuts little (at n on most
 rings).
 
-Costs are >= 0, so a DP layer may drop every cell above b, the least
-of a seed (a triangle's cost, and for a solve that wants one polygon
-that of an equally spaced one, or the caller's bound) and the profile
-values found so far, and every side wider than the widest one costing
-at most b: what is left is a band of W spans.  The profile and every
-cell the band keeps are exact, and dp_chain recovers the chains from
-them; if the profile rises, the band loses a profile value and the
-solve runs once more unpruned (dp_solve says when, and over which
-rows).  Under a caller's bound, a value above it comes back +inf and
-asks for no rerun.
+Costs are >= 0, so a DP layer may drop every cell above b_j, the least
+of the solve's bound b and the profile values found so far, and every
+side wider than the widest one costing at most b_j: what is left is a
+band of W spans.  Every profile value at or under b, and every cell the
+band keeps, is exact, and dp_chain recovers the chains from them; a
+value above b comes back +inf.  If the profile rises past a value below
+b, the band can lose a value at or under b, and the solve runs once
+more, unpruned, over the stored rows (dp_solve).
 
 The kernels evaluate the arithmetic of plain per-entry loops, so their
 tables, and the DP's profile, chains and kept cells, equal the loops'
@@ -72,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # perfbench reads this flag for its environment block; the next change
-# to the benchmark (ROADMAP D1) drops it.
+# to the benchmark (ROADMAP D18) drops it.
 USE_NUMBA = False
 
 
@@ -200,56 +197,35 @@ def e2_cost_table(xs: np.ndarray, ys: np.ndarray, rows: int | None = None) -> np
     return out
 
 
-def e2_row_bound(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
-                 ) -> tuple[float, int]:
-    """(G, R): every entry of e2_cost_table(xs, ys) in a row of R steps or
-    more is above G, so a solve whose running bound never passes G reads
-    no such row, and the table may stop at row R.
+def e2_row_bound(xs: np.ndarray, ys: np.ndarray, bound: float) -> int:
+    """R: every entry of e2_cost_table(xs, ys) in a row of R steps or
+    more is above `bound`, so a solve to it reads no such row, and the
+    table may stop at row R.
 
-    G is the caller's bound if given.  By default it is the largest U3
-    over every start, the seed of dp_solve's running bound, from the 3n
-    closed-form arcs of the three spans U3 reads (the table's bits),
-    combined in dp_solve's order, so that every b_j of every solve seeded
-    with U3 is at most G.
-
-    R is the first span L at which lam(u, L) exceeds G for every start
-    u, with a margin for rounding, or n if there is none (_anchored_cut):
-    an arc of L' >= L steps from u holds the points lam(u, L) sums and
-    its chord passes through p[u], so its cost is at least lam(u, L) >
-    G.  Adding points adds a positive semidefinite matrix to the
-    moments, so lam never falls with L, and the bisection finds the
-    first such span: over (ceil(n/3), n) by default, as U3 >= each of
-    its sides >= its lam, and over (1, n) for a caller's bound (lam(u,
-    1) = 0), so R >= 2.
+    R is the first span L at which lam(u, L) exceeds the bound for every
+    start u, with a margin for rounding, or n if there is none
+    (_anchored_cut): an arc of L' >= L steps from u holds the points
+    lam(u, L) sums and its chord passes through p[u], so its cost is at
+    least lam(u, L).  Adding points adds a positive semidefinite matrix
+    to the moments, so lam never falls with L, and the bisection over
+    (1, n) finds the first such span; lam(u, 1) = 0, so R >= 2.
 
     The margin covers rounding in both closed forms.  With P2 the
     largest x^2 + y^2 of the ring, every term of either one, over the
     chord's squared length where it divides by it, is at most n P2, and
     the prefix sums they difference are off by at most 4 n^2 P2 2**-53
     each; the errors of the entry and of lam sum to under 240 n^2 P2
-    2**-53, so the margin is 2**-44 n^2 P2 (twice that), plus 2**-40 G
-    for the relative rounding of the entry's division and of the
-    comparison.  Rings far from the origin, or very wide, get a margin
-    that can swamp every lam, and keep every row.
+    2**-53, so the margin is 2**-44 n^2 P2 (twice that), plus 2**-40
+    times the bound for the relative rounding of the entry's division
+    and of the comparison.  Rings far from the origin, or very wide, get
+    a margin that can swamp every lam, and keep every row.
     """
-    n = xs.shape[0]
-    prefixes = doubled_prefixes(xs, ys)
-    if bound is None:
-        a, b = n // 3, 2 * n // 3
-        ends = np.arange(n)
-        spans = np.array([[a], [b - a], [n - b]])
-        # sides[k, e]: entry [spans[k], e] of the table
-        sides = e2_arc_costs(xs, ys, prefixes, (ends - spans) % n, ends)
-        g = ((sides[0, (ends + a) % n] + sides[1, (ends + b) % n]) + sides[2]).max()
-        lo = -(-n // 3)
-    else:
-        g, lo = bound, 1
-    return float(g), _anchored_cut(xs, ys, prefixes, lo, g, False)
+    return _anchored_cut(xs, ys, bound, False)
 
 
-def _anchored_cut(xs, ys, prefixes, lo, g, mean):
-    """A span R in (lo, n] found by bisection at which lam(u, R) >
-    w G (1 + 2**-40) + 2**-44 n^2 P2 for every start u, or n if the
+def _anchored_cut(xs, ys, g, mean):
+    """A span R in (1, n] found by bisection at which lam(u, R) >
+    w g (1 + 2**-40) + 2**-44 n^2 P2 for every start u, or n if the
     bisection meets none: w is 1, or R - 1 if `mean`, and P2 the
     largest x^2 + y^2 of the ring.
 
@@ -263,7 +239,7 @@ def _anchored_cut(xs, ys, prefixes, lo, g, mean):
     """
     n = xs.shape[0]
     margin = 2.0**-44 * n * n * (xs * xs + ys * ys).max()
-    moments = np.stack(prefixes)
+    moments = np.stack(doubled_prefixes(xs, ys))
     xx, yy, xy = xs * xs, ys * ys, xs * ys
 
     def above(span):
@@ -276,7 +252,7 @@ def _anchored_cut(xs, ys, prefixes, lo, g, mean):
         lam = 0.5 * (mxx + myy) - np.hypot(0.5 * (mxx - myy), mxy)
         return lam.min() > (c if mean else 1.0) * g * (1.0 + 2.0**-40) + margin
 
-    hi = n
+    lo, hi = 1, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):
@@ -455,7 +431,7 @@ def _emax_cut(x: np.ndarray, y: np.ndarray, bound: float) -> int:
     not grow with L, so R is where the bisection over (1, n) ends, a
     span at which the test held, or n; a smaller span may pass it too.
     """
-    return _anchored_cut(x, y, doubled_prefixes(x, y), 1, bound * bound, True)
+    return _anchored_cut(x, y, bound * bound, True)
 
 
 def _side_bound(head: np.ndarray) -> float:
@@ -595,97 +571,61 @@ def cheapest_sides(tab: np.ndarray) -> np.ndarray:
 _DP_BLOCK = 1 << 16
 
 
-def dp_solve(tab, cheapest, start, m_max, use_max, polygon=False, bound=None):
-    """Optimal chain costs over a span-major table whose costs are >= 0
-    (or +inf), with cheapest = cheapest_sides(tab); None if the solve
-    must rerun unbounded and a sum table (use_max False) built with no
-    bound stores fewer than n rows.
+def dp_solve(tab, cheapest, start, m_max, use_max, polygon, bound):
+    """Optimal chain costs to `bound` over a span-major table whose costs
+    are >= 0 (or +inf), with cheapest = cheapest_sides(tab): each profile
+    value dp[3:, n] at or under the bound b is exact, and each above it
+    +inf.
 
     Position v is curve index (start + v) % n, so position n is the
     start again, closing the ring, and the side from position u to v is
     tab[v - u, (start + v) % n]; the side 0 -> n, of n steps, has no
     entry and is +inf.  dp[j, v] is the best cost of reaching v from 0
-    with exactly j sides (dp_chain recovers the sides).
+    with exactly j sides (dp_chain recovers the sides).  The table need
+    store only the entries at or under b (emax_cost_table and
+    e2_row_bound given b): its other entries may be +inf, and its rows
+    may stop where every entry of the rows it leaves out is above b.
 
-    Every layer j >= 2 is pruned by b_j, the least of the seed and the
-    profile values dp[j', n] for 2 <= j' < j.  The seed is U3, or, for a
-    polygon solve, min(U3, U_m) with m = m_max, and a caller's bound b
-    in place of either: U_m is the cost of the m-gon through positions
-    floor(i n / m), i = 0..m, combined in DP order, so U_m >= dp[m, n] in
-    floating point, and U3 is the triangle through 0, n // 3 and 2n //
-    3.  Every side of U_m spans at most ceil(n/3) steps, so a table
-    built with no bound stores it.  A cell above b_j is stored as +inf,
-    and the layer
-    reads only sides of at most W_j steps, as every wider side costs
-    more than b_j.  The pruning only drops paths, so each value it
-    computes is the cost of a real path.  Costs never fall along a path
-    and b never rises, so a finite dp[m, n] <= b_m bounds every cell on
-    its optimal chain, and every candidate tied with one, by its layer's
-    b_j: the profile value, the chains and every finite cell are the
-    full DP's.
+    Every layer j >= 2 is pruned by b_j, the least of b and the profile
+    values dp[j', n] for 2 <= j' < j: a cell above b_j is stored as
+    +inf, and the layer reads only sides of at most W_j steps, as every
+    wider side costs more than b_j.  The pruning only drops paths, so
+    each value it computes is the cost of a real path.  Costs never fall
+    along a path and b_j never rises, so a finite dp[m, n] <= b_m bounds
+    every cell on its optimal chain, and every candidate tied with one,
+    by its layer's b_j: the profile value, the chains and every finite
+    cell are the full DP's.
 
-    The table may store only rows 0 to R - 1 if every entry of the rows
-    it leaves out is above the seed or +inf (for U3, R > ceil(n/3)): as
-    b_j <= the seed, no cell those sides reach is kept, so this pass
-    reads only the stored rows, and treats the sides beyond them as
-    +inf.  With no bound, a profile value dp[3:, n] that comes back +inf
-    means the profile rose (or has no polygon), and the solve runs again
-    with every b_j = +inf: the full DP, every reachable cell.  A polygon
-    solve wants only dp[m_max, n] and its chain, and its seed prunes the
-    lower layers' profile values on purpose, so it reruns only when
-    dp[m_max, n] comes back +inf.  A max-error table leaves out only
-    +inf rows (emax_cost_table), so over its stored rows the rerun is
-    the full DP; a sum table's are finite, so over fewer than n rows it
-    returns None, and the caller runs the unbounded pass over the table
-    built in full (a bounded pass there would keep the same cells and
-    lose the same values again).
-
-    With a bound b, the table need store only the entries at or under
-    b (emax_cost_table and e2_row_bound given b), and a value above b
-    comes back +inf, which asks for no rerun: a profile value is lost
-    only where it is +inf though b_j < b, as a profile that rises past a
-    lower value does, and a polygon solve only where dp[m_max, n] is.
-    The rerun is the unbounded pass over the stored rows with every cell
-    above b then set to +inf: every cell at or under b is the full DP's,
-    as a path that takes a side left out costs more than b.
+    A value at or under b is lost, +inf, only where b_m < b, as on a
+    profile that rises past a lower value, so a profile solve reruns
+    where some value is +inf though b_m < b.  A polygon solve (polygon
+    True) wants only dp[m_max, n] and its chain, and reruns wherever
+    that value is +inf.  The rerun is unpruned, over the stored rows,
+    and every cell above b is then set to +inf: every cell at or under
+    b is the full DP's, as a path that takes a side left out costs more
+    than b.  A caller that wants dp[m, n] exact
+    gives a bound at or over it, such as U_m, the cost of the m-gon
+    through positions floor(i n / m), i = 0..m, combined in DP order;
+    b = +inf prunes by the profile values alone.
     """
-    rows, n = tab.shape
+    n = tab.shape[1]
     combine = np.maximum if use_max else np.add
-    if bound is None:
-        seed = _gon_cost(tab, start, 3, combine)
-        if polygon:
-            seed = min(seed, _gon_cost(tab, start, m_max, combine))
-    else:
-        seed = bound
-    dp = _dp_layers(tab, cheapest, start, m_max, combine, seed)
+    dp = _dp_layers(tab, cheapest, start, m_max, combine, bound)
     vals = dp[:, n]
     if polygon:
         lost = np.isinf(vals[m_max])
-    elif bound is None:
-        lost = np.isinf(vals[3:]).any()
     else:
         # b_j < b where some earlier profile value is below b
         lost = (np.isinf(vals[3:]) & (np.minimum.accumulate(vals[2:-1]) < bound)).any()
     if lost:
-        if rows < n and not use_max and bound is None:
-            return None
         dp = _dp_layers(tab, cheapest, start, m_max, combine, None)
-        if bound is not None:
-            dp[dp > bound] = np.inf
+        dp[dp > bound] = np.inf
     return dp
-
-
-def _gon_cost(tab, start, m, combine):
-    """U_m: the cost of the m-gon through positions floor(i n / m), i =
-    0..m, its sides combined left to right, as the DP combines them."""
-    n = tab.shape[1]
-    at = np.arange(m + 1) * n // m
-    return combine.accumulate(tab[np.diff(at), (start + at[1:]) % n])[-1]
 
 
 def _dp_layers(tab, cheapest, start, m_max, combine, bound):
     """dp_solve's layers, each pruned by the running bound b_j seeded
-    with `bound`, or, for bound None, with every b_j = +inf.
+    with `bound`, or, for bound None, unpruned: every b_j = +inf.
 
     In each block of about _DP_BLOCK entries of positions v0..v1 >= j,
     spans W_j down to 1 are one combine of the previous layer, read as a

@@ -88,16 +88,16 @@ class OptimalBaseline:
 
 
 # Most memory one curve's cost tables may take, 8 bytes an entry.  A
-# SegmentCosts holds at most both tables at n rows (a rising E2 profile
-# builds the E2 table in full, and an Emax build may keep every row, as
-# on the corpus's ellipse_thin), and building the Emax table takes its
-# hull levels besides: at most _LEVEL_TABLES n x n tables of them on the
-# rings where they are largest, those whose every point is a vertex of
-# each window's hull and whose long arcs stay under the table's bound,
-# such as integer points of a thin ellipse (tracemalloc: at most 10.2
-# tables for the build, table included, at n = 100 to 1030, highest
-# where n - 2 is a power of two).  So 12 tables of n^2 entries, about
-# n = 4560 points.
+# SegmentCosts holds at most both tables at n rows (a table keeps at
+# least every row with an entry at or under its bound, which can be all
+# n, as for the Emax table of the corpus's ellipse_thin), and building
+# the Emax table takes its hull levels besides: at most _LEVEL_TABLES n
+# x n tables of them on the rings where they are largest, those whose
+# every point is a vertex of each window's hull and whose long arcs stay
+# under the table's bound, such as integer points of a thin ellipse
+# (tracemalloc: at most 10.2 tables for the build, table included, at n
+# = 100 to 1030, highest where n - 2 is a power of two).  So 12 tables
+# of n^2 entries, about n = 4560 points.
 MAX_TABLE_BYTES = 2 * 10**9
 _LEVEL_TABLES = 10
 
@@ -106,25 +106,27 @@ class SegmentCosts:
     """Per-curve cache of forward-arc cost tables.
 
     The span-major tables depend only on the curve, not on the DP start,
-    so one instance serves every start vertex and both cost kinds.  The
-    Emax table holds +inf for sides that no optimal polygon of 3 or more
-    vertices, nor one tied with it, can use (those above the largest
-    Emax of an arc of at most ceil(n/3) steps); its other entries, and
-    so every profile value and polygon, are exact.  Each table stores
-    only the rows a solve seeded with U3 can read: the E2 table rows 0
-    to R - 1, as every arc of R or more steps costs more than any such
-    solve's running bound (_kernels.e2_row_bound), the Emax table rows 0
-    to its last with a finite entry.  A solve whose profile rises reruns
-    unbounded: over the stored rows of the Emax table, whose other rows
-    are +inf, and over every row of the E2 table, which the instance
-    builds in full and keeps from then on.
+    so one instance serves every start vertex and both cost kinds.
+    Every solve runs to a bound (_kernels.dp_solve), on a table that
+    stores every entry at or under it, and gon_cost supplies each bound.
 
-    set_bound(kind, b) builds that kind's table only up to b, in place
-    of B and G, and every solve on it is seeded with b (_kernels.dp_solve
-    given a bound): each value at or under b is exact, and each value
-    above it comes back +inf, which starts no unbounded rerun; a polygon
-    above b raises AboveBound.  A new bound drops the table, and the
-    next solve builds it again.
+    set_bound(kind, b) builds that kind's table only up to b, and every
+    solve on it runs to b: each value at or under b is exact, and each
+    value above it comes back +inf; a polygon above b raises AboveBound.
+    A new bound drops the table, and the next solve builds it again.
+
+    With no bound set, every value is exact.  The E2 table is built to
+    G, the largest U3 of any start, storing its rows 0 to R - 1
+    (_kernels.e2_row_bound); the Emax table to B, the largest Emax of an
+    arc of at most ceil(n/3) steps, holding +inf above it and storing
+    its rows to the last with a finite entry (_kernels.emax_cost_table):
+    no optimal polygon of 3 or more vertices, nor one tied with it, has
+    a side above B, and every U_m is at most B.  A polygon solve from
+    start runs to U_m(start), and a profile solve to U3(start); a
+    profile value above U3(start) comes back +inf, and the profile is
+    solved again to the largest U_m(start) of those counts m, which
+    bounds each of their values.  A solve to a bound above G builds the
+    E2 table again to that bound first, and keeps it.
 
     Curves are rejected up front whose tables would take more than
     MAX_TABLE_BYTES, whose x or y coordinates span 2**26
@@ -135,11 +137,9 @@ class SegmentCosts:
     Tables are read-only.  While an instance holds the curve's E2 table,
     approx_error.E2Costs reads every arc of a span it stores from it, so
     elimination, stabilize and polygon_errors evaluate the closed form
-    only past its rows, those of a table built to a bound included: a
-    table is never grown, only built again for a new bound or with
-    every row (_keep_every_row).  Only a weak reference to it is
-    recorded, so the table goes with the instance: a study keeps one
-    curve's tables at a time.
+    only past its rows: a table is never grown, only built again to a
+    new bound.  Only a weak reference to it is recorded, so the table
+    goes with the instance: a study keeps one curve's tables at a time.
     """
 
     def __init__(self, curve: DigitalCurve):
@@ -168,9 +168,10 @@ class SegmentCosts:
                 f" below 2**26"
             )
         self.curve = curve
-        # per kind: the table and its band widths, _kernels.cheapest_sides
-        self._tables: dict[CostKind, tuple[np.ndarray, np.ndarray]] = {}
-        # per kind: the bound its table is built to, if any
+        # per kind: the table, its band widths (_kernels.cheapest_sides)
+        # and the bound at or under which it stores every entry
+        self._tables: dict[CostKind, tuple[np.ndarray, np.ndarray, float]] = {}
+        # per kind: the caller's bound, if any
         self._bounds: dict[CostKind, float] = {}
 
     def set_bound(self, kind: CostKind, bound: float) -> None:
@@ -179,47 +180,47 @@ class SegmentCosts:
             self._bounds[kind] = bound
             self._tables.pop(kind, None)
 
-    def gon_cost(self, start: int, m: int, kind: CostKind) -> float:
+    def gon_cost(self, start: int | np.ndarray, m: int, kind: CostKind) -> float:
         """U_m from start: the cost of the m-gon through start + floor(i
-        n / m), i = 0..m, from its m arcs, needing no table of its own.
-        Its sides are the table's bits (E2Costs, and the Emax tables' one
-        division of the exact largest |cross|), combined left to right as
-        the DP combines them, so it equals U_m over any table storing
-        them bit for bit."""
+        n / m), i = 0..m, from its m arcs, needing no table of its own;
+        for an array of starts, the largest of their U_m.  Its sides are
+        the table's bits (E2Costs, and the Emax tables' one division of
+        the exact largest |cross|), combined left to right as the DP
+        combines them, so it equals U_m over any table storing them bit
+        for bit."""
         n = self.curve.n
-        at = (start + np.arange(m + 1) * n // m) % n
+        at = (np.reshape(start, (-1, 1)) + np.arange(m + 1) * n // m) % n
         if kind is CostKind.MAX_ERROR:
-            return float(_arcs_max_e(self.curve.points, n, at[:-1], at[1:]).max())
-        sides = E2Costs(self.curve).arcs(at[:-1], at[1:])
-        return float(np.add.accumulate(sides)[-1])
+            return float(_arcs_max_e(self.curve.points, n, at[:, :-1].ravel(),
+                                     at[:, 1:].ravel()).max())
+        sides = E2Costs(self.curve).arcs(at[:, :-1], at[:, 1:])
+        return float(np.add.accumulate(sides, axis=1)[:, -1].max())
 
     def table(self, kind: CostKind) -> np.ndarray:
         if kind not in self._tables:
-            xs, ys = self._coordinates()
-            bound = self._bounds.get(kind)
-            if kind is CostKind.SUM_SQUARED:
-                _, rows = _kernels.e2_row_bound(xs, ys, bound)
-                tab = _kernels.e2_cost_table(xs, ys, rows)
-            else:
-                tab = _kernels.emax_cost_table(xs, ys, bound)
-            self._keep(kind, tab)
+            self._build(kind, self._bounds.get(kind))
         return self._tables[kind][0]
 
-    def _coordinates(self):
+    def _build(self, kind: CostKind, bound: float | None) -> None:
+        """Build the kind's table to `bound`, by default to G (E2) or B
+        (Emax), and keep it."""
         pts = self.curve.points
-        return pts[:, 0].astype(np.float64), pts[:, 1].astype(np.float64)
+        xs, ys = pts[:, 0].astype(np.float64), pts[:, 1].astype(np.float64)
+        if kind is CostKind.SUM_SQUARED:
+            if bound is None:
+                bound = self.gon_cost(np.arange(self.curve.n), 3, kind)
+            tab = _kernels.e2_cost_table(xs, ys, _kernels.e2_row_bound(xs, ys, bound))
+        else:
+            tab = _kernels.emax_cost_table(xs, ys, bound)
+        # B, with no bound, is at or over every bound an Emax solve runs to
+        self._keep(kind, tab, np.inf if bound is None else bound)
 
-    def _keep(self, kind: CostKind, tab: np.ndarray) -> None:
+    def _keep(self, kind: CostKind, tab: np.ndarray, bound: float = np.inf) -> None:
+        """Hold `tab`, which stores every entry at or under `bound`."""
         tab.setflags(write=False)
-        self._tables[kind] = tab, _kernels.cheapest_sides(tab)
+        self._tables[kind] = tab, _kernels.cheapest_sides(tab), bound
         if kind is CostKind.SUM_SQUARED:
             record_e2_table(self.curve, tab)
-
-    def _keep_every_row(self) -> None:
-        """Replace the E2 table by one of all n rows, its stored rows
-        freed first (the Emax table leaves out only +inf rows)."""
-        del self._tables[CostKind.SUM_SQUARED]
-        self._keep(CostKind.SUM_SQUARED, _kernels.e2_cost_table(*self._coordinates()))
 
     def _solve(self, start: int, m_max: int, kind: CostKind):
         """The DP array of a profile solve from start to m_max: the entry
@@ -227,26 +228,40 @@ class SegmentCosts:
         return self._dp(start, m_max, kind, False)
 
     def _dp(self, start: int, m_max: int, kind: CostKind, polygon: bool):
-        """_kernels.dp_solve for a profile, or (polygon True) for the
-        m_max-gon alone, with its unbounded rerun: the one path that
-        profile and polygon solves share."""
+        """The DP array of a profile solve, or (polygon True) of one for
+        the m_max-gon alone, to the caller's bound or to gon_cost's: the
+        one path that profile and polygon solves share."""
         n = self.curve.n
         if not (0 <= start < n):
             raise InvalidCounts(f"start={start} outside [0, {n})")
         check_count(m_max, n, "m_max")
-        use_max = kind is CostKind.MAX_ERROR
-        dp = _kernels.dp_solve(self.table(kind), self._tables[kind][1], start, m_max, use_max,
-                               polygon, self._bounds.get(kind))
-        if dp is None:
-            # the bounded pass lost a value it needs past the stored E2
-            # rows: the unbounded rerun reads every row, and the table
-            # keeps them from now on.  A bounded pass over them would
-            # keep the same cells as the one over the stored rows, and
-            # lose the same value again, so only the unbounded pass runs.
-            self._keep_every_row()
-            dp = _kernels._dp_layers(self.table(kind), self._tables[kind][1], start, m_max,
-                                     np.add, None)
+        bound = self._bounds.get(kind)
+        if bound is not None:
+            return self._dp_to(start, m_max, kind, polygon, bound)
+        # built first, so that gon_cost reads the E2 table, not the
+        # closed form
+        self.table(kind)
+        if polygon:
+            return self._dp_to(start, m_max, kind, True, self.gon_cost(start, m_max, kind))
+        dp = self._dp_to(start, m_max, kind, False, self.gon_cost(start, 3, kind))
+        # the values above U3(start), each at or under its U_m(start)
+        rose = 3 + np.flatnonzero(np.isinf(dp[3:, n]))
+        if rose.size:
+            dp = self._dp_to(start, m_max, kind, False,
+                             max(self.gon_cost(start, int(m), kind) for m in rose))
         return dp
+
+    def _dp_to(self, start: int, m_max: int, kind: CostKind, polygon: bool, bound: float):
+        """_kernels.dp_solve to `bound`, on the kind's table built again
+        to the bound first where it stores less."""
+        self.table(kind)
+        if self._tables[kind][2] < bound:
+            # the stored rows go before the new ones are built
+            del self._tables[kind]
+            self._build(kind, bound)
+        tab, cheapest, _ = self._tables[kind]
+        return _kernels.dp_solve(tab, cheapest, start, m_max, kind is CostKind.MAX_ERROR,
+                                 polygon, bound)
 
     def profile(self, start: int, m_max: int, kind: CostKind) -> ErrorProfile:
         dp = self._solve(start, m_max, kind)
@@ -256,8 +271,8 @@ class SegmentCosts:
         return ErrorProfile(self.curve, start, kind, m_max, values, self._bounds.get(kind))
 
     def polygon(self, start: int, m: int, kind: CostKind) -> PolygonApprox:
-        """The optimal m-gon through start, by a solve seeded for that
-        polygon alone (_kernels.dp_solve)."""
+        """The optimal m-gon through start, by a solve for that polygon
+        alone (_kernels.dp_solve)."""
         dp = self._dp(start, m, kind, True)
         if np.isinf(dp[m, -1]):
             raise AboveBound(f"the optimal {m}-gon lies above the bound"
@@ -297,7 +312,7 @@ def select_start_vertex(
 
 
 # perfbench's workloads still call this; the next change to the
-# benchmark (ROADMAP D1) moves them to SegmentCosts.profile and drops it.
+# benchmark (ROADMAP D18) moves them to SegmentCosts.profile and drops it.
 def optimal_profile(
     curve: DigitalCurve,
     start: int,

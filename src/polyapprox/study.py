@@ -271,7 +271,7 @@ def run_study(
     Curves are evaluated one at a time, in corpus order.  A curve that
     fails to evaluate is logged and skipped rather than aborting the
     study.  `threads` is ignored: it is kept only because perfbench
-    passes it, and the next change to the benchmark (ROADMAP D1) drops
+    passes it, and the next change to the benchmark (ROADMAP D18) drops
     it.
     """
     evaluated = []

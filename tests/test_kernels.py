@@ -114,6 +114,26 @@ def _dp_solve_loops(rcost, m_max, use_max):
     return dp, parent
 
 
+def _gon_cost(tab, start, m, combine):
+    """U_m over a span-major table: the cost of the m-gon through
+    positions floor(i n / m), i = 0..m, from start, its sides combined
+    left to right, as the DP combines them."""
+    n = tab.shape[1]
+    at = np.arange(m + 1) * n // m
+    return combine.accumulate(tab[np.diff(at), (start + at[1:]) % n])[-1]
+
+
+def _u3(tab, start, use_max):
+    """U3 from start: the triangle through positions 0, n // 3 and
+    2n // 3."""
+    return _gon_cost(tab, start, 3, np.maximum if use_max else np.add)
+
+
+def _largest_u3(full):
+    """G: the largest U3 of any start over a full span-major sum table."""
+    return max(_u3(full, start, False) for start in range(full.shape[1]))
+
+
 def _random_tables(seed):
     c = lattice_ring(seed, n_lo=8, n_hi=14)
     xs = c.points[:, 0].astype(np.float64)
@@ -123,17 +143,16 @@ def _random_tables(seed):
 
 def _assert_e2_table_is_loops(xs, ys):
     """The full table is the loops', bit for bit, and so are the rows
-    0 to R - 1 that e2_row_bound keeps, R > ceil(n/3).  No entry of the
-    rows it leaves out is at or under G, the largest U3 of any start,
-    and the band widths of every b <= G are those of the full table.
-    Returns R."""
+    0 to R - 1 that e2_row_bound keeps for G, the largest U3 of any
+    start, R > ceil(n/3).  No entry of the rows it leaves out is at or
+    under G, and the band widths of every b <= G are those of the full
+    table.  Returns R."""
     n = xs.shape[0]
     want = _span_major(_e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys)))
     assert _kernels.e2_cost_table(xs, ys).tobytes() == want.tobytes()
-    g, rows = _kernels.e2_row_bound(xs, ys)
+    g = _largest_u3(want)
+    rows = _kernels.e2_row_bound(xs, ys, g)
     assert _kernels.e2_cost_table(xs, ys, rows).tobytes() == want[:rows].tobytes()
-    a, b, s = n // 3, 2 * n // 3, np.arange(n)
-    assert g == ((want[a, (s + a) % n] + want[b - a, (s + b) % n]) + want[n - b, s]).max()
     assert rows > -(-n // 3)
     assert not (want[rows:] <= g).any()
     short, full = _kernels.cheapest_sides(want[:rows]), _kernels.cheapest_sides(want)
@@ -957,48 +976,42 @@ def _chain(parent, m, v):
     return out
 
 
-def _solve(tab, start, m_max, use_max):
-    return _kernels.dp_solve(tab, _kernels.cheapest_sides(tab), start, m_max, use_max)
+def _solve(tab, start, m_max, use_max, bound):
+    return _kernels.dp_solve(tab, _kernels.cheapest_sides(tab), start, m_max, use_max, False,
+                             bound)
 
 
-def _assert_dp_matches_loops(tab, start, m_max, use_max, rows=None):
-    """dp_solve over the table's rows 0 to rows - 1 (every row by
-    default) against the loops over the full table: its pruning
-    contract.
+def _assert_dp_matches_loops(tab, start, m_max, use_max, rows=None, bound=None):
+    """dp_solve to `bound`, U3 by default (_u3), over the table's rows 0
+    to rows - 1 (every row by default) against the loops over the full
+    table: its pruning contract.
 
-    U3 is the cost of the triangle through positions 0, n // 3 and
-    2n // 3, and b_j, for j >= 2, the least of U3 and the loops' profile
-    values dp[2..j-1, n].  The profile dp[3:, n] is byte-equal, the chain
+    b_j, for j >= 2, is the least of the bound and the loops' profile
+    values dp[2..j-1, n].  The profile dp[3:, n] is the loops' where it
+    is at or under the bound and +inf above it, byte for byte; the chain
     dp_chain walks back from (m, n) is the loops' parent chain for every
     m whose profile value is finite, and every finite cell equals the
     loops'.  Every other cell is +inf, and where the loops' cell is
-    finite it lies above b_j (above U3 for a side of layer 1 that the
-    table leaves out).  When a loops' profile value dp[m, n], m >= 3, is
-    above b_m or +inf, the solve falls back to the full DP and the
-    arrays are byte-equal.  A max table falls back over the rows it
-    reads, every row it leaves out being +inf; a sum table over fewer
-    rows than n returns None, and the solve over every row falls back.
-    Returns whether it fell back, and how many finite cells of the
-    loops' it pruned.
+    finite it lies above b_j (above the bound for a side of layer 1 that
+    the table leaves out).  When a loops' profile value dp[m, n], m >=
+    3, is above b_m or +inf while b_m is below the bound, the solve
+    falls back to the full DP over the rows it reads, and the arrays
+    are byte-equal but for the loops' cells above the bound, which are
+    +inf.  Returns whether it fell back, and how many finite cells of
+    the loops' it pruned.
     """
     n = tab.shape[0]
-    rcost = _rcost(tab, start)
-    d2, p2 = _dp_solve_loops(rcost, m_max, use_max)
-    combine = max if use_max else (lambda x, y: x + y)
-    a, b = n // 3, 2 * n // 3
-    u3 = combine(combine(rcost[a, 0], rcost[b, a]), rcost[n, b])
+    d2, p2 = _dp_solve_loops(_rcost(tab, start), m_max, use_max)
+    if bound is None:
+        bound = _u3(tab, start, use_max)
     profile = d2[:, n]
-    bound = np.full(m_max + 1, np.inf)
-    bound[1:] = np.minimum.accumulate(np.concatenate(([u3, u3], profile[2:m_max])))
-    fell_back = not np.all(profile[3:] <= bound[3:])
+    b = np.full(m_max + 1, np.inf)
+    b[1:] = np.minimum.accumulate(np.concatenate(([bound, bound], profile[2:m_max])))
+    fell_back = bool(np.any(~(profile[3:] <= b[3:]) & (b[3:] < bound)))
     read = tab[:rows]
-    d1 = _solve(read, start, m_max, use_max)
-    if d1 is None:
-        assert fell_back and read.shape[0] < n and not use_max
-        read = tab
-        d1 = _solve(read, start, m_max, use_max)
+    d1 = _solve(read, start, m_max, use_max, bound)
     assert d1.shape == d2.shape
-    assert d1[3:, n].tobytes() == d2[3:, n].tobytes()
+    assert d1[3:, n].tobytes() == np.where(profile[3:] <= bound, profile[3:], np.inf).tobytes()
     for m in range(2, m_max + 1):
         if np.isfinite(d1[m, n]):
             assert _kernels.dp_chain(read, start, d1, m, use_max) == _chain(p2, m, n), m
@@ -1006,9 +1019,9 @@ def _assert_dp_matches_loops(tab, start, m_max, use_max, rows=None):
     assert d1[kept].tobytes() == d2[kept].tobytes()
     lost = ~kept & np.isfinite(d2)
     j, _ = np.nonzero(lost)
-    assert np.all(d2[lost] > bound[j])
+    assert np.all(d2[lost] > b[j])
     if fell_back:
-        assert d1.tobytes() == d2.tobytes()
+        assert d1.tobytes() == np.where(d2 <= bound, d2, np.inf).tobytes()
     return fell_back, int(lost.sum())
 
 
@@ -1050,7 +1063,7 @@ def test_dp_numpy_vs_loops_with_forbidden_sides(use_max):
     tab, start = _random_table(5, 25)
     rng = np.random.default_rng(5)
     tab[rng.uniform(size=tab.shape) < 0.6] = np.inf
-    d1 = _solve(tab, start, 12, use_max)
+    d1 = _solve(tab, start, 12, use_max, _u3(tab, start, use_max))
     j, v = np.nonzero(np.isinf(d1))
     assert np.any((j >= 2) & (v >= j))
     _assert_dp_matches_loops(tab, start, 12, use_max)
@@ -1064,7 +1077,7 @@ def test_dp_seeds_no_bound_from_a_forbidden_triangle(use_max):
     tab, _ = _ring_table(pts, use_max)
     n, start = tab.shape[0], 7
     tab[n // 3, (start + n // 3) % n] = np.inf
-    widths = _traced_widths(tab, start, 20, use_max)
+    widths = _traced_widths(tab, start, 20, use_max, _u3(tab, start, use_max))
     assert widths[0] == n - 1 and min(widths) < n // 4
     fell_back, _ = _assert_dp_matches_loops(tab, start, 20, use_max)
     assert not fell_back
@@ -1074,7 +1087,7 @@ def test_dp_seeds_no_bound_from_a_forbidden_triangle(use_max):
 def test_dp_unreachable_rows_stay_inf(use_max):
     n1 = 21
     tab, start = _random_table(2, n1 - 1)
-    dp = _solve(tab, start, n1 - 1, use_max)
+    dp = _solve(tab, start, n1 - 1, use_max, _u3(tab, start, use_max))
     rows = np.arange(n1)
     for j in range(1, n1):
         assert np.all(np.isinf(dp[j, rows < j])), j
@@ -1095,36 +1108,41 @@ def _rising_table(n):
 
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_falls_back_when_the_profile_rises_past_the_band(use_max):
-    # n = 12: the seed triangle 0 4 8 costs 0, so U3 = b_4 = 0 and layer
-    # 4's band stops at 4 steps; the best quadrilateral, 0 1 2 3 at 5,
-    # ends on the 9-step side.  Its banded value is above b_4 and stored
-    # as +inf, so the solve falls back rather than keep a worse
-    # quadrilateral.
+    # n = 12, solved to +inf: the triangle 0 4 8 costs 0, so b_4 = 0 and
+    # layer 4's band stops at 4 steps; the best quadrilateral, 0 1 2 3 at
+    # 5, ends on the 9-step side.  Its banded value is above b_4 and
+    # stored as +inf, so the solve falls back rather than keep a worse
+    # quadrilateral.  Solved to U3 = 0, the quadrilateral lies above the
+    # bound and comes back +inf, with no fallback
     n = 12
     tab = _rising_table(n)
-    fell_back, _ = _assert_dp_matches_loops(tab, 0, n, use_max)
+    fell_back, _ = _assert_dp_matches_loops(tab, 0, n, use_max, bound=np.inf)
     assert fell_back
-    dp = _solve(tab, 0, 4, use_max)
+    dp = _solve(tab, 0, 4, use_max, np.inf)
     assert dp[4, n] == 5.0 and _kernels.dp_chain(tab, 0, dp, 4, use_max) == [12, 3, 2, 1, 0]
+    fell_back, _ = _assert_dp_matches_loops(tab, 0, n, use_max)
+    assert not fell_back and np.isinf(_solve(tab, 0, 4, use_max, _u3(tab, 0, use_max))[4, n])
 
 
 @pytest.mark.parametrize("use_max", [False, True])
 def test_dp_falls_back_on_rising_random_costs(use_max):
-    # uniform random costs: the profile rises, from every start tried
+    # uniform random costs solved to +inf: the profile rises, from every
+    # start tried
     for seed in range(4):
         tab, start = _random_table(10 + seed, 24)
-        fell_back, _ = _assert_dp_matches_loops(tab, start, 24, use_max)
+        fell_back, _ = _assert_dp_matches_loops(tab, start, 24, use_max, bound=np.inf)
         assert fell_back, seed
 
 
 def _ring_table(pts, use_max):
     """A ring's table with all n rows, the oracle's input (the Emax table
-    padded with the +inf rows it leaves out), and the rows
-    SegmentCosts stores."""
+    padded with the +inf rows it leaves out), and the rows SegmentCosts
+    stores with no bound set (the E2 table's to G, _largest_u3)."""
     xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
     n = xs.shape[0]
     if not use_max:
-        return _kernels.e2_cost_table(xs, ys), _kernels.e2_row_bound(xs, ys)[1]
+        full = _kernels.e2_cost_table(xs, ys)
+        return full, _kernels.e2_row_bound(xs, ys, _largest_u3(full))
     tab = _kernels.emax_cost_table(xs, ys)
     return np.concatenate((tab, np.full((n - tab.shape[0], n), np.inf))), tab.shape[0]
 
@@ -1172,11 +1190,12 @@ class _Widths(np.ndarray):
         return width
 
 
-def _traced_widths(tab, start, m_max, use_max, polygon=False):
-    """The band width of each layer 2..m_max of the first pass."""
+def _traced_widths(tab, start, m_max, use_max, bound):
+    """The band width of each layer 2..m_max of the first pass of a
+    profile solve to `bound`."""
     _Widths.seen = []
     cheapest = _kernels.cheapest_sides(tab).view(_Widths)
-    _kernels.dp_solve(tab, cheapest, start, m_max, use_max, polygon)
+    _kernels.dp_solve(tab, cheapest, start, m_max, use_max, False, bound)
     return _Widths.seen[:m_max - 1]
 
 
@@ -1206,12 +1225,13 @@ def test_dp_prunes_a_corpus_curve_without_fallback(kind, monkeypatch):
     fell_back, _ = _assert_dp_matches_loops(full, start, m_max, use_max, rows)
     assert runs == [True] and not fell_back
     _CountedReads.entries = 0
+    u3 = costs.gon_cost(start, 3, kind)
     _kernels.dp_solve(tab.view(_CountedReads), _kernels.cheapest_sides(tab), start, m_max,
-                      use_max)
+                      use_max, False, u3)
     n1 = curve.n + 1
     reachable = sum((n1 - j) * (n1 - j + 1) // 2 for j in range(2, m_max + 1))
     assert _CountedReads.entries < 0.5 * reachable
-    assert _traced_widths(tab, start, m_max, use_max)[0] < curve.n // 2
+    assert _traced_widths(tab, start, m_max, use_max, u3)[0] < curve.n // 2
 
 
 def _force_a_rise(monkeypatch):
@@ -1232,39 +1252,50 @@ def _force_a_rise(monkeypatch):
     return passes
 
 
+def _e2_builds(monkeypatch):
+    """Record the rows of every E2 table built from now on."""
+    build = _kernels.e2_cost_table
+    rows = []
+
+    def counted(xs, ys, r=None):
+        rows.append(r)
+        return build(xs, ys, r)
+
+    monkeypatch.setattr(_kernels, "e2_cost_table", counted)
+    return rows
+
+
 @pytest.mark.parametrize("kind", list(CostKind))
-def test_a_rising_profile_reruns_over_every_row(kind, monkeypatch):
-    # a bounded pass made to lose a profile value: the unbounded rerun is
-    # the loops' full DP byte for byte.  Over the stored E2 rows dp_solve
-    # gives None, and the SegmentCosts builds that table in full and
-    # keeps it, which E2Costs then reads; the Emax table keeps its stored
-    # rows, as the rows it leaves out are +inf.  Either way one bounded
-    # pass runs, then one unbounded: a bounded pass over the full E2
-    # table would keep the same cells and rise again
+def test_a_rising_profile_reruns_over_the_stored_rows(kind, monkeypatch):
+    # a pass made to lose a profile value: the solve reruns unpruned over
+    # the table's stored rows, and its profile is the loops' byte for
+    # byte.  One pass runs bounded, then one unbounded, on the table as
+    # it was, and E2Costs reads no more rows of it; a value above U3
+    # would be solved again, on an E2 table built again at most once
     curve = _ellipse("e", 9.0, 5.0, 80)
     n, start, m_max = curve.n, 5, 20
     use_max = kind is CostKind.MAX_ERROR
     full, rows = _ring_table(curve.points, use_max)
     costs = SegmentCosts(curve)
     assert costs.table(kind).shape[0] == rows < n
+    builds = _e2_builds(monkeypatch)
     passes = _force_a_rise(monkeypatch)
     dp = costs._solve(start, m_max, kind)
-    assert passes == ["bounded", "unbounded"]
+    assert passes == ["bounded", "unbounded"] and not builds
     want, _ = _dp_solve_loops(_rcost(full, start), m_max, use_max)
-    assert dp.tobytes() == want.tobytes()
-    if use_max:
-        assert costs.table(kind).shape[0] == rows
-        assert costs.table(kind).tobytes() == full[:rows].tobytes()
-    else:
-        assert costs.table(kind).tobytes() == full.tobytes()
-        assert E2Costs(curve).rows == n
+    assert dp[3:, n].tobytes() == want[3:, n].tobytes()
+    kept = np.isfinite(dp)
+    assert dp[kept].tobytes() == want[kept].tobytes()
+    assert costs.table(kind).tobytes() == full[:rows].tobytes()
+    assert E2Costs(curve).rows == (0 if use_max else rows)
 
 
 def test_a_rising_emax_profile_reruns_on_its_stored_rows(monkeypatch):
     # n = 606: the rerun reads the stored Emax rows in place, beside its
     # dp arrays, a block buffer and the band widths, well under one n x n
     # table (padding the table to n rows would allocate one), and gives
-    # the unbounded DP over the padded table
+    # the unbounded DP over the padded table at every cell it keeps, the
+    # profile included
     curve = _fourier_blob(1, 80.0, 1200)
     n, kind = curve.n, CostKind.MAX_ERROR
     costs = SegmentCosts(curve)
@@ -1281,25 +1312,96 @@ def test_a_rising_emax_profile_reruns_on_its_stored_rows(monkeypatch):
         tracemalloc.stop()
     assert peak < 8 * n * n
     assert costs.table(kind).shape[0] == rows
-    assert dp.tobytes() == want.tobytes()
+    kept = np.isfinite(dp)
+    assert dp[3:, n].tobytes() == want[3:, n].tobytes()
+    assert dp[kept].tobytes() == want[kept].tobytes()
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_a_profile_above_u3_is_solved_again(kind, monkeypatch):
+    # the first solve made to return every profile value +inf, as for a
+    # profile above U3(start): the profile is solved again to the
+    # largest U_m(start) of m = 3..m_max, which bounds each value, on the
+    # E2 table built again at most once, to that bound where it lies
+    # above G, and is the loops' byte for byte
+    curve = _ellipse("e", 9.0, 5.0, 80)
+    n, start, m_max = curve.n, 5, 20
+    use_max = kind is CostKind.MAX_ERROR
+    full, rows = _ring_table(curve.points, use_max)
+    solve = _kernels.dp_solve
+    bounds = []
+
+    def above(*args):
+        dp = solve(*args)
+        if not bounds:
+            dp[3:, -1] = np.inf
+        bounds.append(args[-1])
+        return dp
+
+    monkeypatch.setattr(_kernels, "dp_solve", above)
+    builds = _e2_builds(monkeypatch)
+    costs = SegmentCosts(curve)
+    profile = costs.profile(start, m_max, kind)
+    again = max(costs.gon_cost(start, m, kind) for m in range(3, m_max + 1))
+    assert bounds == [costs.gon_cost(start, 3, kind), again]
+    want, _ = _dp_solve_loops(_rcost(full, start), m_max, use_max)
+    assert profile.values[3:].tobytes() == want[3:, n].tobytes()
+    assert profile.bound is None
+    if use_max:
+        assert not builds
+    else:
+        xs, ys = (curve.points[:, k].astype(np.float64) for k in (0, 1))
+        rebuilt = [_kernels.e2_row_bound(xs, ys, again)] if again > _largest_u3(full) else []
+        assert builds == [rows] + rebuilt
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_a_polygon_above_the_e2_tables_bound_builds_it_again(kind, monkeypatch):
+    # G forced to 0: the E2 table stores the few rows that hold a 0
+    # entry, so a polygon solve to U_m(start) builds it again, once, to
+    # U_m(start), and the polygon is the loops'.  The Emax table, built
+    # to B, is never built again
+    curve = _ellipse("e", 9.0, 5.0, 80)
+    n, start, m = curve.n, 5, 12
+    use_max = kind is CostKind.MAX_ERROR
+    full, rows = _ring_table(curve.points, use_max)
+    gon_cost = SegmentCosts.gon_cost
+
+    def low(self, at, count, k):
+        return 0.0 if np.ndim(at) else gon_cost(self, at, count, k)
+
+    monkeypatch.setattr(SegmentCosts, "gon_cost", low)
+    builds = _e2_builds(monkeypatch)
+    costs = SegmentCosts(curve)
+    poly = costs.polygon(start, m, kind)
+    _, parent = _dp_solve_loops(_rcost(full, start), m, use_max)
+    assert poly.indices.tolist() == sorted((start + a) % n for a in _chain(parent, m, n)[1:])
+    if use_max:
+        assert not builds and costs.table(kind).shape[0] == rows
+    else:
+        xs, ys = (curve.points[:, k].astype(np.float64) for k in (0, 1))
+        again = _kernels.e2_row_bound(xs, ys, costs.gon_cost(start, m, kind))
+        assert builds == [_kernels.e2_row_bound(xs, ys, 0.0), again] and builds[0] < again
+        assert costs.table(kind).tobytes() == full[:again].tobytes()
 
 
 def _assert_polygon_matches_loops(tab, start, ms, use_max, rows=None):
-    """The seeded solve of each m in ms over the table's rows 0 to rows
-    - 1 (every row by default), rerun as SegmentCosts reruns it, against
-    the loops over the full table: dp[m, n], the chain dp_chain walks
-    back from it, and every finite cell are the loops'."""
+    """The solve of each m in ms to U_m (_gon_cost) over the table's
+    rows 0 to rows - 1 (every row by default), or, where they leave out
+    an entry at or under U_m, over the table built again to U_m, as
+    SegmentCosts runs it, against the loops over the full table:
+    dp[m, n], the chain dp_chain walks back from it, and every finite
+    cell are the loops'."""
     n = tab.shape[0]
     d2, p2 = _dp_solve_loops(_rcost(tab, start), max(ms), use_max)
+    combine = np.maximum if use_max else np.add
     for m in ms:
+        bound = _gon_cost(tab, start, m, combine)
         read = tab[:rows]
-        cheapest = _kernels.cheapest_sides(read)
-        dp = _kernels.dp_solve(read, cheapest, start, m, use_max, True)
-        if dp is None:
-            assert read.shape[0] < n and not use_max
-            read = tab
-            dp = _kernels._dp_layers(read, _kernels.cheapest_sides(read), start, m, np.add,
-                                     None)
+        if (tab[read.shape[0]:] <= bound).any():
+            read = _built_to(tab, bound, use_max)
+        dp = _kernels.dp_solve(read, _kernels.cheapest_sides(read), start, m, use_max, True,
+                               bound)
         want = d2[:m + 1]
         assert dp[m, n].tobytes() == want[m, n].tobytes(), m
         if np.isfinite(dp[m, n]):
@@ -1324,9 +1426,9 @@ def _polygon_families():
     out.append(("rising", _rising_table(12), 0, range(3, 13), None))
     # a cheap seed triangle, a cheaper hexagon 0 1 8 9 16 17, and rows
     # 10 and up left out, every entry of them above U3 but cheaper than
-    # most stored sides: a seed above U3, such as the equally spaced
+    # most stored sides: a bound above U3, such as the equally spaced
     # hexagon's cost, would keep cells whose best path takes a side left
-    # out
+    # out, so the table is built again to it first
     tab, start = _random_table(7, 24)
     for at in (8, 16, 24):
         tab[8, (start + at) % 24] = 0.001
@@ -1348,9 +1450,9 @@ def _polygon_families():
 @pytest.mark.parametrize("family", range(len(_polygon_families())))
 @pytest.mark.parametrize("use_max", [False, True])
 def test_seeded_polygon_solve_matches_loops(family, use_max):
-    # seeded with the equally spaced m-gon as well as the triangle, the
-    # solve keeps the loops' dp[m, n] and chain, on random, tied,
-    # forbidden and rising costs and on rings' stored rows
+    # solved to U_m, the cost of the equally spaced m-gon, the solve
+    # keeps the loops' dp[m, n] and chain, on random, tied, forbidden and
+    # rising costs and on rings' stored rows
     name, tab, start, ms, rows = _polygon_families()[family]
     if rows == "ring":
         tab, rows = _ring_table(tab, use_max)
@@ -1377,29 +1479,30 @@ def test_seeded_polygon_solve_reruns_only_for_its_own_value(kind, monkeypatch):
         return layers(*args)
 
     monkeypatch.setattr(_kernels, "_dp_layers", traced)
-    dp = _kernels.dp_solve(tab, _kernels.cheapest_sides(tab), start, m, use_max, True)
+    dp = _kernels.dp_solve(tab, _kernels.cheapest_sides(tab), start, m, use_max, True,
+                           SegmentCosts(curve).gon_cost(start, m, kind))
     assert passes == [True]
     assert np.isinf(dp[3:m, -1]).any() and np.isfinite(dp[m, -1])
 
 
 @pytest.mark.parametrize("kind", list(CostKind))
-def test_a_lost_polygon_value_reruns_over_every_row(kind, monkeypatch):
-    # dp[m, n] forced to +inf: one bounded pass, then one unbounded one;
-    # the E2 table is built in full first and kept, the Emax table keeps
-    # its stored rows, and the polygon is the loops'
+def test_a_lost_polygon_value_reruns_over_the_stored_rows(kind, monkeypatch):
+    # dp[m, n] forced to +inf: one bounded pass, then one unbounded one
+    # over the table's stored rows, which no table built again replaces,
+    # and the polygon is the loops'
     curve = _ellipse("e", 9.0, 5.0, 80)
     n, start, m = curve.n, 5, 12
     use_max = kind is CostKind.MAX_ERROR
     full, rows = _ring_table(curve.points, use_max)
     costs = SegmentCosts(curve)
     assert costs.table(kind).shape[0] == rows < n
+    builds = _e2_builds(monkeypatch)
     passes = _force_a_rise(monkeypatch)
     poly = costs.polygon(start, m, kind)
-    assert passes == ["bounded", "unbounded"]
+    assert passes == ["bounded", "unbounded"] and not builds
     _, parent = _dp_solve_loops(_rcost(full, start), m, use_max)
     assert poly.indices.tolist() == sorted((start + a) % n for a in _chain(parent, m, n)[1:])
-    assert costs.table(kind).shape[0] == (rows if use_max else n)
-    assert costs.table(kind).tobytes() == full[:costs.table(kind).shape[0]].tobytes()
+    assert costs.table(kind).tobytes() == full[:rows].tobytes()
 
 
 def _band_cells(widths, n):
@@ -1418,11 +1521,12 @@ def test_seeded_polygon_solve_narrows_the_band(kind):
     costs = SegmentCosts(curve)
     tab = costs.table(kind)
     start = optimal.provisional_start_vertex(curve)
-    costs._tables[kind] = tab, costs._tables[kind][1].view(_Widths)
+    _, cheapest, bound = costs._tables[kind]
+    costs._tables[kind] = tab, cheapest.view(_Widths), bound
     _Widths.seen = []
     costs.polygon(start, m, kind)
     seeded = _Widths.seen[:m - 1]
-    plain = _traced_widths(tab, start, m, use_max)
+    plain = _traced_widths(tab, start, m, use_max, costs.gon_cost(start, 3, kind))
     assert all(a <= b for a, b in zip(seeded, plain))
     assert _band_cells(seeded, curve.n) < _band_cells(plain, curve.n)
 
@@ -1438,7 +1542,7 @@ def test_dp_tie_breaks_to_smallest_predecessor():
     tab[1, 0] = 0.0
     rcost = _rcost(tab, 0)
     assert rcost[4, 1] == rcost[4, 2] == rcost[3, 1] == rcost[3, 2] == 1.0
-    dp = _solve(tab, 0, 3, False)
+    dp = _solve(tab, 0, 3, False, _u3(tab, 0, False))
     _, parent = _dp_solve_loops(rcost, 3, False)
     assert dp[2, 4] == 2.0
     assert parent[2, 4] == 1 and parent[2, 3] == 1
@@ -1470,7 +1574,7 @@ def _bounds(full, combine):
     m: the bounds a table is built to below."""
     n = full.shape[0]
     ms = sorted({3, 5, n // 10, n // 4} & set(range(3, n + 1)))
-    return [0.0] + [float(_kernels._gon_cost(full, 0, m, combine)) for m in ms]
+    return [0.0] + [float(_gon_cost(full, 0, m, combine)) for m in ms]
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -1525,10 +1629,10 @@ def test_e2_row_bound_keeps_every_row_with_an_entry_at_or_under_the_bound():
         xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
         n = xs.shape[0]
         full = _kernels.e2_cost_table(xs, ys)
-        _, default = _kernels.e2_row_bound(xs, ys)
+        default = _kernels.e2_row_bound(xs, ys, _largest_u3(full))
         for bound in _bounds(full, np.add):
-            g, rows = _kernels.e2_row_bound(xs, ys, bound)
-            assert g == bound and 2 <= rows <= n
+            rows = _kernels.e2_row_bound(xs, ys, bound)
+            assert 2 <= rows <= n
             assert (full[rows:] > bound).all()
             fewer += rows < default
             third += rows <= n // 3
@@ -1676,7 +1780,7 @@ def test_gon_cost_is_the_tables_bit_for_bit():
             use_max = kind is CostKind.MAX_ERROR
             full, _ = _ring_table(curve.points, use_max)
             combine = np.maximum if use_max else np.add
-            want[kind] = [_kernels._gon_cost(full, start, m, combine) for start, m in keys]
+            want[kind] = [_gon_cost(full, start, m, combine) for start, m in keys]
         costs = SegmentCosts(curve)
         for held in (False, True):
             if held:
@@ -1685,3 +1789,22 @@ def test_gon_cost_is_the_tables_bit_for_bit():
             for kind in CostKind:
                 got = [costs.gon_cost(start, m, kind) for start, m in keys]
                 assert got == want[kind], (curve.name, kind, held)
+
+
+def test_gon_cost_over_starts_is_the_largest_of_theirs():
+    # over an array of starts, U_m is the largest of the starts' own
+    # values bit for bit, with no table and while the instance holds its
+    # E2 table, on every third corpus curve at m = 3 and at its m for cr
+    # 15, over every start and over every seventh
+    for curve in build_corpus()[::3]:
+        n = curve.n
+        costs = SegmentCosts(curve)
+        for held in (False, True):
+            if held:
+                costs.table(CostKind.SUM_SQUARED)
+            for kind in CostKind:
+                for m in (3, round(n / 15)):
+                    for starts in (np.arange(n), np.arange(1, n, 7)):
+                        want = max(costs.gon_cost(int(s), m, kind) for s in starts)
+                        got = costs.gon_cost(starts, m, kind)
+                        assert got.hex() == want.hex(), (curve.name, kind, m, held)
