@@ -83,7 +83,7 @@ def noisy_ellipse(n_target: int, seed: int = 0, aspect: float = 0.6) -> np.ndarr
 def stored_e2_table(xs, ys, bound):
     """The E2 table's rows a solve to `bound` can read, as SegmentCosts
     builds it."""
-    return _kernels.e2_cost_table(xs, ys, _kernels.e2_row_bound(xs, ys, bound))
+    return _kernels.e2_cost_table(xs, ys, bound)
 
 
 def default_e2_table(curve, xs, ys):
@@ -105,7 +105,9 @@ def emax_cut(xs, ys, bound):
     """The span from which emax_cost_table(xs, ys, bound) probes no
     length: found on the ring shifted to its min corner, as the table
     finds it."""
-    return _kernels._emax_cut(xs - xs.min(), ys - ys.min(), bound)
+    x, y = xs - xs.min(), ys - ys.min()
+    return _kernels._anchored_cut(x, y, np.stack(_kernels.doubled_prefixes(x, y)),
+                                  bound * bound, True)
 
 
 def levels_built(xs, ys) -> int:
@@ -212,7 +214,7 @@ def main() -> int:
 
     tables = [
         ("e2 cost table", default_e2_table, (curve, xs, ys)),
-        ("e2, every row", _kernels.e2_cost_table, (xs, ys)),
+        ("e2, every row", _kernels.e2_cost_table, (xs, ys, np.inf)),
         ("e2, to U_m", stored_e2_table, (xs, ys, u_e2)),
         ("emax cost table", _kernels.emax_cost_table, (xs, ys)),
         ("emax, to U_m", _kernels.emax_cost_table, (xs, ys, u_emax)),

@@ -2,20 +2,21 @@
 
 Imports the polyapprox package of this tree and of the checkout at
 --parent side by side, each under its own name, and builds the
-benchmark corpus at --seed (perfbench/corpus.py).  It checks that both
-sides' E2 and Emax tables, as a fresh SegmentCosts builds them with no
-bound set (the E2 table's stored rows included), are equal byte for
-byte on every ring, and that
-both sides' split, elim and elim-stab polygons are equal on every ring
-at compression ratios 8, 15 and 30, with and without a SegmentCosts
-holding the curve's E2 table.  It then times each side --runs times,
-the two sides in alternating order, each run building every ring's
-tables and then running the three schemes on every ring at the three
-ratios, one fresh curve per ring and ratio with its E2 table held
-(built untimed), as a study and perfbench's per_curve workload run
-them.  For each timing it
-prints each side's median and quartiles over the runs and how many runs
-the change won.  In one process the two sides meet the same host, which
+benchmark corpus at --seed (perfbench/corpus.py), plus, for each --n, a
+trace-scale Fourier blob of about that many points.  It checks that
+both sides' E2 and Emax tables, as a fresh SegmentCosts builds them
+with no bound set (the E2 table's stored rows included), are equal byte
+for byte on every ring; that both sides' optimal polygons of either
+kind, through the provisional start, are equal on every ring at
+compression ratios 8, 15 and 30; and that both sides' split, elim and
+elim-stab polygons are equal at those ratios, with and without a
+SegmentCosts holding the curve's E2 table.  It then times each side
+--runs times, the two sides in alternating order, each run building
+every ring's tables and then running the three schemes on every ring
+at the three ratios, one fresh curve per ring and ratio with its E2
+table held (built untimed), as a study and perfbench's per_curve
+workload run them.  For each timing it prints each side's median and
+quartiles over the runs and how many runs the change won.  In one process the two sides meet the same host, which
 a comparison of separate runs on a shared machine cannot promise.
 
 With --mode study it instead checks that both sides' run_study gives the
@@ -25,6 +26,7 @@ alternating order, every run on fresh curves (built untimed), so that no
 per-curve cache outlives a run.  Run from the repository root:
 
     python3 benchmarks/compare_kernels.py --parent ../parent --seed 0 --runs 14
+    python3 benchmarks/compare_kernels.py --parent ../parent --n 2000 --n 4000 --runs 4
     python3 benchmarks/compare_kernels.py --parent ../parent --mode study --runs 10
 """
 
@@ -41,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from corpus import build_corpus  # noqa: E402
+from corpus import build_corpus, fourier_blob  # noqa: E402
 
 
 def load_package(checkout: Path, name: str):
@@ -65,6 +67,29 @@ def builders(pkg):
 
 
 SCHEME_CRS = (8.0, 15.0, 30.0)
+
+
+def trace_ring(n):
+    """The points of a Fourier blob (blob seed 21, as the benchmark's
+    large workload) of about n points: its 8-connected trace runs about
+    7.3 points a unit of radius."""
+    return fourier_blob(f"blob_n{n}", 21, n / 7.3, 2 * n).points
+
+
+def optimal_polygons(pkg, rings):
+    """The optimal polygon of each kind through the provisional start,
+    at each of SCHEME_CRS, on a fresh SegmentCosts per ring with no bound
+    set: every polygon's indices."""
+    polygons = []
+    for pts in rings:
+        curve = pkg.DigitalCurve(pts)
+        costs = pkg.SegmentCosts(curve)
+        start = pkg.provisional_start_vertex(curve)
+        for cr in SCHEME_CRS:
+            m = pkg.auto_target_m(curve, cr)
+            for kind in pkg.CostKind:
+                polygons.append(costs.polygon(start, m, kind).indices.tolist())
+    return polygons
 
 
 def run_schemes(pkg, rings, with_table=True):
@@ -145,6 +170,9 @@ def main() -> int:
     ap.add_argument("--runs", type=int, default=14, help="corpus passes a side")
     ap.add_argument("--mode", choices=("kernels", "study"), default="kernels",
                     help="tables and schemes, or run_study end to end")
+    ap.add_argument("--n", type=int, action="append", default=[],
+                    help="in kernels mode, add a Fourier blob of about this many points"
+                         " (repeatable)")
     args = ap.parse_args()
     if args.runs < 2:
         ap.error("--runs must be at least 2, for quartiles")
@@ -154,7 +182,9 @@ def main() -> int:
     if args.mode == "study":
         return compare_study(packages, build_corpus(args.seed), args.seed, args.runs)
     sides = {side: builders(pkg) for side, pkg in packages.items()}
-    corpus = [c.points for c in build_corpus(args.seed)]
+    corpus = [c.points for c in build_corpus(args.seed)] + [trace_ring(n) for n in args.n]
+    if args.n:
+        print(f"--n rings: n = {', '.join(str(pts.shape[0]) for pts in corpus[-len(args.n):])}")
     for pts in corpus:
         for name in ("e2", "emax"):
             a, b = (side[name](pts) for side in sides.values())
@@ -162,6 +192,12 @@ def main() -> int:
                 print(f"{name} tables differ at n = {pts.shape[0]}")
                 return 1
     print(f"seed {args.seed}: {len(corpus)} rings, every E2 and Emax table equal byte for byte")
+    a, b = (optimal_polygons(pkg, corpus) for pkg in packages.values())
+    if a != b:
+        print("optimal polygons differ")
+        return 1
+    print(f"seed {args.seed}: every optimal E2 and Emax polygon equal at cr"
+          f" {', '.join(f'{cr:g}' for cr in SCHEME_CRS)}")
     for with_table in (False, True):
         a, b = (run_schemes(pkg, corpus, with_table)[1] for pkg in packages.values())
         if a != b:

@@ -16,19 +16,15 @@ hold one.  A study builds both to U_m, the cost of the equally spaced
 m-gon through one start; at m = n / 15 that keeps 0.20n rows of the E2
 table and 0.16n of the Emax table on the built-in corpus.
 
-The squared-error table evaluates the closed form of e2_arc_costs on
-blocks of about _E2_BLOCK entries, a few dozen spans by all ends: the
-arc starts, and the prefix bound just past them, are reversed sliding
-windows of doubled arrays.  e2_row_bound gives R, the rows worth
-building: every arc of R or more steps costs more than the bound, by a
-principal-axis bound on the moments of its points (averaging R = 0.66n
-on the built-in corpus for the largest U3 of any start).  The same
-moments give the max-error table its cut: an arc of L or more steps
-from u holds the L - 1 points inside u -> u + L and its chord passes
-through p[u], so its largest squared distance is at least their mean
-over the best line through p[u], lam(u, L) / (L - 1); where that passes
-b^2 at every start, with e2_row_bound's margin, every longer arc lies
-above b (_emax_cut).
+Each table takes its bound b and builds no row from its cut R on, a
+span from which the moments of the points inside each arc prove it
+above b (_anchored_cut; R averages 0.66n on the built-in corpus for the
+E2 table to the largest U3 of any start, and is n at b = +inf).  The
+squared-error table evaluates the closed form of e2_arc_costs on blocks
+of about _E2_BLOCK entries, a few dozen spans by all ends: the arc
+starts, and the prefix bound just past them, are reversed sliding
+windows of doubled arrays.  One set of prefix sums serves the cut and
+the blocks.
 
 The max-error table holds an arc's exact value where it is at most B,
 the largest entry over arcs of at most ceil(n/3) steps, or the caller's
@@ -154,9 +150,29 @@ def _e2_closed_form(xu, yu, xv, yv, sums, cnt, out=None):
 _E2_BLOCK = 1 << 13
 
 
-def e2_cost_table(xs: np.ndarray, ys: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Summed squared deviation of every forward arc, span-major: rows
-    0 to rows - 1 (every row, n, by default).
+def e2_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float) -> np.ndarray:
+    """Summed squared deviation of every forward arc, span-major, in the
+    rows a solve to `bound` can read: rows 0 to R - 1, where every entry
+    of a row of R steps or more is above the bound (every row, R = n,
+    for bound +inf).
+
+    R is the first span L at which lam(u, L) exceeds the bound for every
+    start u, with a margin for rounding, or n if there is none
+    (_anchored_cut): an arc of L' >= L steps from u holds the points
+    lam(u, L) sums and its chord passes through p[u], so its cost is at
+    least lam(u, L).  Adding points adds a positive semidefinite matrix
+    to the moments, so lam never falls with L, and the bisection over
+    (1, n) finds the first such span; lam(u, 1) = 0, so R >= 2.
+
+    The margin covers rounding in both closed forms.  With P2 the
+    largest x^2 + y^2 of the ring, every term of either one, over the
+    chord's squared length where it divides by it, is at most n P2, and
+    the prefix sums they difference are off by at most 4 n^2 P2 2**-53
+    each; the errors of the entry and of lam sum to under 240 n^2 P2
+    2**-53, so the margin is 2**-44 n^2 P2 (twice that), plus 2**-40
+    times the bound for the relative rounding of the entry's division
+    and of the comparison.  Rings far from the origin, or very wide, get
+    a margin that can swamp every lam, and keep every row.
 
     Entry [L, e] covers the points strictly between u = (e - L) % n and
     e walking forward; rows 0 and 1 are 0.  Blocks of about _E2_BLOCK
@@ -165,11 +181,12 @@ def e2_cost_table(xs: np.ndarray, ys: np.ndarray, rows: int | None = None) -> np
     reversed sliding windows of doubled arrays, written straight into
     the table.  The far bound p[u + L] is p[e + n] on arcs that wrap past
     index 0 (e < L) and p[e] on the others, the indices e2_arc_costs
-    uses.  A row's bits do not depend on how many rows are built.
+    uses.  The ring's doubled_prefixes, made once, serve the cut and the
+    blocks.  A row's bits do not depend on how many rows are built.
     """
     n = xs.shape[0]
-    rows = n if rows is None else rows
     prefixes = np.stack(doubled_prefixes(xs, ys))
+    rows = _anchored_cut(xs, ys, prefixes, bound, False)
     # starts[n - L, e]: doubled entry e - L + n, the start of arc [L, e]
     starts = [sliding_window_view(np.concatenate((a, a)), n) for a in (xs, ys)]
     # near[:, n - L, e]: p[u + 1] for the start u of arc [L, e]
@@ -197,49 +214,22 @@ def e2_cost_table(xs: np.ndarray, ys: np.ndarray, rows: int | None = None) -> np
     return out
 
 
-def e2_row_bound(xs: np.ndarray, ys: np.ndarray, bound: float) -> int:
-    """R: every entry of e2_cost_table(xs, ys) in a row of R steps or
-    more is above `bound`, so a solve to it reads no such row, and the
-    table may stop at row R.
-
-    R is the first span L at which lam(u, L) exceeds the bound for every
-    start u, with a margin for rounding, or n if there is none
-    (_anchored_cut): an arc of L' >= L steps from u holds the points
-    lam(u, L) sums and its chord passes through p[u], so its cost is at
-    least lam(u, L).  Adding points adds a positive semidefinite matrix
-    to the moments, so lam never falls with L, and the bisection over
-    (1, n) finds the first such span; lam(u, 1) = 0, so R >= 2.
-
-    The margin covers rounding in both closed forms.  With P2 the
-    largest x^2 + y^2 of the ring, every term of either one, over the
-    chord's squared length where it divides by it, is at most n P2, and
-    the prefix sums they difference are off by at most 4 n^2 P2 2**-53
-    each; the errors of the entry and of lam sum to under 240 n^2 P2
-    2**-53, so the margin is 2**-44 n^2 P2 (twice that), plus 2**-40
-    times the bound for the relative rounding of the entry's division
-    and of the comparison.  Rings far from the origin, or very wide, get
-    a margin that can swamp every lam, and keep every row.
-    """
-    return _anchored_cut(xs, ys, bound, False)
-
-
-def _anchored_cut(xs, ys, g, mean):
+def _anchored_cut(xs, ys, moments, g, mean):
     """A span R in (1, n] found by bisection at which lam(u, R) >
     w g (1 + 2**-40) + 2**-44 n^2 P2 for every start u, or n if the
     bisection meets none: w is 1, or R - 1 if `mean`, and P2 the
-    largest x^2 + y^2 of the ring.
+    largest x^2 + y^2 of the ring.  At g = +inf no span passes.
 
     lam(u, L) is the least eigenvalue of M, the second moments about
     p[u] of the L - 1 points strictly inside the arc u -> u + L, from
-    the ring's doubled_prefixes: the least squared residual of those
-    points over the lines through p[u] (the anchored form of Pearson's
-    principal-axis fit).  The bisection keeps hi at a span where the
-    test holds, or n, so R is such a span whether or not the test is
-    monotone in L.
+    `moments`, the ring's doubled_prefixes stacked: the least squared
+    residual of those points over the lines through p[u] (the anchored
+    form of Pearson's principal-axis fit).  The bisection keeps hi at a
+    span where the test holds, or n, so R is such a span whether or not
+    the test is monotone in L.
     """
     n = xs.shape[0]
     margin = 2.0**-44 * n * n * (xs * xs + ys * ys).max()
-    moments = np.stack(doubled_prefixes(xs, ys))
     xx, yy, xy = xs * xs, ys * ys, xs * ys
 
     def above(span):
@@ -301,14 +291,21 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
     reads both windows as slices of the level, with no gather.
 
     By default, arcs of at most ceil(n/3) steps come first, every one
-    scanned, and give B.  Then _emax_cut gives R, a span from which
-    every arc is proven above the bound: an arc of R or more steps from
-    u holds the R - 1 points inside u -> u + R and its chord passes
-    through p[u], so its largest squared distance is at least their
-    mean, and that is at least lam(u, R) / (R - 1), their least mean
-    squared residual over the lines through p[u] (_anchored_cut).  R is
-    a span where that passes b^2 at every start, by e2_row_bound's
-    margin on the shifted coordinates.  Rows from R on are +inf, and no
+    scanned, and give B.  Then the table finds its cut R, a span from
+    which every arc is proven above the bound b: an arc of R or more
+    steps from u holds the R - 1 points inside u -> u + R and its chord
+    passes through p[u], so its largest squared distance is at least
+    their mean, and that is at least lam(u, R) / (R - 1), their least
+    mean squared residual over the lines through p[u].  R is a span
+    where every lam(u, R) > (R - 1) b^2 (1 + 2**-40) + 2**-44 n^2 P2
+    (_anchored_cut, on the coordinates shifted to the min corner), with
+    e2_cost_table's margin: lam's rounding is within 2**-44 n^2 P2, and
+    the entry is the exact largest |cross| rounded twice, by the square
+    root and the division, which the relative 2**-40 covers (b = 0
+    included: a positive integer over a chord length stays positive).
+    The mean lam(u, L) / (L - 1) need not grow with L, so R is where the
+    bisection over (1, n) ends, a span at which the test held, or n; a
+    smaller span may pass it too.  Rows from R on are +inf, and no
     length from R on is probed or scanned.  The longer arcs below R, or
     with a caller's bound every arc of 2 to R - 1 steps, go in blocks of
     lengths: _PROBES points spread along the block's shortest arc lie
@@ -362,10 +359,10 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
         top /= dx
         return top
 
-    def fill(lo, hi, bound=None):
-        # rows lo..hi-1 of the table; with a bound, entries above it are
-        # +inf, a block of lengths with none at or under it is not
-        # written, and the table grows to hold the others
+    def fill(lo, hi, bound):
+        # rows lo..hi-1 of the table: entries above the bound are +inf, a
+        # block of lengths with none at or under it is not written, and
+        # the table grows to hold the others
         nonlocal built, wx, wy, last
         while lo < hi:
             k = (lo - 1).bit_length() - 1
@@ -377,19 +374,18 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
             end = min(hi, 2**(k + 1) + 1, lo + max(1, _EMAX_SCAN // (wx.shape[0] * n)))
             first, rest = slice(1, 2), slice(lo - 2**k, end - 2**k)
             val = scan(lo, end, [(wx[:, first], wy[:, first]), (wx[:, rest], wy[:, rest])])
-            if bound is not None:
-                over = val > bound
-                kept = np.flatnonzero(~over.all(axis=1))
-                if not kept.size:
-                    lo = end
-                    continue
-                val[over] = np.inf
-                last = lo + int(kept[-1])
-                have = out.shape[0]
-                if have < end:
-                    # in place, new rows +inf: no view of out exists
-                    out.resize((end, n), refcheck=False)
-                    out[have:] = np.inf
+            over = val > bound
+            kept = np.flatnonzero(~over.all(axis=1))
+            if not kept.size:
+                lo = end
+                continue
+            val[over] = np.inf
+            last = lo + int(kept[-1])
+            have = out.shape[0]
+            if have < end:
+                # in place, new rows +inf: no view of out exists
+                out.resize((end, n), refcheck=False)
+                out[have:] = np.inf
             # row u of a length is entry (u + length) % n: a roll
             for length, row in zip(range(lo, end), val):
                 out[length, length:] = row[:n - length]
@@ -399,13 +395,13 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
     # the last row with a finite entry, and the first length to probe
     if bound is None:
         last, first = third, third + 1
-        fill(2, third + 1)
+        fill(2, third + 1, np.inf)
         bound = _side_bound(out)
     else:
         last, first = 1, 2
     # the first to the last length of each block below the cut whose
     # probes come at or under the bound
-    cut = _emax_cut(x, y, bound)
+    cut = _anchored_cut(x, y, np.stack(doubled_prefixes(x, y)), bound * bound, True)
     step = max(1, _EMAX_SCAN // (_PROBES * n))
     for lo in range(first, cut, step):
         at = 1 + np.arange(1, _PROBES + 1) * (lo - 2) // (_PROBES + 1)
@@ -415,23 +411,6 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
             fill(lo + int(near[0]), lo + int(near[-1]) + 1, bound)
     out.resize((last + 1, n), refcheck=False)
     return out
-
-
-def _emax_cut(x: np.ndarray, y: np.ndarray, bound: float) -> int:
-    """R, emax_cost_table's cut: every arc of R or more steps of the
-    ring (x, y), shifted to its min corner as the table shifts it, has
-    an entry above `bound` b; R = n if none is proven.
-
-    R is a span where every lam(u, R) > (R - 1) b^2 (1 + 2**-40) +
-    2**-44 n^2 P2 (_anchored_cut), e2_row_bound's margin: lam's rounding
-    is within 2**-44 n^2 P2, and the entry is the exact largest |cross|
-    rounded twice, by the square root and the division, which the
-    relative 2**-40 covers (b = 0 included: a positive integer over a
-    chord length stays positive).  The mean lam(u, L) / (L - 1) need
-    not grow with L, so R is where the bisection over (1, n) ends, a
-    span at which the test held, or n; a smaller span may pass it too.
-    """
-    return _anchored_cut(x, y, bound * bound, True)
 
 
 def _side_bound(head: np.ndarray) -> float:
@@ -583,7 +562,7 @@ def dp_solve(tab, cheapest, start, m_max, use_max, polygon, bound):
     entry and is +inf.  dp[j, v] is the best cost of reaching v from 0
     with exactly j sides (dp_chain recovers the sides).  The table need
     store only the entries at or under b (emax_cost_table and
-    e2_row_bound given b): its other entries may be +inf, and its rows
+    e2_cost_table given b): its other entries may be +inf, and its rows
     may stop where every entry of the rows it leaves out is above b.
 
     Every layer j >= 2 is pruned by b_j, the least of b and the profile
@@ -597,27 +576,25 @@ def dp_solve(tab, cheapest, start, m_max, use_max, polygon, bound):
     cell are the full DP's.
 
     A value at or under b is lost, +inf, only where b_m < b, as on a
-    profile that rises past a lower value, so a profile solve reruns
-    where some value is +inf though b_m < b.  A polygon solve (polygon
-    True) wants only dp[m_max, n] and its chain, and reruns wherever
-    that value is +inf.  The rerun is unpruned, over the stored rows,
-    and every cell above b is then set to +inf: every cell at or under
-    b is the full DP's, as a path that takes a side left out costs more
-    than b.  A caller that wants dp[m, n] exact
-    gives a bound at or over it, such as U_m, the cost of the m-gon
-    through positions floor(i n / m), i = 0..m, combined in DP order;
-    b = +inf prunes by the profile values alone.
+    profile that rises past a lower value; a value that is +inf with
+    b_m = b lies above b.  A profile solve reruns where some value is
+    +inf though b_m < b.  A polygon solve (polygon True) wants only
+    dp[m_max, n] and its chain, and reruns only where that value fails
+    the same test.  The rerun is unpruned, over the stored rows, and
+    every cell above b is then set to +inf: every cell at or under b is
+    the full DP's, as a path that takes a side left out costs more than
+    b.  A caller that wants dp[m, n] exact gives a bound at or over it,
+    such as U_m, the cost of the m-gon through positions floor(i n /
+    m), i = 0..m, combined in DP order; b = +inf prunes by the profile
+    values alone.
     """
     n = tab.shape[1]
     combine = np.maximum if use_max else np.add
     dp = _dp_layers(tab, cheapest, start, m_max, combine, bound)
     vals = dp[:, n]
-    if polygon:
-        lost = np.isinf(vals[m_max])
-    else:
-        # b_j < b where some earlier profile value is below b
-        lost = (np.isinf(vals[3:]) & (np.minimum.accumulate(vals[2:-1]) < bound)).any()
-    if lost:
+    # value m is +inf though b_m < b: some earlier value is below b
+    lost = np.isinf(vals[3:]) & (np.minimum.accumulate(vals[2:-1]) < bound)
+    if lost[-1] if polygon else lost.any():
         dp = _dp_layers(tab, cheapest, start, m_max, combine, None)
         dp[dp > bound] = np.inf
     return dp

@@ -107,8 +107,9 @@ class SegmentCosts:
 
     The span-major tables depend only on the curve, not on the DP start,
     so one instance serves every start vertex and both cost kinds.
-    Every solve runs to a bound (_kernels.dp_solve), on a table that
-    stores every entry at or under it, and gon_cost supplies each bound.
+    Every solve runs to a bound (_kernels.dp_solve), on a table built,
+    by one kernel call that takes the bound, to store every entry at or
+    under it, and gon_cost supplies each bound.
 
     set_bound(kind, b) builds that kind's table only up to b, and every
     solve on it runs to b: each value at or under b is exact, and each
@@ -116,17 +117,16 @@ class SegmentCosts:
     A new bound drops the table, and the next solve builds it again.
 
     With no bound set, every value is exact.  The E2 table is built to
-    G, the largest U3 of any start, storing its rows 0 to R - 1
-    (_kernels.e2_row_bound); the Emax table to B, the largest Emax of an
-    arc of at most ceil(n/3) steps, holding +inf above it and storing
-    its rows to the last with a finite entry (_kernels.emax_cost_table):
-    no optimal polygon of 3 or more vertices, nor one tied with it, has
-    a side above B, and every U_m is at most B.  A polygon solve from
-    start runs to U_m(start), and a profile solve to U3(start); a
-    profile value above U3(start) comes back +inf, and the profile is
-    solved again to the largest U_m(start) of those counts m, which
-    bounds each of their values.  A solve to a bound above G builds the
-    E2 table again to that bound first, and keeps it.
+    G, the largest U3 of any start; the Emax table to B, the largest
+    Emax of an arc of at most ceil(n/3) steps, holding +inf above it
+    (_kernels.emax_cost_table): no optimal polygon of 3 or more
+    vertices, nor one tied with it, has a side above B, and every U_m
+    is at most B.  A polygon solve from start runs to U_m(start), and a
+    profile solve to U3(start); a profile value above U3(start) comes
+    back +inf, and the profile is solved again to the largest U_m(start)
+    of those counts m, which bounds each of their values.  A solve to a
+    bound above G builds the E2 table again to that bound first, and
+    keeps it.
 
     Curves are rejected up front whose tables would take more than
     MAX_TABLE_BYTES, whose x or y coordinates span 2**26
@@ -209,7 +209,7 @@ class SegmentCosts:
         if kind is CostKind.SUM_SQUARED:
             if bound is None:
                 bound = self.gon_cost(np.arange(self.curve.n), 3, kind)
-            tab = _kernels.e2_cost_table(xs, ys, _kernels.e2_row_bound(xs, ys, bound))
+            tab = _kernels.e2_cost_table(xs, ys, bound)
         else:
             tab = _kernels.emax_cost_table(xs, ys, bound)
         # B, with no bound, is at or over every bound an Emax solve runs to

@@ -143,16 +143,17 @@ def _random_tables(seed):
 
 def _assert_e2_table_is_loops(xs, ys):
     """The full table is the loops', bit for bit, and so are the rows
-    0 to R - 1 that e2_row_bound keeps for G, the largest U3 of any
-    start, R > ceil(n/3).  No entry of the rows it leaves out is at or
+    0 to R - 1 that the table built to G, the largest U3 of any start,
+    stores, R > ceil(n/3).  No entry of the rows it leaves out is at or
     under G, and the band widths of every b <= G are those of the full
     table.  Returns R."""
     n = xs.shape[0]
     want = _span_major(_e2_cost_table_loops(xs, ys, *_kernels.doubled_prefixes(xs, ys)))
-    assert _kernels.e2_cost_table(xs, ys).tobytes() == want.tobytes()
+    assert _kernels.e2_cost_table(xs, ys, np.inf).tobytes() == want.tobytes()
     g = _largest_u3(want)
-    rows = _kernels.e2_row_bound(xs, ys, g)
-    assert _kernels.e2_cost_table(xs, ys, rows).tobytes() == want[:rows].tobytes()
+    tab = _kernels.e2_cost_table(xs, ys, g)
+    rows = tab.shape[0]
+    assert tab.tobytes() == want[:rows].tobytes()
     assert rows > -(-n // 3)
     assert not (want[rows:] <= g).any()
     short, full = _kernels.cheapest_sides(want[:rows]), _kernels.cheapest_sides(want)
@@ -199,6 +200,23 @@ def test_e2_table_exact_on_a_non_integer_ring():
     _assert_e2_table_is_loops(xs, ys)
 
 
+@pytest.mark.parametrize("bound", [0.0, 50.0, np.inf])
+def test_an_e2_build_makes_the_prefixes_once(bound, monkeypatch):
+    # the cut and the blocks read one set of the ring's doubled prefixes
+    xs, ys = (_fourier_blob(1, 40.0, 600).points[:, k].astype(np.float64) for k in (0, 1))
+    made = []
+    prefixes = _kernels.doubled_prefixes
+
+    def counted(*args):
+        made.append(args)
+        return prefixes(*args)
+
+    monkeypatch.setattr(_kernels, "doubled_prefixes", counted)
+    tab = _kernels.e2_cost_table(xs, ys, bound)
+    assert len(made) == 1
+    assert 2 <= tab.shape[0] <= xs.shape[0]
+
+
 def test_e2_table_working_set_is_a_few_blocks():
     # the table plus temporaries of a few _E2_BLOCK entries; staging the
     # whole table at n x 2n would add twice the table
@@ -209,7 +227,7 @@ def test_e2_table_working_set_is_a_few_blocks():
     assert 2 * table > slack
     tracemalloc.start()
     try:
-        _kernels.e2_cost_table(pts[:, 0], pts[:, 1])
+        _kernels.e2_cost_table(pts[:, 0], pts[:, 1], np.inf)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -258,9 +276,17 @@ def _scan_bounded(xs, ys):
 
 
 def _emax_cut(xs, ys, bound):
-    # the cut on the coordinates emax_cost_table gives it: shifted to
-    # the min corner
-    return _kernels._emax_cut(xs - xs.min(), ys - ys.min(), bound)
+    # emax_cost_table's cut, on the coordinates it finds it on: shifted
+    # to the min corner
+    x, y = xs - xs.min(), ys - ys.min()
+    return _kernels._anchored_cut(x, y, np.stack(_kernels.doubled_prefixes(x, y)),
+                                  bound * bound, True)
+
+
+def _e2_rows(xs, ys, bound):
+    """R: the rows e2_cost_table stores for `bound`, its cut."""
+    return _kernels._anchored_cut(xs, ys, np.stack(_kernels.doubled_prefixes(xs, ys)), bound,
+                                  False)
 
 
 def _assert_stored_rows(table, want):
@@ -1141,8 +1167,8 @@ def _ring_table(pts, use_max):
     xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
     n = xs.shape[0]
     if not use_max:
-        full = _kernels.e2_cost_table(xs, ys)
-        return full, _kernels.e2_row_bound(xs, ys, _largest_u3(full))
+        full = _kernels.e2_cost_table(xs, ys, np.inf)
+        return full, _e2_rows(xs, ys, _largest_u3(full))
     tab = _kernels.emax_cost_table(xs, ys)
     return np.concatenate((tab, np.full((n - tab.shape[0], n), np.inf))), tab.shape[0]
 
@@ -1257,9 +1283,10 @@ def _e2_builds(monkeypatch):
     build = _kernels.e2_cost_table
     rows = []
 
-    def counted(xs, ys, r=None):
-        rows.append(r)
-        return build(xs, ys, r)
+    def counted(xs, ys, bound):
+        tab = build(xs, ys, bound)
+        rows.append(tab.shape[0])
+        return tab
 
     monkeypatch.setattr(_kernels, "e2_cost_table", counted)
     return rows
@@ -1351,7 +1378,7 @@ def test_a_profile_above_u3_is_solved_again(kind, monkeypatch):
         assert not builds
     else:
         xs, ys = (curve.points[:, k].astype(np.float64) for k in (0, 1))
-        rebuilt = [_kernels.e2_row_bound(xs, ys, again)] if again > _largest_u3(full) else []
+        rebuilt = [_e2_rows(xs, ys, again)] if again > _largest_u3(full) else []
         assert builds == [rows] + rebuilt
 
 
@@ -1380,8 +1407,8 @@ def test_a_polygon_above_the_e2_tables_bound_builds_it_again(kind, monkeypatch):
         assert not builds and costs.table(kind).shape[0] == rows
     else:
         xs, ys = (curve.points[:, k].astype(np.float64) for k in (0, 1))
-        again = _kernels.e2_row_bound(xs, ys, costs.gon_cost(start, m, kind))
-        assert builds == [_kernels.e2_row_bound(xs, ys, 0.0), again] and builds[0] < again
+        again = _e2_rows(xs, ys, costs.gon_cost(start, m, kind))
+        assert builds == [_e2_rows(xs, ys, 0.0), again] and builds[0] < again
         assert costs.table(kind).tobytes() == full[:again].tobytes()
 
 
@@ -1628,10 +1655,10 @@ def test_e2_row_bound_keeps_every_row_with_an_entry_at_or_under_the_bound():
     for pts in rings:
         xs, ys = (pts[:, k].astype(np.float64) for k in (0, 1))
         n = xs.shape[0]
-        full = _kernels.e2_cost_table(xs, ys)
-        default = _kernels.e2_row_bound(xs, ys, _largest_u3(full))
+        full = _kernels.e2_cost_table(xs, ys, np.inf)
+        default = _e2_rows(xs, ys, _largest_u3(full))
         for bound in _bounds(full, np.add):
-            rows = _kernels.e2_row_bound(xs, ys, bound)
+            rows = _e2_rows(xs, ys, bound)
             assert 2 <= rows <= n
             assert (full[rows:] > bound).all()
             fewer += rows < default
@@ -1732,17 +1759,26 @@ def test_bounded_solve_reruns_only_for_a_value_it_lost(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", list(CostKind))
-def test_a_polygon_above_the_bound_raises(kind):
+def test_a_polygon_above_the_bound_raises(kind, monkeypatch):
     # the optimal m-gon above the bound its table is built to comes back
-    # +inf, after one rerun, and is not walked back
+    # +inf, from one DP pass with no rerun, and is not walked back
     curve = _ellipse("e", 9.0, 5.0, 80)
     costs = SegmentCosts(curve)
     best = costs.profile(5, 6, kind).values[6]
     assert best > 0.0
     costs.set_bound(kind, 0.5 * best)
+    passes = []
+    layers = _kernels._dp_layers
+
+    def traced(*args):
+        passes.append(args[-1] is not None)
+        return layers(*args)
+
+    monkeypatch.setattr(_kernels, "_dp_layers", traced)
     with pytest.raises(AboveBound) as exc:
         costs.polygon(5, 6, kind)
     assert exc.value.counts == (6,)
+    assert passes == [True]
 
 
 def test_baseline_from_profile_raises_for_reads_above_the_bound(square8):
