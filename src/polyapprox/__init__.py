@@ -3,144 +3,24 @@
 Builds minimum-error polygons on integer-lattice rings, scores
 heuristic approximations against the optimal baseline, and compares
 relative quality measures across a corpus.
+
+The public names are those in each module's ``__all__``; this package
+re-exports them all, and declares none of its own.
 """
 
-from .approx_error import (
-    PolygonApprox,
-    compression_ratio,
-    polygon_errors,
-)
-from .curve import (
-    CurveGeometry,
-    DigitalCurve,
-    InertiaLine,
-    centroid,
-    chain_code_of,
-    curve_geometry,
-    inertia_line,
-    load_curve,
-    parse_chain_code,
-    parse_point_list,
-)
-from .exceptions import (
-    AboveBound,
-    AllZero,
-    ConstantSeries,
-    CurveTooLarge,
-    DegenerateSegment,
-    DuplicateConsecutive,
-    InvalidCounts,
-    InvalidDigit,
-    InvalidGeometry,
-    LengthMismatch,
-    MalformedLine,
-    NotClosed,
-    PolyApproxError,
-    TooFewPoints,
-    ZeroError,
-)
-from .measures import (
-    MeasureRecord,
-    RosinBreakdown,
-    build_record,
-    fg_measure,
-    figure_of_merit,
-    rosin_merit,
-    theorem_identity_check,
-    weighted_foms,
-)
-from .optimal import (
-    CostKind,
-    ErrorProfile,
-    OptimalBaseline,
-    SegmentCosts,
-    baseline_from_profile,
-    optimal_profile,
-    provisional_start_vertex,
-    select_start_vertex,
-)
-from .schemes import (
-    SchemeId,
-    apply_scheme,
-    auto_target_m,
-    eliminate_stabilized_to_m,
-    eliminate_to_m,
-    split_to_m,
-    stabilize,
-)
-from .study import (
-    MeasureSeries,
-    StudyReport,
-    direction_agreement,
-    emit_svg_line_diagram,
-    evaluate_curve,
-    pearson,
-    run_study,
-    scale_for_plot,
-    study_series,
-)
+from . import approx_error, curve, exceptions, measures, optimal, schemes, study
+from .approx_error import *  # noqa: F401,F403
+from .curve import *  # noqa: F401,F403
+from .exceptions import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .optimal import *  # noqa: F401,F403
+from .schemes import *  # noqa: F401,F403
+from .study import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AboveBound",
-    "AllZero",
-    "ConstantSeries",
-    "CostKind",
-    "CurveGeometry",
-    "CurveTooLarge",
-    "DegenerateSegment",
-    "DigitalCurve",
-    "DuplicateConsecutive",
-    "ErrorProfile",
-    "InertiaLine",
-    "InvalidCounts",
-    "InvalidDigit",
-    "InvalidGeometry",
-    "LengthMismatch",
-    "MalformedLine",
-    "MeasureRecord",
-    "MeasureSeries",
-    "NotClosed",
-    "OptimalBaseline",
-    "PolyApproxError",
-    "PolygonApprox",
-    "RosinBreakdown",
-    "SchemeId",
-    "SegmentCosts",
-    "StudyReport",
-    "TooFewPoints",
-    "ZeroError",
-    "apply_scheme",
-    "auto_target_m",
-    "baseline_from_profile",
-    "build_record",
-    "centroid",
-    "chain_code_of",
-    "compression_ratio",
-    "curve_geometry",
-    "direction_agreement",
-    "eliminate_stabilized_to_m",
-    "eliminate_to_m",
-    "emit_svg_line_diagram",
-    "evaluate_curve",
-    "fg_measure",
-    "figure_of_merit",
-    "inertia_line",
-    "load_curve",
-    "optimal_profile",
-    "parse_chain_code",
-    "parse_point_list",
-    "pearson",
-    "polygon_errors",
-    "provisional_start_vertex",
-    "rosin_merit",
-    "run_study",
-    "scale_for_plot",
-    "select_start_vertex",
-    "split_to_m",
-    "stabilize",
-    "study_series",
-    "theorem_identity_check",
-    "weighted_foms",
+    name
+    for module in (approx_error, curve, exceptions, measures, optimal, schemes, study)
+    for name in module.__all__
 ]

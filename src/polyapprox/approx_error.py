@@ -25,7 +25,6 @@ from .exceptions import DegenerateSegment, InvalidCounts
 
 __all__ = [
     "PolygonApprox",
-    "E2Costs",
     "polygon_errors",
     "compression_ratio",
 ]

@@ -21,13 +21,13 @@ from . import __version__
 from .approx_error import check_count, polygon_errors
 from .curve import FORMATS, load_curve
 from .exceptions import InvalidCounts, PolyApproxError
-from .measures import CSV_HEADER, record_to_csv_row
+from .measures import CSV_HEADER, NISE_SHIFTS, record_to_csv_row
 from .optimal import CostKind, SegmentCosts, select_start_vertex
-from .schemes import SchemeId, apply_scheme, auto_target_m
+from .schemes import DEFAULT_TARGET_CR, SchemeId, apply_scheme, auto_target_m
 from .study import evaluate_curve, run_study, study_outputs
 
 _SCHEMES = {s.value: s for s in SchemeId}
-_COSTS = {"e2": CostKind.SUM_SQUARED, "emax": CostKind.MAX_ERROR}
+_COSTS = {k.value: k for k in CostKind}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +61,7 @@ def _add_common(p: _Parser):
 def _add_target(p: _Parser):
     p.add_argument("--m", type=int, default=None, help="vertex count (>= 3)")
     p.add_argument("--target-cr", type=float, default=None,
-                   help="vertex budget as n / target-cr (default 15)")
+                   help=f"vertex budget as n / target-cr (default {DEFAULT_TARGET_CR:g})")
 
 
 def build_parser() -> _Parser:
@@ -84,16 +84,14 @@ def build_parser() -> _Parser:
     p_merit = sub.add_parser("merit", help="measure one polygon against its baseline")
     p_merit.add_argument("--in", dest="infile", required=True)
     p_merit.add_argument("--scheme", choices=sorted(_SCHEMES), default="elim")
-    p_merit.add_argument("--nise-variant", choices=("printed", "unit"),
-                         default="printed")
+    p_merit.add_argument("--nise-variant", choices=tuple(NISE_SHIFTS), default="printed")
     _add_target(p_merit)
     _add_common(p_merit)
 
     p_study = sub.add_parser("study", help="evaluate a corpus directory")
     p_study.add_argument("--corpus", required=True)
-    p_study.add_argument("--target-cr", type=float, default=15.0)
-    p_study.add_argument("--nise-variant", choices=("printed", "unit"),
-                         default="printed")
+    p_study.add_argument("--target-cr", type=float, default=DEFAULT_TARGET_CR)
+    p_study.add_argument("--nise-variant", choices=tuple(NISE_SHIFTS), default="printed")
     p_study.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -103,7 +101,7 @@ def _load_with_m(parser: _Parser, args):
     is read, except --m against n, which needs the curve."""
     if args.m is not None and args.target_cr is not None:
         parser.error("pass either --m or --target-cr, not both")
-    target = args.target_cr if args.target_cr is not None else 15.0
+    target = args.target_cr if args.target_cr is not None else DEFAULT_TARGET_CR
     if not target >= 1.0:  # NaN too
         parser.error("target-cr must be >= 1")
     curve = load_curve(args.infile, args.format)

@@ -24,6 +24,19 @@ from .exceptions import (
     TooFewPoints,
 )
 
+__all__ = [
+    "DigitalCurve",
+    "InertiaLine",
+    "CurveGeometry",
+    "parse_point_list",
+    "parse_chain_code",
+    "chain_code_of",
+    "load_curve",
+    "centroid",
+    "inertia_line",
+    "curve_geometry",
+]
+
 # Freeman 8-neighbour steps: code k moves by _CHAIN_STEPS[k].
 _CHAIN_STEPS = (
     (1, 0),

@@ -5,6 +5,24 @@ users at the exact spot in an input file.  Numeric errors carry enough
 context to distinguish bad inputs from degenerate geometry.
 """
 
+__all__ = [
+    "PolyApproxError",
+    "MalformedLine",
+    "TooFewPoints",
+    "DuplicateConsecutive",
+    "InvalidDigit",
+    "NotClosed",
+    "DegenerateSegment",
+    "CurveTooLarge",
+    "InvalidCounts",
+    "AboveBound",
+    "ZeroError",
+    "ConstantSeries",
+    "LengthMismatch",
+    "AllZero",
+    "InvalidGeometry",
+]
+
 
 class PolyApproxError(Exception):
     """Base class for all package errors."""

@@ -30,8 +30,6 @@ __all__ = [
     "fg_measure",
     "build_record",
     "theorem_identity_check",
-    "CSV_HEADER",
-    "record_to_csv_row",
 ]
 
 
@@ -117,6 +115,10 @@ def rosin_merit(error_sub: float, m_sub: int, baseline: OptimalBaseline) -> Rosi
     )
 
 
+# the constant each nise variant adds to fg's sigmoid term
+NISE_SHIFTS = {"printed": 1.0, "unit": -1.0}
+
+
 def fg_measure(cr: float, e2: float, d: float, variant: str = "printed") -> float:
     """Sigmoid-normalized error blended with the inverse compression.
 
@@ -128,11 +130,8 @@ def fg_measure(cr: float, e2: float, d: float, variant: str = "printed") -> floa
     """
     if d <= 0.0:
         raise InvalidGeometry(f"contour extent must be positive, got {d}")
-    if variant == "printed":
-        c = 1.0
-    elif variant == "unit":
-        c = -1.0
-    else:
+    c = NISE_SHIFTS.get(variant)
+    if c is None:
         raise InvalidGeometry(f"unknown variant {variant!r}")
     nise = 2.0 / (1.0 + math.exp(-math.sqrt(e2) / d)) + c
     return 0.5 * (1.0 / cr + nise)

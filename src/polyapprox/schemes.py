@@ -239,6 +239,10 @@ def apply_scheme(scheme: SchemeId, curve: DigitalCurve, m: int) -> PolygonApprox
     return eliminate_stabilized_to_m(curve, m)
 
 
+# the compression ratio a vertex budget aims at when the caller names none
+DEFAULT_TARGET_CR = 15.0
+
+
 def auto_target_m(curve: DigitalCurve, target_cr: float) -> int:
     """Vertex budget hitting a target compression ratio, clamped to
     the valid range."""

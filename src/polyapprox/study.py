@@ -36,7 +36,7 @@ from .optimal import (
     select_start_vertex,
 )
 from .approx_error import polygon_errors
-from .schemes import SchemeId, apply_scheme, auto_target_m
+from .schemes import DEFAULT_TARGET_CR, SchemeId, apply_scheme, auto_target_m
 
 __all__ = [
     "MeasureSeries",
@@ -48,10 +48,6 @@ __all__ = [
     "run_study",
     "study_series",
     "emit_svg_line_diagram",
-    "PAIRINGS",
-    "correlations_csv",
-    "records_csv",
-    "study_outputs",
 ]
 
 logger = logging.getLogger(__name__)
@@ -262,7 +258,7 @@ def _pairing_values(records, row) -> tuple[list[float], list[float]]:
 def run_study(
     corpus: list[DigitalCurve],
     schemes: tuple[SchemeId, ...] = tuple(SchemeId),
-    target_cr: float = 15.0,
+    target_cr: float = DEFAULT_TARGET_CR,
     nise_variant: str = "printed",
     threads: int = 1,
 ) -> list[StudyReport]:

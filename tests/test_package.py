@@ -1,5 +1,6 @@
-"""Every module's public surface imports cleanly, and pyproject.toml
-names the package's version and its console script."""
+"""Every module's public surface imports cleanly, the package exports
+exactly its modules' `__all__`, and pyproject.toml names the package's
+version and its console script."""
 
 import importlib
 import pkgutil
@@ -26,13 +27,24 @@ def test_all_names_resolve(name):
     exec(f"from {name} import *", namespace)
 
 
-def test_package_names_are_in_their_module_all():
-    missing = []
-    for attr in polyapprox.__all__:
-        module = importlib.import_module(getattr(polyapprox, attr).__module__)
-        if attr not in getattr(module, "__all__", (attr,)):
-            missing.append(f"{module.__name__}.{attr}")
-    assert not missing, f"re-exported but missing from their module's __all__: {missing}"
+# the modules whose __all__ the package re-exports, in the package's order
+REEXPORTED = ["approx_error", "curve", "exceptions", "measures", "optimal", "schemes", "study"]
+
+
+def test_package_all_is_its_modules_all():
+    expected = [
+        attr
+        for name in REEXPORTED
+        for attr in importlib.import_module(f"polyapprox.{name}").__all__
+    ]
+    assert polyapprox.__all__ == expected
+    # a name in two modules' lists would let one module shadow the other
+    twice = sorted({attr for attr in expected if expected.count(attr) > 1})
+    assert not twice, f"declared in more than one module's __all__: {twice}"
+    namespace: dict = {}
+    exec("from polyapprox import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(expected)
 
 
 def _pyproject_strings(table: str) -> dict[str, str]:
