@@ -33,25 +33,30 @@ no tie with one, has a side above B (_side_bound says why).  Its points
 must be distinct integers spanning less than EXACT_SPAN, which
 SegmentCosts checks.  One path builds it on every ring, simple or not:
 a sparse table whose level k holds the hull vertices of every window of
-2^k points, merged from level k-1 by Andrew's monotone chain, one
-lockstep pass over the lower and upper chains together.  Two windows of
-one level cover any arc, so an entry scans their vertices, not the arc,
-with its arithmetic done in place.  It stores its rows up to the last
-with a finite entry, and grows only for a block of arcs that holds an
-entry at or under the bound; points spread along a block's arcs skip
-the others, and no length from the cut on is probed.  A study's bound
-U_m cuts at 0.23n on average (at most 0.31n) on the built-in corpus at
-m = n / 15, against 0.16n rows stored; B cuts little (at n on most
-rings).
+2^k points.  Levels 0 to 3 are the raw windows, strided views of the
+ring's points; level 4 and up are merged from level k-1 by Andrew's
+monotone chain, one lockstep pass over the lower and upper chains
+together.  Two windows of one level cover any arc, so an entry scans
+their points, not the arc, with its arithmetic done in place.  It
+stores its rows up to the last with a finite entry, and grows only for
+a block of arcs that holds an entry at or under the bound; points
+spread along a block's arcs skip the others, and no length from the cut
+on is probed.  A study's bound U_m cuts at 0.23n on average (at most
+0.31n) on the built-in corpus at m = n / 15, against 0.16n rows stored;
+B cuts little (at n on most rings).
 
 Costs are >= 0, so a DP layer may drop every cell above b_j, the least
 of the solve's bound b and the profile values found so far, and every
 side wider than the widest one costing at most b_j: what is left is a
-band of W spans.  Every profile value at or under b, and every cell the
-band keeps, is exact, and dp_chain recovers the chains from them; a
-value above b comes back +inf.  If the profile rises past a value below
-b, the band can lose a value at or under b, and the solve runs once
-more, unpruned, over the stored rows (dp_solve).
+band of W spans.  A layer is computed only in its corridor, the
+positions a chain under b_j can use: up to the previous layer's reach
+plus W_j, and, to a bound, from n - (m_max - j) W_j on, so the last
+layer computes position n alone.  Every profile value at or under b,
+and every cell the band and the corridor keep, is exact, and dp_chain
+recovers the chains from them; a value above b comes back +inf.  If
+the profile rises past a value below b, the band can lose a value at or
+under b, and the solve runs once more, unpruned, over the stored rows
+(dp_solve).
 
 The kernels evaluate the arithmetic of plain per-entry loops, so their
 tables, and the DP's profile, chains and kept cells, equal the loops'
@@ -62,7 +67,7 @@ that pin this down.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 # perfbench reads this flag for its environment block; the next change
 # to the benchmark (ROADMAP D18) drops it.
@@ -267,6 +272,9 @@ _EMAX_SCAN = 1 << 15
 # Points spread along each block of long arcs to bound them from below.
 _PROBES = 5
 
+# Hull levels kept as raw windows of the ring's points (_hull_levels).
+_RAW_LEVELS = 4
+
 
 def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
                     ) -> np.ndarray:
@@ -281,11 +289,12 @@ def emax_cost_table(xs: np.ndarray, ys: np.ndarray, bound: float | None = None
 
     The largest |cross| of a set of points against a chord is reached at
     a strict vertex of its hull.  Level k of _hull_levels holds those of
-    every window of 2^k points, and for k = floor(log2(L-1)) the level-k
-    windows starting at u+1 and at u+L-2^k cover the interior of the arc
-    u -> u+L: the sparse-table cover of range queries.  With d the
-    chord, f = cross(d, w) for each window point w and c0 = cross(d,
-    p[u]), the entry is max(|max f - c0|, |c0 - min f|) / |d|: the exact
+    every window of 2^k points (levels 0 to 3 every point of it), and
+    for k = floor(log2(L-1)) the level-k windows starting at u+1 and at
+    u+L-2^k cover the interior of the arc u -> u+L: the sparse-table
+    cover of range queries.  With d the chord, f = cross(d, w) for each
+    window point w and c0 = cross(d, p[u]), the entry is
+    max(|max f - c0|, |c0 - min f|) / |d|: the exact
     largest |cross| divided once by the chord length, so the bits of a
     scan of every arc point, +0.0 on a straight arc.  A block of lengths
     reads both windows as slices of the level, with no gather.
@@ -429,19 +438,34 @@ def _hull_levels(z: np.ndarray):
     """Yield level k = 0, 1, ... of the hull table of the ring z (points
     as complex numbers x + iy): x and y views of shape (rows, 2^k + 1, n)
     whose [:, s, u] holds every strict hull vertex of p[u+s..u+s+2^k-1],
-    padded by repeating one.  Those are the window's lower and upper
-    chains.  Level k's are _merged_chains of level k-1's windows u and
-    u + 2^(k-1), both kinds in one pass: a point on neither child's
-    lower chain is on no lower chain of their union, and likewise for
-    upper chains.
+    padded by repeating one, and maybe other points of that window.
+
+    Levels 0 to 3 are the raw windows, read-only strided views of the
+    ring's points, [r, s, u] = p[u+s+r]: a window of at most 8 points
+    holds its hull vertices, and scanning it costs no more than scanning
+    its hull.  From level 4 on, a level holds exactly the window's lower
+    and upper chains, _merged_chains of the previous level's windows u
+    and u + 2^(k-1), both kinds in one pass: level 4 from the raw
+    8-point windows, each taken as both its own lower and upper
+    candidates, the later levels from their chains, since a point on
+    neither child's lower chain is on no lower chain of their union, and
+    likewise for upper chains.
     """
-    lower = upper = z[None, :]
-    n_lower = n_upper = np.ones(z.shape[0], dtype=np.int64)
-    width = 1
+    n = z.shape[0]
+    # p[t % n] for every t the raw levels read
+    ring = np.resize(z, n + 2**_RAW_LEVELS - 1)
+    xy = ring.real.copy(), ring.imag.copy()
+    for k in range(_RAW_LEVELS):
+        w = 2**k
+        yield tuple(as_strided(a, (w, w + 1, n), a.strides * 3, writeable=False) for a in xy)
+    # [r, u]: p[u + r], the raw windows of the last raw level
+    width = 2**(_RAW_LEVELS - 1)
+    raw = sliding_window_view(ring, n)[:width]
+    lower, n_lower, upper, n_upper = _merged_chains(raw, raw, width)
     while True:
+        width *= 2
         yield _level_points(lower, n_lower, upper, n_upper, width)
         lower, n_lower, upper, n_upper = _merged_chains(lower, upper, width)
-        width *= 2
 
 
 def _level_points(lower, n_lower, upper, n_upper, width):
@@ -568,12 +592,15 @@ def dp_solve(tab, cheapest, start, m_max, use_max, polygon, bound):
     Every layer j >= 2 is pruned by b_j, the least of b and the profile
     values dp[j', n] for 2 <= j' < j: a cell above b_j is stored as
     +inf, and the layer reads only sides of at most W_j steps, as every
-    wider side costs more than b_j.  The pruning only drops paths, so
-    each value it computes is the cost of a real path.  Costs never fall
-    along a path and b_j never rises, so a finite dp[m, n] <= b_m bounds
-    every cell on its optimal chain, and every candidate tied with one,
-    by its layer's b_j: the profile value, the chains and every finite
-    cell are the full DP's.
+    wider side costs more than b_j.  Each layer is computed only in its
+    corridor (_dp_layers), so a cell that no chain under b_j can use is
+    +inf even where it is at or under b_j: every cell of layer m_max but
+    n is.  The pruning only drops paths, so each value it computes is
+    the cost of a real path.  Costs never fall along a path and b_j
+    never rises, so a finite dp[m, n] <= b_m bounds every cell on its
+    optimal chain, and every candidate tied with one, by its layer's
+    b_j, and puts each inside its layer's corridor: the profile value,
+    the chains and every finite cell are the full DP's.
 
     A value at or under b is lost, +inf, only where b_m < b, as on a
     profile that rises past a lower value; a value that is +inf with
@@ -604,22 +631,36 @@ def _dp_layers(tab, cheapest, start, m_max, combine, bound):
     """dp_solve's layers, each pruned by the running bound b_j seeded
     with `bound`, or, for bound None, unpruned: every b_j = +inf.
 
-    In each block of about _DP_BLOCK entries of positions v0..v1 >= j,
-    spans W_j down to 1 are one combine of the previous layer, read as a
-    sliding window over a copy of it padded in front with +inf, and the
-    table rows W_j..1 at the block's ends, sliced in two where the ends
-    pass n - 1; one minimum over the spans gives the layer's cells.  A
-    predecessor u < j - 1 is +inf, as is one above b_j, which can only
-    win a cell above b_j.  Layer 1 and the bands read the stored rows
-    only (cheapest has one entry a stored span).  O(m_max n W) time for
-    bands of at most W spans, one buffer of a block.
+    Layer j is computed only in its corridor, the positions a chain
+    under b_j can use.  Its band reads sides of at most W_j steps, so it
+    stops at reach_j = min(n, reach_(j-1) + W_j), past which every
+    predecessor is +inf; reach_1 = W_2, as a bounded pass keeps only the
+    sides of layer 1 at or under the bound, and an unbounded one every
+    stored side, W_2 being then the widest.  A bounded pass also starts
+    layer j at n - (m_max - j) W_j, as each of the at most m_max - j
+    sides left from a cell of a chain under b_j to n spans at most W_j
+    steps; the last layer computes position n alone.
+
+    In each block of about _DP_BLOCK entries of positions v0..v1 of the
+    corridor, spans W_j down to 1 are one combine of the previous layer,
+    read as a sliding window over a copy of it padded in front with
+    +inf, and the table rows W_j..1 at the block's ends, sliced in two
+    where the ends pass n - 1; one minimum over the spans gives the
+    layer's cells.  A predecessor u < j - 1, or outside the previous
+    corridor, is +inf, as is one above b_j, which can only win a cell
+    above b_j.  Layer 1 and the bands read the stored rows only
+    (cheapest has one entry a stored span).  O(m_max n W) time for bands
+    of at most W spans, one buffer of a block.
     """
     rows, n = tab.shape
     dp = np.full((m_max + 1, n + 1), np.inf)
     v = np.arange(1, rows)
     dp[1, 1:rows] = tab[v, (start + v) % n]
     pruned = bound is not None
-    if not pruned:
+    if pruned:
+        sides = dp[1]
+        sides[sides > bound] = np.inf
+    else:
         bound = np.inf
     # prev[n + u] is dp[j - 1, u], +inf around it; preds[k, c] is
     # prev[k + c], for every k a block reads
@@ -632,9 +673,13 @@ def _dp_layers(tab, cheapest, start, m_max, combine, bound):
         # the widest span with a side at most b_j; at least 1, so that a
         # layer with none fills with values above b_j
         width = max(1, int(cheapest.searchsorted(bound, side="right")))
+        if j == 2:
+            reach = width
+        reach = min(n, reach + width)
+        first = max(j, n - (m_max - j) * width) if pruned else j
         step = max(1, cap // width)
-        for v0 in range(j, n + 1, step):
-            v1 = min(v0 + step, n + 1)
+        for v0 in range(first, reach + 1, step):
+            v1 = min(v0 + step, reach + 1)
             # a span above v1 - j leaves a predecessor below j - 1
             w = min(width, v1 - j)
             block = buf[:w * (v1 - v0)].reshape(w, v1 - v0)
@@ -647,9 +692,9 @@ def _dp_layers(tab, cheapest, start, m_max, combine, bound):
                             out=block[:, c0 - v0:c1 - v0])
             np.minimum.reduce(block, axis=0, out=dp[j, v0:v1])
         if pruned:
-            vals = dp[j, j:]
+            vals = dp[j, first:reach + 1]
             vals[vals > bound] = np.inf
-            bound = min(bound, vals[-1])
+            bound = min(bound, dp[j, n])
     return dp
 
 

@@ -21,7 +21,7 @@ from . import __version__
 from .approx_error import check_count, polygon_errors
 from .curve import FORMATS, load_curve
 from .exceptions import InvalidCounts, PolyApproxError
-from .measures import CSV_HEADER, NISE_SHIFTS, record_to_csv_row
+from .measures import CSV_HEADER, DEFAULT_NISE_VARIANT, NISE_SHIFTS, record_to_csv_row
 from .optimal import CostKind, SegmentCosts, select_start_vertex
 from .schemes import DEFAULT_TARGET_CR, SchemeId, apply_scheme, auto_target_m
 from .study import evaluate_curve, run_study, study_outputs
@@ -84,14 +84,16 @@ def build_parser() -> _Parser:
     p_merit = sub.add_parser("merit", help="measure one polygon against its baseline")
     p_merit.add_argument("--in", dest="infile", required=True)
     p_merit.add_argument("--scheme", choices=sorted(_SCHEMES), default="elim")
-    p_merit.add_argument("--nise-variant", choices=tuple(NISE_SHIFTS), default="printed")
+    p_merit.add_argument("--nise-variant", choices=tuple(NISE_SHIFTS),
+                         default=DEFAULT_NISE_VARIANT)
     _add_target(p_merit)
     _add_common(p_merit)
 
     p_study = sub.add_parser("study", help="evaluate a corpus directory")
     p_study.add_argument("--corpus", required=True)
     p_study.add_argument("--target-cr", type=float, default=DEFAULT_TARGET_CR)
-    p_study.add_argument("--nise-variant", choices=tuple(NISE_SHIFTS), default="printed")
+    p_study.add_argument("--nise-variant", choices=tuple(NISE_SHIFTS),
+                         default=DEFAULT_NISE_VARIANT)
     p_study.add_argument("--out", default=".", help="output directory")
     return parser
 

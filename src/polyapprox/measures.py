@@ -117,9 +117,10 @@ def rosin_merit(error_sub: float, m_sub: int, baseline: OptimalBaseline) -> Rosi
 
 # the constant each nise variant adds to fg's sigmoid term
 NISE_SHIFTS = {"printed": 1.0, "unit": -1.0}
+DEFAULT_NISE_VARIANT = "printed"
 
 
-def fg_measure(cr: float, e2: float, d: float, variant: str = "printed") -> float:
+def fg_measure(cr: float, e2: float, d: float, variant: str = DEFAULT_NISE_VARIANT) -> float:
     """Sigmoid-normalized error blended with the inverse compression.
 
     The squared error is compressed through 2/(1 + exp(-sqrt(e2)/d))
@@ -144,7 +145,7 @@ def build_record(
     baseline_emax: OptimalBaseline,
     curve_id: str | None = None,
     scheme: str = "",
-    nise_variant: str = "printed",
+    nise_variant: str = DEFAULT_NISE_VARIANT,
     geometry: CurveGeometry | None = None,
     errors: tuple[float, float] | None = None,
 ) -> MeasureRecord:

@@ -26,7 +26,13 @@ from .exceptions import (
     PolyApproxError,
     ZeroError,
 )
-from .measures import CSV_HEADER, MeasureRecord, build_record, record_to_csv_row
+from .measures import (
+    CSV_HEADER,
+    DEFAULT_NISE_VARIANT,
+    MeasureRecord,
+    build_record,
+    record_to_csv_row,
+)
 from .optimal import (
     CostKind,
     OptimalBaseline,
@@ -259,7 +265,7 @@ def run_study(
     corpus: list[DigitalCurve],
     schemes: tuple[SchemeId, ...] = tuple(SchemeId),
     target_cr: float = DEFAULT_TARGET_CR,
-    nise_variant: str = "printed",
+    nise_variant: str = DEFAULT_NISE_VARIANT,
     threads: int = 1,
 ) -> list[StudyReport]:
     """Evaluate every scheme over a corpus and correlate the measures.

@@ -777,10 +777,29 @@ def _strict_hull(points):
     return hull
 
 
+def _assert_hull_level(wx, wy, rel, k):
+    """Level k of _hull_levels on the ring rel: below _RAW_LEVELS,
+    read-only views whose [:, s, u] is the window of 2^k points from u +
+    s, in ring order; from there on, views whose [:, 0, u] holds exactly
+    the strict hull vertices of the window from u."""
+    n = rel.shape[0]
+    assert wx.shape[1:] == (2**k + 1, n)
+    if k < _kernels._RAW_LEVELS:
+        at = (np.arange(2**k)[:, None, None] + np.arange(2**k + 1)[:, None]
+              + np.arange(n)) % n
+        assert wx.shape[0] == 2**k and not (wx.flags.writeable or wy.flags.writeable)
+        assert np.array_equal(wx, rel[at, 0]) and np.array_equal(wy, rel[at, 1]), k
+        return
+    for u in range(n):
+        window = [tuple(rel[(u + j) % n]) for j in range(2**k)]
+        got = set(zip(wx[:, 0, u].tolist(), wy[:, 0, u].tolist()))
+        assert got == _strict_hull(window), (k, u)
+
+
 @pytest.mark.parametrize("name", ["circle", "crossed_blob", "cloud", "collinear_runs"])
 def test_hull_levels_hold_the_strict_hull_vertices(name):
-    # every window of every level holds its strict hull vertices and no
-    # other point
+    # levels 0 to 3 hold every window's 2^k points, and every window of
+    # each later level its strict hull vertices and no other point
     pts = {
         "circle": _circle(40),
         "crossed_blob": _crossed_blob()[::3],
@@ -791,12 +810,7 @@ def test_hull_levels_hold_the_strict_hull_vertices(name):
     rel = pts - pts.min(axis=0)
     levels = _kernels._hull_levels(rel[:, 0] + 1j * rel[:, 1])
     for k in range(int(np.log2(n - 2)) + 1):
-        wx, wy = next(levels)
-        assert wx.shape[1:] == (2**k + 1, n)
-        for u in range(n):
-            window = [tuple(rel[(u + j) % n]) for j in range(2**k)]
-            got = set(zip(wx[:, 0, u].tolist(), wy[:, 0, u].tolist()))
-            assert got == _strict_hull(window), (k, u)
+        _assert_hull_level(*next(levels), rel, k)
 
 
 def _half_disc():
@@ -823,9 +837,10 @@ def _chain_lengths(hull):
 
 def test_hull_levels_merge_chains_of_unequal_height(monkeypatch):
     # on a half-disc a window's upper chain can hold every arc point while
-    # its lower chain holds two or three: each level holds every window's
-    # strict hull vertices, and each kind's chains are as tall as its own
-    # longest, as merging the kinds one at a time made them
+    # its lower chain holds two or three: each merged level, the first
+    # from the raw 8-point windows, holds every window's strict hull
+    # vertices, and each kind's chains are as tall as its own longest, as
+    # merging the kinds one at a time made them
     merge = _kernels._merged_chains
     merged = []
 
@@ -838,15 +853,13 @@ def test_hull_levels_merge_chains_of_unequal_height(monkeypatch):
     n = pts.shape[0]
     rel = pts - pts.min(axis=0)
     levels = _kernels._hull_levels(rel[:, 0] + 1j * rel[:, 1])
+    raw = _kernels._RAW_LEVELS
     for k in range(int(np.log2(n - 2)) + 1):
-        wx, wy = next(levels)
-        lengths = []
-        for u in range(n):
-            hull = _strict_hull([tuple(rel[(u + j) % n]) for j in range(2**k)])
-            assert set(zip(wx[:, 0, u].tolist(), wy[:, 0, u].tolist())) == hull, (k, u)
-            lengths.append(_chain_lengths(hull))
-        if k:
-            lower, n_lower, upper, n_upper = merged[k - 1]
+        _assert_hull_level(*next(levels), rel, k)
+        if k >= raw:
+            lengths = [_chain_lengths(_strict_hull([tuple(rel[(u + j) % n]) for j in range(2**k)]))
+                       for u in range(n)]
+            lower, n_lower, upper, n_upper = merged[k - raw]
             assert np.array_equal(np.stack((n_lower, n_upper), axis=1), lengths), k
             assert (lower.shape[0], upper.shape[0]) == (n_lower.max(), n_upper.max()), k
     assert 4 * n_lower.max() <= n_upper.max()
@@ -1018,9 +1031,11 @@ def _assert_dp_matches_loops(tab, start, m_max, use_max, rows=None, bound=None):
     dp_chain walks back from (m, n) is the loops' parent chain for every
     m whose profile value is finite, and every finite cell equals the
     loops'.  Every other cell is +inf, and where the loops' cell is
-    finite it lies above b_j (above the bound for a side of layer 1 that
-    the table leaves out).  When a loops' profile value dp[m, n], m >=
-    3, is above b_m or +inf while b_m is below the bound, the solve
+    finite it lies above b_j (b_1 is the bound), or, for j >= 2, before
+    the corridor's first position n - (m_max - j) W_j, W_j the widest
+    span with a side at most b_j (a cell past the corridor's reach lies
+    above b_j).  When a loops' profile value dp[m, n], m >= 3, is above
+    b_m or +inf while b_m is below the bound, the solve
     falls back to the full DP over the rows it reads, and the arrays
     are byte-equal but for the loops' cells above the bound, which are
     +inf.  Returns whether it fell back, and how many finite cells of
@@ -1044,8 +1059,10 @@ def _assert_dp_matches_loops(tab, start, m_max, use_max, rows=None, bound=None):
     kept = np.isfinite(d1)
     assert d1[kept].tobytes() == d2[kept].tobytes()
     lost = ~kept & np.isfinite(d2)
-    j, _ = np.nonzero(lost)
-    assert np.all(d2[lost] > b[j])
+    j, v = np.nonzero(lost)
+    width = np.maximum(1, _kernels.cheapest_sides(read).searchsorted(b, side="right"))
+    before = (j >= 2) & (v < n - (m_max - j) * width[j])
+    assert np.all((d2[lost] > b[j]) | before)
     if fell_back:
         assert d1.tobytes() == np.where(d2 <= bound, d2, np.inf).tobytes()
     return fell_back, int(lost.sum())
@@ -1756,6 +1773,67 @@ def test_bounded_solve_reruns_only_for_a_value_it_lost(kind, monkeypatch):
     dp = costs._solve(start, 3 * m, kind)
     assert passes == ["bounded", "unbounded"] and costs.table(kind).shape[0] == rows
     assert dp[2:].tobytes() == want[2:].tobytes()
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_a_bounded_solve_computes_its_last_layer_at_n_alone(kind):
+    # blob05 (n = 294) from its provisional start: a polygon solve to
+    # U_m and a profile solve to U3 answer from one pass, and leave every
+    # cell of their last layer before n +inf, though the unpruned pass
+    # has some at or under the bound there: no chain under the bound can
+    # use them
+    curve = _fourier_blob(5, 40.0, 600)
+    n, m = curve.n, round(curve.n / 15)
+    costs = SegmentCosts(curve)
+    start = provisional_start_vertex(curve)
+    combine = np.maximum if kind is CostKind.MAX_ERROR else np.add
+    for polygon, m_max, bound in ((True, m, costs.gon_cost(start, m, kind)),
+                                  (False, 3 * m, costs.gon_cost(start, 3, kind))):
+        dp = costs._dp_to(start, m_max, kind, polygon, bound)
+        tab, cheapest, _ = costs._tables[kind]
+        full = _kernels._dp_layers(tab, cheapest, start, m_max, combine, None)
+        assert np.isfinite(dp[m_max, n]) and np.isinf(dp[m_max, :n]).all(), polygon
+        assert (full[m_max, :n] <= bound).any(), polygon
+
+
+def _trace_scale_rings():
+    """A Fourier blob of about 1000 points, as a boundary trace gives
+    them, and a thin ellipse whose every point is a hull vertex."""
+    return {"blob": _fourier_blob(21, 1000 / 7.3, 2000),
+            "thin_all_hull": DigitalCurve(_thin_all_hull(600).astype(np.int64))}
+
+
+@pytest.mark.parametrize("ring", ["blob", "thin_all_hull"])
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_trace_scale_solves_are_the_unpruned_pass_at_or_under_the_bound(ring, kind):
+    # too large for the loops: from two starts, the polygon solve of
+    # m_sub = n / 15 sides to U_m and the profile solve to 3 m_sub at U3,
+    # as SegmentCosts runs them, against _dp_layers' unpruned pass over
+    # the table they solved on, every cell above the bound set to +inf:
+    # the same profile bytes (dp[m_sub, n] for the polygon), the same
+    # chains, and every cell the solve keeps the unpruned pass's
+    curve = _trace_scale_rings()[ring]
+    n, m = curve.n, auto_target_m(curve, 15.0)
+    costs = SegmentCosts(curve)
+    use_max = kind is CostKind.MAX_ERROR
+    combine = np.maximum if use_max else np.add
+    p0 = provisional_start_vertex(curve)
+    for start in (p0, (p0 + n // 2) % n):
+        for polygon, m_max, bound in ((True, m, costs.gon_cost(start, m, kind)),
+                                      (False, 3 * m, costs.gon_cost(start, 3, kind))):
+            dp = costs._dp_to(start, m_max, kind, polygon, bound)
+            tab, cheapest, _ = costs._tables[kind]
+            want = _kernels._dp_layers(tab, cheapest, start, m_max, combine, None)
+            want[want > bound] = np.inf
+            counts = [m_max] if polygon else range(3, m_max + 1)
+            assert dp[counts, n].tobytes() == want[counts, n].tobytes(), (start, polygon)
+            assert np.isfinite(dp[m_max, n]), (start, polygon)
+            for k in counts:
+                if np.isfinite(dp[k, n]):
+                    assert (_kernels.dp_chain(tab, start, dp, k, use_max)
+                            == _kernels.dp_chain(tab, start, want, k, use_max)), (start, k)
+            kept = np.isfinite(dp)
+            assert dp[kept].tobytes() == want[kept].tobytes(), (start, polygon)
 
 
 @pytest.mark.parametrize("kind", list(CostKind))
